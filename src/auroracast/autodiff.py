@@ -10,6 +10,12 @@ Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
 float dtype; outputs keep it. Calling an op without a tape is inference:
 same forward value, nothing recorded.
+
+The convolutions (conv2d, conv2d_transpose) loop over kernel taps: each
+tap contracts the channels of one shifted or strided slice with that
+tap's [c_out, c_in] matrix and accumulates into the output, forward and
+backward. Memory stays at a few output-sized arrays, with no im2col
+window copy that grows with the kernel area.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
@@ -309,15 +314,50 @@ def pad_zero_lat(x: Tensor, pad: int, tape: Tape | None = None) -> Tensor:
 
 # ── Convolutions ──────────────────────────────────────────────────────
 
+def _row_taps(w: int, kh: int, kw: int, span: int):
+    """(p, q, run) per kernel tap: the slice of a row-major flattened
+    [.., h*w] input that tap (p, q) reads for a valid correlation."""
+    return [(p, q, slice(p * w + q, p * w + q + span)) for p in range(kh) for q in range(kw)]
+
+
 def _corr2d(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of a [n, c_in, h, w] with k [c_out, c_in, kh, kw]."""
-    win = sliding_window_view(a, (k.shape[2], k.shape[3]), axis=(2, 3))
-    y = np.tensordot(win, k, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(np.moveaxis(y, 3, 1))
+    """Valid cross-correlation of a [n, c_in, h, w] with k [c_out, c_in, kh, kw].
+
+    The spatial axes are flattened row-major, so tap (p, q) reads the
+    contiguous run of `span` elements starting at p*w + q (`_row_taps`) and
+    contracts its channels with k[:, :, p, q]. Each output row is
+    computed at the full input width w; the last kw-1 columns of a row mix in
+    the start of the next input row and are cropped at the end. Samples run
+    one at a time, so a sample's rows and its output stay in cache across
+    all the taps. The contraction is an einsum rather than a BLAS product:
+    it sums every output element in the same order wherever the element
+    lies, so the correlation commutes exactly with circular shifts of a
+    periodically padded input.
+    """
+    n, ci, h, w = a.shape
+    co, _, kh, kw = k.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    span = (oh - 1) * w + ow
+    flat = a.reshape(n, ci, h * w)
+    taps = _row_taps(w, kh, kw, span)
+    y = np.zeros((n, co, oh * w), dtype=a.dtype)
+    tap = np.empty((co, span), dtype=a.dtype)
+    for i in range(n):
+        for p, q, run in taps:
+            np.einsum("oc,cl->ol", k[:, :, p, q], flat[i, :, run], out=tap)
+            y[i, :, :span] += tap
+    return np.ascontiguousarray(y.reshape(n, co, oh, w)[:, :, :, :ow])
 
 
 def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
-    """Valid cross-correlation; x [n, c_in, h, w], k [c_out, c_in, kh, kw]."""
+    """Valid cross-correlation; x [n, c_in, h, w], k [c_out, c_in, kh, kw].
+
+    Forward is `_corr2d`. Backward runs the adjoint of the same per-sample
+    tap loop: dy is laid out on the forward's full-width flattened rows
+    (zero in the cropped columns), and per tap it is contracted with that
+    tap's slice of x to give dk[:, :, p, q] and scatter-added through
+    k[:, :, p, q] into the same slice of dx.
+    """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
@@ -333,13 +373,23 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
         def backward():
             if out.grad is None:
                 return
-            dy = out.grad
-            win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-            dk = np.tensordot(dy, win, axes=([0, 2, 3], [0, 2, 3]))
+            oh, ow = out.shape[2:]
+            span = (oh - 1) * w + ow
+            dy_rows = np.zeros((n, co, oh, w), dtype=x.data.dtype)
+            dy_rows[:, :, :, :ow] = out.grad
+            dy = dy_rows.reshape(n, co, oh * w)[:, :, :span]
+            x_flat = x.data.reshape(n, ci, h * w)
+            taps = _row_taps(w, kh, kw, span)
+            dx = np.zeros_like(x_flat)
+            dk = np.zeros_like(k.data)
+            tap = np.empty((ci, span), dtype=x.data.dtype)
+            for i in range(n):
+                for p, q, run in taps:
+                    dk[:, :, p, q] += dy[i] @ x_flat[i, :, run].T
+                    np.einsum("oc,ol->cl", k.data[:, :, p, q], dy[i], out=tap)
+                    dx[i, :, run] += tap
             _accumulate(k, dk)
-            dy_pad = np.pad(dy, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            k_rot = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accumulate(x, _corr2d(dy_pad, k_rot))
+            _accumulate(x, dx.reshape(x.shape))
 
         tape.record(out, backward)
     return out
@@ -351,6 +401,11 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
     x [n, c_in, h, w], k [c_in, c_out, kh, kw], output [n, c_out, h*s, w*s].
     Requires kernel >= stride per axis; the full scatter output is cropped
     by (k - s) // 2 leading rows/columns, matching the usual 'same' sizing.
+
+    Tap (a, b) of the kernel lands on the strided slice of the full output
+    that starts at (a, b) with step (sh, sw). Forward scatter-adds x,
+    contracted with that tap's channel matrix, into the slice; backward
+    gathers the same slice of the padded output gradient.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -369,14 +424,17 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
     out_h, out_w = h * sh, w * sw
     top = (kh - sh) // 2
     left = (kw - sw) // 2
+    taps = [
+        (a, b, (..., slice(a, a + (h - 1) * sh + 1, sh), slice(b, b + (w - 1) * sw + 1, sw)))
+        for a in range(kh)
+        for b in range(kw)
+    ]
 
-    prod = np.einsum("ncij,coab->noijab", x.data, k.data, optimize=True)
+    x_flat = x.data.reshape(n, ci, h * w)
+
     full = np.zeros((n, co, full_h, full_w), dtype=x.data.dtype)
-    for a in range(kh):
-        for b in range(kw):
-            full[:, :, a : a + (h - 1) * sh + 1 : sh, b : b + (w - 1) * sw + 1 : sw] += prod[
-                :, :, :, :, a, b
-            ]
+    for a, b, region in taps:
+        full[region] += np.matmul(k.data[:, :, a, b].T, x_flat).reshape(n, co, h, w)
     out = Tensor(full[:, :, top : top + out_h, left : left + out_w])
 
     if tape is not None:
@@ -385,10 +443,13 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
                 return
             dfull = np.zeros((n, co, full_h, full_w), dtype=x.data.dtype)
             dfull[:, :, top : top + out_h, left : left + out_w] = out.grad
-            win = sliding_window_view(dfull, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            dx = np.tensordot(win, k.data, axes=([1, 4, 5], [1, 2, 3]))
-            _accumulate(x, np.ascontiguousarray(np.moveaxis(dx, 3, 1)))
-            dk = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
+            dx = np.zeros_like(x_flat)
+            dk = np.empty_like(k.data)
+            for a, b, region in taps:
+                g = dfull[region].reshape(n, co, h * w)
+                dx += np.matmul(k.data[:, :, a, b], g)
+                dk[:, :, a, b] = np.matmul(x_flat, g.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(x, dx.reshape(x.shape))
             _accumulate(k, dk)
 
         tape.record(out, backward)

@@ -3,7 +3,7 @@
 Commands: synth, features, train, eval, map. Every command is
 deterministic given identical inputs and seeds; outputs are byte-stable
 (no wall-clock content). Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric failure.
+error, 4 numeric failure, 5 resource error (out of memory).
 """
 
 from __future__ import annotations
@@ -367,8 +367,8 @@ def cmd_eval(args) -> int:
         )
         inputs.append(args.baseline_checkpoint)
 
-    cfg_hash_src = model.meta.get("loss", {})
-    summary_lines.append(f"config_sha256: {_config_hash({k: str(v) for k, v in cfg_hash_src.items()})}")
+    loss_spec = model.meta.get("loss", {})
+    summary_lines.append(f"loss_sha256: {_config_hash({k: str(v) for k, v in loss_spec.items()})}")
     with open(os.path.join(args.out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary_lines) + "\n")
     outputs.append("summary.txt")
@@ -465,6 +465,10 @@ def main(argv=None) -> int:
         for epoch, train_loss, val_loss in exc.history:
             print(f"  epoch {epoch}: train={train_loss:g} val={val_loss:g}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        request = str(exc) or "allocation failed"
+        print(f"resource error: {args.command} ran out of memory: {request}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingDiverged -> 4.
+TrainingDiverged -> 4. The builtin MemoryError maps to 5 (resource error:
+the message names the command and the allocation that failed).
 """
 
 

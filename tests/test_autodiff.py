@@ -1,5 +1,7 @@
 """Forward semantics and finite-difference gradient checks for every op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,17 @@ class TestConv2d:
 
         check_gradients(build, [x, k])
 
+    def test_gradcheck_non_square_kernel(self):
+        rng = np.random.default_rng(20)
+        x = _t(rng, 2, 2, 5, 6)
+        k = _t(rng, 3, 2, 2, 4)
+
+        def build():
+            tape = Tape()
+            return tape, ad.sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
+
+        check_gradients(build, [x, k])
+
 
 class TestConvTranspose:
     def test_one_by_one_identity(self):
@@ -222,6 +235,106 @@ class TestConvTranspose:
             return tape, ad.sum_all(ad.relu(ad.conv2d_transpose(x, k, 2, tape), tape), tape)
 
         check_gradients(build, [x, k])
+
+    def test_gradcheck_non_square_kernel_tuple_stride(self):
+        rng = np.random.default_rng(21)
+        x = _t(rng, 2, 2, 3, 2)
+        k = _t(rng, 2, 3, 3, 4)
+
+        def build():
+            tape = Tape()
+            y = ad.conv2d_transpose(x, k, (2, 3), tape)
+            return tape, ad.sum_all(ad.relu(y, tape), tape)
+
+        check_gradients(build, [x, k])
+
+
+def _naive_conv2d(x, k, dy):
+    """Valid cross-correlation and its gradients, one output pixel at a time."""
+    n, _, h, w = x.shape
+    co, _, kh, kw = k.shape
+    y = np.zeros((n, co, h - kh + 1, w - kw + 1))
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(k)
+    for b, o, i, j in np.ndindex(*y.shape):
+        window = x[b, :, i : i + kh, j : j + kw]
+        y[b, o, i, j] = np.sum(window * k[o])
+        dx[b, :, i : i + kh, j : j + kw] += dy[b, o, i, j] * k[o]
+        dk[o] += dy[b, o, i, j] * window
+    return y, dx, dk
+
+
+def _naive_conv2d_transpose(x, k, stride, dy):
+    """Transposed convolution and its gradients, one input pixel at a time:
+    each pixel stamps its channel mix of the kernel at stride offsets."""
+    sh, sw = stride
+    n, ci, h, w = x.shape
+    _, co, kh, kw = k.shape
+    full = np.zeros((n, co, (h - 1) * sh + kh, (w - 1) * sw + kw))
+    top, left = (kh - sh) // 2, (kw - sw) // 2
+    dfull = np.zeros_like(full)
+    dfull[:, :, top : top + h * sh, left : left + w * sw] = dy
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(k)
+    for b, c, i, j in np.ndindex(n, ci, h, w):
+        rows, cols = slice(i * sh, i * sh + kh), slice(j * sw, j * sw + kw)
+        full[b, :, rows, cols] += x[b, c, i, j] * k[c]
+        dx[b, c, i, j] = np.sum(dfull[b, :, rows, cols] * k[c])
+        dk[c] += x[b, c, i, j] * dfull[b, :, rows, cols]
+    return full[:, :, top : top + h * sh, left : left + w * sw], dx, dk
+
+
+class TestConvOracle:
+    """Forward values and both gradients against direct loops, float64, at
+    the conv decoder's shapes."""
+
+    @staticmethod
+    def _run(op, x_shape, k_shape, seed):
+        rng = np.random.default_rng(seed)
+        x = _t(rng, *x_shape)
+        k = _t(rng, *k_shape)
+        tape = Tape()
+        y = op(x, k, tape)
+        dy = rng.standard_normal(y.shape)
+        tape.backward(_weighted_sum(tape, y, dy))
+        return x, k, y, dy
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride",
+        [((2, 1, 16, 16), (1, 4, 9, 9), 2), ((2, 4, 32, 32), (4, 4, 5, 5), 4)],
+    )
+    def test_conv2d_transpose(self, x_shape, k_shape, stride):
+        x, k, y, dy = self._run(lambda x, k, tape: ad.conv2d_transpose(x, k, stride, tape), x_shape, k_shape, 22)
+        ref_y, ref_dx, ref_dk = _naive_conv2d_transpose(x.data, k.data, (stride, stride), dy)
+        np.testing.assert_allclose(y.data, ref_y, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
+
+    def test_conv2d_final_layer(self):
+        x, k, y, dy = self._run(ad.conv2d, (2, 4, 134, 134), (1, 4, 7, 7), 23)
+        ref_y, ref_dx, ref_dk = _naive_conv2d(x.data, k.data, dy)
+        np.testing.assert_allclose(y.data, ref_y, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
+
+
+def test_conv2d_memory_stays_near_input_size():
+    """One conv2d forward plus backward at the decoder's final-layer training
+    shape allocates a few input-sized arrays, not a kernel-area-sized window
+    copy (a 7x7 im2col needs about 49x the input)."""
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((16, 4, 134, 134)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((1, 4, 7, 7)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        y = ad.conv2d(x, k, tape)
+        tape.backward(ad.sum_all(y, tape))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and k.grad.shape == k.shape
+    assert peak < 8 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
 
 class TestPadding:

@@ -1,12 +1,15 @@
 """Command-level behavior: determinism, exit codes, file contracts."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from auroracast import cli
 from auroracast.cli import main
+from auroracast.models import load_checkpoint
 
 
 def run(*argv):
@@ -234,6 +237,15 @@ class TestEvalAndMap:
         assert (out / "summary.txt").exists()
         assert (out / "manifest.json").exists()
 
+    def test_eval_summary_hashes_the_loss_spec(self, tmp_path, trained, features_file):
+        out = tmp_path / "eval3"
+        assert run("eval", "--checkpoint", trained, "--features", features_file, "--out-dir", out) == 0
+        summary = dict(line.split(": ", 1) for line in (out / "summary.txt").read_text().splitlines())
+        assert "config_sha256" not in summary
+        spec = load_checkpoint(trained).meta["loss"]
+        canonical = "\n".join(f"{k}={spec[k]}" for k in sorted(spec))
+        assert summary["loss_sha256"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
     def test_eval_missing_checkpoint(self, tmp_path, features_file):
         assert (
             run(
@@ -309,3 +321,16 @@ class TestEvalAndMap:
         )
         grid = [l.split(",") for l in (tmp_path / "cm.csv").read_text().splitlines()]
         assert len(grid) == 32 and len(grid[0]) == 32
+
+
+def test_memory_error_is_resource_exit_code(tmp_path, monkeypatch, capsys):
+    request = "Unable to allocate 8.40 GiB for an array with shape (703, 4, 134, 134, 7, 7)"
+
+    def exhausted(args):
+        raise MemoryError(request)
+
+    monkeypatch.setattr(cli, "cmd_synth", exhausted)
+    assert run("synth", "--out-dir", tmp_path, "--days", 1.0) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: synth")
+    assert request in err
