@@ -12,6 +12,7 @@ from .geomodel import (  # noqa: F401
     GridSpec,
     MagCoord,
     Observation,
+    ObsTable,
     Region,
     WorldParams,
     cell_of,
@@ -60,6 +61,7 @@ from .models import (  # noqa: F401
 from .train import (  # noqa: F401
     AdamState,
     SparseSample,
+    SparseSamples,
     TrainConfig,
     adam_step,
     build_sparse_samples,

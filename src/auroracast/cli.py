@@ -123,13 +123,15 @@ def cmd_synth(args) -> int:
             fh.write(_fmt(times[i]) + "," + ",".join(repr(float(c[i])) for c in cols) + "\n")
 
     obs_path = os.path.join(args.out_dir, "observations.csv")
+    codes = [G.Region(v).code for v in range(len(G.Region))]
+    columns = (obs.t.tolist(), obs.sat_id.tolist(), obs.mlat.tolist(), obs.mlt.tolist(),
+               obs.eflux.tolist(), obs.region.tolist())
     with open(obs_path, "w", newline="") as fh:
         fh.write("t,sat_id,mlat,mlt,eflux,region\n")
-        for o in obs:
-            fh.write(
-                f"{_fmt(o.t)},{o.sat_id},{o.coord.mlat!r},{o.coord.mlt!r},"
-                f"{o.eflux!r},{o.region.code}\n"
-            )
+        fh.writelines(
+            f"{_fmt(t)},{sat},{mlat!r},{mlt!r},{eflux!r},{codes[region]}\n"
+            for t, sat, mlat, mlt, eflux, region in zip(*columns)
+        )
 
     _write_manifest(
         args.out_dir,
@@ -269,21 +271,19 @@ def _train_sparse(args, cfg, config: T.TrainConfig):
     arch = M.arch_from_config(cfg, input_width=len(schema.global_names))
     spec = G.GridSpec(n_lat=arch.n_lat, n_mlt=arch.n_mlt)
     samples, _ = T.build_sparse_samples(drivers, obs, schema, spec)
-    if not samples:
+    if not len(samples):
         raise DataError("no sparse samples could be composited")
-    t_centers = np.array([s.t_center for s in samples])
+    t_centers = samples.t_center
     _, t_start, t_end = _default_holdout(cfg, t_centers)
-    val = [s for s in samples if t_start <= s.t_center < t_end]
-    train_samples = [s for s in samples if not (t_start <= s.t_center < t_end)]
-    if not val or not train_samples:
+    in_val = (t_start <= t_centers) & (t_centers < t_end)
+    if in_val.all() or not in_val.any():
         raise DataError("holdout time range leaves an empty train or validation split")
 
-    mean, std = I.fit_normalization(np.stack([s.features for s in train_samples]))
     model = M.build_model(arch, seed=config.seed)
-    model, history = T.train_model(model, (train_samples, val), config)
+    model, history = T.train_model(model, (samples[~in_val], samples[in_val]), config)
     model.meta = {
         "schema": _schema_meta(schema),
-        "normalization": {"mean": [float(v) for v in mean], "std": [float(v) for v in std]},
+        "normalization": model.meta["normalization"],
         "holdout": {"sat_id": None, "t_start": t_start, "t_end": t_end},
         "loss": config.loss.to_config(),
         "seed": config.seed,

@@ -9,6 +9,10 @@ processes, and satellites sweep MLAT as a triangular wave with the MLT
 sector fixed per ascending/descending leg, which reproduces the
 1-D-trace-on-2-D-domain sparsity of real polar-orbit sampling.
 
+Observations are held column-wise in an ``ObsTable`` (one array per
+field, validated once at construction); ``Observation`` and ``MagCoord``
+are the row view that ``table[i]`` returns.
+
 Everything here is a pure function of (params, seed): repeated calls are
 bit-identical and safe to run concurrently.
 """
@@ -209,6 +213,76 @@ class Observation:
     def __post_init__(self):
         if not self.eflux > 0:
             raise ValueError(f"eflux must be positive, got {self.eflux}")
+
+
+@dataclass(eq=False)
+class ObsTable:
+    """Observations as parallel columns, one row per measurement.
+
+    ``region`` holds int8 Region values with -1 for an unlabelled row, or
+    is None when no row carries a label. MLT is wrapped modulo 24. The
+    mlat range, positive eflux and equal lengths are checked once, for
+    the whole table. ``table[i]`` is an ``Observation`` view; a slice,
+    boolean mask or index array selects a sub-table.
+    """
+
+    t: np.ndarray
+    sat_id: np.ndarray
+    mlat: np.ndarray
+    mlt: np.ndarray
+    eflux: np.ndarray
+    region: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=np.float64)
+        self.sat_id = np.asarray(self.sat_id, dtype=np.int64)
+        self.mlat = np.asarray(self.mlat, dtype=np.float64)
+        self.mlt = np.asarray(self.mlt, dtype=np.float64) % 24.0
+        self.eflux = np.asarray(self.eflux, dtype=np.float64)
+        cols = [self.t, self.sat_id, self.mlat, self.mlt, self.eflux]
+        if self.region is not None:
+            self.region = np.asarray(self.region, dtype=np.int8)
+            cols.append(self.region)
+        if any(c.ndim != 1 or c.size != self.t.size for c in cols):
+            raise ValueError("observation columns must be 1-D and of equal length")
+        bad = ~((self.mlat >= MLAT_MIN) & (self.mlat <= MLAT_MAX))
+        if bad.any():
+            raise ValueError(f"mlat out of range [45, 90]: {self.mlat[bad][0]}")
+        bad = ~(self.eflux > 0)
+        if bad.any():
+            raise ValueError(f"eflux must be positive, got {self.eflux[bad][0]}")
+        if self.region is not None:
+            if np.any((self.region < -1) | (self.region > Region.POLAR.value)):
+                raise ValueError("region values must be -1 or a Region value")
+            if not (self.region >= 0).any():
+                self.region = None
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            region = None
+            if self.region is not None and self.region[key] >= 0:
+                region = Region(int(self.region[key]))
+            return Observation(
+                t=float(self.t[key]),
+                sat_id=int(self.sat_id[key]),
+                coord=MagCoord(float(self.mlat[key]), float(self.mlt[key])),
+                eflux=float(self.eflux[key]),
+                region=region,
+            )
+        return ObsTable(
+            t=self.t[key],
+            sat_id=self.sat_id[key],
+            mlat=self.mlat[key],
+            mlt=self.mlt[key],
+            eflux=self.eflux[key],
+            region=None if self.region is None else self.region[key],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -414,12 +488,12 @@ def sample_traces(
     params: WorldParams,
     drivers: DriverSeries,
     obs_cadence_s: float | None = None,
-) -> list[Observation]:
+) -> ObsTable:
     """Sample each satellite's track against the ground-truth field.
 
     Observation times run from t0 to the end of the driver series at the
     observation cadence; log-flux noise is Gaussian per sample with a
-    seeded stream per satellite.
+    seeded stream per satellite. Rows are ordered by time, then satellite.
     """
     if drivers.n < 1:
         raise ValueError("empty driver series")
@@ -453,24 +527,19 @@ def sample_traces(
 
     t = np.concatenate(all_t)
     sat = np.concatenate(all_sat)
-    mlat = np.concatenate(all_mlat)
-    mlt = np.concatenate(all_mlt)
-    logf = np.concatenate(all_flux)
-    region = np.concatenate(all_region)
     order = np.lexsort((sat, t))
-
-    out = []
-    for i in order:
-        out.append(
-            Observation(
-                t=float(t[i]),
-                sat_id=int(sat[i]),
-                coord=MagCoord(mlat=float(mlat[i]), mlt=float(mlt[i])),
-                eflux=float(10.0 ** logf[i]),
-                region=Region(int(region[i])),
-            )
-        )
-    return out
+    logf = np.concatenate(all_flux)[order]
+    # Python's scalar power, not np.power: the vectorised kernel rounds the
+    # last bit differently on some inputs, and eflux is written to CSV.
+    eflux = np.array([10.0 ** x for x in logf.tolist()])
+    return ObsTable(
+        t=t[order],
+        sat_id=sat[order],
+        mlat=np.concatenate(all_mlat)[order],
+        mlt=np.concatenate(all_mlt)[order],
+        eflux=eflux,
+        region=np.concatenate(all_region)[order],
+    )
 
 
 # ── Config binding ────────────────────────────────────────────────────

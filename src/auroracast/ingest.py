@@ -5,6 +5,11 @@ Input files are plain decimal CSV:
   drivers.csv       header ``t,AE,AL,AU,F107,SymH,Bx,By,Bz,Vsw,Psw,Vx,PC,NewellCF``
   observations.csv  header ``t,sat_id,mlat,mlt,eflux[,region]``, region in {SUB,AUR,POL}
 
+Observations are read into a columnar ``ObsTable``: the file is read
+once, each numeric column is converted in one call, and faults are found
+with masks; an error names the first offending line. Observation fields
+are split on commas, so a line with a quoted field is rejected.
+
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
@@ -26,8 +31,7 @@ from .geomodel import (
     MLAT_MAX,
     MLAT_MIN,
     DriverSeries,
-    MagCoord,
-    Observation,
+    ObsTable,
     Region,
 )
 from .stats import percentile_linear
@@ -203,70 +207,154 @@ def read_drivers_csv(path) -> DriverSeries:
     return DriverSeries(t0=float(t[0]), cadence=cadence, columns=cols)
 
 
-def read_observations_csv(path) -> tuple[list[Observation], int]:
-    """Parse observations; returns (rows, count of dropped non-positive eflux)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        required = ["t", "sat_id", "mlat", "mlt", "eflux"]
-        for name in required:
-            if name not in header:
-                raise DataError(f"{path}: missing required column {name}")
-        idx = {name: header.index(name) for name in required}
-        region_idx = header.index("region") if "region" in header else None
+_OBS_COLUMNS = ("t", "sat_id", "mlat", "mlt", "eflux")
+_NO_REGION = -1
+_BAD_REGION = -2
 
-        out: list[Observation] = []
-        n_nonpositive = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                t = float(row[idx["t"]])
-                sat = int(float(row[idx["sat_id"]]))
-                mlat = float(row[idx["mlat"]])
-                mlt = float(row[idx["mlt"]])
-                eflux = float(row[idx["eflux"]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not MLAT_MIN <= mlat <= MLAT_MAX:
-                raise DataError(f"{path}:{lineno}: mlat {mlat:g} outside [45, 90]")
-            if eflux <= 0:
-                n_nonpositive += 1
-                continue
-            region = None
-            if region_idx is not None and row[region_idx].strip():
-                try:
-                    region = Region.from_code(row[region_idx])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-            out.append(
-                Observation(t=t, sat_id=sat, coord=MagCoord(mlat, mlt), eflux=eflux, region=region)
-            )
-    return out, n_nonpositive
+
+def _parse_floats(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Python ``float`` on every token in one call; returns (values, bad mask)."""
+    try:
+        return np.array(tokens, dtype=object).astype(np.float64), np.zeros(len(tokens), bool)
+    except ValueError:
+        pass
+    values = np.full(len(tokens), np.nan)
+    bad = np.zeros(len(tokens), dtype=bool)
+    for i, tok in enumerate(tokens):
+        try:
+            values[i] = float(tok)
+        except ValueError:
+            bad[i] = True
+    return values, bad
+
+
+def _region_value(token: str) -> int:
+    if not token.strip():
+        return _NO_REGION
+    try:
+        return Region.from_code(token).value
+    except ValueError:
+        return _BAD_REGION
+
+
+def _parse_error(fields: list[str]) -> str:
+    """The error the row-wise rules give for the first unparsable field."""
+    t, sat, mlat, mlt, eflux = fields
+    try:
+        float(t)
+        sat_id = int(float(sat))
+        float(mlat)
+        float(mlt)
+        float(eflux)
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
+    return f"sat_id {sat_id} is outside the int64 range"
+
+
+def read_observations_csv(path) -> tuple[ObsTable, int]:
+    """Parse observations; returns (table, count of dropped non-positive eflux).
+
+    Blank lines are skipped. Rows with eflux <= 0 are dropped and counted
+    before their region code is read. Any other fault raises a DataError
+    for the first offending line: a wrong field count, a quoted field or
+    NUL byte, an unparsable number, mlat outside [45, 90], an unknown
+    region code, or a NaN eflux.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if not text:
+        raise DataError(f"{path}: empty file")
+    lines = text.split("\n")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    for name in _OBS_COLUMNS:
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name}")
+    idx = [header.index(name) for name in _OBS_COLUMNS]
+    region_idx = header.index("region") if "region" in header else None
+    n_fields = len(header)
+
+    # Line faults: everything before the first one is tokenised and checked.
+    body = lines[1:]
+    commas = np.fromiter((ln.count(",") for ln in body), dtype=np.int64, count=len(body))
+    blank = np.zeros(len(body), dtype=bool)
+    blank[[i for i in np.flatnonzero(commas == 0) if not body[i].strip()]] = True
+    line_fault = ~blank & (commas != n_fields - 1)
+    if '"' in text or "\0" in text:
+        line_fault |= np.array(['"' in ln or "\0" in ln for ln in body])
+    stop = int(np.argmax(line_fault)) if line_fault.any() else len(body)
+    rec = np.flatnonzero(~blank[:stop])
+    flat = ",".join([body[i] for i in rec]).split(",") if rec.size else []
+
+    cols, parse_bad = [], np.zeros(rec.size, dtype=bool)
+    for j in idx:
+        values, bad = _parse_floats(flat[j::n_fields])
+        cols.append(values)
+        parse_bad |= bad
+    t, sat, mlat, mlt, eflux = cols
+    parse_bad |= ~(np.abs(sat) < 2.0**63)
+    mlat_bad = ~parse_bad & ~((mlat >= MLAT_MIN) & (mlat <= MLAT_MAX))
+    dropped = ~parse_bad & ~mlat_bad & (eflux <= 0)
+    labelled = ~parse_bad & ~mlat_bad & ~dropped
+    region = None
+    region_bad = np.zeros(rec.size, dtype=bool)
+    if region_idx is not None:
+        tokens = flat[region_idx::n_fields]
+        lookup = {tok: _region_value(tok) for tok in set(tokens)}
+        region = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int8, count=rec.size)
+        region_bad = labelled & (region == _BAD_REGION)
+    nan_bad = labelled & ~region_bad & np.isnan(eflux)
+
+    fault = parse_bad | mlat_bad | region_bad | nan_bad
+    if fault.any():
+        r = int(np.argmax(fault))
+        fields = body[rec[r]].split(",")
+        if parse_bad[r]:
+            msg = _parse_error([fields[j] for j in idx])
+        elif mlat_bad[r]:
+            msg = f"mlat {float(mlat[r]):g} outside [45, 90]"
+        elif region_bad[r]:
+            msg = f"unknown region code: {fields[region_idx]!r}"
+        else:
+            msg = f"eflux must be positive, got {float(eflux[r])}"
+        raise DataError(f"{path}:{rec[r] + 2}: {msg}")
+    if stop < len(body):
+        ln = body[stop]
+        if '"' in ln:
+            msg = "quoted fields are not supported"
+        elif "\0" in ln:
+            msg = "line contains NUL"
+        else:
+            msg = f"expected {n_fields} fields"
+        raise DataError(f"{path}:{stop + 2}: {msg}")
+
+    keep = ~dropped
+    table = ObsTable(
+        t=t[keep],
+        sat_id=sat[keep].astype(np.int64),
+        mlat=mlat[keep],
+        mlt=mlt[keep],
+        eflux=eflux[keep],
+        region=None if region is None else region[keep],
+    )
+    return table, int(dropped.sum())
 
 
 # ── Cleaning and transforms ───────────────────────────────────────────
 
 def clean_targets(
-    obs: list[Observation],
+    obs: ObsTable,
     percentile: float = 99.995,
     fixed_threshold: float | None = None,
     n_dropped_nonpositive: int = 0,
-) -> tuple[list[Observation], CleaningReport]:
+) -> tuple[ObsTable, CleaningReport]:
     """Drop rows whose eflux exceeds the percentile cut (or a fixed threshold)."""
-    if not obs:
+    if not len(obs):
         raise DataError("clean_targets: empty observation list")
-    eflux = np.array([o.eflux for o in obs])
     if fixed_threshold is not None:
         threshold = float(fixed_threshold)
     else:
-        threshold = percentile_linear(eflux, percentile)
-    kept = [o for o, v in zip(obs, eflux) if v <= threshold]
+        threshold = percentile_linear(obs.eflux, percentile)
+    kept = obs[obs.eflux <= threshold]
     report = CleaningReport(
         n_in=len(obs) + n_dropped_nonpositive,
         n_dropped_outlier=len(obs) - len(kept),
@@ -294,9 +382,18 @@ def history_feature_rows(
 
     Returns (rows [m, 10*n_vars], ok mask). Instantaneous lags take the
     nearest cadence sample; averages are the mean over driver samples in
-    the half-open window (t - tau, t].
+    the half-open window (t - tau, t]. Each distinct time is computed once
+    and gathered back; every row depends only on its own time, so the
+    result does not depend on duplicates or order.
     """
-    times = np.asarray(times, dtype=np.float64)
+    uniq, inverse = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
+    rows, ok = _history_rows(drivers, uniq, schema)
+    return rows[inverse], ok[inverse]
+
+
+def _history_rows(
+    drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema
+) -> tuple[np.ndarray, np.ndarray]:
     cad = drivers.cadence
     ok = (times - schema.history_seconds >= drivers.t0 - 1e-9) & (
         times <= drivers.t_end + 1e-9
@@ -355,9 +452,9 @@ def fit_normalization(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_features(
-    drivers: DriverSeries, obs: list[Observation], schema: FeatureSchema | None = None
+    drivers: DriverSeries, obs: ObsTable, schema: FeatureSchema | None = None
 ) -> FeatureTable:
-    """Assemble the feature table for a list of observations.
+    """Assemble the feature table for a table of observations.
 
     Rows whose time lacks the full driver history are dropped and counted
     in ``n_dropped_history``. Region labels are kept only when every
@@ -365,28 +462,21 @@ def build_features(
     """
     if schema is None:
         schema = FeatureSchema()
-    if not obs:
+    if not len(obs):
         raise DataError("build_features: no observations")
     for var in schema.variables:
         if var not in drivers.columns:
             raise DataError(f"driver series lacks variable {var}")
 
-    t = np.array([o.t for o in obs])
-    mlat = np.array([o.coord.mlat for o in obs])
-    mlt = np.array([o.coord.mlt for o in obs])
-    sat = np.array([o.sat_id for o in obs], dtype=np.int64)
-    target = log_transform(np.array([o.eflux for o in obs]))
-    regions = [o.region for o in obs]
-
-    hist, ok = history_feature_rows(drivers, t, schema)
+    target = log_transform(obs.eflux)
+    hist, ok = history_feature_rows(drivers, obs.t, schema)
     n_dropped = int((~ok).sum())
     if not ok.any():
         raise DataError("no observation has the full driver history")
-    rows = np.hstack([spatial_block(mlat, mlt), hist])[ok]
-    kept_regions = [r for r, keep in zip(regions, ok) if keep]
+    rows = np.hstack([spatial_block(obs.mlat, obs.mlt), hist])[ok]
     region_arr = None
-    if kept_regions and all(r is not None for r in kept_regions):
-        region_arr = np.array([r.value for r in kept_regions], dtype=np.int8)
+    if obs.region is not None and np.all(obs.region[ok] >= 0):
+        region_arr = obs.region[ok]
 
     mean, std = fit_normalization(rows)
     return FeatureTable(
@@ -394,10 +484,10 @@ def build_features(
         rows=rows,
         target=target[ok],
         region=region_arr,
-        t=t[ok],
-        mlat=mlat[ok],
-        mlt=mlt[ok],
-        sat_id=sat[ok],
+        t=obs.t[ok],
+        mlat=obs.mlat[ok],
+        mlt=obs.mlt[ok],
+        sat_id=obs.sat_id[ok],
         norm_mean=mean,
         norm_std=std,
         n_dropped_history=n_dropped,
@@ -465,7 +555,15 @@ def _r_str(view: memoryview, off: int) -> tuple[str, int]:
 
 def write_table_cache(table: FeatureTable, path):
     """Serialize a FeatureTable: header, schema, f32 rows, then the
-    target/region/t/coord/sat_id/normalization blocks in field order."""
+    target/region/t/coord/sat_id/normalization blocks in field order.
+
+    sat_id is stored as u16, so an id outside 0..65535 is a DataError.
+    """
+    out_of_range = (table.sat_id < 0) | (table.sat_id > 0xFFFF)
+    if out_of_range.any():
+        raise DataError(
+            f"sat_id {int(table.sat_id[out_of_range][0])} outside 0..65535 cannot be cached"
+        )
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<II", table.n, table.schema.width)

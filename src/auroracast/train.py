@@ -7,6 +7,11 @@ metric is the MSE of the selected-region flux (the model's actual flux
 prediction). Early stopping keeps the parameters of the best validation
 epoch.
 
+Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
+the driver features, and the observed cells of its composite window as
+ascending flat cell indices with their mean log10 flux. Training
+densifies one batch at a time; validation reads the table directly.
+
 Run config files are ``key=value`` lines with ``#`` comments; unknown keys
 are hard errors. History is emitted as ``epoch,train_loss,val_loss`` CSV.
 """
@@ -22,7 +27,7 @@ from . import losses as L
 from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
 from .errors import ConfigError, DataError, TrainingDiverged
-from .geomodel import DriverSeries, GridMap, GridSpec, Observation, cells_of
+from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
 from .ingest import FeatureSchema, FeatureTable, fit_normalization, history_feature_rows
 from .losses import LossSpec
 
@@ -70,6 +75,90 @@ class SparseSample:
             raise ValueError("sparse sample must have at least one observed cell")
 
 
+@dataclass(eq=False)
+class SparseSamples:
+    """Conv-decoder samples as one CSR table on a GridSpec.
+
+    Sample i has driver features ``features[i]`` and observes the flat
+    cells (row * n_mlt + col) ``cells[offsets[i]:offsets[i + 1]]``, in
+    ascending order, with mean log10 flux ``values`` at the same
+    positions. ``len``, iteration and ``table[i]`` give ``SparseSample``
+    views with a dense ``GridMap`` target; a slice, boolean mask or index
+    array selects a sub-table.
+    """
+
+    spec: GridSpec
+    t_center: np.ndarray
+    features: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        n = self.t_center.size
+        counts = np.diff(self.offsets)
+        if self.offsets.shape != (n + 1,) or self.offsets[0] != 0 or len(self.features) != n:
+            raise ValueError("sparse sample table has inconsistent lengths")
+        if self.cells.size != self.offsets[-1] or self.values.size != self.cells.size:
+            raise ValueError("sparse sample table has inconsistent lengths")
+        if np.any(counts < 1):
+            raise ValueError("sparse sample must have at least one observed cell")
+        n_cells = self.spec.n_lat * self.spec.n_mlt
+        if np.any((self.cells < 0) | (self.cells >= n_cells)):
+            raise ValueError("cell index outside the grid")
+        if np.any(np.diff(np.repeat(np.arange(n), counts) * n_cells + self.cells) <= 0):
+            raise ValueError("cells must ascend within each sample")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("non-finite sample value")
+
+    def __len__(self) -> int:
+        return self.t_center.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            values, mask = dense_batch(self, [i])
+            target = GridMap(spec=self.spec, values=values[0], mask=mask[0])
+            return SparseSample(float(self.t_center[i]), self.features[i], target)
+        idx = np.arange(len(self))[key]
+        starts, counts = self.offsets[idx], np.diff(self.offsets)[idx]
+        _, pos = _runs(starts, counts)
+        return SparseSamples(
+            spec=self.spec,
+            t_center=self.t_center[idx],
+            features=self.features[idx],
+            cells=self.cells[pos],
+            values=self.values[pos],
+            offsets=np.concatenate([[0], np.cumsum(counts)]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the runs [starts[i], starts[i] + lens[i]), run
+    after run, and the run each position belongs to."""
+    run_of = np.repeat(np.arange(lens.size), lens)
+    first = np.cumsum(lens) - lens
+    return run_of, np.arange(lens.sum()) + np.repeat(starts - first, lens)
+
+
+def dense_batch(samples: SparseSamples, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (values, mask) grids [b, n_lat, n_mlt] for samples ``idx``;
+    unobserved cells hold 0."""
+    spec = samples.spec
+    idx = np.asarray(idx, dtype=np.int64)
+    offsets = samples.offsets
+    sample_of, pos = _runs(offsets[idx], offsets[idx + 1] - offsets[idx])
+    values = np.zeros((len(idx), spec.n_lat * spec.n_mlt))
+    mask = np.zeros(values.shape, dtype=bool)
+    values[sample_of, samples.cells[pos]] = samples.values[pos]
+    mask[sample_of, samples.cells[pos]] = True
+    shape = (len(idx), spec.n_lat, spec.n_mlt)
+    return values.reshape(shape), mask.reshape(shape)
+
+
 # ── Adam ──────────────────────────────────────────────────────────────
 
 @dataclass
@@ -106,22 +195,33 @@ def adam_step(
 
 # ── Sparse compositing ────────────────────────────────────────────────
 
-def _composite_from_arrays(
-    mlat: np.ndarray, mlt: np.ndarray, logf: np.ndarray, spec: GridSpec
-) -> GridMap:
-    rows, cols = cells_of(mlat, mlt, spec)
-    sums = np.zeros((spec.n_lat, spec.n_mlt))
-    counts = np.zeros((spec.n_lat, spec.n_mlt))
-    np.add.at(sums, (rows, cols), logf)
-    np.add.at(counts, (rows, cols), 1.0)
-    mask = counts > 0
-    values = np.zeros_like(sums)
-    values[mask] = sums[mask] / counts[mask]
-    return GridMap(spec=spec, values=values, mask=mask)
+def _composite(
+    obs: ObsTable, t_centers: np.ndarray, spec: GridSpec, half_width_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite the closed window around every center in one pass.
+
+    Returns (cells, values, n_cells_per_window) in CSR order. Each
+    (window, cell) key collects its observations in time order, and
+    ``bincount`` adds them in that order, as ``np.add.at`` would.
+    """
+    order = np.argsort(obs.t, kind="stable")
+    t = obs.t[order]
+    rows, cols = cells_of(obs.mlat[order], obs.mlt[order], spec)
+    logf = np.log10(obs.eflux[order])
+    lo = np.searchsorted(t, t_centers - half_width_s, side="left")
+    hi = np.searchsorted(t, t_centers + half_width_s, side="right")
+    window_of, pos = _runs(lo, np.maximum(hi - lo, 0))
+    n_cells = spec.n_lat * spec.n_mlt
+    keys, inverse = np.unique(
+        window_of * n_cells + (rows * spec.n_mlt + cols)[pos], return_inverse=True
+    )
+    values = np.bincount(inverse, weights=logf[pos]) / np.bincount(inverse)
+    per_window = np.bincount(keys // n_cells, minlength=t_centers.size)
+    return keys % n_cells, values, per_window
 
 
 def composite_window(
-    obs: list[Observation],
+    obs: ObsTable,
     t_center: float,
     spec: GridSpec,
     half_width_s: float = COMPOSITE_HALF_WIDTH_S,
@@ -129,48 +229,37 @@ def composite_window(
     """Grid target from every observation within the closed window
     [t_center - half_width, t_center + half_width]; cells hit more than
     once take the mean log10 flux."""
-    ts = np.array([o.t for o in obs])
-    sel = np.abs(ts - t_center) <= half_width_s
-    if not sel.any():
+    cells, values, per_window = _composite(obs, np.array([float(t_center)]), spec, half_width_s)
+    if not per_window[0]:
         raise DataError(f"no observations within the window at t={t_center:g}")
-    chosen = [o for o, keep in zip(obs, sel) if keep]
-    mlat = np.array([o.coord.mlat for o in chosen])
-    mlt = np.array([o.coord.mlt for o in chosen])
-    logf = np.log10(np.array([o.eflux for o in chosen]))
-    return _composite_from_arrays(mlat, mlt, logf, spec)
+    window = SparseSamples(
+        spec, np.array([float(t_center)]), np.zeros((1, 0)), cells, values, np.array([0, cells.size])
+    )
+    return window[0].target
 
 
 def build_sparse_samples(
     drivers: DriverSeries,
-    obs: list[Observation],
+    obs: ObsTable,
     schema: FeatureSchema,
     spec: GridSpec,
     half_width_s: float = COMPOSITE_HALF_WIDTH_S,
-) -> tuple[list[SparseSample], int]:
+) -> tuple[SparseSamples, int]:
     """One sample per driver time step that has full feature history and a
     non-empty window; returns (samples, n_skipped_empty)."""
-    times = drivers.times
-    feats, ok = history_feature_rows(drivers, times, schema)
-    order = np.argsort([o.t for o in obs], kind="stable")
-    t_all = np.array([obs[i].t for i in order])
-    mlat_all = np.array([obs[i].coord.mlat for i in order])
-    mlt_all = np.array([obs[i].coord.mlt for i in order])
-    logf_all = np.log10(np.array([obs[i].eflux for i in order]))
-    samples: list[SparseSample] = []
-    n_empty = 0
-    for i, t_center in enumerate(times):
-        if not ok[i]:
-            continue
-        lo = np.searchsorted(t_all, t_center - half_width_s, side="left")
-        hi = np.searchsorted(t_all, t_center + half_width_s, side="right")
-        if hi <= lo:
-            n_empty += 1
-            continue
-        target = _composite_from_arrays(
-            mlat_all[lo:hi], mlt_all[lo:hi], logf_all[lo:hi], spec
-        )
-        samples.append(SparseSample(t_center=float(t_center), features=feats[i], target=target))
-    return samples, n_empty
+    feats, ok = history_feature_rows(drivers, drivers.times, schema)
+    t_centers = drivers.times[ok]
+    cells, values, per_window = _composite(obs, t_centers, spec, half_width_s)
+    keep = per_window > 0
+    samples = SparseSamples(
+        spec=spec,
+        t_center=t_centers[keep],
+        features=feats[ok][keep],
+        cells=cells,
+        values=values,
+        offsets=np.concatenate([[0], np.cumsum(per_window[keep])]),
+    )
+    return samples, int((~keep).sum())
 
 
 # ── Training loops ────────────────────────────────────────────────────
@@ -292,39 +381,45 @@ def train_point_model(
     return model, history
 
 
-def _stack_targets(samples: list[SparseSample]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.stack([s.target.values for s in samples])
-    masks = np.stack([s.target.mask for s in samples])
-    return values, masks
-
-
 def masked_mse(pred: np.ndarray, values: np.ndarray, masks: np.ndarray) -> float:
     return L.sparse_masked_loss(pred, values, masks, normalize=True)
 
 
+def _sample_mse(pred: np.ndarray, samples: SparseSamples) -> float:
+    """Masked MSE of pred [n, n_lat, n_mlt] against the observed cells.
+
+    CSR order is boolean-mask order, so this equals ``masked_mse`` on the
+    dense targets bit for bit.
+    """
+    sample_of = np.repeat(np.arange(len(samples)), np.diff(samples.offsets))
+    observed = pred.reshape(len(samples), -1)[sample_of, samples.cells]
+    diff = observed.astype(np.float64) - samples.values
+    return float(np.sum(diff**2)) / samples.cells.size
+
+
 def train_conv_model(
     model: M.Model,
-    train_samples: list[SparseSample],
-    val_samples: list[SparseSample],
+    train_samples: SparseSamples,
+    val_samples: SparseSamples,
     config: TrainConfig,
 ) -> tuple[M.Model, History]:
+    """Train the conv decoder; features are z-scored with statistics fit on
+    the training samples, which are stored as ``model.meta["normalization"]``."""
     spec = config.loss
     if model.variant != "conv":
         raise ConfigError("train_conv_model requires the conv decoder")
     if spec.variant != "sparse_masked":
         raise ConfigError(f"conv decoder trains with sparse_masked loss, not {spec.variant!r}")
-    if not train_samples or not val_samples:
+    if not len(train_samples) or not len(val_samples):
         raise DataError("empty train or validation sample list")
 
-    norm_mean, norm_std = fit_normalization(np.stack([s.features for s in train_samples]))
-
-    def norm_rows(samples):
-        return (np.stack([s.features for s in samples]) - norm_mean) / norm_std
-
-    x_train = norm_rows(train_samples)
-    x_val = norm_rows(val_samples)
-    v_train, m_train = _stack_targets(train_samples)
-    v_val, m_val = _stack_targets(val_samples)
+    norm_mean, norm_std = fit_normalization(train_samples.features)
+    model.meta["normalization"] = {
+        "mean": [float(v) for v in norm_mean],
+        "std": [float(v) for v in norm_std],
+    }
+    x_train = (train_samples.features - norm_mean) / norm_std
+    x_val = (val_samples.features - norm_mean) / norm_std
 
     ss = np.random.SeedSequence([config.seed, 3])
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
@@ -340,13 +435,12 @@ def train_conv_model(
         batch_losses = []
         for b0 in range(0, n, batch_size):
             idx = order[b0 : b0 + batch_size]
+            values, mask = dense_batch(train_samples, idx)
             tape = Tape()
             pred = M.forward_convdecoder(
                 model.arch, model.params, x_train[idx], tape, True, dropout_rng
             )
-            loss = L.sparse_masked_loss_op(
-                tape, pred, v_train[idx], m_train[idx], spec.masked_normalize
-            )
+            loss = L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
             _check_finite(float(loss.data), epoch, b0 // batch_size, history)
             tape.backward(loss)
             grads = {k: v.grad for k, v in model.params.items()}
@@ -355,7 +449,7 @@ def train_conv_model(
             batch_losses.append(float(loss.data))
 
         val_pred = M.forward_convdecoder(model.arch, model.params, x_val).data
-        val_loss = masked_mse(val_pred, v_val, m_val)
+        val_loss = _sample_mse(val_pred, val_samples)
         _check_finite(val_loss, epoch, -1, history)
         improved = history.record(epoch, float(np.mean(batch_losses)), val_loss)
         if improved:
@@ -371,7 +465,7 @@ def train_conv_model(
 
 
 def train_model(model: M.Model, data, config: TrainConfig) -> tuple[M.Model, History]:
-    """Dispatch on model variant: point tables or sparse sample lists."""
+    """Dispatch on model variant: point tables or sparse sample tables."""
     if model.variant == "conv":
         train_samples, val_samples = data
         return train_conv_model(model, train_samples, val_samples, config)

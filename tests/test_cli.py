@@ -102,6 +102,19 @@ class TestSynth:
         assert set(manifest["outputs"]) == {"drivers.csv", "observations.csv"}
 
 
+    def test_observations_round_trip(self, synth_dir, config_file):
+        from auroracast import geomodel as G
+        from auroracast import ingest as I
+
+        cfg = cli.load_config(config_file)
+        params = G.world_params_from_config(cfg, seed=3)
+        expect = G.sample_traces(params, G.gen_drivers(params, 86400.0))
+        table, dropped = I.read_observations_csv(synth_dir / "observations.csv")
+        assert dropped == 0
+        for name in ("t", "sat_id", "mlat", "mlt", "eflux", "region"):
+            assert np.array_equal(getattr(table, name), getattr(expect, name)), name
+
+
 class TestFeatures:
     def test_rerun_identical(self, tmp_path, synth_dir, config_file):
         out1 = tmp_path / "t1.aft"
@@ -194,6 +207,30 @@ class TestTrain:
         out = tmp_path / "convrun"
         assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", out) == 0
         assert (out / "checkpoint.aur").exists()
+
+    def test_conv_normalization_fit_once(self, tmp_path, synth_dir, monkeypatch):
+        from auroracast import ingest as I
+        from auroracast import train as T
+
+        calls = []
+        fit = I.fit_normalization
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return fit(rows)
+
+        monkeypatch.setattr(T, "fit_normalization", counting)
+        monkeypatch.setattr(cli.I, "fit_normalization", counting)
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(
+            "arch = conv\narch.grid = 32\narch.hidden = 16,8\n"
+            "loss = sparse_masked\ntrain.max_epochs = 1\ntrain.seed = 5\n"
+        )
+        out = tmp_path / "convrun"
+        assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", out) == 0
+        assert len(calls) == 1
+        meta = load_checkpoint(out / "checkpoint.aur").meta
+        assert len(meta["normalization"]["mean"]) == calls[0][1]
 
 
 @pytest.fixture(scope="module")

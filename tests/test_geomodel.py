@@ -8,6 +8,8 @@ from auroracast.geomodel import (
     DriverProcess,
     GridSpec,
     MagCoord,
+    Observation,
+    ObsTable,
     Region,
     WorldParams,
     activity_level,
@@ -216,7 +218,7 @@ class TestTraces:
         d = gen_drivers(p, 86400)
         obs = sample_traces(p, d, 60.0)
         assert len(obs) == 1441
-        for o in obs[:50] + obs[-50:]:
+        for o in list(obs[:50]) + list(obs[-50:]):
             assert 45.0 <= o.coord.mlat <= 90.0
             assert 0.0 <= o.coord.mlt < 24.0
 
@@ -253,3 +255,46 @@ class TestTraces:
         d = gen_drivers(p, 3600)
         obs = sample_traces(p, d, 300.0)
         assert all(o.region is not None for o in obs)
+
+
+class TestObsTable:
+    def _table(self, **over):
+        cols = dict(
+            t=[0.0, 60.0, 120.0],
+            sat_id=[0, 1, 2],
+            mlat=[45.0, 67.5, 90.0],
+            mlt=[23.5, 24.0, -1.0],
+            eflux=[1e9, 2e10, 3e11],
+            region=[0, -1, 2],
+        )
+        cols.update(over)
+        return ObsTable(**cols)
+
+    def test_row_view(self):
+        table = self._table()
+        assert len(table) == 3
+        assert table[0] == Observation(0.0, 0, MagCoord(45.0, 23.5), 1e9, Region.SUBAURORAL)
+        assert table[1].region is None
+        assert table[2].coord == MagCoord(90.0, 23.0)
+        assert [o.t for o in table] == [0.0, 60.0, 120.0]
+
+    def test_mlt_wrapped(self):
+        assert self._table().mlt.tolist() == [23.5, 0.0, 23.0]
+
+    def test_subset(self):
+        sub = self._table()[np.array([True, False, True])]
+        assert sub.sat_id.tolist() == [0, 2]
+        assert sub.region.tolist() == [0, 2]
+        assert self._table()[1:2].region is None  # no labelled row left
+
+    def test_checks_once_per_table(self):
+        with pytest.raises(ValueError, match="mlat"):
+            self._table(mlat=[45.0, 44.9, 90.0])
+        with pytest.raises(ValueError, match="eflux"):
+            self._table(eflux=[1e9, 0.0, 1.0])
+        with pytest.raises(ValueError, match="eflux"):
+            self._table(eflux=[1e9, np.nan, 1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            self._table(t=[0.0, 60.0])
+        with pytest.raises(ValueError, match="region"):
+            self._table(region=[0, 3, 1])

@@ -1,5 +1,7 @@
 """CSV parsing, cleaning, feature engineering, splits, and the cache format."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,8 @@ from auroracast.ingest import (
     write_table_cache,
 )
 from auroracast.stats import percentile_linear
+
+from _reference import history_rows_one_by_one, obs_table, read_observations_rows
 
 
 def _drivers_csv(path, times, value_fn=lambda name, t: 1.0):
@@ -115,17 +119,121 @@ class TestReadObservations:
         assert obs[0].region is Region.AURORAL
 
 
+OBS_HEADER = "t,sat_id,mlat,mlt,eflux,region"
+GOOD_ROW = "60,1,65,22,1e9,AUR"
+# One row per fault kind, in the order the row-wise rules check them.
+FAULT_ROWS = {
+    "field_count": "60,1,65,22,1e9",
+    "float": "60,1,65,x,1e9,AUR",
+    "mlat_range": "60,1,30,22,1e9,AUR",
+    "region_code": "60,1,65,22,1e9,XYZ",
+}
+
+
+def _reference_error(path) -> str:
+    with pytest.raises(DataError) as info:
+        read_observations_rows(path)
+    return str(info.value)
+
+
+def _same_columns(table, ref):
+    assert len(table) == len(ref)
+    for name in ("t", "sat_id", "mlat", "mlt", "eflux"):
+        assert np.array_equal(getattr(table, name), getattr(ref, name)), name
+    if ref.region is None:
+        assert table.region is None
+    else:
+        assert np.array_equal(table.region, ref.region)
+
+
+class TestReadObservationsOracle:
+    def test_matches_row_reader(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(
+            "\n".join(
+                [
+                    " t , sat_id,mlat,mlt,eflux,region",
+                    "0,1,65,22,1e9,AUR",
+                    "",
+                    "60,2.0,45,24.5,3.25e10,pol",
+                    "   ",
+                    "120,1,90,0, 7e8 , sub ",
+                    "180,1,70,-1.5,0,XYZ",
+                    "240,3,55.5,12,-4,",
+                    "300,1,60,6,1e11,",
+                    "360,16,66.25,23.999,2.5e12,Aur",
+                    "",
+                ]
+            )
+        )
+        rows, dropped_ref = read_observations_rows(path)
+        table, dropped = read_observations_csv(path)
+        assert dropped == dropped_ref == 2
+        _same_columns(table, obs_table(rows))
+        assert table.region.tolist() == [1, 2, 0, -1, 1]
+
+    def test_no_region_column(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("t,sat_id,mlat,mlt,eflux\r\n0,1,65,22,1e9\r\n60,1,66,22,2e9\r\n")
+        rows, _ = read_observations_rows(path)
+        table, _ = read_observations_csv(path)
+        _same_columns(table, obs_table(rows))
+        assert table.region is None
+
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(sorted(FAULT_ROWS), 2)))
+    def test_earlier_fault_line_is_reported(self, tmp_path, first, second):
+        path = tmp_path / "o.csv"
+        lines = [OBS_HEADER, GOOD_ROW, FAULT_ROWS[first], GOOD_ROW, FAULT_ROWS[second], GOOD_ROW]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            read_observations_csv(path)
+        assert str(info.value) == _reference_error(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+
+    def test_fault_after_nonpositive_region_is_ignored(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n0,1,65,22,0,XYZ\n60,1,65,22,1e9,BAD\n")
+        with pytest.raises(DataError, match=":3: unknown region code: 'BAD'"):
+            read_observations_csv(path)
+        assert _reference_error(path).endswith(":3: unknown region code: 'BAD'")
+
+    def test_sat_id_parse_error_message(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n{GOOD_ROW}\n60,nan,65,22,1e9,AUR\n")
+        with pytest.raises(DataError) as info:
+            read_observations_csv(path)
+        assert str(info.value) == _reference_error(path)
+
+    def test_quoted_field_names_line(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(f'{OBS_HEADER}\n{GOOD_ROW}\n"60",1,65,22,1e9,AUR\n')
+        with pytest.raises(DataError, match=":3: quoted fields are not supported"):
+            read_observations_csv(path)
+
+    def test_nan_eflux_names_line(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n{GOOD_ROW}\n60,1,65,22,nan,AUR\n")
+        with pytest.raises(DataError, match=":3: eflux must be positive, got nan"):
+            read_observations_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            read_observations_csv(path)
+
+
 class TestCleaning:
     def test_fixed_threshold(self):
         obs = [_obs(0, eflux=8e13), _obs(60, eflux=1e10)]
-        kept, report = clean_targets(obs, fixed_threshold=7.37e13)
+        kept, report = clean_targets(obs_table(obs), fixed_threshold=7.37e13)
         assert len(kept) == 1
         assert report.n_dropped_outlier == 1
         assert report.threshold == 7.37e13
 
     def test_all_equal_nothing_dropped(self):
         obs = [_obs(t, eflux=5e9) for t in range(10)]
-        kept, report = clean_targets(obs, percentile=99.995)
+        kept, report = clean_targets(obs_table(obs), percentile=99.995)
         assert len(kept) == 10
         assert report.n_dropped_outlier == 0
 
@@ -133,7 +241,7 @@ class TestCleaning:
         rng = np.random.default_rng(7)
         values = rng.uniform(1.0, 2.0, size=100_000)
         obs = [_obs(i, eflux=v) for i, v in enumerate(values)]
-        kept, report = clean_targets(obs, percentile=99.995)
+        kept, report = clean_targets(obs_table(obs), percentile=99.995)
         thr = percentile_linear(values, 99.995)
         assert report.n_dropped_outlier == int((values > thr).sum())
         assert 1 <= report.n_dropped_outlier <= 6
@@ -144,12 +252,12 @@ class TestCleaning:
             values = rng.exponential(1.0, size=n) + 0.1
             obs = [_obs(i, eflux=v) for i, v in enumerate(values)]
             p = 99.0
-            _, report = clean_targets(obs, percentile=p)
+            _, report = clean_targets(obs_table(obs), percentile=p)
             assert report.n_dropped_outlier <= int(np.ceil((1 - p / 100) * n)) + 1
 
     def test_empty_error(self):
         with pytest.raises(DataError):
-            clean_targets([])
+            clean_targets(obs_table([]))
 
 
 class TestLogTransform:
@@ -167,7 +275,7 @@ class TestBuildFeatures:
     def test_constant_driver_features_all_equal(self):
         d = _constant_series(value=3.25)
         obs = [_obs(30000.0)]
-        table = build_features(d, obs)
+        table = build_features(d, obs_table(obs))
         schema = table.schema
         row = table.rows[0]
         names = schema.names
@@ -177,11 +285,11 @@ class TestBuildFeatures:
 
     def test_spatial_quarter_period(self):
         d = _constant_series()
-        table = build_features(d, [_obs(30000.0, mlt=6.0)])
+        table = build_features(d, obs_table([_obs(30000.0, mlt=6.0)]))
         row = table.rows[0]
         assert row[0] == pytest.approx(1.0, abs=1e-12)   # sin
         assert row[1] == pytest.approx(0.0, abs=1e-12)   # cos
-        table2 = build_features(d, [_obs(30000.0, mlat=67.5)])
+        table2 = build_features(d, obs_table([_obs(30000.0, mlat=67.5)]))
         assert table2.rows[0][2] == pytest.approx(0.5, rel=1e-12)
 
     def test_linear_ramp_trailing_mean(self):
@@ -189,14 +297,14 @@ class TestBuildFeatures:
         cols = {name: np.arange(n) * 300.0 for name in DRIVER_NAMES}
         d = DriverSeries(t0=0.0, cadence=300.0, columns=cols)
         t = 30000.0
-        table = build_features(d, [_obs(t)])
+        table = build_features(d, obs_table([_obs(t)]))
         idx = list(table.schema.names).index("AE_avg30m")
         assert table.rows[0][idx] == pytest.approx(t - 750.0, rel=1e-12)
 
     def test_insufficient_history_dropped(self):
         d = _constant_series(n=101)
         obs = [_obs(10.0), _obs(30000.0)]
-        table = build_features(d, obs)
+        table = build_features(d, obs_table(obs))
         assert table.n == 1
         assert table.n_dropped_history == 1
 
@@ -207,9 +315,9 @@ class TestBuildFeatures:
             _obs(22000.0 + 60 * i, mlat=50 + i, mlt=float(i), eflux=10 ** (8 + 0.01 * i))
             for i in range(10)
         ]
-        table = build_features(d, obs)
+        table = build_features(d, obs_table(obs))
         perm = rng.permutation(10)
-        table_p = build_features(d, [obs[i] for i in perm])
+        table_p = build_features(d, obs_table([obs[i] for i in perm]))
         assert np.array_equal(table_p.rows, table.rows[perm])
         assert np.array_equal(table_p.target, table.target[perm])
 
@@ -249,11 +357,25 @@ class TestBuildFeatures:
                     got = rows[r][names.index(f"{var}_lag{m:g}m")]
                     assert got == col[i]
 
+    def test_duplicated_unsorted_times_match_one_by_one(self):
+        p = WorldParams(seed=8)
+        d = gen_drivers(p, 86400)
+        rng = np.random.default_rng(2)
+        times = rng.uniform(0.0, 90000.0, size=60)
+        times = np.concatenate([times, times[::3], d.times[100:110], [21600.0, 21600.0]])
+        rng.shuffle(times)
+        schema = FeatureSchema()
+        rows, ok = history_feature_rows(d, times, schema)
+        ref_rows, ref_ok = history_rows_one_by_one(d, times, schema)
+        assert not ok.all() and ok.any()
+        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(rows, ref_rows)
+
     def test_mlt_seam_feature_continuity(self):
         d = _constant_series()
         eps = 1e-6
-        t1 = build_features(d, [_obs(30000.0, mlt=24.0 - eps)])
-        t2 = build_features(d, [_obs(30000.0, mlt=eps)])
+        t1 = build_features(d, obs_table([_obs(30000.0, mlt=24.0 - eps)]))
+        t2 = build_features(d, obs_table([_obs(30000.0, mlt=eps)]))
         assert np.all(np.abs(t1.rows[0][:3] - t2.rows[0][:3]) < 1e-5)
 
 
@@ -337,6 +459,14 @@ class TestCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="magic"):
             read_table_cache(path)
+
+    @pytest.mark.parametrize("bad_id", [-1, 70000])
+    def test_sat_id_outside_u16_is_error(self, tmp_path, bad_id):
+        table = self._table()
+        table.sat_id[3] = bad_id
+        with pytest.raises(DataError, match=f"sat_id {bad_id} outside 0..65535"):
+            write_table_cache(table, tmp_path / "t.aft")
+        assert not (tmp_path / "t.aft").exists()
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "t.aft"

@@ -1,9 +1,12 @@
 """Adam, compositing, training loops, early stopping, and run configs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from auroracast import models as M
+from auroracast import train as T
 from auroracast.autodiff import Tensor
 from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
@@ -18,11 +21,11 @@ from auroracast.ingest import FeatureSchema, build_features, split_by_holdout
 from auroracast.losses import LossSpec
 from auroracast.train import (
     AdamState,
-    SparseSample,
     TrainConfig,
     adam_step,
     build_sparse_samples,
     composite_window,
+    dense_batch,
     masked_mse,
     parse_config_text,
     train_config_from_config,
@@ -30,6 +33,8 @@ from auroracast.train import (
     train_model,
     train_point_model,
 )
+
+from _reference import composite_add_at, obs_table
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0):
@@ -85,25 +90,25 @@ class TestCompositeWindow:
     SPEC = GridSpec(n_lat=32, n_mlt=32)
 
     def test_single_observation(self):
-        gm = composite_window([_obs(1000.0, eflux=1e10)], 1000.0, self.SPEC)
+        gm = composite_window(obs_table([_obs(1000.0, eflux=1e10)]), 1000.0, self.SPEC)
         assert gm.mask.sum() == 1
         assert gm.values[gm.mask][0] == pytest.approx(10.0)
 
     def test_same_cell_mean(self):
-        obs = [_obs(990.0, eflux=1e10), _obs(1010.0, eflux=1e12)]
+        obs = obs_table([_obs(990.0, eflux=1e10), _obs(1010.0, eflux=1e12)])
         gm = composite_window(obs, 1000.0, self.SPEC)
         assert gm.mask.sum() == 1
         assert gm.values[gm.mask][0] == pytest.approx(11.0)
 
     def test_window_is_closed(self):
-        obs = [_obs(850.0), _obs(1150.0), _obs(1151.0, mlat=80.0)]
+        obs = obs_table([_obs(850.0), _obs(1150.0), _obs(1151.0, mlat=80.0)])
         gm = composite_window(obs, 1000.0, self.SPEC)
         # both boundary points included, the one outside excluded
         assert gm.mask.sum() == 1  # same cell for the two in-window points
 
     def test_empty_window(self):
         with pytest.raises(DataError):
-            composite_window([_obs(0.0)], 1e6, self.SPEC)
+            composite_window(obs_table([_obs(0.0)]), 1e6, self.SPEC)
 
     def test_two_sat_minute_cadence_loop_oracle(self):
         p = WorldParams(seed=21, n_sats=2)
@@ -138,6 +143,73 @@ class TestCompositeWindow:
         gm = composite_window(obs, probe.t_center, self.SPEC)
         assert np.array_equal(gm.mask, probe.target.mask)
         assert np.allclose(gm.values, probe.target.values)
+
+
+class TestSparseSamples:
+    SPEC = GridSpec()
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        p = WorldParams(seed=23, n_sats=3)
+        d = gen_drivers(p, 86400)
+        return d, sample_traces(p, d, 60.0), FeatureSchema()
+
+    def test_csr_matches_add_at_oracle_bitwise(self, world):
+        d, obs, schema = world
+        samples, n_empty = build_sparse_samples(d, obs, schema, self.SPEC)
+        ref, ref_empty = composite_add_at(d, obs, schema, self.SPEC)
+        assert n_empty == ref_empty
+        assert len(samples) == len(ref) > 200
+        for s, (t_center, feats, values, mask) in zip(samples, ref):
+            assert s.t_center == t_center
+            assert np.array_equal(s.features, feats)
+            assert np.array_equal(s.target.mask, mask)
+            assert np.array_equal(s.target.values, values)
+
+    def test_csr_layout(self, world):
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        counts = np.diff(samples.offsets)
+        assert samples.offsets[0] == 0 and np.all(counts >= 1)
+        for i in (0, 7, len(samples) - 1):
+            cells = samples.cells[samples.offsets[i] : samples.offsets[i + 1]]
+            assert np.all(np.diff(cells) > 0)
+            assert np.array_equal(np.flatnonzero(samples[i].target.mask), cells)
+
+    def test_subset_keeps_samples(self, world):
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        pick = samples.t_center >= 60000.0
+        sub = samples[pick]
+        idx = np.flatnonzero(pick)
+        assert len(sub) == idx.size
+        for j in (0, 3, idx.size - 1):
+            a, b = sub[j], samples[int(idx[j])]
+            assert a.t_center == b.t_center
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.target.values, b.target.values)
+            assert np.array_equal(a.target.mask, b.target.mask)
+        values, mask = dense_batch(samples, idx[[2, 0]])
+        assert np.array_equal(values[1], sub[0].target.values)
+        assert np.array_equal(mask[0], sub[2].target.mask)
+
+    def test_validation_mse_matches_dense_bitwise(self, world):
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        pred = np.random.default_rng(4).normal(9.0, 1.0, (len(samples), 128, 128))
+        pred = pred.astype(np.float32)
+        values, mask = dense_batch(samples, np.arange(len(samples)))
+        assert T._sample_mse(pred, samples) == masked_mse(pred, values, mask)
+
+    def test_memory_per_sample(self, world):
+        d, obs, schema = world
+        tracemalloc.start()
+        try:
+            samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(samples) < 16 * 1024
 
 
 def _point_tables(seed=30, days=2.0, obs_cadence=240.0, n_sats=1):
@@ -281,7 +353,7 @@ class TestTrainConv:
         model, history = train_conv_model(model, train_s, val_s, config)
         assert history.best_val < init_val
 
-    def test_nan_poisoning_does_not_contaminate(self):
+    def test_nan_poisoning_does_not_contaminate(self, monkeypatch):
         train_s, val_s, schema = self._samples(seed=41)
         arch = M.ConvDecoderArch(
             input_width=len(schema.global_names), trunk=(16, 8), n_lat=32, n_mlt=32
@@ -289,23 +361,40 @@ class TestTrainConv:
         config = TrainConfig(
             loss=LossSpec("sparse_masked"), lr=1e-3, max_epochs=2, batch_size=16, seed=6
         )
+        dense = T.dense_batch
+        poisoned_calls = []
 
-        def poisoned(samples):
-            out = []
-            for s in samples:
-                values = s.target.values.copy()
-                values[~s.target.mask] = np.nan
-                gm = type(s.target)(spec=s.target.spec, values=values, mask=s.target.mask)
-                out.append(SparseSample(s.t_center, s.features, gm))
-            return out
+        def poisoned(samples, idx):
+            values, mask = dense(samples, idx)
+            values[~mask] = np.nan
+            poisoned_calls.append(len(idx))
+            return values, mask
 
         m_clean = M.build_model(arch, seed=9)
         m_clean, h_clean = train_conv_model(m_clean, train_s, val_s, config)
+        monkeypatch.setattr(T, "dense_batch", poisoned)
         m_pois = M.build_model(arch, seed=9)
-        m_pois, h_pois = train_conv_model(m_pois, poisoned(train_s), poisoned(val_s), config)
+        m_pois, h_pois = train_conv_model(m_pois, train_s, val_s, config)
+        assert sum(poisoned_calls) == 2 * len(train_s)
         for k in m_clean.params:
             assert np.array_equal(m_clean.params[k].data, m_pois.params[k].data)
         assert h_clean.epochs == h_pois.epochs
+
+    def test_normalization_fit_on_train_is_stored(self):
+        train_s, val_s, schema = self._samples(seed=43)
+        arch = M.ConvDecoderArch(
+            input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32
+        )
+        model = M.build_model(arch, seed=0)
+        config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=1, batch_size=64)
+        model, _ = train_conv_model(model, train_s, val_s, config)
+        from auroracast.ingest import fit_normalization
+
+        mean, std = fit_normalization(train_s.features)
+        assert model.meta["normalization"] == {
+            "mean": [float(v) for v in mean],
+            "std": [float(v) for v in std],
+        }
 
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
