@@ -28,7 +28,6 @@ from .ingest import (  # noqa: F401
     FeatureTable,
     build_features,
     clean_targets,
-    filter_by_region,
     log_transform,
     read_drivers_csv,
     read_observations_csv,

@@ -188,21 +188,11 @@ def _schema_meta(schema: I.FeatureSchema) -> dict:
     }
 
 
-def _validate_combo(arch_kind: str, loss: L.LossSpec):
-    required = loss.required_arch()
-    if required is not None and required != arch_kind:
-        raise ConfigError(f"loss {loss.variant!r} requires arch {required!r}, got {arch_kind!r}")
-    if arch_kind == "conv" and loss.variant != "sparse_masked":
-        raise ConfigError("the conv decoder trains only with loss=sparse_masked")
-    if arch_kind == "multitask" and loss.variant != "multitask":
-        raise ConfigError("the multitask architecture trains only with loss=multitask")
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     config = T.train_config_from_config(cfg, seed_override=args.seed)
     arch_kind = cfg.get("arch", "baseline")
-    _validate_combo(arch_kind, config.loss)
+    L.check_pairing(arch_kind, config.loss.variant)
     os.makedirs(args.out_dir, exist_ok=True)
 
     if args.sparse is not None:
@@ -248,7 +238,6 @@ def _train_point(args, cfg, config: T.TrainConfig, arch_kind: str):
         "holdout": {"sat_id": sat_id, "t_start": t_start, "t_end": t_end},
         "loss": config.loss.to_config(),
         "seed": config.seed,
-        "grid": 128,
         "best_val_loss": history.best_val,
         "best_epoch": history.best_epoch,
     }
@@ -287,7 +276,6 @@ def _train_sparse(args, cfg, config: T.TrainConfig):
         "holdout": {"sat_id": None, "t_start": t_start, "t_end": t_end},
         "loss": config.loss.to_config(),
         "seed": config.seed,
-        "grid": arch.n_lat,
         "best_val_loss": history.best_val,
         "best_epoch": history.best_epoch,
     }
@@ -391,11 +379,10 @@ def cmd_eval(args) -> int:
 def cmd_map(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     drivers = I.read_drivers_csv(args.drivers)
-    grid_n = int(model.meta.get("grid", 128))
     if isinstance(model.arch, M.ConvDecoderArch):
         spec = G.GridSpec(n_lat=model.arch.n_lat, n_mlt=model.arch.n_mlt)
     else:
-        spec = G.GridSpec(n_lat=grid_n, n_mlt=grid_n)
+        spec = G.GridSpec()
     E.render_map(model, drivers, args.at, spec, args.out)
     return 0
 

@@ -237,16 +237,6 @@ def write_grid_csv(grid: np.ndarray, path):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_grid_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)
-
-
 def write_pgm(grid: np.ndarray, path, vmin: float | None = None, vmax: float | None = None):
     """8-bit binary graymap; values map linearly [vmin, vmax] -> [0, 255].
 

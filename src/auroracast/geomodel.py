@@ -344,15 +344,6 @@ def cell_of(coord: MagCoord, spec: GridSpec) -> tuple[int, int]:
     return int(row), int(col)
 
 
-def cell_center(spec: GridSpec, row: int, col: int) -> MagCoord:
-    if not (0 <= row < spec.n_lat and 0 <= col < spec.n_mlt):
-        raise ValueError(f"cell out of range: ({row}, {col})")
-    return MagCoord(
-        mlat=spec.lat_min + (row + 0.5) * spec.dlat,
-        mlt=(col + 0.5) * spec.dmlt,
-    )
-
-
 # ── Coupling and activity ─────────────────────────────────────────────
 
 def newell_cf(by: float, bz: float, vsw: float):

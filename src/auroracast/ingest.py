@@ -528,13 +528,6 @@ def split_by_holdout(
     return _subset(table, ~val_mask, mean, std), _subset(table, val_mask, mean, std)
 
 
-def filter_by_region(table: FeatureTable, region: Region) -> FeatureTable:
-    if table.region is None:
-        raise DataError("table has no region labels")
-    mask = table.region == region.value
-    return _subset(table, mask, table.norm_mean, table.norm_std)
-
-
 # ── Binary feature cache (magic AFT1) ─────────────────────────────────
 
 _MAGIC = b"AFT1"

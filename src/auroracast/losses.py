@@ -331,6 +331,25 @@ def sparse_masked_loss_op(
 
 LOSS_VARIANTS = ("mse", "tail", "dist", "multitask", "sparse_masked")
 
+# Which losses each architecture trains with; every other pairing is a
+# config error.
+ARCH_LOSSES = {
+    "baseline": ("mse", "tail", "dist"),
+    "multitask": ("multitask",),
+    "conv": ("sparse_masked",),
+}
+
+
+def check_pairing(arch: str, loss: str):
+    """Raise ``ConfigError`` unless architecture ``arch`` trains with ``loss``."""
+    if arch not in ARCH_LOSSES:
+        raise ConfigError(f"unknown arch {arch!r}")
+    allowed = ARCH_LOSSES[arch]
+    if loss not in allowed:
+        raise ConfigError(
+            f"arch {arch!r} cannot train with loss {loss!r}; it trains with {', '.join(allowed)}"
+        )
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -349,10 +368,6 @@ class LossSpec:
             raise ValueError("tail loss requires at least one (a, y_r) term")
         if self.variant == "dist" and self.dist_bins < 2:
             raise ValueError("dist loss requires at least two bins")
-
-    def required_arch(self) -> str | None:
-        """Architecture this loss is tied to, or None if any point model works."""
-        return {"multitask": "multitask", "sparse_masked": "conv"}.get(self.variant)
 
     def to_config(self) -> dict[str, str]:
         out = {"loss": self.variant}

@@ -1,11 +1,18 @@
-"""Mini-batch training: Adam, early stopping, and sparse-grid compositing.
+"""Mini-batch training: one loop for every model, and sparse-grid compositing.
 
-The validation metric is always the plain MSE for point models and the
-masked MSE for the conv decoder, regardless of the training loss, so runs
-with different losses stay comparable. For the multitask model the point
-metric is the MSE of the selected-region flux (the model's actual flux
-prediction). Early stopping keeps the parameters of the best validation
-epoch.
+``train_model`` runs one loop for all three architectures: shuffling,
+Adam, one validation pass per epoch, and early stopping that keeps the
+best validation epoch's parameters. ``losses.ARCH_LOSSES`` says which
+loss trains which architecture. A per-architecture setup supplies the
+training-row count, ``step_loss`` and ``validate`` closures, and the
+mean training target, which the output bias starts at (not at 0), so
+training starts at the scale of the data. The closures look up ops and
+forward passes by module attribute at call time, so wrappers installed
+after import see every call.
+
+Validation is the plain MSE for point models (for multitask, of the
+selected-region flux) and the masked MSE for the conv decoder, whatever
+the training loss, so runs with different losses stay comparable.
 
 Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
 the driver features, and the observed cells of its composite window as
@@ -262,7 +269,7 @@ def build_sparse_samples(
     return samples, int((~keep).sum())
 
 
-# ── Training loops ────────────────────────────────────────────────────
+# ── Training loop ─────────────────────────────────────────────────────
 
 @dataclass
 class History:
@@ -289,36 +296,10 @@ def _check_finite(value: float, epoch: int, batch: int, history: History):
         )
 
 
-def _point_loss_op(tape, pred, flux_tensor, probs_tensor, y, onehot, spec: LossSpec, dist_w):
-    if spec.variant == "mse":
-        return L.mse_op(tape, pred, y)
-    if spec.variant == "tail":
-        return L.tail_loss_op(tape, pred, y, spec.tail_terms)
-    if spec.variant == "dist":
-        return L.dist_loss_op(tape, pred, y, dist_w)
-    if spec.variant == "multitask":
-        return L.multitask_loss_op(tape, flux_tensor, probs_tensor, y, onehot, spec.lambda_cce)
-    raise ConfigError(f"loss {spec.variant!r} is not a point-model loss")
-
-
-def _onehot(region_codes: np.ndarray, k: int = 3) -> np.ndarray:
-    out = np.zeros((region_codes.size, k))
-    out[np.arange(region_codes.size), region_codes.astype(int)] = 1.0
-    return out
-
-
-def train_point_model(
-    model: M.Model,
-    train_table: FeatureTable,
-    val_table: FeatureTable,
-    config: TrainConfig,
-) -> tuple[M.Model, History]:
-    spec = config.loss
-    required = spec.required_arch()
-    if required is not None and required != model.variant:
-        raise ConfigError(f"loss {spec.variant!r} requires the {required} architecture")
-    if model.variant == "conv":
-        raise ConfigError("train_point_model cannot train the conv decoder")
+def _point_setup(
+    model: M.Model, train_table: FeatureTable, val_table: FeatureTable, spec: LossSpec
+):
+    """(n_train, step_loss, validate, base level) for a baseline or multitask model."""
     if spec.variant == "multitask" and train_table.region is None:
         raise ConfigError("multitask loss requires region labels")
     if train_table.n == 0 or val_table.n == 0:
@@ -328,68 +309,32 @@ def train_point_model(
     y_train = train_table.target
     x_val = val_table.normalized_rows()
     y_val = val_table.target
-    onehot_train = _onehot(train_table.region) if train_table.region is not None else None
+    onehot_train = np.eye(3)[train_table.region] if spec.variant == "multitask" else None
     dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
 
-    ss = np.random.SeedSequence([config.seed, 3])
-    shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    state = AdamState()
-    history = History()
-    best_blob = model.clone_param_data()
-    batch_size = config.resolved_batch_size(model.variant)
-    is_multitask = model.variant == "multitask"
-    stale = 0
+    def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
+        x, y = x_train[idx], y_train[idx]
+        if spec.variant == "multitask":
+            probs, flux, _ = M.forward_multitask(model.arch, model.params, x, tape, True, dropout_rng)
+            return L.multitask_loss_op(tape, flux, probs, y, onehot_train[idx], spec.lambda_cce)
+        pred = M.forward_baseline(model.arch, model.params, x, tape, True, dropout_rng)
+        if spec.variant == "tail":
+            return L.tail_loss_op(tape, pred, y, spec.tail_terms)
+        if spec.variant == "dist":
+            return L.dist_loss_op(tape, pred, y, dist_w)
+        return L.mse_op(tape, pred, y)
 
-    for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(train_table.n)
-        batch_losses = []
-        for b0 in range(0, train_table.n, batch_size):
-            idx = order[b0 : b0 + batch_size]
-            tape = Tape()
-            if is_multitask:
-                probs, flux, _ = M.forward_multitask(
-                    model.arch, model.params, x_train[idx], tape, True, dropout_rng
-                )
-                loss = _point_loss_op(
-                    tape, None, flux, probs, y_train[idx], onehot_train[idx], spec, dist_w
-                )
-            else:
-                pred = M.forward_baseline(
-                    model.arch, model.params, x_train[idx], tape, True, dropout_rng
-                )
-                loss = _point_loss_op(tape, pred, None, None, y_train[idx], None, spec, dist_w)
-            _check_finite(float(loss.data), epoch, b0 // batch_size, history)
-            tape.backward(loss)
-            grads = {k: v.grad for k, v in model.params.items()}
-            adam_step(model.params, grads, state, config)
-            zero_grads(model.params.values())
-            batch_losses.append(float(loss.data))
+    def validate() -> float:
+        return L.mse(y_val, M.predict_point(model, x_val))
 
-        val_pred = M.predict_point(model, x_val)
-        val_loss = L.mse(y_val, val_pred)
-        _check_finite(val_loss, epoch, -1, history)
-        improved = history.record(epoch, float(np.mean(batch_losses)), val_loss)
-        if improved:
-            best_blob = model.clone_param_data()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-
-    model.load_param_data(best_blob)
-    return model, history
-
-
-def masked_mse(pred: np.ndarray, values: np.ndarray, masks: np.ndarray) -> float:
-    return L.sparse_masked_loss(pred, values, masks, normalize=True)
+    return train_table.n, step_loss, validate, float(np.mean(y_train))
 
 
 def _sample_mse(pred: np.ndarray, samples: SparseSamples) -> float:
     """Masked MSE of pred [n, n_lat, n_mlt] against the observed cells.
 
-    CSR order is boolean-mask order, so this equals ``masked_mse`` on the
-    dense targets bit for bit.
+    CSR order is boolean-mask order, so this equals
+    ``losses.sparse_masked_loss`` on the dense targets bit for bit.
     """
     sample_of = np.repeat(np.arange(len(samples)), np.diff(samples.offsets))
     observed = pred.reshape(len(samples), -1)[sample_of, samples.cells]
@@ -397,19 +342,14 @@ def _sample_mse(pred: np.ndarray, samples: SparseSamples) -> float:
     return float(np.sum(diff**2)) / samples.cells.size
 
 
-def train_conv_model(
-    model: M.Model,
-    train_samples: SparseSamples,
-    val_samples: SparseSamples,
-    config: TrainConfig,
-) -> tuple[M.Model, History]:
-    """Train the conv decoder; features are z-scored with statistics fit on
-    the training samples, which are stored as ``model.meta["normalization"]``."""
-    spec = config.loss
-    if model.variant != "conv":
-        raise ConfigError("train_conv_model requires the conv decoder")
-    if spec.variant != "sparse_masked":
-        raise ConfigError(f"conv decoder trains with sparse_masked loss, not {spec.variant!r}")
+def _conv_setup(
+    model: M.Model, train_samples: SparseSamples, val_samples: SparseSamples, spec: LossSpec
+):
+    """(n_train, step_loss, validate, base level) for the conv decoder.
+
+    Features are z-scored with statistics fit on the training samples,
+    which are stored as ``model.meta["normalization"]``.
+    """
     if not len(train_samples) or not len(val_samples):
         raise DataError("empty train or validation sample list")
 
@@ -421,26 +361,44 @@ def train_conv_model(
     x_train = (train_samples.features - norm_mean) / norm_std
     x_val = (val_samples.features - norm_mean) / norm_std
 
+    def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
+        values, mask = dense_batch(train_samples, idx)
+        pred = M.forward_convdecoder(model.arch, model.params, x_train[idx], tape, True, dropout_rng)
+        return L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
+
+    def validate() -> float:
+        return _sample_mse(M.forward_convdecoder(model.arch, model.params, x_val).data, val_samples)
+
+    return len(train_samples), step_loss, validate, float(np.mean(train_samples.values))
+
+
+def train_model(model: M.Model, data, config: TrainConfig) -> tuple[M.Model, History]:
+    """Train ``model`` on ``data = (train, validation)`` and return it with
+    the parameters of its best validation epoch.
+
+    Point models take two ``FeatureTable``s, the conv decoder two
+    ``SparseSamples`` tables; ``config.loss`` must pair with the model's
+    architecture (``losses.ARCH_LOSSES``).
+    """
+    L.check_pairing(model.variant, config.loss.variant)
+    setup = _conv_setup if model.variant == "conv" else _point_setup
+    n, step_loss, validate, base = setup(model, *data, config.loss)
+
     ss = np.random.SeedSequence([config.seed, 3])
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
+    M.warm_start_output(model, base)
     state = AdamState()
     history = History()
     best_blob = model.clone_param_data()
-    batch_size = config.resolved_batch_size("conv")
+    batch_size = config.resolved_batch_size(model.variant)
     stale = 0
-    n = len(train_samples)
 
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
         batch_losses = []
         for b0 in range(0, n, batch_size):
-            idx = order[b0 : b0 + batch_size]
-            values, mask = dense_batch(train_samples, idx)
             tape = Tape()
-            pred = M.forward_convdecoder(
-                model.arch, model.params, x_train[idx], tape, True, dropout_rng
-            )
-            loss = L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
+            loss = step_loss(tape, order[b0 : b0 + batch_size], dropout_rng)
             _check_finite(float(loss.data), epoch, b0 // batch_size, history)
             tape.backward(loss)
             grads = {k: v.grad for k, v in model.params.items()}
@@ -448,11 +406,9 @@ def train_conv_model(
             zero_grads(model.params.values())
             batch_losses.append(float(loss.data))
 
-        val_pred = M.forward_convdecoder(model.arch, model.params, x_val).data
-        val_loss = _sample_mse(val_pred, val_samples)
+        val_loss = validate()
         _check_finite(val_loss, epoch, -1, history)
-        improved = history.record(epoch, float(np.mean(batch_losses)), val_loss)
-        if improved:
+        if history.record(epoch, float(np.mean(batch_losses)), val_loss):
             best_blob = model.clone_param_data()
             stale = 0
         else:
@@ -462,15 +418,6 @@ def train_conv_model(
 
     model.load_param_data(best_blob)
     return model, history
-
-
-def train_model(model: M.Model, data, config: TrainConfig) -> tuple[M.Model, History]:
-    """Dispatch on model variant: point tables or sparse sample tables."""
-    if model.variant == "conv":
-        train_samples, val_samples = data
-        return train_conv_model(model, train_samples, val_samples, config)
-    train_table, val_table = data
-    return train_point_model(model, train_table, val_table, config)
 
 
 # ── Run config files ──────────────────────────────────────────────────

@@ -9,7 +9,9 @@ import pytest
 
 from auroracast import cli
 from auroracast.cli import main
-from auroracast.models import load_checkpoint
+from auroracast.errors import ConfigError
+from auroracast.losses import ARCH_LOSSES, LOSS_VARIANTS, check_pairing
+from auroracast.models import load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -233,6 +235,23 @@ class TestTrain:
         assert len(meta["normalization"]["mean"]) == calls[0][1]
 
 
+@pytest.mark.parametrize("loss", LOSS_VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCH_LOSSES))
+def test_arch_loss_pairing(tmp_path, capsys, features_file, synth_dir, arch, loss):
+    if loss in ARCH_LOSSES[arch]:
+        check_pairing(arch, loss)
+        return
+    with pytest.raises(ConfigError):
+        check_pairing(arch, loss)
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(f"arch = {arch}\narch.grid = 32\nloss = {loss}\n")
+    source = ["--sparse", synth_dir] if arch == "conv" else ["--features", features_file]
+    assert run("train", *source, "--config", cfg, "--out-dir", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert f"arch {arch!r}" in err and f"loss {loss!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, features_file, config_file):
     out = tmp_path_factory.mktemp("trained")
@@ -317,6 +336,19 @@ class TestEvalAndMap:
             )
         assert (tmp_path / "ma.csv").read_bytes() == (tmp_path / "mb.csv").read_bytes()
         assert (tmp_path / "ma.pgm").read_bytes() == (tmp_path / "mb.pgm").read_bytes()
+
+    def test_point_map_ignores_legacy_grid_key(self, tmp_path, trained, synth_dir):
+        model = load_checkpoint(trained)
+        assert "grid" not in model.meta
+        model.meta["grid"] = 32
+        save_checkpoint(model, tmp_path / "legacy.aur")
+        drivers = synth_dir / "drivers.csv"
+        for ckpt, out in ((trained, "m"), (tmp_path / "legacy.aur", "legacy")):
+            argv = ("--checkpoint", ckpt, "--drivers", drivers, "--at", 43200, "--out", tmp_path / out)
+            assert run("map", *argv) == 0
+        grid = (tmp_path / "legacy.csv").read_text().splitlines()
+        assert len(grid) == 128 and len(grid[0].split(",")) == 128
+        assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
 
     def test_map_out_of_range(self, tmp_path, trained, synth_dir):
         assert (

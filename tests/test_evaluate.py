@@ -10,7 +10,6 @@ from auroracast.evaluate import (
     classification_report,
     histogram_compare,
     predict_grid,
-    read_grid_csv,
     region_mse_table,
     render_map,
     tail_reduction,
@@ -232,7 +231,6 @@ class TestMaps:
                 "mean": [0.0] * schema.width,
                 "std": [1.0] * schema.width,
             },
-            "grid": 32,
         }
         return model
 
@@ -250,7 +248,7 @@ class TestMaps:
         rng = np.random.default_rng(14)
         grid = rng.normal(9, 1, (8, 8))
         write_grid_csv(grid, tmp_path / "g.csv")
-        back = read_grid_csv(tmp_path / "g.csv")
+        back = np.loadtxt(tmp_path / "g.csv", delimiter=",")
         assert np.array_equal(back, grid)
 
     def test_pgm_mapping(self, tmp_path):
@@ -296,7 +294,6 @@ class TestMaps:
                 "mean": [0.0] * len(schema.global_names),
                 "std": [1.0] * len(schema.global_names),
             },
-            "grid": 32,
         }
         grid = predict_grid(conv, drivers, 43200.0, GridSpec(32, 32))
         seam = np.abs(grid[:, 0] - grid[:, -1]).max()

@@ -13,7 +13,6 @@ from auroracast.geomodel import (
     Region,
     WorldParams,
     activity_level,
-    cell_center,
     cell_of,
     cells_of,
     default_driver_processes,
@@ -81,10 +80,6 @@ class TestCellOf:
             _, c_lo = cells_of(60.0, 0.0, GRID)
             circ = min((int(c_hi) - int(c_lo)) % GRID.n_mlt, (int(c_lo) - int(c_hi)) % GRID.n_mlt)
             assert circ <= 1
-
-    def test_cell_center_bounds(self):
-        with pytest.raises(ValueError):
-            cell_center(GRID, 128, 0)
 
 
 class TestNewellCoupling:

@@ -20,7 +20,6 @@ from auroracast.ingest import (
     FeatureSchema,
     build_features,
     clean_targets,
-    filter_by_region,
     history_feature_rows,
     log_transform,
     read_drivers_csv,
@@ -409,19 +408,6 @@ class TestSplitAndFilter:
         live = train.rows.std(axis=0) > 1e-12
         assert np.all(np.abs(z.mean(axis=0)[live]) < 1e-9)
         assert np.array_equal(train.norm_mean, val.norm_mean)
-
-    def test_filter_partition_and_ordering(self):
-        table = self._table()
-        parts = [filter_by_region(table, r) for r in Region]
-        assert sum(p.n for p in parts) == table.n
-        sub, aur, _pol = parts
-        assert aur.target.mean() > sub.target.mean()
-
-    def test_filter_requires_labels(self):
-        table = self._table()
-        table.region = None
-        with pytest.raises(DataError):
-            filter_by_region(table, Region.AURORAL)
 
 
 class TestCache:

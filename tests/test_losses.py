@@ -448,11 +448,6 @@ class TestLossSpec:
         ):
             assert LossSpec.from_config(spec.to_config()) == spec
 
-    def test_required_arch(self):
-        assert LossSpec("multitask").required_arch() == "multitask"
-        assert LossSpec("sparse_masked").required_arch() == "conv"
-        assert LossSpec("tail").required_arch() is None
-
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             LossSpec("huber")

@@ -1,10 +1,12 @@
 """Adam, compositing, training loops, early stopping, and run configs."""
 
+import collections
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from auroracast import losses as L
 from auroracast import models as M
 from auroracast import train as T
 from auroracast.autodiff import Tensor
@@ -18,7 +20,7 @@ from auroracast.geomodel import (
     sample_traces,
 )
 from auroracast.ingest import FeatureSchema, build_features, split_by_holdout
-from auroracast.losses import LossSpec
+from auroracast.losses import LossSpec, sparse_masked_loss
 from auroracast.train import (
     AdamState,
     TrainConfig,
@@ -26,12 +28,9 @@ from auroracast.train import (
     build_sparse_samples,
     composite_window,
     dense_batch,
-    masked_mse,
     parse_config_text,
     train_config_from_config,
-    train_conv_model,
     train_model,
-    train_point_model,
 )
 
 from _reference import composite_add_at, obs_table
@@ -199,7 +198,7 @@ class TestSparseSamples:
         pred = np.random.default_rng(4).normal(9.0, 1.0, (len(samples), 128, 128))
         pred = pred.astype(np.float32)
         values, mask = dense_batch(samples, np.arange(len(samples)))
-        assert T._sample_mse(pred, samples) == masked_mse(pred, values, mask)
+        assert T._sample_mse(pred, samples) == sparse_masked_loss(pred, values, mask)
 
     def test_memory_per_sample(self, world):
         d, obs, schema = world
@@ -229,10 +228,23 @@ class TestTrainPoint:
         model = M.build_model(arch, seed=0)
         before = model.clone_param_data()
         config = TrainConfig(lr=0.0, max_epochs=2, batch_size=512, seed=1)
-        model, history = train_point_model(model, train, val, config)
+        model, history = train_model(model, (train, val), config)
         after = model.clone_param_data()
         for k in before:
-            assert np.array_equal(before[k], after[k])
+            if k != "out.b":
+                assert np.array_equal(before[k], after[k])
+        # the warm start is the only change: the output bias sits at the mean target
+        assert after["out.b"].tolist() == [np.float32(np.mean(train.target))]
+
+    def test_warm_started_baseline_near_constant_predictor(self):
+        # default arch and Adam settings, 3 epochs: best val MSE over the
+        # constant predictor's is 0.99-1.08 for seeds 1-5, and 7-17 with
+        # the output bias left at 0
+        train, val = _point_tables(seed=1, days=3.0, obs_cadence=60.0, n_sats=3)
+        model = M.build_model(M.arch_from_config({}, train.schema.width), seed=1)
+        _, history = train_model(model, (train, val), TrainConfig(max_epochs=3, seed=1))
+        constant = np.mean((val.target - np.mean(train.target)) ** 2)
+        assert history.best_val < 1.5 * constant
 
     def test_quadratic_toy_validation_decreases(self):
         rng = np.random.default_rng(5)
@@ -269,7 +281,7 @@ class TestTrainPoint:
         arch = M.BaselineArch(input_width=width, hidden=(16,), dropout_rate=0.0)
         model = M.build_model(arch, seed=2, dtype=np.float64)
         config = TrainConfig(lr=1e-2, max_epochs=6, batch_size=384, seed=3)
-        _, history = train_point_model(model, train, val, config)
+        _, history = train_model(model, (train, val), config)
         vals = [v for _, _, v in history.epochs]
         assert vals[1] < vals[0]
         assert vals[2] < vals[1]
@@ -281,7 +293,7 @@ class TestTrainPoint:
 
         def run():
             model = M.build_model(arch, seed=7)
-            model, history = train_point_model(model, train, val, config)
+            model, history = train_model(model, (train, val), config)
             return model, history
 
         m1, h1 = run()
@@ -295,7 +307,7 @@ class TestTrainPoint:
         arch = M.BaselineArch(input_width=train.schema.width, hidden=(8,))
         model = M.build_model(arch, seed=1)
         config = TrainConfig(lr=3e-3, max_epochs=12, patience=3, batch_size=2048, seed=2)
-        model, history = train_point_model(model, train, val, config)
+        model, history = train_model(model, (train, val), config)
         vals = [v for _, _, v in history.epochs]
         assert history.best_val == min(vals)
         # reported best params reproduce the recorded best validation loss
@@ -310,7 +322,7 @@ class TestTrainPoint:
         model = M.build_model(arch, seed=0)
         config = TrainConfig(loss=LossSpec("multitask"), max_epochs=1)
         with pytest.raises(ConfigError):
-            train_point_model(model, train, val, config)
+            train_model(model, (train, val), config)
 
     def test_multitask_training_runs(self):
         train, val = _point_tables(seed=34)
@@ -347,10 +359,10 @@ class TestTrainConv:
 
         mean, std = fit_normalization(np.stack([s.features for s in train_s]))
         x_val = (np.stack([s.features for s in val_s]) - mean) / std
-        init_val = masked_mse(
+        init_val = sparse_masked_loss(
             M.forward_convdecoder(arch, model.params, x_val).data, v, m
         )
-        model, history = train_conv_model(model, train_s, val_s, config)
+        model, history = train_model(model, (train_s, val_s), config)
         assert history.best_val < init_val
 
     def test_nan_poisoning_does_not_contaminate(self, monkeypatch):
@@ -371,10 +383,10 @@ class TestTrainConv:
             return values, mask
 
         m_clean = M.build_model(arch, seed=9)
-        m_clean, h_clean = train_conv_model(m_clean, train_s, val_s, config)
+        m_clean, h_clean = train_model(m_clean, (train_s, val_s), config)
         monkeypatch.setattr(T, "dense_batch", poisoned)
         m_pois = M.build_model(arch, seed=9)
-        m_pois, h_pois = train_conv_model(m_pois, train_s, val_s, config)
+        m_pois, h_pois = train_model(m_pois, (train_s, val_s), config)
         assert sum(poisoned_calls) == 2 * len(train_s)
         for k in m_clean.params:
             assert np.array_equal(m_clean.params[k].data, m_pois.params[k].data)
@@ -387,7 +399,7 @@ class TestTrainConv:
         )
         model = M.build_model(arch, seed=0)
         config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=1, batch_size=64)
-        model, _ = train_conv_model(model, train_s, val_s, config)
+        model, _ = train_model(model, (train_s, val_s), config)
         from auroracast.ingest import fit_normalization
 
         mean, std = fit_normalization(train_s.features)
@@ -403,7 +415,51 @@ class TestTrainConv:
         )
         model = M.build_model(arch, seed=0)
         with pytest.raises(ConfigError):
-            train_conv_model(model, train_s, val_s, TrainConfig(loss=LossSpec("mse")))
+            train_model(model, (train_s, val_s), TrainConfig(loss=LossSpec("mse")))
+
+    def test_loop_looks_up_patched_names_at_call_time(self, monkeypatch):
+        counts = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        train, val = _point_tables(seed=35)
+        train_s, val_s, schema = self._samples(seed=44)
+        for module, name in (
+            (T, "adam_step"),
+            (T, "dense_batch"),
+            (L, "mse_op"),
+            (L, "sparse_masked_loss_op"),
+            (M, "forward_baseline"),
+            (M, "forward_convdecoder"),
+        ):
+            count(module, name)
+
+        arch = M.BaselineArch(input_width=train.schema.width, hidden=(8,))
+        config = TrainConfig(max_epochs=2, batch_size=256, seed=1)
+        _, history = train_model(M.build_model(arch, seed=0), (train, val), config)
+        assert len(history.epochs) == 2
+        steps = 2 * -(-train.n // 256)
+        assert counts["adam_step"] == counts["mse_op"] == steps
+        assert counts["forward_baseline"] == steps + 2
+
+        counts.clear()
+        arch = M.ConvDecoderArch(
+            input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32
+        )
+        config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=2, batch_size=16, seed=1)
+        _, history = train_model(M.build_model(arch, seed=0), (train_s, val_s), config)
+        assert len(history.epochs) == 2
+        steps = 2 * -(-len(train_s) // 16)
+        assert counts["adam_step"] == counts["dense_batch"] == steps
+        assert counts["sparse_masked_loss_op"] == steps
+        assert counts["forward_convdecoder"] == steps + 2
 
 
 class TestRunConfig:
