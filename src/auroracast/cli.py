@@ -193,7 +193,6 @@ def cmd_train(args) -> int:
     config = T.train_config_from_config(cfg, seed_override=args.seed)
     arch_kind = cfg.get("arch", "baseline")
     L.check_pairing(arch_kind, config.loss.variant)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     if args.sparse is not None:
         if arch_kind != "conv":
@@ -206,6 +205,8 @@ def cmd_train(args) -> int:
             raise ConfigError("arch=conv trains from --sparse, not --features")
         model, history, inputs, time_range = _train_point(args, cfg, config, arch_kind)
 
+    # Created only now, so a run that fails leaves no out-dir behind.
+    os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.aur")
     M.save_checkpoint(model, ckpt_path)
     T.write_history_csv(history, os.path.join(args.out_dir, "history.csv"))

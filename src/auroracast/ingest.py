@@ -15,12 +15,23 @@ per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
 time. Normalization is per-feature z-scoring; split_by_holdout refits the
 statistics on the training rows only.
+
+A process holds the feature matrix once. ``build_features`` computes the
+history block once per distinct observation time and gathers it, a row
+chunk at a time, into the one ``[n, width]`` float64 matrix it returns.
+The binary cache (magic ``AFT2``) stores the rows as float32 and ends in
+a CRC32 of every byte before it. ``write_table_cache`` streams the file in
+row chunks; ``read_table_cache`` checks the magic and the CRC, then
+returns the row block as a read-only float32 view of the file's bytes.
+An ``AFT1`` cache from an older version fails the magic check and is
+rebuilt by re-running ``auroracast features``.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +108,13 @@ def _fmt_min(minutes: float) -> str:
 
 @dataclass
 class FeatureTable:
-    """Training-ready rows; ``rows`` is unnormalized, stats applied on demand."""
+    """Training-ready rows; ``rows`` is unnormalized, stats applied on demand.
+
+    ``rows`` is float64 when built by ``build_features``; when read by
+    ``read_table_cache`` it is the cache's read-only float32 view. Both
+    dtypes give the same float64 normalized values, since float32 widens
+    exactly. ``norm_mean`` and ``norm_std`` are always float64.
+    """
 
     schema: FeatureSchema
     rows: np.ndarray
@@ -120,7 +137,8 @@ class FeatureTable:
                 raise ValueError(f"column {name} has wrong length")
         if self.region is not None and len(self.region) != n:
             raise ValueError("region column has wrong length")
-        if np.isnan(self.rows).any() or not np.all(np.isfinite(self.target)):
+        # min propagates NaN and, unlike isnan, needs no row-sized mask
+        if np.isnan(self.rows.min(initial=np.inf)) or not np.all(np.isfinite(self.target)):
             raise ValueError("non-finite feature or target")
         if not np.all(self.norm_std > 0):
             raise ValueError("normalization std must be positive")
@@ -129,8 +147,22 @@ class FeatureTable:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def normalized_rows(self) -> np.ndarray:
-        return (self.rows - self.norm_mean) / self.norm_std
+    def normalized_rows(self, dtype=np.float64) -> np.ndarray:
+        """Z-scored rows, computed in float64 a row chunk at a time and
+        stored as ``dtype``."""
+        out = np.empty(self.rows.shape, dtype=dtype)
+        for sl in _row_chunks(self.n, 8 * self.rows.shape[1]):
+            out[sl] = (self.rows[sl] - self.norm_mean) / self.norm_std
+        return out
+
+
+_CHUNK_BYTES = 1 << 18
+
+
+def _row_chunks(n: int, row_bytes: int):
+    """Slices of about ``_CHUNK_BYTES`` covering rows 0..n in order."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    return (slice(r0, min(r0 + step, n)) for r0 in range(0, n, step))
 
 
 # ── CSV readers ───────────────────────────────────────────────────────
@@ -443,10 +475,26 @@ def spatial_block(mlat: np.ndarray, mlt: np.ndarray) -> np.ndarray:
     return np.column_stack([np.sin(ang), np.cos(ang), scaled])
 
 
+_NORM_COLUMNS = 16
+
+
 def fit_normalization(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean/std; zero-variance columns get std 1 so they map to 0."""
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    """Per-column float64 mean/std; zero-variance columns get std 1 so they map to 0.
+
+    The std is taken over blocks of columns, so the only temporary is one
+    block. An axis-0 reduction adds each column's rows in row order whatever
+    the block, so the result equals ``rows.astype(float64).std(axis=0)``
+    bit for bit. A lone trailing column is folded into the block before
+    it: numpy would sum a one-column block pairwise instead.
+    """
+    width = rows.shape[1]
+    mean = rows.mean(axis=0, dtype=np.float64)
+    std = np.empty(width)
+    starts = list(range(0, width, _NORM_COLUMNS))
+    if len(starts) > 1 and width - starts[-1] == 1:
+        starts.pop()
+    for j0, j1 in zip(starts, starts[1:] + [width]):
+        std[j0:j1] = rows[:, j0:j1].std(axis=0, dtype=np.float64)
     std = np.where(std > 1e-12, std, 1.0)
     return mean, std
 
@@ -469,11 +517,21 @@ def build_features(
             raise DataError(f"driver series lacks variable {var}")
 
     target = log_transform(obs.eflux)
-    hist, ok = history_feature_rows(drivers, obs.t, schema)
+    uniq, inverse = np.unique(np.asarray(obs.t, dtype=np.float64), return_inverse=True)
+    hist, ok_uniq = _history_rows(drivers, uniq, schema)
+    ok = ok_uniq[inverse]
     n_dropped = int((~ok).sum())
     if not ok.any():
         raise DataError("no observation has the full driver history")
-    rows = np.hstack([spatial_block(obs.mlat, obs.mlt), hist])[ok]
+    keep = np.flatnonzero(ok)
+    src = inverse[keep]
+    spatial = spatial_block(obs.mlat, obs.mlt)
+    n_sp = spatial.shape[1]
+    rows = np.empty((keep.size, schema.width))
+    for sl in _row_chunks(keep.size, rows.itemsize * schema.width):
+        rows[sl, :n_sp] = spatial[keep[sl]]
+        rows[sl, n_sp:] = hist[src[sl]]
+    del hist, spatial
     region_arr = None
     if obs.region is not None and np.all(obs.region[ok] >= 0):
         region_arr = obs.region[ok]
@@ -494,10 +552,14 @@ def build_features(
     )
 
 
-def _subset(table: FeatureTable, mask: np.ndarray, mean, std) -> FeatureTable:
+def _subset(table: FeatureTable, mask: np.ndarray, stats=None) -> FeatureTable:
+    """Rows selected by ``mask``, with ``stats = (mean, std)`` or, if None,
+    statistics fit on the selected rows."""
+    rows = table.rows[mask]
+    mean, std = fit_normalization(rows) if stats is None else stats
     return FeatureTable(
         schema=table.schema,
-        rows=table.rows[mask],
+        rows=rows,
         target=table.target[mask],
         region=None if table.region is None else table.region[mask],
         t=table.t[mask],
@@ -524,13 +586,13 @@ def split_by_holdout(
         raise DataError("holdout selection matches no rows")
     if val_mask.all():
         raise DataError("holdout selection leaves no training rows")
-    mean, std = fit_normalization(table.rows[~val_mask])
-    return _subset(table, ~val_mask, mean, std), _subset(table, val_mask, mean, std)
+    train = _subset(table, ~val_mask)
+    return train, _subset(table, val_mask, (train.norm_mean, train.norm_std))
 
 
-# ── Binary feature cache (magic AFT1) ─────────────────────────────────
+# ── Binary feature cache (magic AFT2) ─────────────────────────────────
 
-_MAGIC = b"AFT1"
+_MAGIC = b"AFT2"
 
 
 def _w_str(buf: bytearray, s: str):
@@ -548,8 +610,11 @@ def _r_str(view: memoryview, off: int) -> tuple[str, int]:
 
 def write_table_cache(table: FeatureTable, path):
     """Serialize a FeatureTable: header, schema, f32 rows, then the
-    target/region/t/coord/sat_id/normalization blocks in field order.
+    target/region/t/coord/sat_id/normalization blocks in field order, and
+    last the u32 CRC32 of every byte before it.
 
+    Every check runs before the file is opened. The rows are converted
+    and written a chunk at a time, so no whole-file buffer is built.
     sat_id is stored as u16, so an id outside 0..65535 is a DataError.
     """
     out_of_range = (table.sat_id < 0) | (table.sat_id > 0xFFFF)
@@ -572,31 +637,50 @@ def write_table_cache(table: FeatureTable, path):
     buf += struct.pack("<B", len(table.schema.avg_minutes))
     buf += np.asarray(table.schema.avg_minutes, dtype="<f8").tobytes()
 
-    buf += table.rows.astype("<f4").tobytes()
-    buf += table.target.astype("<f8").tobytes()
+    tail = [np.ascontiguousarray(table.target, dtype="<f8")]
     if table.region is None:
-        buf += struct.pack("<B", 0)
+        tail.append(struct.pack("<B", 0))
     else:
-        buf += struct.pack("<B", 1)
-        buf += table.region.astype("<i1").tobytes()
-    buf += table.t.astype("<f8").tobytes()
-    buf += table.mlat.astype("<f8").tobytes()
-    buf += table.mlt.astype("<f8").tobytes()
-    buf += table.sat_id.astype("<u2").tobytes()
-    buf += table.norm_mean.astype("<f8").tobytes()
-    buf += table.norm_std.astype("<f8").tobytes()
-    buf += struct.pack("<I", table.n_dropped_history)
+        tail += [struct.pack("<B", 1), np.ascontiguousarray(table.region, dtype="<i1")]
+    tail += [np.ascontiguousarray(a, dtype="<f8") for a in (table.t, table.mlat, table.mlt)]
+    tail.append(table.sat_id.astype("<u2"))
+    tail += [np.ascontiguousarray(a, dtype="<f8") for a in (table.norm_mean, table.norm_std)]
+    tail.append(struct.pack("<I", table.n_dropped_history))
+
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+
+        def put(block):
+            nonlocal crc
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+
+        put(buf)
+        for sl in _row_chunks(table.n, 4 * table.schema.width):
+            put(np.ascontiguousarray(table.rows[sl], dtype="<f4"))
+        for block in tail:
+            put(block)
+        fh.write(struct.pack("<I", crc))
 
 
 def read_table_cache(path) -> FeatureTable:
+    """Load a cache written by ``write_table_cache``.
+
+    The magic is checked first, then the CRC32 over the raw bytes, before
+    any field is read. ``rows`` is a read-only float32 view of the file's
+    bytes; nothing copies or widens the row block.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    view = memoryview(raw)
+    if raw[:4] != _MAGIC:
+        raise DataError(
+            f"{path}: bad cache magic {raw[:4]!r}, expected {_MAGIC!r};"
+            " re-run `auroracast features` to rebuild the cache"
+        )
+    view = memoryview(raw)[:-4]
+    if len(raw) < 8 or zlib.crc32(view) != struct.unpack("<I", raw[-4:])[0]:
+        raise DataError(f"{path}: cache checksum mismatch, the file is truncated or corrupt")
     try:
-        if bytes(view[:4]) != _MAGIC:
-            raise DataError(f"{path}: bad cache magic")
         off = 4
         n, width = struct.unpack_from("<II", view, off)
         off += 8
@@ -628,9 +712,8 @@ def read_table_cache(path) -> FeatureTable:
         if list(schema.names) != names or schema.width != width:
             raise DataError(f"{path}: schema does not match stored names")
 
-        rows = np.frombuffer(view, dtype="<f4", count=n * width, offset=off)
+        rows = np.frombuffer(view, dtype="<f4", count=n * width, offset=off).reshape(n, width)
         off += 4 * n * width
-        rows = rows.reshape(n, width).astype(np.float64)
         target = np.frombuffer(view, dtype="<f8", count=n, offset=off).copy()
         off += 8 * n
         (has_region,) = struct.unpack_from("<B", view, off)
@@ -655,7 +738,7 @@ def read_table_cache(path) -> FeatureTable:
         off += 4
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated or corrupt cache ({exc})") from None
-    if off != len(raw):
+    if off != len(view):
         raise DataError(f"{path}: trailing bytes in cache")
     return FeatureTable(
         schema=schema,

@@ -305,9 +305,12 @@ def _point_setup(
     if train_table.n == 0 or val_table.n == 0:
         raise DataError("empty train or validation set")
 
-    x_train = train_table.normalized_rows()
+    # Rows are z-scored in float64 and stored in the parameters' dtype,
+    # the dtype the forward pass casts its input to anyway.
+    dtype = next(iter(model.params.values())).data.dtype
+    x_train = train_table.normalized_rows(dtype)
     y_train = train_table.target
-    x_val = val_table.normalized_rows()
+    x_val = val_table.normalized_rows(dtype)
     y_val = val_table.target
     onehot_train = np.eye(3)[train_table.region] if spec.variant == "multitask" else None
     dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None

@@ -1,14 +1,17 @@
-"""Row-at-a-time reference implementations of the columnar data path.
+"""Reference implementations of the columnar data path.
 
 Each function here is the straightforward per-row (or per-window) version
-of a vectorised function in ``auroracast``; the tests compare the two
-exactly. Conversion from ``Observation`` rows to an ``ObsTable`` also
-lives here, so tests can still write observations one by one.
+of a vectorised function in ``auroracast``, or the whole-array version of
+a chunked one; the tests compare the two exactly. Conversion from
+``Observation`` rows to an ``ObsTable`` also lives here, so tests can
+still write observations one by one.
 """
 
 from __future__ import annotations
 
 import csv
+import struct
+import zlib
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from auroracast.geomodel import (
     Region,
     cells_of,
 )
-from auroracast.ingest import history_feature_rows
+from auroracast.ingest import history_feature_rows, spatial_block
 
 
 def obs_table(rows: list[Observation]) -> ObsTable:
@@ -124,3 +127,61 @@ def history_rows_one_by_one(drivers, times, schema):
     """Each time's feature row computed in a call of its own."""
     pairs = [history_feature_rows(drivers, np.array([t]), schema) for t in times]
     return np.vstack([rows for rows, _ in pairs]), np.concatenate([ok for _, ok in pairs])
+
+
+def feature_rows_hstack(drivers, obs: ObsTable, schema):
+    """Feature rows as the full spatial and history blocks side by side,
+    then the rows with full history selected."""
+    hist, ok = history_feature_rows(drivers, obs.t, schema)
+    return np.hstack([spatial_block(obs.mlat, obs.mlt), hist])[ok]
+
+
+def fit_normalization_whole(rows):
+    """Mean and std of the whole float64 matrix at once; std 1 where it is 0."""
+    rows = np.asarray(rows, dtype=np.float64)
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
+    return mean, np.where(std > 1e-12, std, 1.0)
+
+
+def _w_str(buf: bytearray, s: str):
+    raw = s.encode("utf-8")
+    buf += struct.pack("<H", len(raw)) + raw
+
+
+def cache_bytes_bytearray(table, legacy: bool = False) -> bytes:
+    """The feature cache of ``table`` assembled in one bytearray, the row
+    block converted in one call. The default is the AFT2 layout, which
+    ends in the CRC32 of all bytes before it; ``legacy`` gives the older
+    AFT1 file, the same layout without the CRC."""
+    buf = bytearray(b"AFT1" if legacy else b"AFT2")
+    buf += struct.pack("<II", table.n, table.schema.width)
+    names = table.schema.names
+    buf += struct.pack("<H", len(names))
+    for name in names:
+        _w_str(buf, name)
+    buf += struct.pack("<H", len(table.schema.variables))
+    for var in table.schema.variables:
+        _w_str(buf, var)
+    buf += struct.pack("<B", len(table.schema.lag_minutes))
+    buf += np.asarray(table.schema.lag_minutes, dtype="<f8").tobytes()
+    buf += struct.pack("<B", len(table.schema.avg_minutes))
+    buf += np.asarray(table.schema.avg_minutes, dtype="<f8").tobytes()
+
+    buf += table.rows.astype("<f4").tobytes()
+    buf += table.target.astype("<f8").tobytes()
+    if table.region is None:
+        buf += struct.pack("<B", 0)
+    else:
+        buf += struct.pack("<B", 1)
+        buf += table.region.astype("<i1").tobytes()
+    buf += table.t.astype("<f8").tobytes()
+    buf += table.mlat.astype("<f8").tobytes()
+    buf += table.mlt.astype("<f8").tobytes()
+    buf += table.sat_id.astype("<u2").tobytes()
+    buf += table.norm_mean.astype("<f8").tobytes()
+    buf += table.norm_std.astype("<f8").tobytes()
+    buf += struct.pack("<I", table.n_dropped_history)
+    if not legacy:
+        buf += struct.pack("<I", zlib.crc32(buf))
+    return bytes(buf)

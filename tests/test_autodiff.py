@@ -1,11 +1,10 @@
 """Forward semantics and finite-difference gradient checks for every op."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from _gradcheck import check_gradients
+from _memory import peak_bytes
 from auroracast import autodiff as ad
 from auroracast.autodiff import Tape, Tensor
 
@@ -325,14 +324,12 @@ def test_conv2d_memory_stays_near_input_size():
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal((16, 4, 134, 134)).astype(np.float32), requires_grad=True)
     k = Tensor(rng.standard_normal((1, 4, 7, 7)).astype(np.float32), requires_grad=True)
-    tracemalloc.start()
-    try:
+
+    def forward_backward():
         tape = Tape()
-        y = ad.conv2d(x, k, tape)
-        tape.backward(ad.sum_all(y, tape))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        tape.backward(ad.sum_all(ad.conv2d(x, k, tape), tape))
+
+    peak, _ = peak_bytes(forward_backward)
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
     assert peak < 8 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 

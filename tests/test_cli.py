@@ -188,6 +188,21 @@ class TestTrain:
             == 2
         )
 
+    def test_no_data_source_leaves_no_out_dir(self, tmp_path, config_file):
+        out = tmp_path / "run"
+        assert run("train", "--config", config_file, "--out-dir", out) == 2
+        assert not out.exists()
+
+    def test_sparse_dir_without_drivers_leaves_no_out_dir(self, tmp_path, synth_dir):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("arch = conv\narch.grid = 32\nloss = sparse_masked\n")
+        sparse = tmp_path / "partial"
+        sparse.mkdir()
+        (sparse / "observations.csv").write_bytes((synth_dir / "observations.csv").read_bytes())
+        out = tmp_path / "run"
+        assert run("train", "--sparse", sparse, "--config", cfg, "--out-dir", out) == 3
+        assert not out.exists()
+
     def test_same_seed_identical_history(self, tmp_path, features_file, config_file):
         outs = []
         for name in ("r1", "r2"):

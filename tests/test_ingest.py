@@ -1,5 +1,6 @@
 """CSV parsing, cleaning, feature engineering, splits, and the cache format."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from auroracast.ingest import (
     FeatureSchema,
     build_features,
     clean_targets,
+    fit_normalization,
     history_feature_rows,
     log_transform,
     read_drivers_csv,
@@ -30,7 +32,15 @@ from auroracast.ingest import (
 )
 from auroracast.stats import percentile_linear
 
-from _reference import history_rows_one_by_one, obs_table, read_observations_rows
+from _memory import peak_bytes
+from _reference import (
+    cache_bytes_bytearray,
+    feature_rows_hstack,
+    fit_normalization_whole,
+    history_rows_one_by_one,
+    obs_table,
+    read_observations_rows,
+)
 
 
 def _drivers_csv(path, times, value_fn=lambda name, t: 1.0):
@@ -460,3 +470,106 @@ class TestCache:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(DataError):
             read_table_cache(path)
+
+    def test_flipped_row_byte_fails_checksum(self, tmp_path):
+        table = self._table()
+        path = tmp_path / "t.aft"
+        write_table_cache(table, path)
+        raw = bytearray(path.read_bytes())
+        rows_start = raw.find(table.rows[:1].astype("<f4").tobytes())
+        raw[rows_start + table.n * table.schema.width * 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="checksum"):
+            read_table_cache(path)
+
+    def test_legacy_aft1_file_asks_for_rebuild(self, tmp_path):
+        path = tmp_path / "old.aft"
+        path.write_bytes(cache_bytes_bytearray(self._table(), legacy=True))
+        with pytest.raises(DataError, match="magic.*re-run `auroracast features`"):
+            read_table_cache(path)
+
+    def test_read_rows_are_a_float32_view(self, tmp_path):
+        table = self._table()
+        path = tmp_path / "t.aft"
+        write_table_cache(table, path)
+        back = read_table_cache(path)
+        assert back.rows.dtype == np.float32 and not back.rows.flags.writeable
+        wide = back.rows.astype(np.float64)
+        assert np.array_equal(back.normalized_rows(), (wide - back.norm_mean) / back.norm_std)
+
+
+def _world(seed, n_sats=3):
+    """Drivers and observations of a 1-day world."""
+    p = WorldParams(seed=seed, n_sats=n_sats)
+    d = gen_drivers(p, 86400)
+    return d, sample_traces(p, d)
+
+
+class TestChunkedPathsMatchReference:
+    """The row-chunked build, the streamed writer and the column-blocked
+    std against the whole-array versions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n_sats,shuffle", [(1, False), (3, False), (3, True)])
+    def test_built_rows_equal_hstack(self, n_sats, shuffle):
+        d, obs = _world(21, n_sats)
+        if shuffle:
+            obs = obs[np.random.default_rng(0).permutation(len(obs))]
+        table = build_features(d, obs)
+        assert table.rows.dtype == np.float64
+        assert np.array_equal(table.rows, feature_rows_hstack(d, obs, table.schema))
+
+    def test_cache_bytes_equal_bytearray_writer(self, tmp_path):
+        d, obs = _world(22)
+        table = build_features(d, obs)
+        no_region = dataclasses.replace(table, region=None)
+        rows = table.rows.copy()
+        rows[:, 5] = 2.5
+        mean, std = fit_normalization(rows)
+        flat = dataclasses.replace(table, rows=rows, norm_mean=mean, norm_std=std)
+        assert flat.norm_std[5] == 1.0
+        for i, case in enumerate((table, no_region, flat)):
+            path = tmp_path / f"{i}.aft"
+            write_table_cache(case, path)
+            assert path.read_bytes() == cache_bytes_bytearray(case)
+            back = read_table_cache(path)
+            rewritten = tmp_path / f"{i}b.aft"
+            write_table_cache(back, rewritten)
+            assert rewritten.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 17, 33, 143])
+    def test_fit_normalization_equals_whole_matrix(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.normal(1e3, 1.0, (4000, width)) * rng.uniform(0.1, 1e4, width)
+        rows[:, 0] = 7.0
+        for x in (rows, rows.astype(np.float32)):
+            mean, std = fit_normalization(x)
+            ref_mean, ref_std = fit_normalization_whole(x)
+            assert mean.dtype == std.dtype == np.float64
+            assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
+
+
+class TestMemory:
+    """Peak heap use of each step of the point-model data path, on a
+    1-day, 3-satellite world."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return _world(23)
+
+    def test_build_holds_one_matrix(self, world):
+        peak, table = peak_bytes(build_features, *world)
+        assert peak < 2 * table.rows.nbytes, f"peak {peak / table.rows.nbytes:.2f}x the rows"
+
+    def test_write_streams_the_rows(self, world, tmp_path):
+        table = build_features(*world)
+        block = table.n * table.schema.width * 4
+        peak, _ = peak_bytes(write_table_cache, table, tmp_path / "t.aft")
+        assert peak < block / 2, f"peak {peak / block:.2f}x the row block"
+
+    def test_read_holds_the_file_once(self, world, tmp_path):
+        path = tmp_path / "t.aft"
+        write_table_cache(build_features(*world), path)
+        size = path.stat().st_size
+        peak, back = peak_bytes(read_table_cache, path)
+        assert back.rows.dtype == np.float32
+        assert peak < 1.2 * size, f"peak {peak / size:.2f}x the file"

@@ -1,7 +1,6 @@
 """Adam, compositing, training loops, early stopping, and run configs."""
 
 import collections
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from auroracast.train import (
     train_model,
 )
 
+from _memory import peak_bytes
 from _reference import composite_add_at, obs_table
 
 
@@ -202,12 +202,7 @@ class TestSparseSamples:
 
     def test_memory_per_sample(self, world):
         d, obs, schema = world
-        tracemalloc.start()
-        try:
-            samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, (samples, _) = peak_bytes(build_sparse_samples, d, obs, schema, self.SPEC)
         assert peak / len(samples) < 16 * 1024
 
 
