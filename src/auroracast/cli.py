@@ -180,14 +180,6 @@ def _default_holdout(cfg, t_values: np.ndarray) -> tuple[int, float, float]:
     return sat_id, t_hi - 0.25 * (t_hi - t_lo), t_hi + 1.0
 
 
-def _schema_meta(schema: I.FeatureSchema) -> dict:
-    return {
-        "variables": list(schema.variables),
-        "lag_minutes": list(schema.lag_minutes),
-        "avg_minutes": list(schema.avg_minutes),
-    }
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     config = T.train_config_from_config(cfg, seed_override=args.seed)
@@ -231,7 +223,7 @@ def _train_point(args, cfg, config: T.TrainConfig, arch_kind: str):
     model = M.build_model(arch, seed=config.seed)
     model, history = T.train_model(model, (train_table, val_table), config)
     model.meta = {
-        "schema": _schema_meta(table.schema),
+        "schema": table.schema.to_meta(),
         "normalization": {
             "mean": [float(v) for v in train_table.norm_mean],
             "std": [float(v) for v in train_table.norm_std],
@@ -272,7 +264,7 @@ def _train_sparse(args, cfg, config: T.TrainConfig):
     model = M.build_model(arch, seed=config.seed)
     model, history = T.train_model(model, (samples[~in_val], samples[in_val]), config)
     model.meta = {
-        "schema": _schema_meta(schema),
+        "schema": schema.to_meta(),
         "normalization": model.meta["normalization"],
         "holdout": {"sat_id": None, "t_start": t_start, "t_end": t_end},
         "loss": config.loss.to_config(),
@@ -307,7 +299,14 @@ def cmd_eval(args) -> int:
     table = I.read_table_cache(args.features)
     rows, y_true, regions = _val_rows(model, table)
     y_pred = M.predict_point(model, rows)
+    if args.baseline_checkpoint:
+        base_model = M.load_checkpoint(args.baseline_checkpoint)
+        base_rows, base_y, _ = _val_rows(base_model, table)
+        if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
+            raise DataError("baseline checkpoint holdout differs from candidate's")
+        base_pred = M.predict_point(base_model, base_rows)
 
+    # Created only now, so a run that fails leaves no out-dir behind.
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
 
@@ -342,11 +341,6 @@ def cmd_eval(args) -> int:
 
     inputs = [args.checkpoint, args.features]
     if args.baseline_checkpoint:
-        base_model = M.load_checkpoint(args.baseline_checkpoint)
-        base_rows, base_y, _ = _val_rows(base_model, table)
-        if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
-            raise DataError("baseline checkpoint holdout differs from candidate's")
-        base_pred = M.predict_point(base_model, base_rows)
         treport = E.tail_reduction(y_true, base_pred, y_pred)
         E.write_tail_reduction_csv(treport, os.path.join(args.out_dir, "tail_reduction.csv"))
         outputs.append("tail_reduction.csv")

@@ -178,11 +178,7 @@ def region_mse_table(y_true, y_pred, regions) -> dict[str, tuple[float | None, i
 
 def _schema_from_meta(meta: dict) -> FeatureSchema:
     try:
-        return FeatureSchema(
-            variables=tuple(meta["schema"]["variables"]),
-            lag_minutes=tuple(meta["schema"]["lag_minutes"]),
-            avg_minutes=tuple(meta["schema"]["avg_minutes"]),
-        )
+        return FeatureSchema.from_meta(meta["schema"])
     except KeyError as exc:
         raise DataError(f"checkpoint metadata lacks schema field {exc}") from None
 

@@ -19,24 +19,22 @@ statistics on the training rows only.
 A process holds the feature matrix once. ``build_features`` computes the
 history block once per distinct observation time and gathers it, a row
 chunk at a time, into the one ``[n, width]`` float64 matrix it returns.
-The binary cache (magic ``AFT2``) stores the rows as float32 and ends in
-a CRC32 of every byte before it. ``write_table_cache`` streams the file in
-row chunks; ``read_table_cache`` checks the magic and the CRC, then
-returns the row block as a read-only float32 view of the file's bytes.
-An ``AFT1`` cache from an older version fails the magic check and is
-rebuilt by re-running ``auroracast features``.
+The binary cache is a ``container`` file of kind ``feature cache`` (the
+layout is described there) that stores the rows as float32;
+``read_table_cache`` returns them as a read-only float32 view of the
+file's bytes.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from . import container
+from .container import row_chunks
+from .errors import ConfigError, DataError
 from .geomodel import (
     DRIVER_NAMES,
     MLAT_MAX,
@@ -101,6 +99,23 @@ class FeatureSchema:
         """How far back the driver series must reach before the first usable row."""
         return 60.0 * max(max(self.lag_minutes), max(self.avg_minutes))
 
+    def to_meta(self) -> dict:
+        """The JSON form stored in cache headers and checkpoint metadata."""
+        return {
+            "variables": list(self.variables),
+            "lag_minutes": list(self.lag_minutes),
+            "avg_minutes": list(self.avg_minutes),
+        }
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> FeatureSchema:
+        """Inverse of ``to_meta``; a missing field raises KeyError."""
+        return cls(
+            variables=tuple(meta["variables"]),
+            lag_minutes=tuple(float(m) for m in meta["lag_minutes"]),
+            avg_minutes=tuple(float(m) for m in meta["avg_minutes"]),
+        )
+
 
 def _fmt_min(minutes: float) -> str:
     return f"{minutes:g}m"
@@ -151,18 +166,9 @@ class FeatureTable:
         """Z-scored rows, computed in float64 a row chunk at a time and
         stored as ``dtype``."""
         out = np.empty(self.rows.shape, dtype=dtype)
-        for sl in _row_chunks(self.n, 8 * self.rows.shape[1]):
+        for sl in row_chunks(self.n, 8 * self.rows.shape[1]):
             out[sl] = (self.rows[sl] - self.norm_mean) / self.norm_std
         return out
-
-
-_CHUNK_BYTES = 1 << 18
-
-
-def _row_chunks(n: int, row_bytes: int):
-    """Slices of about ``_CHUNK_BYTES`` covering rows 0..n in order."""
-    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
-    return (slice(r0, min(r0 + step, n)) for r0 in range(0, n, step))
 
 
 # ── CSV readers ───────────────────────────────────────────────────────
@@ -528,7 +534,7 @@ def build_features(
     spatial = spatial_block(obs.mlat, obs.mlt)
     n_sp = spatial.shape[1]
     rows = np.empty((keep.size, schema.width))
-    for sl in _row_chunks(keep.size, rows.itemsize * schema.width):
+    for sl in row_chunks(keep.size, rows.itemsize * schema.width):
         rows[sl, :n_sp] = spatial[keep[sl]]
         rows[sl, n_sp:] = hist[src[sl]]
     del hist, spatial
@@ -590,169 +596,58 @@ def split_by_holdout(
     return train, _subset(table, val_mask, (train.norm_mean, train.norm_std))
 
 
-# ── Binary feature cache (magic AFT2) ─────────────────────────────────
+# ── Binary feature cache ──────────────────────────────────────────────
 
-_MAGIC = b"AFT2"
-
-
-def _w_str(buf: bytearray, s: str):
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("string too long for cache format")
-    buf += struct.pack("<H", len(raw)) + raw
-
-
-def _r_str(view: memoryview, off: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", view, off)
-    off += 2
-    return bytes(view[off : off + n]).decode("utf-8"), off + n
+_CACHE_KIND = "feature cache"
+# FeatureTable column -> stored dtype, in file order; region is left out when None.
+_CACHE_DTYPES = {
+    "rows": "<f4",
+    "target": "<f8",
+    "region": "<i1",
+    "t": "<f8",
+    "mlat": "<f8",
+    "mlt": "<f8",
+    "sat_id": "<u2",
+    "norm_mean": "<f8",
+    "norm_std": "<f8",
+}
 
 
 def write_table_cache(table: FeatureTable, path):
-    """Serialize a FeatureTable: header, schema, f32 rows, then the
-    target/region/t/coord/sat_id/normalization blocks in field order, and
-    last the u32 CRC32 of every byte before it.
+    """Write ``table`` as a ``feature cache`` container: the schema and
+    ``n_dropped_history`` in the header, each column as an array of the
+    dtype ``_CACHE_DTYPES`` gives it (the rows as float32).
 
-    Every check runs before the file is opened. The rows are converted
-    and written a chunk at a time, so no whole-file buffer is built.
-    sat_id is stored as u16, so an id outside 0..65535 is a DataError.
+    sat_id is stored as u16, so an id outside 0..65535 is a DataError,
+    raised before the file is opened.
     """
     out_of_range = (table.sat_id < 0) | (table.sat_id > 0xFFFF)
     if out_of_range.any():
         raise DataError(
             f"sat_id {int(table.sat_id[out_of_range][0])} outside 0..65535 cannot be cached"
         )
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<II", table.n, table.schema.width)
-    names = table.schema.names
-    buf += struct.pack("<H", len(names))
-    for name in names:
-        _w_str(buf, name)
-    buf += struct.pack("<H", len(table.schema.variables))
-    for var in table.schema.variables:
-        _w_str(buf, var)
-    buf += struct.pack("<B", len(table.schema.lag_minutes))
-    buf += np.asarray(table.schema.lag_minutes, dtype="<f8").tobytes()
-    buf += struct.pack("<B", len(table.schema.avg_minutes))
-    buf += np.asarray(table.schema.avg_minutes, dtype="<f8").tobytes()
-
-    tail = [np.ascontiguousarray(table.target, dtype="<f8")]
-    if table.region is None:
-        tail.append(struct.pack("<B", 0))
-    else:
-        tail += [struct.pack("<B", 1), np.ascontiguousarray(table.region, dtype="<i1")]
-    tail += [np.ascontiguousarray(a, dtype="<f8") for a in (table.t, table.mlat, table.mlt)]
-    tail.append(table.sat_id.astype("<u2"))
-    tail += [np.ascontiguousarray(a, dtype="<f8") for a in (table.norm_mean, table.norm_std)]
-    tail.append(struct.pack("<I", table.n_dropped_history))
-
-    crc = 0
-    with open(path, "wb") as fh:
-
-        def put(block):
-            nonlocal crc
-            fh.write(block)
-            crc = zlib.crc32(block, crc)
-
-        put(buf)
-        for sl in _row_chunks(table.n, 4 * table.schema.width):
-            put(np.ascontiguousarray(table.rows[sl], dtype="<f4"))
-        for block in tail:
-            put(block)
-        fh.write(struct.pack("<I", crc))
+    arrays = {
+        name: (getattr(table, name), dtype)
+        for name, dtype in _CACHE_DTYPES.items()
+        if getattr(table, name) is not None
+    }
+    meta = {"schema": table.schema.to_meta(), "n_dropped_history": table.n_dropped_history}
+    container.write(path, _CACHE_KIND, meta, arrays)
 
 
 def read_table_cache(path) -> FeatureTable:
-    """Load a cache written by ``write_table_cache``.
-
-    The magic is checked first, then the CRC32 over the raw bytes, before
-    any field is read. ``rows`` is a read-only float32 view of the file's
-    bytes; nothing copies or widens the row block.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise DataError(
-            f"{path}: bad cache magic {raw[:4]!r}, expected {_MAGIC!r};"
-            " re-run `auroracast features` to rebuild the cache"
-        )
-    view = memoryview(raw)[:-4]
-    if len(raw) < 8 or zlib.crc32(view) != struct.unpack("<I", raw[-4:])[0]:
-        raise DataError(f"{path}: cache checksum mismatch, the file is truncated or corrupt")
+    """Load a cache written by ``write_table_cache``. Every column but
+    sat_id (widened to int64) is a read-only view of the file's bytes;
+    nothing copies or widens the float32 row block."""
+    meta, arrays = container.read(path, _CACHE_KIND, "auroracast features")
     try:
-        off = 4
-        n, width = struct.unpack_from("<II", view, off)
-        off += 8
-        (n_names,) = struct.unpack_from("<H", view, off)
-        off += 2
-        names = []
-        for _ in range(n_names):
-            s, off = _r_str(view, off)
-            names.append(s)
-        (n_vars,) = struct.unpack_from("<H", view, off)
-        off += 2
-        variables = []
-        for _ in range(n_vars):
-            s, off = _r_str(view, off)
-            variables.append(s)
-        (n_lags,) = struct.unpack_from("<B", view, off)
-        off += 1
-        lags = np.frombuffer(view, dtype="<f8", count=n_lags, offset=off)
-        off += 8 * n_lags
-        (n_wins,) = struct.unpack_from("<B", view, off)
-        off += 1
-        wins = np.frombuffer(view, dtype="<f8", count=n_wins, offset=off)
-        off += 8 * n_wins
-        schema = FeatureSchema(
-            variables=tuple(variables),
-            lag_minutes=tuple(float(x) for x in lags),
-            avg_minutes=tuple(float(x) for x in wins),
+        return FeatureTable(
+            schema=FeatureSchema.from_meta(meta["schema"]),
+            n_dropped_history=int(meta["n_dropped_history"]),
+            **{"region": None, **arrays, "sat_id": arrays["sat_id"].astype(np.int64)},
         )
-        if list(schema.names) != names or schema.width != width:
-            raise DataError(f"{path}: schema does not match stored names")
-
-        rows = np.frombuffer(view, dtype="<f4", count=n * width, offset=off).reshape(n, width)
-        off += 4 * n * width
-        target = np.frombuffer(view, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        (has_region,) = struct.unpack_from("<B", view, off)
-        off += 1
-        region = None
-        if has_region:
-            region = np.frombuffer(view, dtype="<i1", count=n, offset=off).copy()
-            off += n
-        t = np.frombuffer(view, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        mlat = np.frombuffer(view, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        mlt = np.frombuffer(view, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        sat = np.frombuffer(view, dtype="<u2", count=n, offset=off).astype(np.int64)
-        off += 2 * n
-        mean = np.frombuffer(view, dtype="<f8", count=width, offset=off).copy()
-        off += 8 * width
-        std = np.frombuffer(view, dtype="<f8", count=width, offset=off).copy()
-        off += 8 * width
-        (n_dropped,) = struct.unpack_from("<I", view, off)
-        off += 4
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"{path}: truncated or corrupt cache ({exc})") from None
-    if off != len(view):
-        raise DataError(f"{path}: trailing bytes in cache")
-    return FeatureTable(
-        schema=schema,
-        rows=rows,
-        target=target,
-        region=region,
-        t=t,
-        mlat=mlat,
-        mlt=mlt,
-        sat_id=sat,
-        norm_mean=mean,
-        norm_std=std,
-        n_dropped_history=int(n_dropped),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: corrupt feature cache ({exc!r})") from None
 
 
 FEATURES_CONFIG_KEYS = {
@@ -763,8 +658,6 @@ FEATURES_CONFIG_KEYS = {
 
 
 def schema_from_config(cfg) -> FeatureSchema:
-    from .errors import ConfigError
-
     if "features.variables" in cfg:
         variables = tuple(v.strip() for v in cfg["features.variables"].split(",") if v.strip())
         unknown = [v for v in variables if v not in DRIVER_NAMES]

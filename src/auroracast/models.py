@@ -13,21 +13,19 @@
              and a final valid convolution that restores the exact grid
              size. Takes no spatial inputs; predicts the whole grid.
 
-Checkpoints are self-describing binary files (magic AURN) holding the
-architecture descriptor, a JSON metadata blob, float32 parameter blocks,
-and a trailing CRC32.
+A checkpoint is a ``container`` file of kind ``checkpoint`` (the layout
+is described there): the variant, the architecture fields and the
+metadata in its header, and one float32 array per parameter.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DataError
 from .ingest import SPATIAL_NAMES
@@ -123,6 +121,7 @@ class ConvDecoderArch:
 Arch = BaselineArch | MultiTaskArch | ConvDecoderArch
 
 _VARIANT_OF = {BaselineArch: "baseline", MultiTaskArch: "multitask", ConvDecoderArch: "conv"}
+_ARCH_OF = {variant: cls for cls, variant in _VARIANT_OF.items()}
 
 
 @dataclass
@@ -136,9 +135,6 @@ class Model:
     @property
     def variant(self) -> str:
         return _VARIANT_OF[type(self.arch)]
-
-    def param_items(self):
-        return sorted(self.params.items())
 
     def clone_param_data(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -338,164 +334,46 @@ def predict_point(model: Model, rows: np.ndarray) -> np.ndarray:
     raise ValueError("predict_point requires a point model")
 
 
-# ── Checkpoint serialization (magic AURN) ─────────────────────────────
+# ── Checkpoints ───────────────────────────────────────────────────────
 
-_MAGIC = b"AURN"
-_VERSION = 1
-_VARIANT_TAGS = {"baseline": 0, "multitask": 1, "conv": 2}
-_TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
-
-
-def _w_widths(buf: bytearray, widths):
-    buf += struct.pack("<H", len(widths))
-    for w in widths:
-        buf += struct.pack("<I", w)
-
-
-def _r_widths(view, off):
-    (n,) = struct.unpack_from("<H", view, off)
-    off += 2
-    widths = struct.unpack_from(f"<{n}I", view, off)
-    return tuple(widths), off + 4 * n
-
-
-def _pack_arch(arch: Arch) -> bytes:
-    buf = bytearray()
-    if isinstance(arch, BaselineArch):
-        buf += struct.pack("<I", arch.input_width)
-        _w_widths(buf, arch.hidden)
-        buf += struct.pack("<f", arch.dropout_rate)
-    elif isinstance(arch, MultiTaskArch):
-        buf += struct.pack("<I", arch.input_width)
-        _w_widths(buf, arch.trunk)
-        buf += struct.pack("<Bf", arch.n_regions, arch.dropout_rate)
-    elif isinstance(arch, ConvDecoderArch):
-        buf += struct.pack("<I", arch.input_width)
-        _w_widths(buf, arch.trunk)
-        buf += struct.pack(
-            "<IIBBBBBBBBf",
-            arch.n_lat,
-            arch.n_mlt,
-            arch.filters[0],
-            arch.filters[1],
-            arch.kernels[0],
-            arch.kernels[1],
-            arch.strides[0],
-            arch.strides[1],
-            arch.final_kernel,
-            arch.overlap,
-            arch.dropout_rate,
-        )
-    return bytes(buf)
-
-
-def _unpack_arch(tag: int, view, off):
-    variant = _TAG_VARIANTS.get(tag)
-    if variant is None:
-        raise DataError(f"unknown architecture tag {tag}")
-    (input_width,) = struct.unpack_from("<I", view, off)
-    off += 4
-    widths, off = _r_widths(view, off)
-    if variant == "baseline":
-        (rate,) = struct.unpack_from("<f", view, off)
-        off += 4
-        return BaselineArch(input_width, widths, float(np.float32(rate))), off
-    if variant == "multitask":
-        n_regions, rate = struct.unpack_from("<Bf", view, off)
-        off += 5
-        return MultiTaskArch(input_width, widths, n_regions, float(np.float32(rate))), off
-    n_lat, n_mlt, f1, f2, k1, k2, s1, s2, fk, ov, rate = struct.unpack_from("<IIBBBBBBBBf", view, off)
-    off += 8 + 8 + 4
-    arch = ConvDecoderArch(
-        input_width=input_width,
-        trunk=widths,
-        n_lat=n_lat,
-        n_mlt=n_mlt,
-        filters=(f1, f2),
-        kernels=(k1, k2),
-        strides=(s1, s2),
-        final_kernel=fk,
-        overlap=ov,
-        dropout_rate=float(np.float32(rate)),
-    )
-    return arch, off
+_CHECKPOINT_KIND = "checkpoint"
 
 
 def save_checkpoint(model: Model, path):
-    """Write arch descriptor, canonical-JSON metadata, f32 params, CRC32."""
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<HB", _VERSION, _VARIANT_TAGS[model.variant])
-    buf += _pack_arch(model.arch)
-    meta_raw = json.dumps(model.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf += struct.pack("<I", len(meta_raw)) + meta_raw
-    items = model.param_items()
-    buf += struct.pack("<H", len(items))
-    for name, tensor in items:
-        raw = name.encode("utf-8")
-        buf += struct.pack("<H", len(raw)) + raw
-        arr = tensor.data
-        buf += struct.pack("<B", arr.ndim)
-        for d in arr.shape:
-            buf += struct.pack("<I", d)
-        buf += arr.astype("<f4").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+    """Write ``model`` as a ``checkpoint`` container: the variant, the
+    arch fields and ``model.meta`` in the header, float32 parameters."""
+    meta = {
+        "variant": model.variant,
+        "arch": asdict(model.arch),
+        "meta": model.meta,
+    }
+    arrays = {name: (tensor.data, "<f4") for name, tensor in sorted(model.params.items())}
+    container.write(path, _CHECKPOINT_KIND, meta, arrays)
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise DataError(f"{path}: truncated checkpoint")
-    payload, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise DataError(f"{path}: checkpoint CRC mismatch")
-    view = memoryview(payload)
-    if bytes(view[:4]) != _MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic")
+    """Load a checkpoint written by ``save_checkpoint``; the parameters
+    must have exactly the names and shapes the architecture declares."""
+    meta, arrays = container.read(path, _CHECKPOINT_KIND, "auroracast train")
     try:
-        version, tag = struct.unpack_from("<HB", view, 4)
-        if version != _VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        arch, off = _unpack_arch(tag, view, 7)
-        (meta_len,) = struct.unpack_from("<I", view, off)
-        off += 4
-        meta = json.loads(bytes(view[off : off + meta_len]).decode("utf-8"))
-        off += meta_len
-        (n_params,) = struct.unpack_from("<H", view, off)
-        off += 2
-        params: dict[str, Tensor] = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack_from("<H", view, off)
-            off += 2
-            name = bytes(view[off : off + name_len]).decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", view, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", view, off)
-            off += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(view, dtype="<f4", count=count, offset=off)
-            off += 4 * count
-            params[name] = Tensor(
-                data.reshape(shape).astype(np.float32), requires_grad=True
-            )
-    except (struct.error, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint ({exc})") from None
-    if off != len(payload):
-        raise DataError(f"{path}: trailing bytes in checkpoint")
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["arch"].items()}
+        arch = _ARCH_OF[meta["variant"]](**fields)
+        model_meta = meta["meta"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint architecture ({exc!r})") from None
     expected = param_shapes(arch)
-    if set(expected) != set(params):
+    if set(expected) != set(arrays):
         raise DataError(f"{path}: parameter names do not match declared architecture")
     for name, shape in expected.items():
-        if params[name].shape != shape:
+        if arrays[name].shape != shape:
             raise DataError(
                 f"{path}: declared-shape mismatch for {name}: "
-                f"{params[name].shape} vs {shape}"
+                f"{arrays[name].shape} vs {shape}"
             )
-    return Model(arch=arch, params=params, meta=meta)
+    params = {
+        name: Tensor(data.astype(np.float32), requires_grad=True) for name, data in arrays.items()
+    }
+    return Model(arch=arch, params=params, meta=model_meta)
 
 
 ARCH_CONFIG_KEYS = {

@@ -10,6 +10,7 @@ still write observations one by one.
 from __future__ import annotations
 
 import csv
+import json
 import struct
 import zlib
 
@@ -150,10 +151,9 @@ def _w_str(buf: bytearray, s: str):
 
 
 def cache_bytes_bytearray(table, legacy: bool = False) -> bytes:
-    """The feature cache of ``table`` assembled in one bytearray, the row
-    block converted in one call. The default is the AFT2 layout, which
-    ends in the CRC32 of all bytes before it; ``legacy`` gives the older
-    AFT1 file, the same layout without the CRC."""
+    """A feature cache of ``table`` in one of the two formats before the
+    container: ``AFT2``, which ends in the CRC32 of all bytes before it,
+    or, with ``legacy``, ``AFT1``, the same layout without the CRC."""
     buf = bytearray(b"AFT1" if legacy else b"AFT2")
     buf += struct.pack("<II", table.n, table.schema.width)
     names = table.schema.names
@@ -185,3 +185,61 @@ def cache_bytes_bytearray(table, legacy: bool = False) -> bytes:
     if not legacy:
         buf += struct.pack("<I", zlib.crc32(buf))
     return bytes(buf)
+
+
+def checkpoint_bytes_aurn(model) -> bytes:
+    """A baseline-model checkpoint in the ``AURN`` format before the
+    container: magic, u16 version 1, u8 arch tag 0, u32 input width, u16
+    count and u32 hidden widths, f32 dropout, u32-length JSON metadata,
+    then per parameter its name, shape and f32 data, and a trailing CRC32."""
+    arch = model.arch
+    buf = bytearray(b"AURN" + struct.pack("<HBIH", 1, 0, arch.input_width, len(arch.hidden)))
+    buf += struct.pack(f"<{len(arch.hidden)}If", *arch.hidden, arch.dropout_rate)
+    meta = json.dumps(model.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    buf += struct.pack("<I", len(meta)) + meta
+    items = sorted(model.params.items())
+    buf += struct.pack("<H", len(items))
+    for name, tensor in items:
+        data, raw = tensor.data, name.encode("utf-8")
+        buf += struct.pack(f"<H{len(raw)}sB{data.ndim}I", len(raw), raw, data.ndim, *data.shape)
+        buf += data.astype("<f4").tobytes()
+    buf += struct.pack("<I", zlib.crc32(buf))
+    return bytes(buf)
+
+
+def container_bytes(kind: str, meta: dict, arrays: dict) -> bytes:
+    """A container assembled in one bytearray, each array converted in one
+    call: magic, u32 header length, the canonical-JSON header, the arrays
+    at 8-byte-aligned offsets, and the CRC32 of all bytes before it."""
+    arrays = {name: np.asarray(arr, dtype=dtype) for name, (arr, dtype) in arrays.items()}
+    header = {
+        "kind": kind,
+        "version": 1,
+        "meta": meta,
+        "arrays": [
+            {"name": name, "dtype": a.dtype.str, "shape": list(a.shape)} for name, a in arrays.items()
+        ],
+    }
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    buf = bytearray(b"AURC" + struct.pack("<I", len(raw)) + raw)
+    for a in arrays.values():
+        buf += bytes(-len(buf) % 8) + a.tobytes()
+    buf += struct.pack("<I", zlib.crc32(buf))
+    return bytes(buf)
+
+
+def cache_bytes_container(table) -> bytes:
+    """The feature cache of ``table`` as one whole-buffer container."""
+    arrays = {"rows": (table.rows, "<f4"), "target": (table.target, "<f8")}
+    if table.region is not None:
+        arrays["region"] = (table.region, "<i1")
+    arrays.update(t=(table.t, "<f8"), mlat=(table.mlat, "<f8"), mlt=(table.mlt, "<f8"))
+    arrays["sat_id"] = (table.sat_id, "<u2")
+    arrays.update(norm_mean=(table.norm_mean, "<f8"), norm_std=(table.norm_std, "<f8"))
+    schema = {
+        "variables": list(table.schema.variables),
+        "lag_minutes": list(table.schema.lag_minutes),
+        "avg_minutes": list(table.schema.avg_minutes),
+    }
+    meta = {"schema": schema, "n_dropped_history": table.n_dropped_history}
+    return container_bytes("feature cache", meta, arrays)

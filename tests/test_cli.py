@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -331,6 +333,24 @@ class TestEvalAndMap:
             == 3
         )
 
+    def test_eval_missing_baseline_leaves_no_out_dir(self, tmp_path, trained, features_file):
+        out = tmp_path / "x"
+        argv = ("--checkpoint", trained, "--features", features_file, "--out-dir", out)
+        assert run("eval", *argv, "--baseline-checkpoint", tmp_path / "missing.aur") == 3
+        assert not out.exists()
+
+    def test_eval_baseline_with_other_holdout_leaves_no_out_dir(
+        self, tmp_path, capsys, trained, features_file
+    ):
+        base = load_checkpoint(trained)
+        base.meta["holdout"]["t_start"] -= 3600.0
+        save_checkpoint(base, tmp_path / "other.aur")
+        out = tmp_path / "x"
+        argv = ("--checkpoint", trained, "--features", features_file, "--out-dir", out)
+        assert run("eval", *argv, "--baseline-checkpoint", tmp_path / "other.aur") == 3
+        assert "holdout differs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_map_deterministic(self, tmp_path, trained, synth_dir):
         a = tmp_path / "ma"
         b = tmp_path / "mb"
@@ -405,6 +425,33 @@ class TestEvalAndMap:
         )
         grid = [l.split(",") for l in (tmp_path / "cm.csv").read_text().splitlines()]
         assert len(grid) == 32 and len(grid[0]) == 32
+
+
+class TestContainerFaults:
+    @pytest.mark.parametrize("swap", ["checkpoint_as_features", "cache_as_checkpoint"])
+    def test_wrong_kind_names_both_kinds(self, tmp_path, capsys, trained, features_file, swap):
+        out = tmp_path / "out"
+        if swap == "checkpoint_as_features":
+            argv = ("train", "--features", trained, "--out-dir", out)
+            expected = "holds a checkpoint, expected a feature cache"
+        else:
+            argv = ("eval", "--checkpoint", features_file, "--features", features_file, "--out-dir", out)
+            expected = "holds a feature cache, expected a checkpoint"
+        assert run(*argv) == 3
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_version_is_rejected(self, tmp_path, capsys, features_file):
+        raw = bytearray(features_file.read_bytes())
+        at = raw.index(b'"version":1}')
+        raw[at : at + 12] = b'"version":7}'
+        raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+        path = tmp_path / "v7.aft"
+        path.write_bytes(bytes(raw))
+        assert run("train", "--features", path, "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "unsupported feature cache version 7" in err
+        assert "re-run `auroracast features`" in err
 
 
 def test_memory_error_is_resource_exit_code(tmp_path, monkeypatch, capsys):

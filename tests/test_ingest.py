@@ -2,10 +2,12 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from auroracast import cli
 from auroracast.errors import DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
@@ -30,11 +32,14 @@ from auroracast.ingest import (
     split_by_holdout,
     write_table_cache,
 )
+from auroracast.models import BaselineArch, build_model, load_checkpoint
 from auroracast.stats import percentile_linear
 
 from _memory import peak_bytes
 from _reference import (
     cache_bytes_bytearray,
+    cache_bytes_container,
+    checkpoint_bytes_aurn,
     feature_rows_hstack,
     fit_normalization_whole,
     history_rows_one_by_one,
@@ -482,11 +487,34 @@ class TestCache:
         with pytest.raises(DataError, match="checksum"):
             read_table_cache(path)
 
-    def test_legacy_aft1_file_asks_for_rebuild(self, tmp_path):
+    def test_legacy_aft1_file_asks_for_rebuild(self, tmp_path, capsys):
+        """Caches and checkpoints in the formats before the container fail
+        the magic check, read directly or through the CLI, and the message
+        names the command that rebuilds the file."""
+        table = self._table()
         path = tmp_path / "old.aft"
-        path.write_bytes(cache_bytes_bytearray(self._table(), legacy=True))
-        with pytest.raises(DataError, match="magic.*re-run `auroracast features`"):
-            read_table_cache(path)
+        path.write_bytes(cache_bytes_bytearray(table, legacy=True))
+        aft2 = tmp_path / "aft2.aft"
+        aft2.write_bytes(cache_bytes_bytearray(table))
+        aurn = tmp_path / "old.aur"
+        aurn.write_bytes(checkpoint_bytes_aurn(build_model(BaselineArch(table.schema.width), seed=1)))
+        cases = [
+            (path, read_table_cache, b"AFT1", "auroracast features"),
+            (aft2, read_table_cache, b"AFT2", "auroracast features"),
+            (aurn, load_checkpoint, b"AURN", "auroracast train"),
+        ]
+        for old, reader, magic, command in cases:
+            expected = f"bad magic {magic!r}.*re-run `{command}`"
+            with pytest.raises(DataError, match=expected):
+                reader(old)
+            if reader is read_table_cache:
+                argv = ["train", "--features", str(old), "--out-dir", str(tmp_path / "out")]
+            else:
+                argv = ["eval", "--checkpoint", str(old), "--features", str(aft2),
+                        "--out-dir", str(tmp_path / "out")]
+            assert cli.main(argv) == 3
+            assert re.search(expected, capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
 
     def test_read_rows_are_a_float32_view(self, tmp_path):
         table = self._table()
@@ -530,7 +558,7 @@ class TestChunkedPathsMatchReference:
         for i, case in enumerate((table, no_region, flat)):
             path = tmp_path / f"{i}.aft"
             write_table_cache(case, path)
-            assert path.read_bytes() == cache_bytes_bytearray(case)
+            assert path.read_bytes() == cache_bytes_container(case)
             back = read_table_cache(path)
             rewritten = tmp_path / f"{i}b.aft"
             write_table_cache(back, rewritten)

@@ -254,6 +254,22 @@ class TestCheckpoints:
             M.forward_convdecoder(back.arch, back.params, x).data,
         )
 
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            M.BaselineArch(input_width=6, hidden=(8, 4), dropout_rate=0.3),
+            M.MultiTaskArch(input_width=6, trunk=(8, 4), dropout_rate=0.3),
+        ],
+        ids=["baseline", "multitask"],
+    )
+    def test_point_roundtrip_keeps_arch_and_params(self, tmp_path, arch):
+        model, path = self._model(tmp_path, arch)
+        back = M.load_checkpoint(path)
+        assert back.arch == arch and back.meta == model.meta
+        assert back.params.keys() == model.params.keys()
+        for name, tensor in model.params.items():
+            assert np.array_equal(back.params[name].data, tensor.data)
+
     def test_corrupted_magic(self, tmp_path):
         _, path = self._model(tmp_path)
         raw = bytearray(path.read_bytes())
