@@ -4,6 +4,10 @@ Commands: synth, features, train, eval, map. Every command is
 deterministic given identical inputs and seeds; outputs are byte-stable
 (no wall-clock content). Exit codes: 0 success, 2 config error, 3 data
 error, 4 numeric failure, 5 resource error (out of memory).
+
+``--config`` takes a ``key = value`` file; the ``config`` module's
+docstring lists every key, and every command parses and checks all of a
+file's values, including keys that the command does not read.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +26,8 @@ from . import ingest as I
 from . import losses as L
 from . import models as M
 from . import train as T
+from .config import load_config
 from .errors import ConfigError, DataError, TrainingDiverged
-
-CONFIG_KEYS: dict[str, object] = {}
-CONFIG_KEYS.update(G.WORLD_CONFIG_KEYS)
-CONFIG_KEYS.update(I.FEATURES_CONFIG_KEYS)
-CONFIG_KEYS.update(M.ARCH_CONFIG_KEYS)
-CONFIG_KEYS.update(T.TRAIN_CONFIG_KEYS)
-CONFIG_KEYS.update(T.HOLDOUT_CONFIG_KEYS)
-CONFIG_KEYS.update(L.LOSS_CONFIG_KEYS)
-
-
-def load_config(path) -> dict[str, str]:
-    if path is None:
-        return {}
-    cfg = T.parse_config_file(path)
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return cfg
 
 
 def _sha256_file(path) -> str:
@@ -52,49 +38,26 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _config_hash(cfg: dict[str, str]) -> str:
-    canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+def _config_hash(pairs: dict[str, str]) -> str:
+    canonical = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_name: str | None
-    config_sha256: str
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-    seed: int | None
-    data_time_range: list[float] | None
-
-    def write(self, out_dir):
-        payload = {
-            "command": self.command,
-            "config": self.config_name,
-            "config_sha256": self.config_sha256,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "data_time_range": self.data_time_range,
-        }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
-def _write_manifest(out_dir, command, config_path, cfg, inputs, output_names, seed, time_range):
-    manifest = RunManifest(
-        command=command,
-        config_name=os.path.basename(config_path) if config_path else None,
-        config_sha256=_config_hash(cfg),
-        inputs={os.path.basename(p): _sha256_file(p) for p in inputs},
-        outputs={
-            name: _sha256_file(os.path.join(out_dir, name)) for name in sorted(output_names)
-        },
-        seed=seed,
-        data_time_range=list(time_range) if time_range else None,
-    )
-    manifest.write(out_dir)
+def _write_manifest(
+    out_dir, command, config_path, config_text, inputs, output_names, seed, time_range
+):
+    manifest = {
+        "command": command,
+        "config": os.path.basename(config_path) if config_path else None,
+        "config_sha256": _config_hash(config_text),
+        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
+        "outputs": {name: _sha256_file(os.path.join(out_dir, name)) for name in output_names},
+        "seed": seed,
+        "data_time_range": list(time_range) if time_range else None,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _fmt(v: float) -> str:
@@ -105,7 +68,7 @@ def _fmt(v: float) -> str:
 # ── synth ─────────────────────────────────────────────────────────────
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+    config_text, cfg = load_config(args.config)
     if args.days <= 0:
         raise ConfigError(f"--days must be positive, got {args.days:g}")
     params = G.world_params_from_config(cfg, seed=args.seed)
@@ -137,7 +100,7 @@ def cmd_synth(args) -> int:
         args.out_dir,
         "synth",
         args.config,
-        cfg,
+        config_text,
         inputs=[args.config] if args.config else [],
         output_names=["drivers.csv", "observations.csv"],
         seed=args.seed,
@@ -148,13 +111,20 @@ def cmd_synth(args) -> int:
 
 # ── features ──────────────────────────────────────────────────────────
 
+def _clean_observations(obs_path, cfg):
+    """Read observations and drop the outliers of the configured cut: the
+    ``clean_targets`` default percentile unless the config sets one, or a
+    fixed threshold."""
+    obs, n_nonpositive = I.read_observations_csv(obs_path)
+    names = {"features.percentile": "percentile", "features.threshold": "fixed_threshold"}
+    cut = {arg: cfg[key] for key, arg in names.items() if key in cfg}
+    return I.clean_targets(obs, n_dropped_nonpositive=n_nonpositive, **cut)
+
+
 def cmd_features(args) -> int:
-    cfg = load_config(args.config)
+    _, cfg = load_config(args.config)
     drivers = I.read_drivers_csv(args.drivers)
-    obs, n_nonpositive = I.read_observations_csv(args.obs)
-    percentile = float(cfg.get("features.percentile", 99.995))
-    fixed = float(cfg["features.threshold"]) if "features.threshold" in cfg else None
-    obs, report = I.clean_targets(obs, percentile, fixed, n_nonpositive)
+    obs, report = _clean_observations(args.obs, cfg)
     schema = I.schema_from_config(cfg)
     table = I.build_features(drivers, obs, schema)
     I.write_table_cache(table, args.out)
@@ -170,20 +140,20 @@ def cmd_features(args) -> int:
 # ── train ─────────────────────────────────────────────────────────────
 
 def _default_holdout(cfg, t_values: np.ndarray) -> tuple[int, float, float]:
-    sat_id = int(cfg.get("holdout.sat_id", 0))
+    sat_id = cfg.get("holdout.sat_id", 0)
     if "holdout.t_start" in cfg or "holdout.t_end" in cfg:
         if not ("holdout.t_start" in cfg and "holdout.t_end" in cfg):
             raise ConfigError("holdout.t_start and holdout.t_end must be given together")
-        return sat_id, float(cfg["holdout.t_start"]), float(cfg["holdout.t_end"])
+        return sat_id, cfg["holdout.t_start"], cfg["holdout.t_end"]
     t_lo = float(t_values.min())
     t_hi = float(t_values.max())
     return sat_id, t_hi - 0.25 * (t_hi - t_lo), t_hi + 1.0
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    config_text, cfg = load_config(args.config)
     config = T.train_config_from_config(cfg, seed_override=args.seed)
-    arch_kind = cfg.get("arch", "baseline")
+    arch_kind = M.arch_kind(cfg)
     L.check_pairing(arch_kind, config.loss.variant)
 
     if args.sparse is not None:
@@ -206,7 +176,7 @@ def cmd_train(args) -> int:
         args.out_dir,
         "train",
         args.config,
-        cfg,
+        config_text,
         inputs=inputs + ([args.config] if args.config else []),
         output_names=["checkpoint.aur", "history.csv"],
         seed=config.seed,
@@ -244,9 +214,7 @@ def _train_sparse(args, cfg, config: T.TrainConfig):
         if not os.path.exists(p):
             raise DataError(f"--sparse directory lacks {os.path.basename(p)}")
     drivers = I.read_drivers_csv(drivers_path)
-    obs, n_nonpositive = I.read_observations_csv(obs_path)
-    percentile = float(cfg.get("features.percentile", 99.995))
-    obs, _ = I.clean_targets(obs, percentile, None, n_nonpositive)
+    obs, _ = _clean_observations(obs_path, cfg)
     schema = I.schema_from_config(cfg)
     M.assert_global_only(schema.global_names)
 
@@ -288,19 +256,29 @@ def _val_rows(model: M.Model, table: I.FeatureTable):
     if not mask.any():
         raise DataError("checkpoint holdout selects no rows from this feature table")
     mean, std = E._norm_from_meta(model.meta)
+    if mean.size != table.schema.width:
+        raise DataError(
+            f"checkpoint normalizes {mean.size} features, "
+            f"the feature table has {table.schema.width}"
+        )
     rows = (table.rows[mask] - mean) / std
     return rows, table.target[mask], (None if table.region is None else table.region[mask])
 
 
-def cmd_eval(args) -> int:
-    model = M.load_checkpoint(args.checkpoint)
+def _load_point_model(path):
+    model = M.load_checkpoint(path)
     if model.variant == "conv":
-        raise ConfigError("cmd_eval evaluates point models; use cmd_map for the conv decoder")
+        raise ConfigError(f"{path}: eval scores point models; use map for the conv decoder")
+    return model
+
+
+def cmd_eval(args) -> int:
+    model = _load_point_model(args.checkpoint)
     table = I.read_table_cache(args.features)
     rows, y_true, regions = _val_rows(model, table)
     y_pred = M.predict_point(model, rows)
     if args.baseline_checkpoint:
-        base_model = M.load_checkpoint(args.baseline_checkpoint)
+        base_model = _load_point_model(args.baseline_checkpoint)
         base_rows, base_y, _ = _val_rows(base_model, table)
         if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
             raise DataError("baseline checkpoint holdout differs from candidate's")

@@ -22,3 +22,12 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
         self.batch = batch
         self.history = list(history) if history is not None else []
+
+
+def bind(cls, **fields):
+    """``cls(**fields)`` for every config binder: the ValueError of a class's
+    own checks becomes a ConfigError (exit 2)."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

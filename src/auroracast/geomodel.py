@@ -26,6 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import bind
+
 
 class Region(enum.Enum):
     """The three flux regimes along a pole-ward sweep."""
@@ -317,6 +319,8 @@ class WorldParams:
     processes: Mapping[str, DriverProcess] = field(default_factory=default_driver_processes)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.n_sats <= 3:
             raise ValueError("n_sats must be in [1, 3]")
         if self.noise_sigma < 0:
@@ -535,41 +539,8 @@ def sample_traces(
 
 # ── Config binding ────────────────────────────────────────────────────
 
-WORLD_CONFIG_KEYS = {
-    "world.n_sats": int,
-    "world.cadence_s": float,
-    "world.obs_cadence_s": float,
-    "world.t0": float,
-    "world.oval_center_base": float,
-    "world.oval_center_activity_drop": float,
-    "world.oval_center_mlt_amplitude": float,
-    "world.oval_width_base": float,
-    "world.oval_width_activity_gain": float,
-    "world.peak_log_flux_base": float,
-    "world.peak_log_flux_activity_gain": float,
-    "world.polar_background": float,
-    "world.subauroral_background": float,
-    "world.noise_sigma": float,
-    "world.region_kappa": float,
-    "world.activity_scale": float,
-    "world.orbit_period_s": float,
-    "world.orbit_precession_h_per_day": float,
-}
-
-
-def world_params_from_config(cfg: Mapping[str, str], seed: int) -> WorldParams:
-    """Build WorldParams from parsed config text plus an explicit seed."""
-    from .errors import ConfigError
-
-    kwargs: dict = {"seed": seed}
-    for key, parse in WORLD_CONFIG_KEYS.items():
-        if key in cfg:
-            name = key.split(".", 1)[1]
-            try:
-                kwargs[name] = parse(cfg[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
-    try:
-        return WorldParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def world_params_from_config(cfg: Mapping[str, object], seed: int) -> WorldParams:
+    """WorldParams from parsed config values (``config.load_config``) and a
+    seed: ``world.<field>`` sets that field, the rest keep their defaults."""
+    fields = {key.removeprefix("world."): v for key, v in cfg.items() if key.startswith("world.")}
+    return bind(WorldParams, seed=seed, **fields)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import container
 from .container import row_chunks
-from .errors import ConfigError, DataError
+from .errors import DataError, bind
 from .geomodel import (
     DRIVER_NAMES,
     MLAT_MAX,
@@ -650,18 +650,9 @@ def read_table_cache(path) -> FeatureTable:
         raise DataError(f"{path}: corrupt feature cache ({exc!r})") from None
 
 
-FEATURES_CONFIG_KEYS = {
-    "features.percentile": float,
-    "features.threshold": float,
-    "features.variables": str,
-}
-
-
 def schema_from_config(cfg) -> FeatureSchema:
-    if "features.variables" in cfg:
-        variables = tuple(v.strip() for v in cfg["features.variables"].split(",") if v.strip())
-        unknown = [v for v in variables if v not in DRIVER_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown driver variables: {', '.join(unknown)}")
-        return FeatureSchema(variables=variables)
-    return FeatureSchema()
+    """The feature layout for parsed config values (``config.load_config``):
+    ``features.variables`` picks the drivers, all of them when unset."""
+    fields = {"variables": cfg["features.variables"]} if "features.variables" in cfg else {}
+    return bind(FeatureSchema, **fields)
+

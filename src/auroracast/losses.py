@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, _accumulate
-from .errors import ConfigError
+from .errors import ConfigError, bind
 from .stats import uniform_bin_index
 
 
@@ -383,57 +383,17 @@ class LossSpec:
 
     @classmethod
     def from_config(cls, cfg) -> "LossSpec":
-        kwargs: dict = {"variant": cfg.get("loss", "mse")}
-        if "tail.terms" in cfg:
-            kwargs["tail_terms"] = _parse_tail_terms(cfg["tail.terms"])
-        if "dist.bins" in cfg:
-            kwargs["dist_bins"] = _parse_with(int, "dist.bins", cfg["dist.bins"])
-        if "multitask.lambda_cce" in cfg:
-            kwargs["lambda_cce"] = _parse_with(float, "multitask.lambda_cce", cfg["multitask.lambda_cce"])
-        if "sparse.normalize" in cfg:
-            kwargs["masked_normalize"] = _parse_bool("sparse.normalize", cfg["sparse.normalize"])
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Build from parsed config values (``config.load_config``); an unset
+        key keeps the field's default."""
+        fields = {field: cfg[key] for key, field in _CONFIG_FIELDS.items() if key in cfg}
+        return bind(cls, **fields)
 
 
-LOSS_CONFIG_KEYS = {
-    "loss": str,
-    "tail.terms": str,
-    "dist.bins": int,
-    "multitask.lambda_cce": float,
-    "sparse.normalize": str,
+# Config key -> LossSpec field.
+_CONFIG_FIELDS = {
+    "loss": "variant",
+    "tail.terms": "tail_terms",
+    "dist.bins": "dist_bins",
+    "multitask.lambda_cce": "lambda_cce",
+    "sparse.normalize": "masked_normalize",
 }
-
-
-def _parse_with(parse, key, value):
-    try:
-        return parse(value)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {value!r}") from None
-
-
-def _parse_bool(key, value):
-    v = value.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {value!r}")
-
-
-def _parse_tail_terms(text: str) -> tuple[TailTerm, ...]:
-    terms = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            a_str, yr_str = part.split(":")
-            terms.append(TailTerm(a=float(a_str), y_r=float(yr_str)))
-        except ValueError:
-            raise ConfigError(f"bad tail term {part!r}, expected a:y_r") from None
-    if not terms:
-        raise ConfigError("tail.terms is empty")
-    return tuple(terms)

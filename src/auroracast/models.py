@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, bind
 from .ingest import SPATIAL_NAMES
 
 
@@ -376,50 +376,27 @@ def load_checkpoint(path) -> Model:
     return Model(arch=arch, params=params, meta=model_meta)
 
 
-ARCH_CONFIG_KEYS = {
-    "arch": str,
-    "arch.hidden": str,
-    "arch.dropout": float,
-    "arch.grid": int,
-    "arch.filters": str,
-    "arch.kernels": str,
-    "arch.strides": str,
-    "arch.overlap": int,
-}
+def arch_kind(cfg) -> str:
+    """The configured architecture: ``arch``, or ``baseline`` when unset."""
+    return cfg.get("arch", "baseline")
 
 
 def arch_from_config(cfg, input_width: int) -> Arch:
-    """Construct the configured architecture for a given feature width."""
-    kind = cfg.get("arch", "baseline")
-    dropout = float(cfg.get("arch.dropout", 0.5))
-
-    def int_tuple(key):
-        return tuple(int(v) for v in cfg[key].split(",") if v.strip())
-
-    try:
-        if kind == "baseline":
-            hidden = int_tuple("arch.hidden") if "arch.hidden" in cfg else ()
-            return BaselineArch(input_width, hidden, dropout)
-        if kind == "multitask":
-            hidden = int_tuple("arch.hidden") if "arch.hidden" in cfg else ()
-            return MultiTaskArch(input_width, hidden, 3, dropout)
-        if kind == "conv":
-            kwargs: dict = {"input_width": input_width, "dropout_rate": dropout}
-            if "arch.hidden" in cfg:
-                kwargs["trunk"] = int_tuple("arch.hidden")
-            if "arch.grid" in cfg:
-                kwargs["n_lat"] = kwargs["n_mlt"] = int(cfg["arch.grid"])
-            if "arch.filters" in cfg:
-                kwargs["filters"] = int_tuple("arch.filters")
-            if "arch.kernels" in cfg:
-                kwargs["kernels"] = int_tuple("arch.kernels")
-            if "arch.strides" in cfg:
-                kwargs["strides"] = int_tuple("arch.strides")
-            if "arch.overlap" in cfg:
-                ov = int(cfg["arch.overlap"])
-                kwargs["overlap"] = ov
-                kwargs["final_kernel"] = 2 * ov + 1
-            return ConvDecoderArch(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown arch {kind!r}")
+    """Construct the configured architecture for a given feature width from
+    parsed config values (``config.load_config``); an unset key keeps the
+    arch class's default."""
+    kind = arch_kind(cfg)
+    fields: dict = {"input_width": input_width}
+    if "arch.dropout" in cfg:
+        fields["dropout_rate"] = cfg["arch.dropout"]
+    if "arch.hidden" in cfg:
+        fields["hidden" if kind == "baseline" else "trunk"] = cfg["arch.hidden"]
+    if kind == "conv":
+        for key in ("arch.filters", "arch.kernels", "arch.strides", "arch.overlap"):
+            if key in cfg:
+                fields[key.removeprefix("arch.")] = cfg[key]
+        if "arch.grid" in cfg:
+            fields["n_lat"] = fields["n_mlt"] = cfg["arch.grid"]
+        if "overlap" in fields:
+            fields["final_kernel"] = 2 * fields["overlap"] + 1
+    return bind(_ARCH_OF[kind], **fields)

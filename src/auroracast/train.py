@@ -19,21 +19,22 @@ the driver features, and the observed cells of its composite window as
 ascending flat cell indices with their mean log10 flux. Training
 densifies one batch at a time; validation reads the table directly.
 
-Run config files are ``key=value`` lines with ``#`` comments; unknown keys
-are hard errors. History is emitted as ``epoch,train_loss,val_loss`` CSV.
+``train_config_from_config`` binds the ``train.*`` and loss keys of a run
+config (``config`` lists them). History is emitted as
+``epoch,train_loss,val_loss`` CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses as L
 from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged, bind
 from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
 from .ingest import FeatureSchema, FeatureTable, fit_normalization, history_feature_rows
 from .losses import LossSpec
@@ -62,6 +63,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def resolved_batch_size(self, variant: str) -> int:
         if self.batch_size is not None:
@@ -423,65 +426,15 @@ def train_model(model: M.Model, data, config: TrainConfig) -> tuple[M.Model, His
     return model, history
 
 
-# ── Run config files ──────────────────────────────────────────────────
-
-TRAIN_CONFIG_KEYS = {
-    "train.lr": float,
-    "train.beta1": float,
-    "train.beta2": float,
-    "train.eps": float,
-    "train.batch_size": int,
-    "train.max_epochs": int,
-    "train.patience": int,
-    "train.seed": int,
-}
-
-HOLDOUT_CONFIG_KEYS = {
-    "holdout.sat_id": int,
-    "holdout.t_start": float,
-    "holdout.t_end": float,
-}
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """key=value lines; blank lines and ``#`` comments ignored."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"config line {lineno}: duplicate key {key}")
-        out[key] = value.strip()
-    return out
-
-
-def parse_config_file(path) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
-
+# ── Run config ────────────────────────────────────────────────────────
 
 def train_config_from_config(cfg, seed_override: int | None = None) -> TrainConfig:
-    kwargs: dict = {}
-    for key, parse in TRAIN_CONFIG_KEYS.items():
-        if key in cfg:
-            name = key.split(".", 1)[1]
-            try:
-                kwargs[name] = parse(cfg[key])
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
-    kwargs["loss"] = LossSpec.from_config(cfg)
-    try:
-        config = TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """TrainConfig from parsed config values: ``train.<field>`` sets that
+    field, and ``seed_override`` (``train --seed``) wins over ``train.seed``."""
+    fields = {key.removeprefix("train."): v for key, v in cfg.items() if key.startswith("train.")}
     if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    return config
+        fields["seed"] = seed_override
+    return bind(TrainConfig, loss=LossSpec.from_config(cfg), **fields)
 
 
 def write_history_csv(history: History, path):

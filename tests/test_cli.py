@@ -110,7 +110,7 @@ class TestSynth:
         from auroracast import geomodel as G
         from auroracast import ingest as I
 
-        cfg = cli.load_config(config_file)
+        _, cfg = cli.load_config(config_file)
         params = G.world_params_from_config(cfg, seed=3)
         expect = G.sample_traces(params, G.gen_drivers(params, 86400.0))
         table, dropped = I.read_observations_csv(synth_dir / "observations.csv")
@@ -465,3 +465,123 @@ def test_memory_error_is_resource_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource error: synth")
     assert request in err
+
+
+class TestConfigValues:
+    """A bad value exits 2 naming its key, whichever command reads the key."""
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("train", "arch.dropout = x"),
+            ("train", "holdout.sat_id = x"),
+            ("train", "holdout.t_start = x"),
+            ("features", "features.percentile = x"),
+            ("features", "features.threshold = x"),
+            ("features", "features.percentile = 150"),
+            ("features", "features.variables = Bz,Bz"),
+            ("synth", "world.t0 = nan"),
+            ("train", "train.seed = -1"),
+            ("train", "arch.grid = x"),
+            ("train", "world.n_sats = x"),
+        ],
+    )
+    def test_bad_value_exits_2_and_leaves_no_output(
+        self, tmp_path, capsys, synth_dir, features_file, command, line
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ("synth", "--out-dir", out, "--days", 1)
+        elif command == "features":
+            drivers, obs = synth_dir / "drivers.csv", synth_dir / "observations.csv"
+            argv = ("features", "--drivers", drivers, "--obs", obs, "--out", out)
+        else:
+            argv = ("train", "--features", features_file, "--out-dir", out)
+        assert run(*argv, "--config", cfg) == 2
+        key = line.split("=")[0].strip()
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, features_file, command):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ("synth", "--out-dir", out, "--days", 1, "--seed", -1)
+        else:
+            argv = ("train", "--features", features_file, "--out-dir", out, "--seed", -1)
+        assert run(*argv) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_threshold_drops_the_same_rows_for_features_and_sparse(tmp_path, monkeypatch, synth_dir):
+    eflux = np.loadtxt(synth_dir / "observations.csv", delimiter=",", skiprows=1, usecols=4)
+    threshold = float(np.percentile(eflux, 90))
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(
+        f"features.threshold = {threshold!r}\n"
+        "arch = conv\narch.grid = 32\narch.hidden = 8\nloss = sparse_masked\ntrain.max_epochs = 1\n"
+    )
+    kept = []
+    clean = cli.I.clean_targets
+
+    def recording(*args, **kwargs):
+        obs, report = clean(*args, **kwargs)
+        kept.append((obs.t, obs.sat_id, report.threshold, report.n_dropped_outlier))
+        return obs, report
+
+    monkeypatch.setattr(cli.I, "clean_targets", recording)
+    drivers, obs = synth_dir / "drivers.csv", synth_dir / "observations.csv"
+    argv = ("--config", cfg)
+    assert run("features", "--drivers", drivers, "--obs", obs, "--out", tmp_path / "t.aft", *argv) == 0
+    assert run("train", "--sparse", synth_dir, "--out-dir", tmp_path / "conv", *argv) == 0
+    (t_a, sat_a, thr_a, n_a), (t_b, sat_b, thr_b, n_b) = kept
+    assert thr_a == thr_b == threshold
+    assert n_a == n_b > 0
+    assert np.array_equal(t_a, t_b) and np.array_equal(sat_a, sat_b)
+
+
+class TestEvalWidths:
+    """eval refuses a checkpoint whose feature width is not the table's."""
+
+    @pytest.fixture(scope="class")
+    def narrow(self, tmp_path_factory, synth_dir, config_file):
+        root = tmp_path_factory.mktemp("narrow")
+        cfg = root / "narrow.cfg"
+        cfg.write_text(config_file.read_text() + "features.variables = Bz,Vsw\n")
+        drivers, obs = synth_dir / "drivers.csv", synth_dir / "observations.csv"
+        table = root / "table.aft"
+        assert run("features", "--drivers", drivers, "--obs", obs, "--config", cfg, "--out", table) == 0
+        assert run("train", "--features", table, "--config", cfg, "--out-dir", root / "run") == 0
+        return table, root / "run" / "checkpoint.aur"
+
+    def test_point_checkpoint_on_narrow_table_is_data_error(self, tmp_path, capsys, trained, narrow):
+        table, _ = narrow
+        out = tmp_path / "x"
+        assert run("eval", "--checkpoint", trained, "--features", table, "--out-dir", out) == 3
+        err = capsys.readouterr().err
+        assert "normalizes 133 features" in err and "has 23" in err
+        assert not out.exists()
+
+    def test_narrow_baseline_is_data_error(self, tmp_path, capsys, trained, features_file, narrow):
+        _, narrow_ckpt = narrow
+        out = tmp_path / "x"
+        argv = ("--checkpoint", trained, "--features", features_file, "--out-dir", out)
+        assert run("eval", *argv, "--baseline-checkpoint", narrow_ckpt) == 3
+        err = capsys.readouterr().err
+        assert "normalizes 23 features" in err and "has 133" in err
+        assert not out.exists()
+
+    def test_conv_baseline_is_config_error(self, tmp_path, capsys, trained, features_file, synth_dir):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("arch = conv\narch.grid = 32\narch.hidden = 8\nloss = sparse_masked\n"
+                       "train.max_epochs = 1\n")
+        conv = tmp_path / "conv"
+        assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", conv) == 0
+        out = tmp_path / "x"
+        argv = ("--checkpoint", trained, "--features", features_file, "--out-dir", out)
+        assert run("eval", *argv, "--baseline-checkpoint", conv / "checkpoint.aur") == 2
+        assert "eval scores point models" in capsys.readouterr().err
+        assert not out.exists()

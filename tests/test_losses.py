@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _gradcheck import check_gradients
 from auroracast.autodiff import Tape, Tensor
+from auroracast.config import parse_values
 from auroracast.errors import ConfigError
 from auroracast.losses import (
     DEFAULT_TAIL_TERMS,
@@ -436,7 +437,7 @@ class TestLossSpec:
         spec = LossSpec(variant="tail")
         cfg = spec.to_config()
         assert cfg["tail.terms"] == "2.5:12,5:12.5,10:13,10:13.25,10:13.5"
-        back = LossSpec.from_config(cfg)
+        back = LossSpec.from_config(parse_values(cfg))
         assert back == spec
 
     def test_roundtrip_others(self):
@@ -446,7 +447,7 @@ class TestLossSpec:
             LossSpec("multitask", lambda_cce=0.5),
             LossSpec("sparse_masked", masked_normalize=False),
         ):
-            assert LossSpec.from_config(spec.to_config()) == spec
+            assert LossSpec.from_config(parse_values(spec.to_config())) == spec
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
@@ -454,4 +455,4 @@ class TestLossSpec:
 
     def test_bad_term_string(self):
         with pytest.raises(ConfigError):
-            LossSpec.from_config({"loss": "tail", "tail.terms": "abc"})
+            LossSpec.from_config(parse_values({"loss": "tail", "tail.terms": "abc"}))

@@ -7,6 +7,7 @@ from _gradcheck import probe_gradcheck
 from auroracast import autodiff as ad
 from auroracast import models as M
 from auroracast.autodiff import Tape, Tensor
+from auroracast.config import parse_values
 from auroracast.errors import ConfigError, DataError
 from auroracast.losses import mse_op, sparse_masked_loss_op
 
@@ -316,14 +317,14 @@ class TestArchFromConfig:
 
     def test_conv_with_grid(self):
         cfg = {"arch": "conv", "arch.grid": "32", "arch.hidden": "24,16"}
-        arch = M.arch_from_config(cfg, input_width=10)
+        arch = M.arch_from_config(parse_values(cfg), input_width=10)
         assert isinstance(arch, M.ConvDecoderArch)
         assert arch.n_lat == 32 and arch.trunk == (24, 16)
 
     def test_unknown_arch(self):
         with pytest.raises(ConfigError):
-            M.arch_from_config({"arch": "transformer"}, input_width=4)
+            M.arch_from_config(parse_values({"arch": "transformer"}), input_width=4)
 
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
-            M.arch_from_config({"arch": "conv", "arch.grid": "30"}, input_width=4)
+            M.arch_from_config(parse_values({"arch": "conv", "arch.grid": "30"}), input_width=4)

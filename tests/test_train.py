@@ -9,6 +9,7 @@ from auroracast import losses as L
 from auroracast import models as M
 from auroracast import train as T
 from auroracast.autodiff import Tensor
+from auroracast.config import parse_config_text, parse_values
 from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
     GridSpec,
@@ -27,7 +28,6 @@ from auroracast.train import (
     build_sparse_samples,
     composite_window,
     dense_batch,
-    parse_config_text,
     train_config_from_config,
     train_model,
 )
@@ -467,7 +467,7 @@ class TestRunConfig:
         tail.terms = 3:11, 6:12
         """
         cfg = parse_config_text(text)
-        config = train_config_from_config(cfg)
+        config = train_config_from_config(parse_values(cfg))
         assert config.lr == 0.01
         assert config.max_epochs == 5
         assert config.loss.variant == "tail"
@@ -483,10 +483,10 @@ class TestRunConfig:
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
-            train_config_from_config({"train.lr": "fast"})
+            train_config_from_config(parse_values({"train.lr": "fast"}))
 
     def test_seed_override(self):
-        config = train_config_from_config({"train.seed": "3"}, seed_override=99)
+        config = train_config_from_config(parse_values({"train.seed": "3"}), seed_override=99)
         assert config.seed == 99
 
     def test_resolved_batch_sizes(self):
