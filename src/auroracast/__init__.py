@@ -15,17 +15,15 @@ from .geomodel import (  # noqa: F401
     ObsTable,
     Region,
     WorldParams,
-    cell_of,
     gen_drivers,
     newell_cf,
     sample_traces,
-    true_flux,
-    true_region,
 )
 from .ingest import (  # noqa: F401
     CleaningReport,
     FeatureSchema,
     FeatureTable,
+    Holdout,
     build_features,
     clean_targets,
     log_transform,
@@ -64,6 +62,5 @@ from .train import (  # noqa: F401
     TrainConfig,
     adam_step,
     build_sparse_samples,
-    composite_window,
     train_model,
 )

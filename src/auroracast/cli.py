@@ -139,17 +139,6 @@ def cmd_features(args) -> int:
 
 # ── train ─────────────────────────────────────────────────────────────
 
-def _default_holdout(cfg, t_values: np.ndarray) -> tuple[int, float, float]:
-    sat_id = cfg.get("holdout.sat_id", 0)
-    if "holdout.t_start" in cfg or "holdout.t_end" in cfg:
-        if not ("holdout.t_start" in cfg and "holdout.t_end" in cfg):
-            raise ConfigError("holdout.t_start and holdout.t_end must be given together")
-        return sat_id, cfg["holdout.t_start"], cfg["holdout.t_end"]
-    t_lo = float(t_values.min())
-    t_hi = float(t_values.max())
-    return sat_id, t_hi - 0.25 * (t_hi - t_lo), t_hi + 1.0
-
-
 def cmd_train(args) -> int:
     config_text, cfg = load_config(args.config)
     config = T.train_config_from_config(cfg, seed_override=args.seed)
@@ -159,13 +148,23 @@ def cmd_train(args) -> int:
     if args.sparse is not None:
         if arch_kind != "conv":
             raise ConfigError("--sparse training requires arch=conv")
-        model, history, inputs, time_range = _train_sparse(args, cfg, config)
+        arch, schema, holdout, data, inputs, time_range = _sparse_data(args, cfg)
     else:
         if args.features is None:
             raise ConfigError("one of --features or --sparse is required")
         if arch_kind == "conv":
             raise ConfigError("arch=conv trains from --sparse, not --features")
-        model, history, inputs, time_range = _train_point(args, cfg, config, arch_kind)
+        arch, schema, holdout, data, inputs, time_range = _point_data(args, cfg)
+    model, history = T.train_model(M.build_model(arch, seed=config.seed), data, config)
+    # train_model has stored the normalization it fit
+    model.meta.update(
+        schema=schema.to_meta(),
+        holdout=holdout.to_meta(),
+        loss=config.loss.to_config(),
+        seed=config.seed,
+        best_val_loss=history.best_val,
+        best_epoch=history.best_epoch,
+    )
 
     # Created only now, so a run that fails leaves no out-dir behind.
     os.makedirs(args.out_dir, exist_ok=True)
@@ -185,29 +184,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _train_point(args, cfg, config: T.TrainConfig, arch_kind: str):
+def _point_data(args, cfg):
+    """(arch, schema, holdout, (train, validation) tables, inputs, time range)
+    for a point model trained from ``--features``."""
     table = I.read_table_cache(args.features)
-    sat_id, t_start, t_end = _default_holdout(cfg, table.t)
-    train_table, val_table = I.split_by_holdout(table, sat_id, (t_start, t_end))
+    holdout = I.Holdout.from_config(cfg, table.t)
+    data = I.split_by_holdout(table, holdout)
     arch = M.arch_from_config(cfg, input_width=table.schema.width)
-    model = M.build_model(arch, seed=config.seed)
-    model, history = T.train_model(model, (train_table, val_table), config)
-    model.meta = {
-        "schema": table.schema.to_meta(),
-        "normalization": {
-            "mean": [float(v) for v in train_table.norm_mean],
-            "std": [float(v) for v in train_table.norm_std],
-        },
-        "holdout": {"sat_id": sat_id, "t_start": t_start, "t_end": t_end},
-        "loss": config.loss.to_config(),
-        "seed": config.seed,
-        "best_val_loss": history.best_val,
-        "best_epoch": history.best_epoch,
-    }
-    return model, history, [args.features], (float(table.t.min()), float(table.t.max()))
+    time_range = (float(table.t.min()), float(table.t.max()))
+    return arch, table.schema, holdout, data, [args.features], time_range
 
 
-def _train_sparse(args, cfg, config: T.TrainConfig):
+def _sparse_data(args, cfg):
+    """(arch, schema, holdout, (train, validation) samples, inputs, time
+    range) for the conv decoder trained from ``--sparse``."""
     drivers_path = os.path.join(args.sparse, "drivers.csv")
     obs_path = os.path.join(args.sparse, "observations.csv")
     for p in (drivers_path, obs_path):
@@ -224,37 +214,21 @@ def _train_sparse(args, cfg, config: T.TrainConfig):
     if not len(samples):
         raise DataError("no sparse samples could be composited")
     t_centers = samples.t_center
-    _, t_start, t_end = _default_holdout(cfg, t_centers)
-    in_val = (t_start <= t_centers) & (t_centers < t_end)
-    if in_val.all() or not in_val.any():
-        raise DataError("holdout time range leaves an empty train or validation split")
-
-    model = M.build_model(arch, seed=config.seed)
-    model, history = T.train_model(model, (samples[~in_val], samples[in_val]), config)
-    model.meta = {
-        "schema": schema.to_meta(),
-        "normalization": model.meta["normalization"],
-        "holdout": {"sat_id": None, "t_start": t_start, "t_end": t_end},
-        "loss": config.loss.to_config(),
-        "seed": config.seed,
-        "best_val_loss": history.best_val,
-        "best_epoch": history.best_epoch,
-    }
-    return model, history, [drivers_path, obs_path], (float(t_centers.min()), float(t_centers.max()))
+    holdout = I.Holdout.from_config(cfg, t_centers, by_satellite=False)
+    in_val = holdout.mask(t_centers)
+    time_range = (float(t_centers.min()), float(t_centers.max()))
+    data = (samples[~in_val], samples[in_val])
+    return arch, schema, holdout, data, [drivers_path, obs_path], time_range
 
 
 # ── eval ──────────────────────────────────────────────────────────────
 
 def _val_rows(model: M.Model, table: I.FeatureTable):
-    holdout = model.meta.get("holdout", {})
-    sat_id = holdout.get("sat_id", 0)
-    t_start = holdout.get("t_start", float(table.t.min()))
-    t_end = holdout.get("t_end", float(table.t.max()) + 1.0)
-    mask = (table.t >= t_start) & (table.t < t_end)
-    if sat_id is not None:
-        mask &= table.sat_id == sat_id
-    if not mask.any():
-        raise DataError("checkpoint holdout selects no rows from this feature table")
+    try:
+        holdout = I.Holdout.from_meta(model.meta["holdout"])
+    except KeyError as exc:
+        raise DataError(f"checkpoint metadata lacks a complete holdout (missing key {exc})") from None
+    mask = holdout.mask(table.t, table.sat_id)
     mean, std = E._norm_from_meta(model.meta)
     if mean.size != table.schema.width:
         raise DataError(

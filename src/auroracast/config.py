@@ -14,8 +14,10 @@ the class or function it feeds. The keys, by what they set:
   arch, arch.*         baseline, multitask or conv, and its ``hidden``
                        widths and ``dropout``; conv also takes ``grid``,
                        ``filters``, ``kernels``, ``strides``, ``overlap``
-  holdout.*            validation ``sat_id`` (point models) and the time
-                       range ``t_start``/``t_end``, set together
+  holdout.*            the ``ingest.Holdout`` that training validates on
+                       and ``eval`` scores: ``sat_id`` (point models only,
+                       default 0) and ``t_start``/``t_end``, set together
+                       (default the last quarter of the data's span)
   loss, tail.terms, dist.bins, multitask.lambda_cce, sparse.normalize
                        the ``losses.LossSpec``: variant and its parameter
 """

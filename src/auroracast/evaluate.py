@@ -19,7 +19,7 @@ from .errors import DataError
 from .geomodel import DriverSeries, GridSpec, Region
 from .ingest import FeatureSchema, spatial_block
 from .models import ConvDecoderArch, Model, forward_convdecoder, predict_point
-from .stats import percentile_linear, uniform_bin_index
+from .stats import as_1d_pair, percentile_linear, uniform_bin_index
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,9 @@ class ClassificationReport:
     recall: np.ndarray
 
 
-def _aligned(y_true, y_pred):
-    t = np.asarray(y_true, dtype=np.float64).ravel()
-    p = np.asarray(y_pred, dtype=np.float64).ravel()
-    if t.size != p.size:
-        raise ValueError("length mismatch")
-    if t.size == 0:
-        raise ValueError("empty input")
-    return t, p
-
-
 def binned_errors(y_true, y_pred, n_bins: int = 20) -> BinnedErrorReport:
     """Per-target-bin MAE and mean signed error (true - pred convention)."""
-    t, p = _aligned(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     lo, hi = float(t.min()), float(t.max())
     if not hi > lo:
         hi = lo + 1e-9
@@ -86,8 +76,8 @@ def tail_reduction(
     y_true, pred_base, pred_cand, percentiles=(90.0, 95.0, 99.0)
 ) -> TailReductionReport:
     """MAE above each y_true percentile, and the candidate's relative gain."""
-    t, base = _aligned(y_true, pred_base)
-    _, cand = _aligned(y_true, pred_cand)
+    t, base = as_1d_pair(y_true, pred_base)
+    _, cand = as_1d_pair(y_true, pred_cand)
     thresholds, base_mae, cand_mae, reduction, count = [], [], [], [], []
     for p in percentiles:
         thr = percentile_linear(t, p)
@@ -117,7 +107,7 @@ def histogram_compare(y_true, y_pred, n_bins: int = 50, normalized: bool = False
     Returns (edges, true_counts, pred_counts); with ``normalized`` the
     counts are scaled to sum to 1 (the paper-style scaled comparison).
     """
-    t, p = _aligned(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     lo = float(min(t.min(), p.min()))
     hi = float(max(t.max(), p.max()))
     if not hi > lo:
@@ -161,7 +151,7 @@ def classification_report(true_regions, pred_regions) -> ClassificationReport:
 
 def region_mse_table(y_true, y_pred, regions) -> dict[str, tuple[float | None, int]]:
     """Per-region MSE in log space; absent regions report (None, 0)."""
-    t, p = _aligned(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     codes = np.asarray(regions, dtype=np.int64).ravel()
     if codes.size != t.size:
         raise ValueError("region labels misaligned")

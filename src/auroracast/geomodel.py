@@ -343,11 +343,6 @@ def cells_of(mlat, mlt, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
-def cell_of(coord: MagCoord, spec: GridSpec) -> tuple[int, int]:
-    row, col = cells_of(coord.mlat, coord.mlt, spec)
-    return int(row), int(col)
-
-
 # ── Coupling and activity ─────────────────────────────────────────────
 
 def newell_cf(by: float, bz: float, vsw: float):
@@ -424,16 +419,6 @@ def region_field(mlat, mlt, activity, params: WorldParams) -> np.ndarray:
     out[np.abs(delta) <= half] = Region.AURORAL.value
     out[delta > half] = Region.POLAR.value
     return out
-
-
-def true_flux(coord: MagCoord, drivers_at_t: Mapping[str, float], params: WorldParams) -> float:
-    a = activity_level(drivers_at_t["NewellCF"], params)
-    return float(flux_field(coord.mlat, coord.mlt, a, params))
-
-
-def true_region(coord: MagCoord, drivers_at_t: Mapping[str, float], params: WorldParams) -> Region:
-    a = activity_level(drivers_at_t["NewellCF"], params)
-    return Region(int(region_field(coord.mlat, coord.mlt, a, params)))
 
 
 # ── Generators ────────────────────────────────────────────────────────

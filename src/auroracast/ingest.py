@@ -13,8 +13,14 @@ are split on commas, so a line with a quoted field is rejected.
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
-time. Normalization is per-feature z-scoring; split_by_holdout refits the
-statistics on the training rows only.
+time. Rows are stored unnormalized: training fits the per-feature
+z-scoring on its training rows (``fit_normalization``) and records it in
+the checkpoint.
+
+``Holdout`` is the one validation rule: one satellite (or every
+satellite, for the conv decoder) over a time range, by default satellite
+0 over the last quarter of the data's span. Training splits by it, the
+checkpoint records it, and ``eval`` scores the rows it selects.
 
 A process holds the feature matrix once. ``build_features`` computes the
 history block once per distinct observation time and gathers it, a row
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import container
 from .container import row_chunks
-from .errors import DataError, bind
+from .errors import ConfigError, DataError, bind
 from .geomodel import (
     DRIVER_NAMES,
     MLAT_MAX,
@@ -123,12 +129,10 @@ def _fmt_min(minutes: float) -> str:
 
 @dataclass
 class FeatureTable:
-    """Training-ready rows; ``rows`` is unnormalized, stats applied on demand.
+    """Unnormalized feature rows with their target and observation columns.
 
     ``rows`` is float64 when built by ``build_features``; when read by
-    ``read_table_cache`` it is the cache's read-only float32 view. Both
-    dtypes give the same float64 normalized values, since float32 widens
-    exactly. ``norm_mean`` and ``norm_std`` are always float64.
+    ``read_table_cache`` it is the cache's read-only float32 view.
     """
 
     schema: FeatureSchema
@@ -139,8 +143,6 @@ class FeatureTable:
     mlat: np.ndarray
     mlt: np.ndarray
     sat_id: np.ndarray
-    norm_mean: np.ndarray
-    norm_std: np.ndarray
     n_dropped_history: int = 0
 
     def __post_init__(self):
@@ -155,20 +157,55 @@ class FeatureTable:
         # min propagates NaN and, unlike isnan, needs no row-sized mask
         if np.isnan(self.rows.min(initial=np.inf)) or not np.all(np.isfinite(self.target)):
             raise ValueError("non-finite feature or target")
-        if not np.all(self.norm_std > 0):
-            raise ValueError("normalization std must be positive")
 
     @property
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def normalized_rows(self, dtype=np.float64) -> np.ndarray:
-        """Z-scored rows, computed in float64 a row chunk at a time and
-        stored as ``dtype``."""
-        out = np.empty(self.rows.shape, dtype=dtype)
-        for sl in row_chunks(self.n, 8 * self.rows.shape[1]):
-            out[sl] = (self.rows[sl] - self.norm_mean) / self.norm_std
-        return out
+
+@dataclass(frozen=True)
+class Holdout:
+    """The validation selection: rows of satellite ``sat_id`` (of every
+    satellite when None) with ``t_start <= t < t_end``."""
+
+    sat_id: int | None
+    t_start: float
+    t_end: float
+
+    @classmethod
+    def from_config(cls, cfg, t: np.ndarray, by_satellite: bool = True) -> Holdout:
+        """The holdout that parsed config values (``config.load_config``)
+        set for data at times ``t``. ``holdout.sat_id`` defaults to 0; it
+        is None without ``by_satellite``, for data not split by satellite.
+        ``holdout.t_start``/``t_end`` default to the last quarter of the
+        span of ``t``, with the end one second past its last time."""
+        if ("holdout.t_start" in cfg) != ("holdout.t_end" in cfg):
+            raise ConfigError("holdout.t_start and holdout.t_end must be given together")
+        if "holdout.t_start" in cfg:
+            t_start, t_end = cfg["holdout.t_start"], cfg["holdout.t_end"]
+        else:
+            t_lo, t_hi = float(t.min()), float(t.max())
+            t_start, t_end = t_hi - 0.25 * (t_hi - t_lo), t_hi + 1.0
+        return cls(cfg.get("holdout.sat_id", 0) if by_satellite else None, t_start, t_end)
+
+    def mask(self, t: np.ndarray, sat_id: np.ndarray | None = None) -> np.ndarray:
+        """The rows at times ``t`` (of satellites ``sat_id``) in the holdout;
+        a DataError if there are none."""
+        mask = (t >= self.t_start) & (t < self.t_end)
+        if self.sat_id is not None:
+            mask &= sat_id == self.sat_id
+        if not mask.any():
+            raise DataError(f"holdout {self.to_meta()} selects no rows")
+        return mask
+
+    def to_meta(self) -> dict:
+        """The JSON form stored in checkpoint metadata."""
+        return {"sat_id": self.sat_id, "t_start": self.t_start, "t_end": self.t_end}
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> Holdout:
+        """Inverse of ``to_meta``; a missing field raises KeyError."""
+        return cls(meta["sat_id"], meta["t_start"], meta["t_end"])
 
 
 # ── CSV readers ───────────────────────────────────────────────────────
@@ -542,7 +579,6 @@ def build_features(
     if obs.region is not None and np.all(obs.region[ok] >= 0):
         region_arr = obs.region[ok]
 
-    mean, std = fit_normalization(rows)
     return FeatureTable(
         schema=schema,
         rows=rows,
@@ -552,48 +588,29 @@ def build_features(
         mlat=obs.mlat[ok],
         mlt=obs.mlt[ok],
         sat_id=obs.sat_id[ok],
-        norm_mean=mean,
-        norm_std=std,
         n_dropped_history=n_dropped,
     )
 
 
-def _subset(table: FeatureTable, mask: np.ndarray, stats=None) -> FeatureTable:
-    """Rows selected by ``mask``, with ``stats = (mean, std)`` or, if None,
-    statistics fit on the selected rows."""
-    rows = table.rows[mask]
-    mean, std = fit_normalization(rows) if stats is None else stats
+def _subset(table: FeatureTable, mask: np.ndarray) -> FeatureTable:
     return FeatureTable(
         schema=table.schema,
-        rows=rows,
+        rows=table.rows[mask],
         target=table.target[mask],
         region=None if table.region is None else table.region[mask],
         t=table.t[mask],
         mlat=table.mlat[mask],
         mlt=table.mlt[mask],
         sat_id=table.sat_id[mask],
-        norm_mean=mean,
-        norm_std=std,
         n_dropped_history=0,
     )
 
 
-def split_by_holdout(
-    table: FeatureTable, sat_id: int, time_range: tuple[float, float]
-) -> tuple[FeatureTable, FeatureTable]:
-    """Hold out rows matching (sat_id AND t in [t_start, t_end)) for validation.
-
-    Normalization statistics are refit on the training complement and
-    shared with the validation table.
-    """
-    t_start, t_end = time_range
-    val_mask = (table.sat_id == sat_id) & (table.t >= t_start) & (table.t < t_end)
-    if not val_mask.any():
-        raise DataError("holdout selection matches no rows")
-    if val_mask.all():
-        raise DataError("holdout selection leaves no training rows")
-    train = _subset(table, ~val_mask)
-    return train, _subset(table, val_mask, (train.norm_mean, train.norm_std))
+def split_by_holdout(table: FeatureTable, holdout: Holdout) -> tuple[FeatureTable, FeatureTable]:
+    """(training rows, validation rows): the rows ``holdout`` does not
+    select, and those it does."""
+    val_mask = holdout.mask(table.t, table.sat_id)
+    return _subset(table, ~val_mask), _subset(table, val_mask)
 
 
 # ── Binary feature cache ──────────────────────────────────────────────
@@ -608,8 +625,6 @@ _CACHE_DTYPES = {
     "mlat": "<f8",
     "mlt": "<f8",
     "sat_id": "<u2",
-    "norm_mean": "<f8",
-    "norm_std": "<f8",
 }
 
 
@@ -638,7 +653,9 @@ def write_table_cache(table: FeatureTable, path):
 def read_table_cache(path) -> FeatureTable:
     """Load a cache written by ``write_table_cache``. Every column but
     sat_id (widened to int64) is a read-only view of the file's bytes;
-    nothing copies or widens the float32 row block."""
+    nothing copies or widens the float32 row block. A cache that lacks an
+    array or holds an unknown one, such as the normalization arrays of
+    earlier caches, is a DataError naming the command that rebuilds it."""
     meta, arrays = container.read(path, _CACHE_KIND, "auroracast features")
     try:
         return FeatureTable(
@@ -647,7 +664,10 @@ def read_table_cache(path) -> FeatureTable:
             **{"region": None, **arrays, "sat_id": arrays["sat_id"].astype(np.int64)},
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: corrupt feature cache ({exc!r})") from None
+        raise DataError(
+            f"{path}: corrupt or outdated feature cache ({exc!r}); "
+            "re-run `auroracast features` to rebuild it"
+        ) from None
 
 
 def schema_from_config(cfg) -> FeatureSchema:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, _accumulate
 from .errors import ConfigError, bind
-from .stats import uniform_bin_index
+from .stats import as_1d_pair, uniform_bin_index
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,8 @@ def fit_dist_weights(y_train: np.ndarray, n_bins: int = 50) -> DistWeights:
 
 # ── Value functions ───────────────────────────────────────────────────
 
-def _as_1d_pair(y_true, y_pred):
-    t = np.asarray(y_true, dtype=np.float64).ravel()
-    p = np.asarray(y_pred, dtype=np.float64).ravel()
-    if t.size != p.size:
-        raise ValueError(f"length mismatch: {t.size} vs {p.size}")
-    if t.size == 0:
-        raise ValueError("empty input")
-    return t, p
-
-
 def mse(y_true, y_pred) -> float:
-    t, p = _as_1d_pair(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     return float(np.mean((t - p) ** 2))
 
 
@@ -129,12 +119,12 @@ def tail_factors(y_true, y_pred, terms) -> np.ndarray:
 def tail_loss(y_true, y_pred, terms=DEFAULT_TAIL_TERMS) -> float:
     if not terms:
         raise ValueError("tail_loss requires at least one term")
-    t, p = _as_1d_pair(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     return float(np.mean((t - p) ** 2 * tail_factors(t, p, terms)))
 
 
 def dist_loss(y_true, y_pred, weights: DistWeights) -> float:
-    t, p = _as_1d_pair(y_true, y_pred)
+    t, p = as_1d_pair(y_true, y_pred)
     return float(np.mean(weights.weight_of(t) * (t - p) ** 2))
 
 
@@ -372,11 +362,11 @@ class LossSpec:
     def to_config(self) -> dict[str, str]:
         out = {"loss": self.variant}
         if self.variant == "tail":
-            out["tail.terms"] = ",".join(f"{t.a:g}:{t.y_r:g}" for t in self.tail_terms)
+            out["tail.terms"] = ",".join(f"{_num(t.a)}:{_num(t.y_r)}" for t in self.tail_terms)
         elif self.variant == "dist":
             out["dist.bins"] = str(self.dist_bins)
         elif self.variant == "multitask":
-            out["multitask.lambda_cce"] = f"{self.lambda_cce:g}"
+            out["multitask.lambda_cce"] = _num(self.lambda_cce)
         elif self.variant == "sparse_masked":
             out["sparse.normalize"] = "true" if self.masked_normalize else "false"
         return out
@@ -387,6 +377,14 @@ class LossSpec:
         key keeps the field's default."""
         fields = {field: cfg[key] for key, field in _CONFIG_FIELDS.items() if key in cfg}
         return bind(cls, **fields)
+
+
+def _num(value: float) -> str:
+    """``:g`` text of ``value`` where it parses back to the same float, so
+    the texts already stored in checkpoints stay as they are; otherwise
+    the shortest text that does."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 # Config key -> LossSpec field.

@@ -2,12 +2,25 @@
 
 percentile_linear is the single order-statistic implementation used both
 for target cleaning and for tail-percentile thresholds, so the two stay
-consistent by construction.
+consistent by construction. as_1d_pair is the one input check shared by
+the loss values and the evaluation metrics that compare two series.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def as_1d_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as flat float64 arrays; a ValueError if they are empty
+    or of different sizes."""
+    t = np.asarray(y_true, dtype=np.float64).ravel()
+    p = np.asarray(y_pred, dtype=np.float64).ravel()
+    if t.size != p.size:
+        raise ValueError(f"length mismatch: {t.size} vs {p.size}")
+    if t.size == 0:
+        raise ValueError("empty input")
+    return t, p
 
 
 def percentile_linear(values: np.ndarray, p: float) -> float:

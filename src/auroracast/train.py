@@ -6,7 +6,9 @@ best validation epoch's parameters. ``losses.ARCH_LOSSES`` says which
 loss trains which architecture. A per-architecture setup supplies the
 training-row count, ``step_loss`` and ``validate`` closures, and the
 mean training target, which the output bias starts at (not at 0), so
-training starts at the scale of the data. The closures look up ops and
+training starts at the scale of the data. Each setup fits the feature
+z-scoring on its training inputs only and stores it as
+``model.meta["normalization"]``. The closures look up ops and
 forward passes by module attribute at call time, so wrappers installed
 after import see every call.
 
@@ -34,6 +36,7 @@ import numpy as np
 from . import losses as L
 from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
+from .container import row_chunks
 from .errors import ConfigError, DataError, TrainingDiverged, bind
 from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
 from .ingest import FeatureSchema, FeatureTable, fit_normalization, history_feature_rows
@@ -230,24 +233,6 @@ def _composite(
     return keys % n_cells, values, per_window
 
 
-def composite_window(
-    obs: ObsTable,
-    t_center: float,
-    spec: GridSpec,
-    half_width_s: float = COMPOSITE_HALF_WIDTH_S,
-) -> GridMap:
-    """Grid target from every observation within the closed window
-    [t_center - half_width, t_center + half_width]; cells hit more than
-    once take the mean log10 flux."""
-    cells, values, per_window = _composite(obs, np.array([float(t_center)]), spec, half_width_s)
-    if not per_window[0]:
-        raise DataError(f"no observations within the window at t={t_center:g}")
-    window = SparseSamples(
-        spec, np.array([float(t_center)]), np.zeros((1, 0)), cells, values, np.array([0, cells.size])
-    )
-    return window[0].target
-
-
 def build_sparse_samples(
     drivers: DriverSeries,
     obs: ObsTable,
@@ -299,6 +284,24 @@ def _check_finite(value: float, epoch: int, batch: int, history: History):
         )
 
 
+def _fit_normalization(model: M.Model, rows: np.ndarray):
+    """Fit the z-scoring on training inputs ``rows``, store it as
+    ``model.meta["normalization"]``, and return the function that applies
+    it: in float64 a row chunk at a time, stored in the parameters' dtype,
+    the dtype the forward pass casts its input to anyway."""
+    mean, std = fit_normalization(rows)
+    model.meta["normalization"] = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
+    dtype = next(iter(model.params.values())).data.dtype
+
+    def normalize(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape, dtype=dtype)
+        for sl in row_chunks(len(x), 8 * x.shape[1]):
+            out[sl] = (x[sl] - mean) / std
+        return out
+
+    return normalize
+
+
 def _point_setup(
     model: M.Model, train_table: FeatureTable, val_table: FeatureTable, spec: LossSpec
 ):
@@ -308,12 +311,10 @@ def _point_setup(
     if train_table.n == 0 or val_table.n == 0:
         raise DataError("empty train or validation set")
 
-    # Rows are z-scored in float64 and stored in the parameters' dtype,
-    # the dtype the forward pass casts its input to anyway.
-    dtype = next(iter(model.params.values())).data.dtype
-    x_train = train_table.normalized_rows(dtype)
+    normalize = _fit_normalization(model, train_table.rows)
+    x_train = normalize(train_table.rows)
     y_train = train_table.target
-    x_val = val_table.normalized_rows(dtype)
+    x_val = normalize(val_table.rows)
     y_val = val_table.target
     onehot_train = np.eye(3)[train_table.region] if spec.variant == "multitask" else None
     dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
@@ -351,21 +352,13 @@ def _sample_mse(pred: np.ndarray, samples: SparseSamples) -> float:
 def _conv_setup(
     model: M.Model, train_samples: SparseSamples, val_samples: SparseSamples, spec: LossSpec
 ):
-    """(n_train, step_loss, validate, base level) for the conv decoder.
-
-    Features are z-scored with statistics fit on the training samples,
-    which are stored as ``model.meta["normalization"]``.
-    """
+    """(n_train, step_loss, validate, base level) for the conv decoder."""
     if not len(train_samples) or not len(val_samples):
         raise DataError("empty train or validation sample list")
 
-    norm_mean, norm_std = fit_normalization(train_samples.features)
-    model.meta["normalization"] = {
-        "mean": [float(v) for v in norm_mean],
-        "std": [float(v) for v in norm_std],
-    }
-    x_train = (train_samples.features - norm_mean) / norm_std
-    x_val = (val_samples.features - norm_mean) / norm_std
+    normalize = _fit_normalization(model, train_samples.features)
+    x_train = normalize(train_samples.features)
+    x_val = normalize(val_samples.features)
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         values, mask = dense_batch(train_samples, idx)

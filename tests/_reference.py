@@ -4,7 +4,9 @@ Each function here is the straightforward per-row (or per-window) version
 of a vectorised function in ``auroracast``, or the whole-array version of
 a chunked one; the tests compare the two exactly. Conversion from
 ``Observation`` rows to an ``ObsTable`` also lives here, so tests can
-still write observations one by one.
+still write observations one by one, as do the scalar oracles of the
+world (``true_flux``, ``true_region``, ``cell_of``) and the one-window
+compositor ``composite_window``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from auroracast.errors import DataError
 from auroracast.geomodel import (
     MLAT_MAX,
     MLAT_MIN,
+    GridMap,
     GridSpec,
     MagCoord,
     Observation,
     ObsTable,
     Region,
+    activity_level,
     cells_of,
+    flux_field,
+    region_field,
 )
 from auroracast.ingest import history_feature_rows, spatial_block
 
@@ -41,6 +47,44 @@ def obs_table(rows: list[Observation]) -> ObsTable:
         eflux=np.array([o.eflux for o in rows], dtype=np.float64),
         region=np.array(regions, dtype=np.int8),
     )
+
+
+def true_flux(coord: MagCoord, drivers_at_t, params) -> float:
+    """The world's log10 flux at one coordinate, for one row of drivers."""
+    a = activity_level(drivers_at_t["NewellCF"], params)
+    return float(flux_field(coord.mlat, coord.mlt, a, params))
+
+
+def true_region(coord: MagCoord, drivers_at_t, params) -> Region:
+    """The world's region at one coordinate, for one row of drivers."""
+    a = activity_level(drivers_at_t["NewellCF"], params)
+    return Region(int(region_field(coord.mlat, coord.mlt, a, params)))
+
+
+def cell_of(coord: MagCoord, spec: GridSpec) -> tuple[int, int]:
+    """The (row, col) grid cell of one coordinate."""
+    row, col = cells_of(coord.mlat, coord.mlt, spec)
+    return int(row), int(col)
+
+
+def composite_window(obs: ObsTable, t_center: float, spec: GridSpec, half_width_s=150.0) -> GridMap:
+    """Grid target from every observation within the closed window
+    [t_center - half_width, t_center + half_width], one observation at a
+    time; cells hit more than once take the mean log10 flux. An empty
+    window is a DataError."""
+    sums = np.zeros((spec.n_lat, spec.n_mlt))
+    counts = np.zeros((spec.n_lat, spec.n_mlt))
+    for i in np.argsort(obs.t, kind="stable"):
+        if t_center - half_width_s <= obs.t[i] <= t_center + half_width_s:
+            r, c = cell_of(MagCoord(float(obs.mlat[i]), float(obs.mlt[i])), spec)
+            sums[r, c] += np.log10(obs.eflux[i])
+            counts[r, c] += 1
+    if not counts.any():
+        raise DataError(f"no observations within the window at t={t_center:g}")
+    mask = counts > 0
+    values = np.zeros_like(sums)
+    values[mask] = sums[mask] / counts[mask]
+    return GridMap(spec=spec, values=values, mask=mask)
 
 
 def read_observations_rows(path) -> tuple[list[Observation], int]:
@@ -179,8 +223,9 @@ def cache_bytes_bytearray(table, legacy: bool = False) -> bytes:
     buf += table.mlat.astype("<f8").tobytes()
     buf += table.mlt.astype("<f8").tobytes()
     buf += table.sat_id.astype("<u2").tobytes()
-    buf += table.norm_mean.astype("<f8").tobytes()
-    buf += table.norm_std.astype("<f8").tobytes()
+    norm_mean, norm_std = fit_normalization_whole(table.rows)
+    buf += norm_mean.astype("<f8").tobytes()
+    buf += norm_std.astype("<f8").tobytes()
     buf += struct.pack("<I", table.n_dropped_history)
     if not legacy:
         buf += struct.pack("<I", zlib.crc32(buf))
@@ -228,14 +273,18 @@ def container_bytes(kind: str, meta: dict, arrays: dict) -> bytes:
     return bytes(buf)
 
 
-def cache_bytes_container(table) -> bytes:
-    """The feature cache of ``table`` as one whole-buffer container."""
+def cache_bytes_container(table, normalization: bool = False) -> bytes:
+    """The feature cache of ``table`` as one whole-buffer container; with
+    ``normalization``, as caches were written before the normalization
+    arrays were dropped, the whole-table mean and std after sat_id."""
     arrays = {"rows": (table.rows, "<f4"), "target": (table.target, "<f8")}
     if table.region is not None:
         arrays["region"] = (table.region, "<i1")
     arrays.update(t=(table.t, "<f8"), mlat=(table.mlat, "<f8"), mlt=(table.mlt, "<f8"))
     arrays["sat_id"] = (table.sat_id, "<u2")
-    arrays.update(norm_mean=(table.norm_mean, "<f8"), norm_std=(table.norm_std, "<f8"))
+    if normalization:
+        mean, std = fit_normalization_whole(table.rows)
+        arrays.update(norm_mean=(mean, "<f8"), norm_std=(std, "<f8"))
     schema = {
         "variables": list(table.schema.variables),
         "lag_minutes": list(table.schema.lag_minutes),

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from auroracast import cli
+from auroracast import ingest as I
+from auroracast import train as T
 from auroracast.cli import main
 from auroracast.errors import ConfigError
 from auroracast.losses import ARCH_LOSSES, LOSS_VARIANTS, check_pairing
 from auroracast.models import load_checkpoint, save_checkpoint
+
+from _reference import cache_bytes_container
 
 
 def run(*argv):
@@ -252,6 +256,76 @@ class TestTrain:
         assert len(meta["normalization"]["mean"]) == calls[0][1]
 
 
+    def test_point_normalization_fit_once_and_not_in_features(
+        self, tmp_path, monkeypatch, synth_dir, config_file
+    ):
+        calls = []
+        fit = I.fit_normalization
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return fit(rows)
+
+        monkeypatch.setattr(T, "fit_normalization", counting)
+        monkeypatch.setattr(I, "fit_normalization", counting)
+        table = tmp_path / "t.aft"
+        argv = ("--drivers", synth_dir / "drivers.csv", "--obs", synth_dir / "observations.csv")
+        assert run("features", *argv, "--config", config_file, "--out", table) == 0
+        assert calls == []
+        out = tmp_path / "run"
+        assert run("train", "--features", table, "--config", config_file, "--out-dir", out) == 0
+        assert len(calls) == 1
+        meta = load_checkpoint(out / "checkpoint.aur").meta
+        assert len(meta["normalization"]["mean"]) == calls[0][1]
+
+    @pytest.mark.parametrize(
+        "t_end,message", [("1", "selects no rows"), ("1e9", "empty train")], ids=["no_val", "no_train"]
+    )
+    @pytest.mark.parametrize("source", ["--features", "--sparse"])
+    def test_empty_split_leaves_no_out_dir(
+        self, tmp_path, capsys, synth_dir, features_file, source, t_end, message
+    ):
+        cfg = tmp_path / "empty.cfg"
+        arch = "arch = conv\narch.grid = 32\nloss = sparse_masked\n" if source == "--sparse" else ""
+        cfg.write_text(f"{arch}holdout.t_start = 0\nholdout.t_end = {t_end}\n")
+        data = synth_dir if source == "--sparse" else features_file
+        out = tmp_path / "run"
+        assert run("train", source, data, "--config", cfg, "--out-dir", out) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_features_and_sparse_hold_out_the_same_window(
+        self, tmp_path, monkeypatch, synth_dir, features_file
+    ):
+        seen = {}
+        train_model = T.train_model
+
+        def recording(model, data, config):
+            seen[model.variant] = data
+            return train_model(model, data, config)
+
+        monkeypatch.setattr(T, "train_model", recording)
+        window = "holdout.t_start = 60000\nholdout.t_end = 80000\ntrain.max_epochs = 1\n"
+        point_cfg, conv_cfg = tmp_path / "point.cfg", tmp_path / "conv.cfg"
+        point_cfg.write_text("arch.hidden = 8\n" + window)
+        conv_cfg.write_text("arch = conv\narch.grid = 32\narch.hidden = 8\nloss = sparse_masked\n" + window)
+        assert run("train", "--features", features_file, "--config", point_cfg, "--out-dir", tmp_path / "p") == 0
+        assert run("train", "--sparse", synth_dir, "--config", conv_cfg, "--out-dir", tmp_path / "c") == 0
+
+        held = [load_checkpoint(tmp_path / run_dir / "checkpoint.aur").meta["holdout"] for run_dir in "pc"]
+        assert held == [
+            {"sat_id": 0, "t_start": 60000.0, "t_end": 80000.0},
+            {"sat_id": None, "t_start": 60000.0, "t_end": 80000.0},
+        ]
+        (train, val), (train_s, val_s) = seen["baseline"], seen["conv"]
+
+        def inside(t):
+            return (t >= 60000.0) & (t < 80000.0)
+
+        assert inside(val.t).all() and np.all(val.sat_id == 0) and inside(val_s.t_center).all()
+        assert not inside(train.t[train.sat_id == 0]).any() and not inside(train_s.t_center).any()
+
+
 @pytest.mark.parametrize("loss", LOSS_VARIANTS)
 @pytest.mark.parametrize("arch", sorted(ARCH_LOSSES))
 def test_arch_loss_pairing(tmp_path, capsys, features_file, synth_dir, arch, loss):
@@ -351,6 +425,20 @@ class TestEvalAndMap:
         assert "holdout differs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("role", ["--checkpoint", "--baseline-checkpoint"])
+    def test_eval_checkpoint_without_holdout_leaves_no_out_dir(
+        self, tmp_path, capsys, trained, features_file, role
+    ):
+        model = load_checkpoint(trained)
+        del model.meta["holdout"]
+        save_checkpoint(model, tmp_path / "no_holdout.aur")
+        ckpts = {"--checkpoint": trained, "--baseline-checkpoint": trained, role: tmp_path / "no_holdout.aur"}
+        out = tmp_path / "x"
+        argv = [a for flag, path in ckpts.items() for a in (flag, path)]
+        assert run("eval", *argv, "--features", features_file, "--out-dir", out) == 3
+        assert "lacks a complete holdout (missing key 'holdout')" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_map_deterministic(self, tmp_path, trained, synth_dir):
         a = tmp_path / "ma"
         b = tmp_path / "mb"
@@ -440,6 +528,18 @@ class TestContainerFaults:
         assert run(*argv) == 3
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cache_with_normalization_arrays_asks_for_rebuild(
+        self, tmp_path, capsys, trained, features_file
+    ):
+        """Caches written before the normalization arrays were dropped."""
+        old = tmp_path / "old.aft"
+        old.write_bytes(cache_bytes_container(I.read_table_cache(features_file), normalization=True))
+        out = tmp_path / "out"
+        for argv in (("train", "--features", old), ("eval", "--checkpoint", trained, "--features", old)):
+            assert run(*argv, "--out-dir", out) == 3
+            assert "re-run `auroracast features`" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_version_is_rejected(self, tmp_path, capsys, features_file):
         raw = bytearray(features_file.read_bytes())

@@ -13,7 +13,6 @@ from auroracast.geomodel import (
     Region,
     WorldParams,
     activity_level,
-    cell_of,
     cells_of,
     default_driver_processes,
     flux_field,
@@ -23,9 +22,9 @@ from auroracast.geomodel import (
     oval_width,
     region_field,
     sample_traces,
-    true_flux,
-    true_region,
 )
+
+from _reference import cell_of, true_flux, true_region
 
 
 GRID = GridSpec()

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
 from auroracast import cli
-from auroracast.errors import DataError
+from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
     DriverSeries,
@@ -21,6 +22,7 @@ from auroracast.geomodel import (
 )
 from auroracast.ingest import (
     FeatureSchema,
+    Holdout,
     build_features,
     clean_targets,
     fit_normalization,
@@ -34,6 +36,7 @@ from auroracast.ingest import (
 )
 from auroracast.models import BaselineArch, build_model, load_checkpoint
 from auroracast.stats import percentile_linear
+from auroracast.train import TrainConfig, train_model
 
 from _memory import peak_bytes
 from _reference import (
@@ -340,7 +343,8 @@ class TestBuildFeatures:
         d = gen_drivers(p, 86400)
         obs = sample_traces(p, d, 120.0)
         table = build_features(d, obs)
-        z = table.normalized_rows()
+        mean, std = fit_normalization(table.rows)
+        z = (table.rows - mean) / std
         live = table.rows.std(axis=0) > 1e-12
         assert np.all(np.abs(z.mean(axis=0)[live]) < 1e-9)
         assert np.all(np.abs(z.std(axis=0)[live] - 1.0) < 1e-9)
@@ -402,7 +406,7 @@ class TestSplitAndFilter:
 
     def test_partition(self):
         table = self._table()
-        train, val = split_by_holdout(table, 1, (86400.0, 2 * 86400.0 + 1))
+        train, val = split_by_holdout(table, Holdout(1, 86400.0, 2 * 86400.0 + 1))
         assert train.n + val.n == table.n
         assert np.all(val.sat_id == 1)
         assert np.all((val.t >= 86400.0) & (val.t < 2 * 86400.0 + 1))
@@ -414,15 +418,51 @@ class TestSplitAndFilter:
     def test_empty_holdout_is_error(self):
         table = self._table()
         with pytest.raises(DataError):
-            split_by_holdout(table, 7, (0.0, 86400.0))
+            split_by_holdout(table, Holdout(7, 0.0, 86400.0))
 
     def test_norm_refit_on_train(self):
+        """Training fits the z-scoring on the training rows alone and
+        stores it in the model's metadata."""
         table = self._table()
-        train, val = split_by_holdout(table, 0, (86400.0, 2 * 86400.0 + 1))
-        z = train.normalized_rows()
+        train, val = split_by_holdout(table, Holdout(0, 86400.0, 2 * 86400.0 + 1))
+        model = build_model(BaselineArch(table.schema.width, hidden=(4,)), seed=0)
+        model, _ = train_model(model, (train, val), TrainConfig(max_epochs=1))
+        mean, std = fit_normalization(train.rows)
+        assert model.meta["normalization"] == {"mean": mean.tolist(), "std": std.tolist()}
+        z = (train.rows - mean) / std
         live = train.rows.std(axis=0) > 1e-12
         assert np.all(np.abs(z.mean(axis=0)[live]) < 1e-9)
-        assert np.array_equal(train.norm_mean, val.norm_mean)
+
+
+class TestHoldout:
+    T = np.array([0.0, 100.0, 300.0, 400.0])
+
+    def test_defaults_are_satellite_0_and_the_last_quarter(self):
+        assert Holdout.from_config({}, self.T) == Holdout(0, 300.0, 401.0)
+        assert Holdout.from_config({}, self.T, by_satellite=False) == Holdout(None, 300.0, 401.0)
+
+    def test_config_keys_override(self):
+        cfg = {"holdout.sat_id": 2, "holdout.t_start": 50.0, "holdout.t_end": 150.0}
+        assert Holdout.from_config(cfg, self.T) == Holdout(2, 50.0, 150.0)
+        assert Holdout.from_config(cfg, self.T, by_satellite=False) == Holdout(None, 50.0, 150.0)
+
+    @pytest.mark.parametrize("key", ["holdout.t_start", "holdout.t_end"])
+    def test_half_a_time_range_is_config_error(self, key):
+        with pytest.raises(ConfigError, match="must be given together"):
+            Holdout.from_config({key: 100.0}, self.T)
+
+    def test_mask_is_half_open_and_per_satellite(self):
+        sat = np.array([0, 1, 0, 0])
+        assert Holdout(0, 100.0, 400.0).mask(self.T, sat).tolist() == [False, False, True, False]
+        assert Holdout(None, 100.0, 400.0).mask(self.T).tolist() == [False, True, True, False]
+        with pytest.raises(DataError, match="selects no rows"):
+            Holdout(1, 200.0, 500.0).mask(self.T, sat)
+
+    @pytest.mark.parametrize("holdout", [Holdout(3, 1.5, 9.0), Holdout(None, -2.0, 7.25)])
+    def test_meta_round_trip(self, holdout):
+        meta = json.loads(json.dumps(holdout.to_meta()))
+        assert meta == {"sat_id": holdout.sat_id, "t_start": holdout.t_start, "t_end": holdout.t_end}
+        assert Holdout.from_meta(meta) == holdout
 
 
 class TestCache:
@@ -443,7 +483,7 @@ class TestCache:
         assert np.array_equal(back.t, table.t)
         assert np.array_equal(back.sat_id, table.sat_id)
         assert np.array_equal(back.region, table.region)
-        assert np.array_equal(back.norm_mean, table.norm_mean)
+        assert np.array_equal(back.mlat, table.mlat) and np.array_equal(back.mlt, table.mlt)
 
     def test_rewrite_identical_bytes(self, tmp_path):
         table = self._table()
@@ -522,8 +562,7 @@ class TestCache:
         write_table_cache(table, path)
         back = read_table_cache(path)
         assert back.rows.dtype == np.float32 and not back.rows.flags.writeable
-        wide = back.rows.astype(np.float64)
-        assert np.array_equal(back.normalized_rows(), (wide - back.norm_mean) / back.norm_std)
+        assert np.array_equal(back.rows, table.rows.astype(np.float32))
 
 
 def _world(seed, n_sats=3):
@@ -552,9 +591,7 @@ class TestChunkedPathsMatchReference:
         no_region = dataclasses.replace(table, region=None)
         rows = table.rows.copy()
         rows[:, 5] = 2.5
-        mean, std = fit_normalization(rows)
-        flat = dataclasses.replace(table, rows=rows, norm_mean=mean, norm_std=std)
-        assert flat.norm_std[5] == 1.0
+        flat = dataclasses.replace(table, rows=rows)
         for i, case in enumerate((table, no_region, flat)):
             path = tmp_path / f"{i}.aft"
             write_table_cache(case, path)

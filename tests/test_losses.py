@@ -456,3 +456,18 @@ class TestLossSpec:
     def test_bad_term_string(self):
         with pytest.raises(ConfigError):
             LossSpec.from_config(parse_values({"loss": "tail", "tail.terms": "abc"}))
+
+    def test_to_config_keeps_every_digit(self):
+        """A value that ``:g`` would round is written in full, so the text
+        parses back to the same spec; the default texts, which existing
+        checkpoints store, are unchanged."""
+        tail = LossSpec(
+            "tail", tail_terms=(TailTerm(2.123456789, 12.0), TailTerm(5.0, 1234567.5), TailTerm(1e-20, 13.0))
+        )
+        multitask = LossSpec("multitask", lambda_cce=0.123456789)
+        assert tail.to_config()["tail.terms"] == "2.123456789:12,5:1234567.5,1e-20:13"
+        assert multitask.to_config()["multitask.lambda_cce"] == "0.123456789"
+        for spec in (tail, multitask):
+            assert LossSpec.from_config(parse_values(spec.to_config())) == spec
+        assert LossSpec("tail").to_config()["tail.terms"] == "2.5:12,5:12.5,10:13,10:13.25,10:13.5"
+        assert LossSpec("multitask").to_config()["multitask.lambda_cce"] == "1"

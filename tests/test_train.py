@@ -19,21 +19,20 @@ from auroracast.geomodel import (
     gen_drivers,
     sample_traces,
 )
-from auroracast.ingest import FeatureSchema, build_features, split_by_holdout
+from auroracast.ingest import FeatureSchema, Holdout, build_features, split_by_holdout
 from auroracast.losses import LossSpec, sparse_masked_loss
 from auroracast.train import (
     AdamState,
     TrainConfig,
     adam_step,
     build_sparse_samples,
-    composite_window,
     dense_batch,
     train_config_from_config,
     train_model,
 )
 
 from _memory import peak_bytes
-from _reference import composite_add_at, obs_table
+from _reference import cell_of, composite_add_at, composite_window, obs_table
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0):
@@ -118,8 +117,6 @@ class TestCompositeWindow:
         in_window = [o for o in obs if abs(o.t - t_center) <= 150.0]
         assert len(in_window) <= 2 * 5
         # loop-oracle mask
-        from auroracast.geomodel import cell_of
-
         cells = {cell_of(o.coord, self.SPEC) for o in in_window}
         assert gm.mask.sum() == len(cells)
         for r, c in cells:
@@ -213,7 +210,7 @@ def _point_tables(seed=30, days=2.0, obs_cadence=240.0, n_sats=1):
     table = build_features(d, obs)
     t_hi = float(table.t.max())
     t_lo = t_hi - 0.25 * (t_hi - float(table.t.min()))
-    return split_by_holdout(table, 0, (t_lo, t_hi + 1))
+    return split_by_holdout(table, Holdout(0, t_lo, t_hi + 1))
 
 
 class TestTrainPoint:
@@ -267,8 +264,6 @@ class TestTrainPoint:
                 mlat=np.full(m, 60.0),
                 mlt=np.zeros(m),
                 sat_id=np.zeros(m, dtype=np.int64),
-                norm_mean=np.zeros(width),
-                norm_std=np.ones(width),
             )
 
         train = table(x[:384], y[:384])
@@ -308,7 +303,8 @@ class TestTrainPoint:
         # reported best params reproduce the recorded best validation loss
         from auroracast.losses import mse
 
-        pred = M.predict_point(model, val.normalized_rows())
+        norm = model.meta["normalization"]
+        pred = M.predict_point(model, (val.rows - norm["mean"]) / norm["std"])
         assert mse(val.target, pred) == pytest.approx(history.best_val, rel=1e-6)
 
     def test_loss_arch_mismatch(self):
