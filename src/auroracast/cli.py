@@ -229,14 +229,8 @@ def _val_rows(model: M.Model, table: I.FeatureTable):
     except KeyError as exc:
         raise DataError(f"checkpoint metadata lacks a complete holdout (missing key {exc})") from None
     mask = holdout.mask(table.t, table.sat_id)
-    mean, std = E._norm_from_meta(model.meta)
-    if mean.size != table.schema.width:
-        raise DataError(
-            f"checkpoint normalizes {mean.size} features, "
-            f"the feature table has {table.schema.width}"
-        )
-    rows = (table.rows[mask] - mean) / std
-    return rows, table.target[mask], (None if table.region is None else table.region[mask])
+    regions = None if table.region is None else table.region[mask]
+    return table.rows[mask], table.target[mask], regions
 
 
 def _load_point_model(path):
@@ -250,13 +244,13 @@ def cmd_eval(args) -> int:
     model = _load_point_model(args.checkpoint)
     table = I.read_table_cache(args.features)
     rows, y_true, regions = _val_rows(model, table)
-    y_pred = M.predict_point(model, rows)
+    y_pred, pred_regions = M.predict(model, rows)
     if args.baseline_checkpoint:
         base_model = _load_point_model(args.baseline_checkpoint)
         base_rows, base_y, _ = _val_rows(base_model, table)
         if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
             raise DataError("baseline checkpoint holdout differs from candidate's")
-        base_pred = M.predict_point(base_model, base_rows)
+        base_pred, _ = M.predict(base_model, base_rows)
 
     # Created only now, so a run that fails leaves no out-dir behind.
     os.makedirs(args.out_dir, exist_ok=True)
@@ -283,9 +277,7 @@ def cmd_eval(args) -> int:
         E.write_region_mse_csv(table_mse, os.path.join(args.out_dir, "region_mse.csv"))
         outputs.append("region_mse.csv")
 
-    if model.variant == "multitask" and regions is not None:
-        probs, _, _ = M.forward_multitask(model.arch, model.params, rows)
-        pred_regions = np.argmax(probs.data, axis=1)
+    if pred_regions is not None and regions is not None:
         creport = E.classification_report(regions, pred_regions)
         E.write_classification_csv(creport, os.path.join(args.out_dir, "classification.csv"))
         outputs.append("classification.csv")

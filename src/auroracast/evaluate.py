@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError
 from .geomodel import DriverSeries, GridSpec, Region
 from .ingest import FeatureSchema, spatial_block
-from .models import ConvDecoderArch, Model, forward_convdecoder, predict_point
+from .models import ConvDecoderArch, Model, predict
 from .stats import as_1d_pair, percentile_linear, uniform_bin_index
 
 
@@ -173,48 +173,32 @@ def _schema_from_meta(meta: dict) -> FeatureSchema:
         raise DataError(f"checkpoint metadata lacks schema field {exc}") from None
 
 
-def _norm_from_meta(meta: dict) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return (
-            np.asarray(meta["normalization"]["mean"], dtype=np.float64),
-            np.asarray(meta["normalization"]["std"], dtype=np.float64),
-        )
-    except KeyError:
-        raise DataError("checkpoint metadata lacks normalization statistics") from None
-
-
 def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) -> np.ndarray:
     """Evaluate a trained model over the whole grid at one time step.
 
-    Point models are swept over all cell centers with the spatial block
-    injected per cell; the conv decoder produces the grid in one forward
-    pass from global features alone.
+    A point model gets one feature row per cell center, the cell's spatial
+    block followed by the driver history at ``t``; the conv decoder gets
+    the history row alone and predicts the grid. Both go through
+    ``models.predict``.
     """
     from .ingest import history_feature_rows
 
     if t < drivers.t0 or t > drivers.t_end:
         raise DataError(f"timestamp {t:g} outside driver range")
     schema = _schema_from_meta(model.meta)
-    mean, std = _norm_from_meta(model.meta)
     hist, ok = history_feature_rows(drivers, np.array([t]), schema)
     if not ok[0]:
         raise DataError(f"timestamp {t:g} lacks full driver history")
 
     if isinstance(model.arch, ConvDecoderArch):
-        row = (hist - mean) / std
-        return forward_convdecoder(model.arch, model.params, row).data[0].astype(np.float64)
+        return predict(model, hist)[0][0]
 
     lat_centers = spec.lat_min + (np.arange(spec.n_lat) + 0.5) * spec.dlat
     mlt_centers = (np.arange(spec.n_mlt) + 0.5) * spec.dmlt
     mlat_grid, mlt_grid = np.meshgrid(lat_centers, mlt_centers, indexing="ij")
     spatial = spatial_block(mlat_grid.ravel(), mlt_grid.ravel())
     rows = np.hstack([spatial, np.tile(hist[0], (spatial.shape[0], 1))])
-    rows = (rows - mean) / std
-    preds = np.empty(rows.shape[0])
-    chunk = 16384
-    for i in range(0, rows.shape[0], chunk):
-        preds[i : i + chunk] = predict_point(model, rows[i : i + chunk])
-    return preds.reshape(spec.n_lat, spec.n_mlt)
+    return predict(model, rows)[0].reshape(spec.n_lat, spec.n_mlt)
 
 
 def write_grid_csv(grid: np.ndarray, path):

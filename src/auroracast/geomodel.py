@@ -195,12 +195,6 @@ class DriverSeries:
         idx = np.rint((np.asarray(t, dtype=np.float64) - self.t0) / self.cadence)
         return np.clip(idx, 0, self.n - 1).astype(np.int64)
 
-    def row(self, i: int) -> dict[str, float]:
-        return {name: float(col[i]) for name, col in self.columns.items()}
-
-    def row_at(self, t: float) -> dict[str, float]:
-        return self.row(int(self.index_at(t)))
-
 
 @dataclass(frozen=True)
 class Observation:

@@ -13,9 +13,9 @@ are split on commas, so a line with a quoted field is rejected.
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
-time. Rows are stored unnormalized: training fits the per-feature
-z-scoring on its training rows (``fit_normalization``) and records it in
-the checkpoint.
+time. Rows are stored unnormalized: training fits a ``Normalization`` on
+its training rows and records it in the checkpoint, and
+``models.predict`` applies the recorded one.
 
 ``Holdout`` is the one validation rule: one satellite (or every
 satellite, for the conv decoder) over a time range, by default satellite
@@ -175,10 +175,12 @@ class Holdout:
     @classmethod
     def from_config(cls, cfg, t: np.ndarray, by_satellite: bool = True) -> Holdout:
         """The holdout that parsed config values (``config.load_config``)
-        set for data at times ``t``. ``holdout.sat_id`` defaults to 0; it
-        is None without ``by_satellite``, for data not split by satellite.
-        ``holdout.t_start``/``t_end`` default to the last quarter of the
-        span of ``t``, with the end one second past its last time."""
+        set for data at times ``t``. ``holdout.sat_id`` defaults to 0; for
+        data not split by satellite (no ``by_satellite``) it is None, and
+        setting it is a ConfigError. ``holdout.t_start``/``t_end`` default to
+        the last quarter of the span of ``t``, the end one second past it."""
+        if not by_satellite and "holdout.sat_id" in cfg:
+            raise ConfigError("holdout.sat_id does not apply to data not split by satellite")
         if ("holdout.t_start" in cfg) != ("holdout.t_end" in cfg):
             raise ConfigError("holdout.t_start and holdout.t_end must be given together")
         if "holdout.t_start" in cfg:
@@ -521,25 +523,57 @@ def spatial_block(mlat: np.ndarray, mlt: np.ndarray) -> np.ndarray:
 _NORM_COLUMNS = 16
 
 
-def fit_normalization(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column float64 mean/std; zero-variance columns get std 1 so they map to 0.
+@dataclass(frozen=True, eq=False)
+class Normalization:
+    """The z-scoring ``(rows - mean) / std`` of a model's inputs."""
 
-    The std is taken over blocks of columns, so the only temporary is one
-    block. An axis-0 reduction adds each column's rows in row order whatever
-    the block, so the result equals ``rows.astype(float64).std(axis=0)``
-    bit for bit. A lone trailing column is folded into the block before
-    it: numpy would sum a one-column block pairwise instead.
-    """
-    width = rows.shape[1]
-    mean = rows.mean(axis=0, dtype=np.float64)
-    std = np.empty(width)
-    starts = list(range(0, width, _NORM_COLUMNS))
-    if len(starts) > 1 and width - starts[-1] == 1:
-        starts.pop()
-    for j0, j1 in zip(starts, starts[1:] + [width]):
-        std[j0:j1] = rows[:, j0:j1].std(axis=0, dtype=np.float64)
-    std = np.where(std > 1e-12, std, 1.0)
-    return mean, std
+    mean: np.ndarray
+    std: np.ndarray
+
+    @classmethod
+    def fit(cls, rows: np.ndarray) -> Normalization:
+        """Per-column float64 mean/std; zero-variance columns get std 1.
+
+        The std is taken over blocks of columns, so the only temporary is one
+        block. An axis-0 reduction adds each column's rows in row order whatever
+        the block, so the result equals ``rows.astype(float64).std(axis=0)``
+        bit for bit. A lone trailing column is folded into the block before
+        it: numpy would sum a one-column block pairwise instead.
+        """
+        width = rows.shape[1]
+        mean = rows.mean(axis=0, dtype=np.float64)
+        std = np.empty(width)
+        starts = list(range(0, width, _NORM_COLUMNS))
+        if len(starts) > 1 and width - starts[-1] == 1:
+            starts.pop()
+        for j0, j1 in zip(starts, starts[1:] + [width]):
+            std[j0:j1] = rows[:, j0:j1].std(axis=0, dtype=np.float64)
+        return cls(mean, np.where(std > 1e-12, std, 1.0))
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """z-scored ``rows``, computed in float64 a row chunk at a time and
+        stored as float32, the dtype the forward passes take."""
+        out = np.empty(rows.shape, dtype=np.float32)
+        for sl in row_chunks(len(rows), 8 * rows.shape[1]):
+            out[sl] = (rows[sl] - self.mean) / self.std
+        return out
+
+    def to_meta(self) -> dict:
+        """The JSON form stored in checkpoint metadata."""
+        return {"mean": [float(v) for v in self.mean], "std": [float(v) for v in self.std]}
+
+    @classmethod
+    def from_meta(cls, meta: dict, width: int) -> Normalization:
+        """Inverse of ``to_meta`` for a model of input width ``width``;
+        missing statistics or another width is a DataError."""
+        try:
+            mean, std = (np.asarray(meta[key], dtype=np.float64) for key in ("mean", "std"))
+        except KeyError:
+            raise DataError("checkpoint metadata lacks normalization statistics") from None
+        for stat in (mean, std):
+            if stat.shape != (width,):
+                raise DataError(f"checkpoint normalizes {stat.size} features, the model takes {width}")
+        return cls(mean, std)
 
 
 def build_features(

@@ -28,7 +28,7 @@ from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DataError, bind
-from .ingest import SPATIAL_NAMES
+from .ingest import SPATIAL_NAMES, Normalization
 
 
 @dataclass(frozen=True)
@@ -324,14 +324,64 @@ def assert_global_only(feature_names):
         )
 
 
-def predict_point(model: Model, rows: np.ndarray) -> np.ndarray:
-    """Flux prediction [n] for normalized feature rows (baseline or multitask)."""
+def predict_point(model: Model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(flux [n], region [n]) for normalized feature rows; the region, the
+    most probable class, is None for the baseline."""
     if isinstance(model.arch, BaselineArch):
-        return forward_baseline(model.arch, model.params, rows).data.astype(np.float64)
-    if isinstance(model.arch, MultiTaskArch):
-        _, _, selected = forward_multitask(model.arch, model.params, rows)
-        return selected.astype(np.float64)
-    raise ValueError("predict_point requires a point model")
+        return forward_baseline(model.arch, model.params, rows).data.astype(np.float64), None
+    probs, _, selected = forward_multitask(model.arch, model.params, rows)
+    return selected.astype(np.float64), np.argmax(probs.data, axis=1)
+
+
+# Bytes that the widest activation of one prediction chunk may take.
+PREDICT_BYTES = 64 << 20
+
+
+def predict_chunks(model: Model, raw_rows: np.ndarray):
+    """Yield ``(rows, pred, region)`` for consecutive slices ``rows`` of
+    ``raw_rows``, as ``predict`` describes; conv grids stay float32."""
+    arch, width = model.arch, model.arch.input_width
+    norm = Normalization.from_meta(model.meta.get("normalization", {}), width)
+    if raw_rows.shape[1] != width:
+        raise DataError(f"checkpoint normalizes {width} features, each input row has {raw_rows.shape[1]}")
+    widest = max(width, *(arch.hidden if isinstance(arch, BaselineArch) else arch.trunk))
+    if isinstance(arch, ConvDecoderArch):
+        mid = arch.side * arch.strides[0]
+        padded = (arch.n_lat + 2 * arch.overlap) * (arch.n_mlt + 2 * arch.overlap)
+        widest = max(widest, arch.filters[0] * mid * mid, arch.filters[1] * padded)
+    # The fewest chunks within the budget, of near-equal size: a one-row
+    # chunk would take numpy's matrix-vector path, which rounds differently.
+    n = len(raw_rows)
+    k = -(-n // max(1, PREDICT_BYTES // (4 * widest)))
+    for i in range(k):
+        rows = slice(i * n // k, (i + 1) * n // k)
+        x = norm.apply(raw_rows[rows])
+        if isinstance(arch, ConvDecoderArch):
+            yield rows, forward_convdecoder(arch, model.params, x).data, None
+        else:
+            yield rows, *predict_point(model, x)
+
+
+def predict(model: Model, raw_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(pred, region) for unnormalized feature rows: float64 log10 flux,
+    [n] for a point model and [n, n_lat, n_mlt] for the conv decoder, and
+    the multitask model's predicted region [n] (None for the others).
+
+    The rows are z-scored with the model's stored ``Normalization`` and run
+    through ``predict_point`` or ``forward_convdecoder`` in chunks of at
+    most ``PREDICT_BYTES`` divided by the float32 bytes of one row's widest
+    activation rows: 16,384 for the default point trunk's 1,024-wide layer,
+    233 for the 128x128 conv decoder's 4x134x134 padded grid. Statistics
+    or rows of another width are a DataError.
+    """
+    arch, n = model.arch, len(raw_rows)
+    pred = np.empty((n, arch.n_lat, arch.n_mlt) if isinstance(arch, ConvDecoderArch) else n)
+    region = np.empty(n, dtype=np.int64) if isinstance(arch, MultiTaskArch) else None
+    for rows, chunk_pred, chunk_region in predict_chunks(model, raw_rows):
+        pred[rows] = chunk_pred
+        if region is not None:
+            region[rows] = chunk_region
+    return pred, region
 
 
 # ── Checkpoints ───────────────────────────────────────────────────────

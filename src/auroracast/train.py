@@ -6,11 +6,12 @@ best validation epoch's parameters. ``losses.ARCH_LOSSES`` says which
 loss trains which architecture. A per-architecture setup supplies the
 training-row count, ``step_loss`` and ``validate`` closures, and the
 mean training target, which the output bias starts at (not at 0), so
-training starts at the scale of the data. Each setup fits the feature
-z-scoring on its training inputs only and stores it as
-``model.meta["normalization"]``. The closures look up ops and
-forward passes by module attribute at call time, so wrappers installed
-after import see every call.
+training starts at the scale of the data. Each setup fits an
+``ingest.Normalization`` on its training inputs only and stores it as
+``model.meta["normalization"]``; validation predicts through
+``models.predict``, which applies it, as ``eval`` and ``map`` do. The
+closures look up ops and forward passes by module attribute at call
+time, so wrappers installed after import see every call.
 
 Validation is the plain MSE for point models (for multitask, of the
 selected-region flux) and the masked MSE for the conv decoder, whatever
@@ -36,10 +37,9 @@ import numpy as np
 from . import losses as L
 from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
-from .container import row_chunks
 from .errors import ConfigError, DataError, TrainingDiverged, bind
 from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
-from .ingest import FeatureSchema, FeatureTable, fit_normalization, history_feature_rows
+from .ingest import FeatureSchema, FeatureTable, Normalization, history_feature_rows
 from .losses import LossSpec
 
 COMPOSITE_HALF_WIDTH_S = 150.0
@@ -284,24 +284,6 @@ def _check_finite(value: float, epoch: int, batch: int, history: History):
         )
 
 
-def _fit_normalization(model: M.Model, rows: np.ndarray):
-    """Fit the z-scoring on training inputs ``rows``, store it as
-    ``model.meta["normalization"]``, and return the function that applies
-    it: in float64 a row chunk at a time, stored in the parameters' dtype,
-    the dtype the forward pass casts its input to anyway."""
-    mean, std = fit_normalization(rows)
-    model.meta["normalization"] = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
-    dtype = next(iter(model.params.values())).data.dtype
-
-    def normalize(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape, dtype=dtype)
-        for sl in row_chunks(len(x), 8 * x.shape[1]):
-            out[sl] = (x[sl] - mean) / std
-        return out
-
-    return normalize
-
-
 def _point_setup(
     model: M.Model, train_table: FeatureTable, val_table: FeatureTable, spec: LossSpec
 ):
@@ -311,11 +293,10 @@ def _point_setup(
     if train_table.n == 0 or val_table.n == 0:
         raise DataError("empty train or validation set")
 
-    normalize = _fit_normalization(model, train_table.rows)
-    x_train = normalize(train_table.rows)
+    norm = Normalization.fit(train_table.rows)
+    model.meta["normalization"] = norm.to_meta()
+    x_train = norm.apply(train_table.rows)
     y_train = train_table.target
-    x_val = normalize(val_table.rows)
-    y_val = val_table.target
     onehot_train = np.eye(3)[train_table.region] if spec.variant == "multitask" else None
     dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
 
@@ -332,20 +313,26 @@ def _point_setup(
         return L.mse_op(tape, pred, y)
 
     def validate() -> float:
-        return L.mse(y_val, M.predict_point(model, x_val))
+        return L.mse(val_table.target, M.predict(model, val_table.rows)[0])
 
     return train_table.n, step_loss, validate, float(np.mean(y_train))
 
 
-def _sample_mse(pred: np.ndarray, samples: SparseSamples) -> float:
-    """Masked MSE of pred [n, n_lat, n_mlt] against the observed cells.
+def _sample_mse(chunks, samples: SparseSamples) -> float:
+    """Masked MSE of the grids in ``(rows, pred [b, n_lat, n_mlt], _)``
+    chunks that cover the samples in order (``models.predict_chunks``).
 
-    CSR order is boolean-mask order, so this equals
-    ``losses.sparse_masked_loss`` on the dense targets bit for bit.
+    The observed cells are gathered into one array in CSR order, which is
+    boolean-mask order, so this equals ``losses.sparse_masked_loss`` on the
+    dense targets bit for bit, however the samples are chunked.
     """
-    sample_of = np.repeat(np.arange(len(samples)), np.diff(samples.offsets))
-    observed = pred.reshape(len(samples), -1)[sample_of, samples.cells]
-    diff = observed.astype(np.float64) - samples.values
+    observed = np.empty(samples.cells.size)
+    for rows, pred, _ in chunks:
+        offsets = samples.offsets[rows.start : rows.stop + 1]
+        sample_of = np.repeat(np.arange(len(pred)), np.diff(offsets))
+        cells = slice(offsets[0], offsets[-1])
+        observed[cells] = pred.reshape(len(pred), -1)[sample_of, samples.cells[cells]]
+    diff = observed - samples.values
     return float(np.sum(diff**2)) / samples.cells.size
 
 
@@ -356,9 +343,9 @@ def _conv_setup(
     if not len(train_samples) or not len(val_samples):
         raise DataError("empty train or validation sample list")
 
-    normalize = _fit_normalization(model, train_samples.features)
-    x_train = normalize(train_samples.features)
-    x_val = normalize(val_samples.features)
+    norm = Normalization.fit(train_samples.features)
+    model.meta["normalization"] = norm.to_meta()
+    x_train = norm.apply(train_samples.features)
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         values, mask = dense_batch(train_samples, idx)
@@ -366,7 +353,7 @@ def _conv_setup(
         return L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
 
     def validate() -> float:
-        return _sample_mse(M.forward_convdecoder(model.arch, model.params, x_val).data, val_samples)
+        return _sample_mse(M.predict_chunks(model, val_samples.features), val_samples)
 
     return len(train_samples), step_loss, validate, float(np.mean(train_samples.values))
 

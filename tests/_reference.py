@@ -5,8 +5,9 @@ of a vectorised function in ``auroracast``, or the whole-array version of
 a chunked one; the tests compare the two exactly. Conversion from
 ``Observation`` rows to an ``ObsTable`` also lives here, so tests can
 still write observations one by one, as do the scalar oracles of the
-world (``true_flux``, ``true_region``, ``cell_of``) and the one-window
-compositor ``composite_window``.
+world (``true_flux``, ``true_region``, ``cell_of``, with
+``driver_row_at`` for their driver input) and the one-window compositor
+``composite_window``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def obs_table(rows: list[Observation]) -> ObsTable:
         eflux=np.array([o.eflux for o in rows], dtype=np.float64),
         region=np.array(regions, dtype=np.int8),
     )
+
+
+def driver_row_at(drivers, t: float) -> dict[str, float]:
+    """Every driver's value at the sample nearest time ``t``: the row that
+    ``true_flux`` and ``true_region`` take."""
+    i = int(drivers.index_at(t))
+    return {name: float(col[i]) for name, col in drivers.columns.items()}
 
 
 def true_flux(coord: MagCoord, drivers_at_t, params) -> float:

@@ -232,18 +232,14 @@ class TestTrain:
         assert (out / "checkpoint.aur").exists()
 
     def test_conv_normalization_fit_once(self, tmp_path, synth_dir, monkeypatch):
-        from auroracast import ingest as I
-        from auroracast import train as T
-
         calls = []
-        fit = I.fit_normalization
+        fit = I.Normalization.fit
 
-        def counting(rows):
+        def counting(cls, rows):
             calls.append(rows.shape)
             return fit(rows)
 
-        monkeypatch.setattr(T, "fit_normalization", counting)
-        monkeypatch.setattr(cli.I, "fit_normalization", counting)
+        monkeypatch.setattr(I.Normalization, "fit", classmethod(counting))
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
             "arch = conv\narch.grid = 32\narch.hidden = 16,8\n"
@@ -260,14 +256,13 @@ class TestTrain:
         self, tmp_path, monkeypatch, synth_dir, config_file
     ):
         calls = []
-        fit = I.fit_normalization
+        fit = I.Normalization.fit
 
-        def counting(rows):
+        def counting(cls, rows):
             calls.append(rows.shape)
             return fit(rows)
 
-        monkeypatch.setattr(T, "fit_normalization", counting)
-        monkeypatch.setattr(I, "fit_normalization", counting)
+        monkeypatch.setattr(I.Normalization, "fit", classmethod(counting))
         table = tmp_path / "t.aft"
         argv = ("--drivers", synth_dir / "drivers.csv", "--obs", synth_dir / "observations.csv")
         assert run("features", *argv, "--config", config_file, "--out", table) == 0
@@ -277,6 +272,15 @@ class TestTrain:
         assert len(calls) == 1
         meta = load_checkpoint(out / "checkpoint.aur").meta
         assert len(meta["normalization"]["mean"]) == calls[0][1]
+
+    def test_sparse_rejects_holdout_sat_id(self, tmp_path, capsys, synth_dir):
+        """The conv samples composite every satellite, so no satellite can be held out."""
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("arch = conv\narch.grid = 32\nloss = sparse_masked\nholdout.sat_id = 0\n")
+        out = tmp_path / "run"
+        assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", out) == 2
+        assert "holdout.sat_id" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "t_end,message", [("1", "selects no rows"), ("1e9", "empty train")], ids=["no_val", "no_train"]
@@ -673,6 +677,23 @@ class TestEvalWidths:
         err = capsys.readouterr().err
         assert "normalizes 23 features" in err and "has 133" in err
         assert not out.exists()
+
+    def test_short_normalization_is_data_error(self, tmp_path, capsys, trained, features_file, synth_dir):
+        """A checkpoint that normalizes 132 features for a 133-wide model."""
+        model = load_checkpoint(trained)
+        for stat in model.meta["normalization"].values():
+            stat.pop()
+        bad = tmp_path / "short.aur"
+        save_checkpoint(model, bad)
+        out = tmp_path / "x"
+        commands = (
+            ("eval", "--checkpoint", bad, "--features", features_file, "--out-dir", out),
+            ("map", "--checkpoint", bad, "--drivers", synth_dir / "drivers.csv", "--at", 43200, "--out", out),
+        )
+        for argv in commands:
+            assert run(*argv) == 3
+            assert "normalizes 132 features, the model takes 133" in capsys.readouterr().err
+            assert not out.exists() and not (tmp_path / "x.csv").exists()
 
     def test_conv_baseline_is_config_error(self, tmp_path, capsys, trained, features_file, synth_dir):
         cfg = tmp_path / "conv.cfg"

@@ -24,7 +24,7 @@ from auroracast.geomodel import (
     sample_traces,
 )
 
-from _reference import cell_of, true_flux, true_region
+from _reference import cell_of, driver_row_at, true_flux, true_region
 
 
 GRID = GridSpec()
@@ -221,7 +221,7 @@ class TestTraces:
         d = gen_drivers(p, 7200)
         obs = sample_traces(p, d, 300.0)
         for o in obs:
-            expect = true_flux(o.coord, d.row_at(o.t), p)
+            expect = true_flux(o.coord, driver_row_at(d, o.t), p)
             assert np.log10(o.eflux) == pytest.approx(expect, abs=1e-12)
 
     def test_two_sats_distinct_coords(self):

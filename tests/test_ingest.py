@@ -23,9 +23,9 @@ from auroracast.geomodel import (
 from auroracast.ingest import (
     FeatureSchema,
     Holdout,
+    Normalization,
     build_features,
     clean_targets,
-    fit_normalization,
     history_feature_rows,
     log_transform,
     read_drivers_csv,
@@ -343,7 +343,8 @@ class TestBuildFeatures:
         d = gen_drivers(p, 86400)
         obs = sample_traces(p, d, 120.0)
         table = build_features(d, obs)
-        mean, std = fit_normalization(table.rows)
+        norm = Normalization.fit(table.rows)
+        mean, std = norm.mean, norm.std
         z = (table.rows - mean) / std
         live = table.rows.std(axis=0) > 1e-12
         assert np.all(np.abs(z.mean(axis=0)[live]) < 1e-9)
@@ -427,7 +428,8 @@ class TestSplitAndFilter:
         train, val = split_by_holdout(table, Holdout(0, 86400.0, 2 * 86400.0 + 1))
         model = build_model(BaselineArch(table.schema.width, hidden=(4,)), seed=0)
         model, _ = train_model(model, (train, val), TrainConfig(max_epochs=1))
-        mean, std = fit_normalization(train.rows)
+        norm = Normalization.fit(train.rows)
+        mean, std = norm.mean, norm.std
         assert model.meta["normalization"] == {"mean": mean.tolist(), "std": std.tolist()}
         z = (train.rows - mean) / std
         live = train.rows.std(axis=0) > 1e-12
@@ -444,7 +446,13 @@ class TestHoldout:
     def test_config_keys_override(self):
         cfg = {"holdout.sat_id": 2, "holdout.t_start": 50.0, "holdout.t_end": 150.0}
         assert Holdout.from_config(cfg, self.T) == Holdout(2, 50.0, 150.0)
+        del cfg["holdout.sat_id"]
         assert Holdout.from_config(cfg, self.T, by_satellite=False) == Holdout(None, 50.0, 150.0)
+
+    def test_sat_id_without_satellites_is_config_error(self):
+        cfg = {"holdout.sat_id": 2}
+        with pytest.raises(ConfigError, match="holdout.sat_id"):
+            Holdout.from_config(cfg, self.T, by_satellite=False)
 
     @pytest.mark.parametrize("key", ["holdout.t_start", "holdout.t_end"])
     def test_half_a_time_range_is_config_error(self, key):
@@ -607,7 +615,8 @@ class TestChunkedPathsMatchReference:
         rows = rng.normal(1e3, 1.0, (4000, width)) * rng.uniform(0.1, 1e4, width)
         rows[:, 0] = 7.0
         for x in (rows, rows.astype(np.float32)):
-            mean, std = fit_normalization(x)
+            norm = Normalization.fit(x)
+            mean, std = norm.mean, norm.std
             ref_mean, ref_std = fit_normalization_whole(x)
             assert mean.dtype == std.dtype == np.float64
             assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)

@@ -9,6 +9,7 @@ from auroracast import models as M
 from auroracast.autodiff import Tape, Tensor
 from auroracast.config import parse_values
 from auroracast.errors import ConfigError, DataError
+from auroracast.ingest import Normalization
 from auroracast.losses import mse_op, sparse_masked_loss_op
 
 
@@ -328,3 +329,90 @@ class TestArchFromConfig:
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
             M.arch_from_config(parse_values({"arch": "conv", "arch.grid": "30"}), input_width=4)
+
+
+class TestPredict:
+    """``models.predict``: the stored z-scoring, then the forward pass in
+    chunks of ``PREDICT_BYTES`` over one row's widest activation."""
+
+    @staticmethod
+    def _model(arch, n, seed=1):
+        model = M.build_model(arch, seed=seed)
+        raw = np.random.default_rng(seed).normal(5.0, 3.0, (n, arch.input_width))
+        model.meta["normalization"] = Normalization.fit(raw).to_meta()
+        return model, raw
+
+    @staticmethod
+    def _predict(monkeypatch, model, raw, budget):
+        monkeypatch.setattr(M, "PREDICT_BYTES", budget)
+        return M.predict(model, raw)
+
+    @pytest.mark.parametrize(
+        "arch,n_rows,chunks",
+        [
+            (M.BaselineArch(133), 16384, [16384]),
+            (M.BaselineArch(133), 16385, [8192, 8193]),
+            (M.ConvDecoderArch(130), 233, [233]),
+            (M.ConvDecoderArch(130), 467, [155, 156, 156]),
+        ],
+        ids=["baseline", "baseline_plus_one", "conv", "conv_three"],
+    )
+    def test_chunk_rule(self, monkeypatch, arch, n_rows, chunks):
+        """At most 64 MiB over the widest float32 activation (the 1,024-wide
+        dense layer of the point trunk, the 4x134x134 pad of the conv
+        decoder), in the fewest chunks of near-equal size."""
+        model, raw = self._model(arch, n_rows)
+        monkeypatch.setattr(M, "forward_convdecoder", lambda arch, params, x: Tensor(x[:, :1]))
+        monkeypatch.setattr(M, "predict_point", lambda model, x: (x[:, 0], None))
+        seen = [(rows, len(pred)) for rows, pred, _ in M.predict_chunks(model, raw)]
+        assert [n for _, n in seen] == chunks
+        assert [rows.start for rows, _ in seen] == [0, *np.cumsum(chunks)[:-1]]
+
+    @pytest.mark.parametrize("chunk", [1000, 4096, 16384, 19999])
+    def test_baseline_chunks_are_bit_identical(self, monkeypatch, chunk):
+        arch = M.BaselineArch(40, hidden=(64, 256, 32))
+        model, raw = self._model(arch, 20000)
+        whole, _ = self._predict(monkeypatch, model, raw, 1 << 40)
+        part, region = self._predict(monkeypatch, model, raw, chunk * 4 * 256)
+        assert region is None
+        assert part.dtype == np.float64 and np.array_equal(part, whole)
+        norm = model.meta["normalization"]
+        ref = M.forward_baseline(arch, model.params, (raw - norm["mean"]) / norm["std"]).data
+        assert np.array_equal(whole, ref)
+
+    def test_conv_chunks_are_bit_identical(self, monkeypatch):
+        arch = M.ConvDecoderArch(input_width=30, trunk=(16, 8), n_lat=32, n_mlt=32)
+        model, raw = self._model(arch, 150)
+        whole, region = self._predict(monkeypatch, model, raw, 1 << 40)
+        part, _ = self._predict(monkeypatch, model, raw, 37 * 4 * (4 * 38 * 38))
+        assert region is None and whole.shape == (150, 32, 32)
+        assert np.array_equal(part, whole)
+
+    def test_multitask_chunks_agree_within_float32(self, monkeypatch):
+        """The multitask heads are not bit-stable across chunk sizes (flux
+        differences up to 7.2e-7 were seen): the flux agrees within 4
+        float32 eps of the largest flux, and the region wherever the top two
+        class probabilities are apart."""
+        arch = M.MultiTaskArch(40, trunk=(64, 256, 32))
+        model, raw = self._model(arch, 12000)
+        whole, whole_region = self._predict(monkeypatch, model, raw, 1 << 40)
+        part, part_region = self._predict(monkeypatch, model, raw, 3000 * 4 * 256)
+        tol = 4 * np.finfo(np.float32).eps * np.max(np.abs(whole))
+        assert np.max(np.abs(part - whole)) <= tol
+        norm = model.meta["normalization"]
+        probs = M.forward_multitask(arch, model.params, (raw - norm["mean"]) / norm["std"])[0].data
+        assert np.array_equal(whole_region, np.argmax(probs, axis=1))
+        top2 = np.sort(probs, axis=1)[:, -2:]
+        apart = top2[:, 1] - top2[:, 0] > 1e-5
+        assert np.array_equal(part_region[apart], whole_region[apart])
+
+    def test_bad_widths_are_data_errors(self):
+        model, raw = self._model(M.BaselineArch(6, hidden=(8,)), 10)
+        with pytest.raises(DataError, match="normalizes 6 features, each input row has 5"):
+            M.predict(model, raw[:, :5])
+        model.meta["normalization"]["std"].pop()
+        with pytest.raises(DataError, match="normalizes 5 features, the model takes 6"):
+            M.predict(model, raw)
+        del model.meta["normalization"]["mean"]
+        with pytest.raises(DataError, match="lacks normalization statistics"):
+            M.predict(model, raw)

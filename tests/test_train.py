@@ -195,7 +195,8 @@ class TestSparseSamples:
         pred = np.random.default_rng(4).normal(9.0, 1.0, (len(samples), 128, 128))
         pred = pred.astype(np.float32)
         values, mask = dense_batch(samples, np.arange(len(samples)))
-        assert T._sample_mse(pred, samples) == sparse_masked_loss(pred, values, mask)
+        whole = [(slice(0, len(samples)), pred, None)]
+        assert T._sample_mse(whole, samples) == sparse_masked_loss(pred, values, mask)
 
     def test_memory_per_sample(self, world):
         d, obs, schema = world
@@ -304,7 +305,7 @@ class TestTrainPoint:
         from auroracast.losses import mse
 
         norm = model.meta["normalization"]
-        pred = M.predict_point(model, (val.rows - norm["mean"]) / norm["std"])
+        pred, _ = M.predict_point(model, (val.rows - norm["mean"]) / norm["std"])
         assert mse(val.target, pred) == pytest.approx(history.best_val, rel=1e-6)
 
     def test_loss_arch_mismatch(self):
@@ -325,12 +326,12 @@ class TestTrainPoint:
 
 
 class TestTrainConv:
-    def _samples(self, seed=40):
+    def _samples(self, seed=40, grid=32):
         p = WorldParams(seed=seed, n_sats=2)
         d = gen_drivers(p, int(1.2 * 86400))
         obs = sample_traces(p, d, 60.0)
         schema = FeatureSchema()
-        spec = GridSpec(n_lat=32, n_mlt=32)
+        spec = GridSpec(n_lat=grid, n_mlt=grid)
         samples, _ = build_sparse_samples(d, obs, schema, spec)
         cut = int(0.75 * len(samples))
         return samples[:cut], samples[cut:], schema
@@ -346,10 +347,10 @@ class TestTrainConv:
         )
         v = np.stack([s.target.values for s in val_s])
         m = np.stack([s.target.mask for s in val_s])
-        from auroracast.ingest import fit_normalization
+        from auroracast.ingest import Normalization
 
-        mean, std = fit_normalization(np.stack([s.features for s in train_s]))
-        x_val = (np.stack([s.features for s in val_s]) - mean) / std
+        norm = Normalization.fit(np.stack([s.features for s in train_s]))
+        x_val = (np.stack([s.features for s in val_s]) - norm.mean) / norm.std
         init_val = sparse_masked_loss(
             M.forward_convdecoder(arch, model.params, x_val).data, v, m
         )
@@ -391,13 +392,49 @@ class TestTrainConv:
         model = M.build_model(arch, seed=0)
         config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=1, batch_size=64)
         model, _ = train_model(model, (train_s, val_s), config)
-        from auroracast.ingest import fit_normalization
+        from auroracast.ingest import Normalization
 
-        mean, std = fit_normalization(train_s.features)
+        norm = Normalization.fit(train_s.features)
+        mean, std = norm.mean, norm.std
         assert model.meta["normalization"] == {
             "mean": [float(v) for v in mean],
             "std": [float(v) for v in std],
         }
+
+    def test_validation_is_chunked_and_bit_identical(self, monkeypatch):
+        """Validation predicts a bounded chunk of samples at a time: the loss
+        equals the single-pass loss bit for bit, and a validation set four
+        times larger raises the peak by less than one chunk of grids."""
+        from auroracast.ingest import Normalization
+
+        train_s, val_s, schema = self._samples(seed=45, grid=64)
+        arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=64, n_mlt=64)
+        model = M.build_model(arch, seed=0)
+        chunk = len(val_s) // 4
+        val_s = val_s[: 4 * chunk]  # whole chunks, so both sets run chunks of one size
+        padded = arch.filters[1] * (arch.n_lat + 2 * arch.overlap) ** 2
+        monkeypatch.setattr(M, "PREDICT_BYTES", chunk * 4 * padded)
+        spec = LossSpec("sparse_masked")
+        _, _, validate, _ = T._conv_setup(model, train_s, val_s, spec)
+        norm = Normalization.from_meta(model.meta["normalization"], arch.input_width)
+        single = M.forward_convdecoder(arch, model.params, norm.apply(val_s.features)).data
+        expected = T._sample_mse([(slice(0, len(val_s)), single, None)], val_s)
+
+        forward, batches = M.forward_convdecoder, []
+
+        def counted(arch, params, x, *args):
+            batches.append(len(x))
+            return forward(arch, params, x, *args)
+
+        monkeypatch.setattr(M, "forward_convdecoder", counted)
+        assert validate() == expected
+        assert batches == [chunk] * 4
+
+        val4 = val_s[np.tile(np.arange(len(val_s)), 4)]
+        _, _, validate4, _ = T._conv_setup(model, train_s, val4, spec)
+        peak, _ = peak_bytes(validate)
+        peak4, _ = peak_bytes(validate4)
+        assert peak4 - peak < chunk * arch.n_lat * arch.n_mlt * 4
 
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
