@@ -36,12 +36,8 @@ from .losses import (  # noqa: F401
     DistWeights,
     LossSpec,
     TailTerm,
-    dist_loss,
     fit_dist_weights,
     mse,
-    multitask_loss,
-    sparse_masked_loss,
-    tail_loss,
 )
 from .models import (  # noqa: F401
     BaselineArch,

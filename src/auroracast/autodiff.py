@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A Tensor wraps an ndarray; each operation computes its forward value and,
-when given a Tape, appends a backward closure. Tape.backward replays the
-closures in exact reverse execution order, accumulating gradients into
-every tensor on the path from parameters to the loss. The operation set
-is deliberately small: exactly what the bundled architectures need.
+when given a Tape, appends a backward closure for its output. Tape.backward
+replays the closures in exact reverse execution order, accumulating
+gradients into every tensor on the path from parameters to the loss, and
+skips the closure of an output no gradient reached (its .grad is None).
+The operation set is deliberately small: exactly what the bundled
+architectures need.
 
 Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
@@ -60,13 +62,11 @@ class Tape:
     """
 
     def __init__(self):
-        self._backward_fns: list[Callable[[], None]] = []
-        self._outputs: set[int] = set()
+        self._records: list[tuple[Tensor, Callable[[], None]]] = []
         self._spent = False
 
     def record(self, out: Tensor, backward_fn: Callable[[], None]):
-        self._backward_fns.append(backward_fn)
-        self._outputs.add(id(out))
+        self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor):
         """Populate .grad on every tensor the scalar loss depends on."""
@@ -74,12 +74,13 @@ class Tape:
             raise RuntimeError("tape already consumed; re-run the forward pass")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._outputs:
+        if not any(out is loss for out, _ in reversed(self._records)):
             raise ValueError("loss is not an output of this tape (detached graph)")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._backward_fns):
-            fn()
+        for out, fn in reversed(self._records):
+            if out.grad is not None:
+                fn()
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -112,8 +113,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             dy = out.grad
             _accumulate(w, x.data.T @ dy)
             _accumulate(b, dy.sum(axis=0))
@@ -131,8 +130,6 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
         gate = x.data > 0
 
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, out.grad * gate)
 
         tape.record(out, backward)
@@ -161,8 +158,6 @@ def dropout(
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, out.grad * keep * scale)
 
         tape.record(out, backward)
@@ -180,8 +175,6 @@ def softmax(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             dy = out.grad
             inner = (dy * p).sum(axis=1, keepdims=True)
             _accumulate(x, p * (dy - inner))
@@ -195,8 +188,6 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, out.grad.reshape(x.shape))
 
         tape.record(out, backward)
@@ -211,8 +202,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(a, out.grad)
             _accumulate(b, out.grad)
 
@@ -225,8 +214,6 @@ def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, out.grad * c)
 
         tape.record(out, backward)
@@ -238,8 +225,6 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, np.broadcast_to(out.grad, x.shape).astype(x.data.dtype))
 
         tape.record(out, backward)
@@ -255,8 +240,6 @@ def add_channel_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(b, out.grad.sum(axis=(0, 2, 3)))
             _accumulate(x, out.grad)
 
@@ -280,8 +263,6 @@ def pad_periodic_mlt(x: Tensor, overlap: int, tape: Tape | None = None) -> Tenso
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             dy = out.grad
             dx = dy[..., overlap : overlap + w].copy()
             dx[..., :overlap] += dy[..., w + overlap :]
@@ -304,8 +285,6 @@ def pad_zero_lat(x: Tensor, pad: int, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             _accumulate(x, out.grad[:, :, pad:-pad, :])
 
         tape.record(out, backward)
@@ -371,8 +350,6 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             oh, ow = out.shape[2:]
             span = (oh - 1) * w + ow
             dy_rows = np.zeros((n, co, oh, w), dtype=x.data.dtype)
@@ -439,8 +416,6 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             dfull = np.zeros((n, co, full_h, full_w), dtype=x.data.dtype)
             dfull[:, :, top : top + out_h, left : left + out_w] = out.grad
             dx = np.zeros_like(x_flat)

@@ -69,10 +69,12 @@ def _fmt(v: float) -> str:
 
 def cmd_synth(args) -> int:
     config_text, cfg = load_config(args.config)
-    if args.days <= 0:
-        raise ConfigError(f"--days must be positive, got {args.days:g}")
     params = G.world_params_from_config(cfg, seed=args.seed)
     duration = args.days * 86400.0
+    if not (np.isfinite(duration) and duration >= params.cadence_s):
+        raise ConfigError(
+            f"--days must be finite and span one {params.cadence_s:g} s cadence step, got {args.days:g}"
+        )
     drivers = G.gen_drivers(params, duration)
     obs = G.sample_traces(params, drivers)
 

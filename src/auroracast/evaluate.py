@@ -197,7 +197,9 @@ def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) 
     mlt_centers = (np.arange(spec.n_mlt) + 0.5) * spec.dmlt
     mlat_grid, mlt_grid = np.meshgrid(lat_centers, mlt_centers, indexing="ij")
     spatial = spatial_block(mlat_grid.ravel(), mlt_grid.ravel())
-    rows = np.hstack([spatial, np.tile(hist[0], (spatial.shape[0], 1))])
+    rows = np.empty((spatial.shape[0], spatial.shape[1] + hist.shape[1]))
+    rows[:, : spatial.shape[1]] = spatial
+    rows[:, spatial.shape[1] :] = hist[0]
     return predict(model, rows)[0].reshape(spec.n_lat, spec.n_mlt)
 
 

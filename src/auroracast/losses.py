@@ -1,21 +1,23 @@
-"""The five training losses, each with exact value and gradient semantics.
+"""The five training losses, each one fused autodiff operation.
 
-All losses act in log10 target space. Every loss exists in two forms: a
-pure value function on numpy arrays (used for evaluation and as the
-reference in tests) and a fused autodiff operation that records one
-backward closure with the hand-derived gradient:
+All losses act in log10 target space. An operation returns the loss as a
+0-d Tensor and, given a Tape, records one backward closure with the
+hand-derived gradient; with ``tape=None`` it only computes the value.
+mse, tail and dist are one kernel, the mean of w * (y_pred - y_true)**2:
 
-  mse            plain mean squared error
-  tail           squared error times (1 + sum of active penalty terms);
-                 a term (a, y_r) is active when y_true > y_r and
-                 y_pred < y_r, so only under-predicted high values pay.
-                 The indicator is held constant in the gradient.
-  dist           squared error weighted by the inverse (count+1) of the
-                 training-histogram bin containing y_true
+  mse            w = 1
+  tail           w = 1 + sum of active penalty terms; a term (a, y_r) is
+                 active when y_true > y_r and y_pred < y_r, so only
+                 under-predicted high values pay. The indicator is held
+                 constant in the gradient.
+  dist           w = the inverse (count+1) weight of the training-histogram
+                 bin containing y_true
   multitask      selected-region squared error plus categorical
                  cross-entropy over the three region classes
   sparse_masked  squared error summed over observed grid cells only;
                  unobserved cells contribute zero loss and zero gradient
+
+``mse`` is also the numpy metric that validation and evaluation report.
 """
 
 from __future__ import annotations
@@ -54,15 +56,14 @@ DEFAULT_TAIL_TERMS = (
 class DistWeights:
     """Per-bin inverse-frequency weights fitted on training targets.
 
-    weight_i = 1 / ((count_i + 1) * n_total) over equal-width bins
-    spanning [min, max] of the fitted targets. Out-of-range values clamp
+    weight_i = 1 / ((count_i + 1) * n) over equal-width bins spanning
+    [min, max] of the n fitted targets. Out-of-range values clamp
     to the edge bins; the top edge falls in the last bin.
     """
 
     edges: np.ndarray
     weights: np.ndarray
     n_bins: int
-    n_total: int
 
     def __post_init__(self):
         object.__setattr__(self, "edges", np.asarray(self.edges, dtype=np.float64))
@@ -91,15 +92,10 @@ def fit_dist_weights(y_train: np.ndarray, n_bins: int = 50) -> DistWeights:
     idx = uniform_bin_index(y, lo, hi, n_bins)
     counts = np.bincount(idx, minlength=n_bins)
     weights = 1.0 / ((counts + 1.0) * y.size)
-    return DistWeights(
-        edges=np.linspace(lo, hi, n_bins + 1),
-        weights=weights,
-        n_bins=n_bins,
-        n_total=int(y.size),
-    )
+    return DistWeights(edges=np.linspace(lo, hi, n_bins + 1), weights=weights, n_bins=n_bins)
 
 
-# ── Value functions ───────────────────────────────────────────────────
+# ── Metric and fused autodiff operations ──────────────────────────────
 
 def mse(y_true, y_pred) -> float:
     t, p = as_1d_pair(y_true, y_pred)
@@ -116,90 +112,34 @@ def tail_factors(y_true, y_pred, terms) -> np.ndarray:
     return factors
 
 
-def tail_loss(y_true, y_pred, terms=DEFAULT_TAIL_TERMS) -> float:
-    if not terms:
-        raise ValueError("tail_loss requires at least one term")
-    t, p = as_1d_pair(y_true, y_pred)
-    return float(np.mean((t - p) ** 2 * tail_factors(t, p, terms)))
+def _flat_target(name: str, y_pred: Tensor, y_true, dtype) -> np.ndarray:
+    t = np.asarray(y_true, dtype=dtype).ravel()
+    if t.size != y_pred.data.size or t.size == 0:
+        raise ValueError(f"{name}: bad lengths")
+    return t
 
 
-def dist_loss(y_true, y_pred, weights: DistWeights) -> float:
-    t, p = as_1d_pair(y_true, y_pred)
-    return float(np.mean(weights.weight_of(t) * (t - p) ** 2))
+def _weighted_se(tape: Tape | None, y_pred: Tensor, t: np.ndarray, w) -> Tensor:
+    """Mean of ``(pred - t)**2 * w`` over the flattened prediction; ``t`` and
+    the per-sample weights ``w`` (1.0 for mse) are in the prediction dtype."""
+    diff = y_pred.data.ravel() - t
+    out = Tensor(np.array(np.mean(diff**2 * w), dtype=y_pred.data.dtype))
 
+    if tape is not None:
+        def backward():
+            _accumulate(y_pred, (out.grad * 2.0 * diff * w / t.size).reshape(y_pred.shape))
 
-def multitask_loss(
-    y_flux_true,
-    y_flux_pred,
-    class_true,
-    class_prob_pred,
-    lambda_cce: float = 1.0,
-) -> float:
-    """Selected-head MSE plus categorical cross-entropy.
-
-    y_flux_pred is [n, 3] (one regression output per region); the squared
-    error uses, per sample, only the head selected by the argmax of the
-    predicted class probabilities (ties go to the lowest class index).
-    """
-    t = np.asarray(y_flux_true, dtype=np.float64).ravel()
-    flux = np.asarray(y_flux_pred, dtype=np.float64)
-    onehot = np.asarray(class_true, dtype=np.float64)
-    probs = np.asarray(class_prob_pred, dtype=np.float64)
-    _validate_prob_rows(probs)
-    sel = np.argmax(probs, axis=1)
-    picked = flux[np.arange(t.size), sel]
-    mse_term = float(np.mean((t - picked) ** 2))
-    cce_term = float(np.mean(-np.sum(onehot * np.log(probs), axis=1)))
-    return mse_term + lambda_cce * cce_term
-
-
-def _validate_prob_rows(probs: np.ndarray):
-    if probs.ndim != 2:
-        raise ValueError("class probabilities must be [n, k]")
-    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("invalid probability rows")
-
-
-def sparse_masked_loss(pred, target_values, mask, normalize: bool = True) -> float:
-    """Masked squared error over one grid or a batch of grids.
-
-    With ``normalize`` the sum of squared errors over observed cells is
-    divided by the total observed-cell count of the batch; otherwise the
-    raw double sum is returned. All-false masks contribute nothing.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    v = np.asarray(target_values, dtype=np.float64)
-    m = np.asarray(mask, dtype=bool)
-    if p.shape != v.shape or p.shape != m.shape:
-        raise ValueError("pred/target/mask shapes differ")
-    count = int(m.sum())
-    if count == 0:
-        raise ValueError("empty mask: no observed cells in batch")
-    total = float(np.sum((p[m] - v[m]) ** 2))
-    return total / count if normalize else total
-
-
-# ── Fused autodiff operations ─────────────────────────────────────────
-
-def mse_op(tape: Tape, y_pred: Tensor, y_true: np.ndarray) -> Tensor:
-    t = np.asarray(y_true, dtype=y_pred.data.dtype).ravel()
-    p = y_pred.data.ravel()
-    if t.size != p.size or t.size == 0:
-        raise ValueError("mse_op: bad lengths")
-    diff = p - t
-    out = Tensor(np.array(np.mean(diff**2), dtype=y_pred.data.dtype))
-
-    def backward():
-        if out.grad is None:
-            return
-        _accumulate(y_pred, (out.grad * 2.0 * diff / t.size).reshape(y_pred.shape))
-
-    tape.record(out, backward)
+        tape.record(out, backward)
     return out
 
 
+def mse_op(tape: Tape | None, y_pred: Tensor, y_true: np.ndarray) -> Tensor:
+    t = _flat_target("mse_op", y_pred, y_true, y_pred.data.dtype)
+    return _weighted_se(tape, y_pred, t, 1.0)
+
+
 def tail_loss_op(
-    tape: Tape, y_pred: Tensor, y_true: np.ndarray, terms=DEFAULT_TAIL_TERMS
+    tape: Tape | None, y_pred: Tensor, y_true: np.ndarray, terms=DEFAULT_TAIL_TERMS
 ) -> Tensor:
     """Mean of squared error times the per-sample tail factor.
 
@@ -208,61 +148,44 @@ def tail_loss_op(
     """
     if not terms:
         raise ValueError("tail_loss_op requires at least one term")
-    t = np.asarray(y_true, dtype=y_pred.data.dtype).ravel()
-    p = y_pred.data.ravel()
-    if t.size != p.size or t.size == 0:
-        raise ValueError("tail_loss_op: bad lengths")
-    factors = tail_factors(t, p, terms).astype(y_pred.data.dtype)
-    diff = p - t
-    out = Tensor(np.array(np.mean(diff**2 * factors), dtype=y_pred.data.dtype))
-
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad * 2.0 * diff * factors / t.size
-        _accumulate(y_pred, g.reshape(y_pred.shape))
-
-    tape.record(out, backward)
-    return out
+    t = _flat_target("tail_loss_op", y_pred, y_true, y_pred.data.dtype)
+    factors = tail_factors(t, y_pred.data.ravel(), terms).astype(y_pred.data.dtype)
+    return _weighted_se(tape, y_pred, t, factors)
 
 
-def dist_loss_op(tape: Tape, y_pred: Tensor, y_true: np.ndarray, weights: DistWeights) -> Tensor:
+def dist_loss_op(tape: Tape | None, y_pred: Tensor, y_true: np.ndarray, weights: DistWeights) -> Tensor:
+    """Squared error weighted by the bin weight of each float64 target."""
     if weights is None:
         raise ValueError("dist weights are unfitted")
-    t = np.asarray(y_true, dtype=np.float64).ravel()
-    p = y_pred.data.ravel()
-    if t.size != p.size or t.size == 0:
-        raise ValueError("dist_loss_op: bad lengths")
+    t = _flat_target("dist_loss_op", y_pred, y_true, np.float64)
     w = weights.weight_of(t).astype(y_pred.data.dtype)
-    diff = p - t.astype(y_pred.data.dtype)
-    out = Tensor(np.array(np.mean(w * diff**2), dtype=y_pred.data.dtype))
-
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad * 2.0 * w * diff / t.size
-        _accumulate(y_pred, g.reshape(y_pred.shape))
-
-    tape.record(out, backward)
-    return out
+    return _weighted_se(tape, y_pred, t.astype(y_pred.data.dtype), w)
 
 
 def multitask_loss_op(
-    tape: Tape,
+    tape: Tape | None,
     region_flux: Tensor,
     class_probs: Tensor,
     y_flux_true: np.ndarray,
     class_true_onehot: np.ndarray,
     lambda_cce: float = 1.0,
 ) -> Tensor:
-    """Joint loss; gradient reaches the selected flux head and all class
+    """Selected-head MSE plus ``lambda_cce`` times categorical cross-entropy.
+
+    region_flux is [n, 3] (one regression output per region); the squared
+    error uses, per sample, only the head selected by the argmax of the
+    predicted class probabilities (ties go to the lowest class index).
+    The gradient reaches the selected flux head and all class
     probabilities (through which softmax backpropagates to every logit).
     The argmax selection itself is piecewise constant and carries none."""
     t = np.asarray(y_flux_true, dtype=np.float64).ravel()
     onehot = np.asarray(class_true_onehot, dtype=np.float64)
     probs = class_probs.data
     flux = region_flux.data
-    _validate_prob_rows(probs)
+    if probs.ndim != 2:
+        raise ValueError("class probabilities must be [n, k]")
+    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
+        raise ValueError("invalid probability rows")
     n = t.size
     if flux.shape != probs.shape or onehot.shape != probs.shape or flux.shape[0] != n:
         raise ValueError("multitask_loss_op: shape mismatch")
@@ -273,27 +196,33 @@ def multitask_loss_op(
     cce_term = np.mean(-np.sum(onehot * np.log(probs), axis=1))
     out = Tensor(np.array(mse_term + lambda_cce * cce_term, dtype=flux.dtype))
 
-    def backward():
-        if out.grad is None:
-            return
-        g = float(out.grad)
-        dflux = np.zeros_like(flux)
-        dflux[rows, sel] = g * 2.0 * diff / n
-        _accumulate(region_flux, dflux)
-        dprobs = g * lambda_cce * (-onehot / probs) / n
-        _accumulate(class_probs, dprobs.astype(probs.dtype))
+    if tape is not None:
+        def backward():
+            g = float(out.grad)
+            dflux = np.zeros_like(flux)
+            dflux[rows, sel] = g * 2.0 * diff / n
+            _accumulate(region_flux, dflux)
+            dprobs = g * lambda_cce * (-onehot / probs) / n
+            _accumulate(class_probs, dprobs.astype(probs.dtype))
 
-    tape.record(out, backward)
+        tape.record(out, backward)
     return out
 
 
 def sparse_masked_loss_op(
-    tape: Tape, pred: Tensor, target_values: np.ndarray, mask: np.ndarray, normalize: bool = True
+    tape: Tape | None,
+    pred: Tensor,
+    target_values: np.ndarray,
+    mask: np.ndarray,
+    normalize: bool = True,
 ) -> Tensor:
-    """Masked squared error; gradient is bitwise zero at unobserved cells.
+    """Masked squared error over one grid or a batch of grids.
 
-    Target values are only ever read under the mask, so poisoned (NaN)
-    unobserved cells cannot reach the loss or the gradient.
+    With ``normalize`` the sum of squared errors over observed cells is
+    divided by the total observed-cell count of the batch; otherwise the
+    raw double sum is returned. The gradient is bitwise zero at
+    unobserved cells. Target values are only ever read under the mask, so
+    poisoned (NaN) unobserved cells cannot reach the loss or the gradient.
     """
     m = np.asarray(mask, dtype=bool)
     if pred.shape != m.shape:
@@ -306,14 +235,13 @@ def sparse_masked_loss_op(
     denom = count if normalize else 1
     out = Tensor(np.array(np.sum(diff**2) / denom, dtype=pred.data.dtype))
 
-    def backward():
-        if out.grad is None:
-            return
-        dp = np.zeros_like(pred.data)
-        dp[m] = out.grad * 2.0 * diff / denom
-        _accumulate(pred, dp)
+    if tape is not None:
+        def backward():
+            dp = np.zeros_like(pred.data)
+            dp[m] = out.grad * 2.0 * diff / denom
+            _accumulate(pred, dp)
 
-    tape.record(out, backward)
+        tape.record(out, backward)
     return out
 
 

@@ -3,7 +3,7 @@
 percentile_linear is the single order-statistic implementation used both
 for target cleaning and for tail-percentile thresholds, so the two stay
 consistent by construction. as_1d_pair is the one input check shared by
-the loss values and the evaluation metrics that compare two series.
+the mse metric and the evaluation metrics that compare two series.
 """
 
 from __future__ import annotations

@@ -323,8 +323,9 @@ def _sample_mse(chunks, samples: SparseSamples) -> float:
     chunks that cover the samples in order (``models.predict_chunks``).
 
     The observed cells are gathered into one array in CSR order, which is
-    boolean-mask order, so this equals ``losses.sparse_masked_loss`` on the
-    dense targets bit for bit, however the samples are chunked.
+    boolean-mask order, so this equals ``losses.sparse_masked_loss_op``
+    on float64 grids and the dense targets bit for bit, however the
+    samples are chunked.
     """
     observed = np.empty(samples.cells.size)
     for rows, pred, _ in chunks:

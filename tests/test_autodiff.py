@@ -410,6 +410,29 @@ class TestTapeSemantics:
         tape.backward(loss)
         assert u.grad is None
 
+    def test_closure_of_unreached_output_never_runs(self):
+        """A recorded branch the loss does not use gets no gradient, and
+        backward skips its closure instead of calling it."""
+
+        class CountingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.ran = []
+
+            def record(self, out, backward_fn):
+                super().record(out, lambda: (self.ran.append(out), backward_fn()))
+
+        rng = np.random.default_rng(20)
+        x = _t(rng, 4, 3)
+        tape = CountingTape()
+        unused = ad.relu(x, tape)
+        used = ad.scale(x, 3.0, tape)
+        loss = ad.sum_all(used, tape)
+        tape.backward(loss)
+        assert tape.ran == [loss, used]
+        assert unused.grad is None
+        assert np.array_equal(x.grad, np.full((4, 3), 3.0))
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         tape = Tape()

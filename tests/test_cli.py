@@ -89,6 +89,15 @@ class TestSynth:
     def test_zero_days_config_error(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path / "x", "--days", 0) == 2
 
+    @pytest.mark.parametrize("days", ["nan", "inf", "1e-9"])
+    def test_bad_days_config_error(self, tmp_path, capsys, days):
+        """A --days that is not finite or spans less than one driver
+        cadence step exits 2, names the flag and writes nothing."""
+        out = tmp_path / "x"
+        assert run("synth", "--out-dir", out, "--days", days) == 2
+        assert "--days" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_row_count_arithmetic(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("world.n_sats = 2\nworld.obs_cadence_s = 60\n")

@@ -13,22 +13,24 @@ from auroracast.config import parse_values
 from auroracast.errors import ConfigError
 from auroracast.losses import (
     DEFAULT_TAIL_TERMS,
+    LOSS_VARIANTS,
     DistWeights,
     LossSpec,
     TailTerm,
-    dist_loss,
     dist_loss_op,
     fit_dist_weights,
     mse,
     mse_op,
-    multitask_loss,
     multitask_loss_op,
-    sparse_masked_loss,
     sparse_masked_loss_op,
     tail_factors,
-    tail_loss,
     tail_loss_op,
 )
+
+
+def _value(op, pred, *args):
+    """Value of loss ``op`` run without a tape on a float64 prediction."""
+    return float(op(None, Tensor(np.asarray(pred, dtype=np.float64)), *args).data)
 
 
 def _loop_mse(t, p):
@@ -100,25 +102,25 @@ class TestTailLoss:
     def test_worked_value(self):
         # all five default terms are active: se = 2.6^2 = 6.76,
         # multiplier = 1 + 37.5, loss = 6.76 * 38.5 = 260.26
-        v = tail_loss(np.array([13.6]), np.array([11.0]), DEFAULT_TAIL_TERMS)
+        v = _value(tail_loss_op, np.array([11.0]), np.array([13.6]), DEFAULT_TAIL_TERMS)
         assert v == pytest.approx(260.26, abs=1e-9)
 
     def test_below_all_thresholds_is_plain_se(self):
         t = np.array([10.0, 10.0])
         p = np.array([7.0, 11.0])
-        assert tail_loss(t, p) == mse(t, p)
+        assert _value(tail_loss_op, p, t) == mse(t, p)
 
     def test_high_predictions_disable_terms(self):
         rng = np.random.default_rng(1)
         t = rng.uniform(8, 16, 30)
         p = np.full(30, 13.5) + rng.uniform(0, 2, 30)
-        assert tail_loss(t, p) == mse(t, p)
+        assert _value(tail_loss_op, p, t) == mse(t, p)
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(2)
         t = rng.uniform(8, 15, 64)
         p = rng.uniform(8, 15, 64)
-        assert tail_loss(t, p) == pytest.approx(_loop_tail(t, p, DEFAULT_TAIL_TERMS), rel=1e-13)
+        assert _value(tail_loss_op, p, t) == pytest.approx(_loop_tail(t, p, DEFAULT_TAIL_TERMS), rel=1e-13)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -164,7 +166,7 @@ class TestTailLoss:
 
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
-            tail_loss(np.ones(3), np.ones(3), ())
+            _value(tail_loss_op, np.ones(3), np.ones(3), ())
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
@@ -177,7 +179,7 @@ class TestDistWeights:
         counts = np.array([3, 1, 0])
         w = 1.0 / ((counts + 1) * 4)
         assert np.allclose(w, [1 / 16, 1 / 8, 1 / 4])
-        dw = DistWeights(edges=np.array([0.0, 1, 2, 3]), weights=w, n_bins=3, n_total=4)
+        dw = DistWeights(edges=np.array([0.0, 1, 2, 3]), weights=w, n_bins=3)
         assert dw.weight_of(np.array([0.5]))[0] == 1 / 16
         assert dw.weight_of(np.array([2.5]))[0] == 1 / 4
 
@@ -226,13 +228,13 @@ class TestDistLoss:
         rng = np.random.default_rng(5)
         t = rng.uniform(0, 3, 40)
         p = rng.uniform(0, 3, 40)
-        dw = DistWeights(edges=np.array([0.0, 1.5, 3.0]), weights=np.ones(2), n_bins=2, n_total=40)
-        assert dist_loss(t, p, dw) == pytest.approx(mse(t, p), rel=1e-13)
+        dw = DistWeights(edges=np.array([0.0, 1.5, 3.0]), weights=np.ones(2), n_bins=2)
+        assert _value(dist_loss_op, p, t, dw) == pytest.approx(mse(t, p), rel=1e-13)
 
     def test_zero_when_equal(self):
         y = np.linspace(8, 12, 20)
         dw = fit_dist_weights(y)
-        assert dist_loss(y, y, dw) == 0.0
+        assert _value(dist_loss_op, y, y, dw) == 0.0
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -240,13 +242,13 @@ class TestDistLoss:
         dw = fit_dist_weights(y_fit, n_bins=17)
         t = rng.normal(10, 1.5, 50)  # some out of fitted range -> clamped
         p = rng.normal(10, 1.5, 50)
-        assert dist_loss(t, p, dw) == pytest.approx(_loop_dist(t, p, dw), rel=1e-13)
+        assert _value(dist_loss_op, p, t, dw) == pytest.approx(_loop_dist(t, p, dw), rel=1e-13)
 
     def test_weight_scaling_preserves_gradient_direction(self):
         rng = np.random.default_rng(7)
         y_fit = rng.normal(10, 1, 200)
         dw = fit_dist_weights(y_fit, n_bins=10)
-        scaled = DistWeights(dw.edges, dw.weights * 3.7, dw.n_bins, dw.n_total)
+        scaled = DistWeights(dw.edges, dw.weights * 3.7, dw.n_bins)
         t = rng.normal(10, 1, 30)
         p0 = rng.normal(10, 1, 30)
 
@@ -283,7 +285,7 @@ class TestMultitask:
         probs = np.clip(probs, 1e-12, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
         flux = np.array([[9.0, 0, 0], [0, 0, 11.0]])
-        v = multitask_loss(t, flux, onehot, probs)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_probs_cce_is_ln3(self):
@@ -292,7 +294,7 @@ class TestMultitask:
         probs = np.full((1, 3), 1.0 / 3.0)
         flux = np.array([[0.0, 9.0, 0.0]])
         # argmax ties break to class 0, whose flux is 0 -> mse = 81
-        v = multitask_loss(t, flux, onehot, probs)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
         assert v == pytest.approx(81.0 + math.log(3.0), rel=1e-12)
 
     def test_loop_oracle(self):
@@ -304,7 +306,7 @@ class TestMultitask:
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         onehot = np.eye(3)[rng.integers(0, 3, n)]
         lam = 0.7
-        v = multitask_loss(t, flux, onehot, probs, lam)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot, lam).data)
         assert v == pytest.approx(_loop_multitask(t, flux, onehot, probs, lam), rel=1e-12)
 
     def test_confident_classifier_reduces_to_true_head_mse(self):
@@ -316,17 +318,18 @@ class TestMultitask:
         onehot = np.eye(3)[classes]
         probs = np.clip(onehot, 1e-15, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
-        v = multitask_loss(t, flux, onehot, probs)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
         expect = np.mean((t - flux[np.arange(n), classes]) ** 2)
         assert v == pytest.approx(expect, abs=1e-9)
 
     def test_invalid_probability_rows(self):
         with pytest.raises(ValueError):
-            multitask_loss(
+            multitask_loss_op(
+                None,
+                Tensor(np.ones((1, 3))),
+                Tensor(np.array([[0.9, 0.9, 0.9]])),
                 np.array([1.0]),
-                np.ones((1, 3)),
                 np.array([[1.0, 0, 0]]),
-                np.array([[0.9, 0.9, 0.9]]),
             )
 
     def test_gradient_flow(self):
@@ -356,14 +359,14 @@ class TestSparseMasked:
         pred = np.zeros((2, 2))
         target = np.array([[1.0, 0.0], [0.0, 2.0]])
         mask = np.array([[True, False], [False, True]])
-        assert sparse_masked_loss(pred, target, mask) == pytest.approx(2.5)
+        assert _value(sparse_masked_loss_op, pred, target, mask) == pytest.approx(2.5)
 
     def test_mask_locality(self):
         rng = np.random.default_rng(12)
         pred = rng.standard_normal((4, 5))
         target = pred.copy()
         target[~(mask := rng.random((4, 5)) < 0.4)] = 999.0
-        assert sparse_masked_loss(pred, target, mask) == 0.0
+        assert _value(sparse_masked_loss_op, pred, target, mask) == 0.0
 
     def test_empty_sample_excluded_from_batch_mean(self):
         pred = np.zeros((2, 2, 2))
@@ -371,24 +374,24 @@ class TestSparseMasked:
         masks = np.zeros((2, 2, 2), dtype=bool)
         masks[0, 0, 0] = True
         # sample 1 contributes nothing; denominator is 1 cell
-        assert sparse_masked_loss(pred, values, masks) == 1.0
+        assert _value(sparse_masked_loss_op, pred, values, masks) == 1.0
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="empty mask"):
-            sparse_masked_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+            _value(sparse_masked_loss_op, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
 
     def test_raw_sum_mode(self):
         pred = np.zeros((2, 2))
         target = np.array([[1.0, 0.0], [0.0, 2.0]])
         mask = np.array([[True, False], [False, True]])
-        assert sparse_masked_loss(pred, target, mask, normalize=False) == pytest.approx(5.0)
+        assert _value(sparse_masked_loss_op, pred, target, mask, False) == pytest.approx(5.0)
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(13)
         pred = rng.standard_normal((3, 6, 6))
         values = rng.standard_normal((3, 6, 6))
         mask = rng.random((3, 6, 6)) < 0.3
-        assert sparse_masked_loss(pred, values, mask) == pytest.approx(
+        assert _value(sparse_masked_loss_op, pred, values, mask) == pytest.approx(
             _loop_sparse(pred, values, mask), rel=1e-13
         )
 
@@ -416,7 +419,7 @@ class TestSparseMasked:
         tape.backward(loss)
         assert math.isfinite(float(loss.data))
         assert np.all(np.isfinite(pred.grad))
-        assert float(loss.data) == sparse_masked_loss(pred.data, values, mask)
+        assert float(loss.data) == _value(sparse_masked_loss_op, pred.data, values, mask)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(16)
@@ -430,6 +433,53 @@ class TestSparseMasked:
             return tape, sparse_masked_loss_op(tape, pred, values, mask)
 
         check_gradients(build, [pred])
+
+
+def _loss_cases():
+    """Per loss variant: (input arrays, call) where ``call(tape, *tensors)``
+    runs the loss op on tensors made from the arrays."""
+    rng = np.random.default_rng(20)
+    t = rng.uniform(8, 15, 12)
+    p = rng.uniform(8, 15, 12)
+    dw = fit_dist_weights(rng.normal(10, 1, 100), n_bins=8)
+    probs = rng.uniform(0.1, 1.0, (12, 3))
+    probs /= probs.sum(axis=1, keepdims=True)
+    onehot = np.eye(3)[rng.integers(0, 3, 12)]
+    values = rng.standard_normal((2, 4, 4))
+    mask = rng.random((2, 4, 4)) < 0.4
+    mask[0, 0, 0] = True
+    return {
+        "mse": ([p], lambda tape, y: mse_op(tape, y, t)),
+        "tail": ([p], lambda tape, y: tail_loss_op(tape, y, t)),
+        "dist": ([p], lambda tape, y: dist_loss_op(tape, y, t, dw)),
+        "multitask": (
+            [rng.normal(10, 1, (12, 3)), probs],
+            lambda tape, flux, pr: multitask_loss_op(tape, flux, pr, t, onehot, 0.7),
+        ),
+        "sparse_masked": (
+            [rng.standard_normal((2, 4, 4))],
+            lambda tape, y: sparse_masked_loss_op(tape, y, values, mask),
+        ),
+    }
+
+
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_op_without_tape_is_inference(variant, monkeypatch):
+    """With ``tape=None`` a loss op returns the value it returns on a tape,
+    records nothing and leaves every gradient unset."""
+    arrays, call = _loss_cases()[variant]
+
+    def run(tape):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        return tensors, call(tape, *tensors)
+
+    _, taped = run(Tape())
+    recorded = []
+    monkeypatch.setattr(Tape, "record", lambda self, out, fn: recorded.append(out))
+    tensors, value = run(None)
+    assert value.data == taped.data and value.data.dtype == taped.data.dtype
+    assert recorded == []
+    assert all(t.grad is None for t in [*tensors, value])
 
 
 class TestLossSpec:

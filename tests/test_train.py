@@ -20,7 +20,7 @@ from auroracast.geomodel import (
     sample_traces,
 )
 from auroracast.ingest import FeatureSchema, Holdout, build_features, split_by_holdout
-from auroracast.losses import LossSpec, sparse_masked_loss
+from auroracast.losses import LossSpec, sparse_masked_loss_op
 from auroracast.train import (
     AdamState,
     TrainConfig,
@@ -196,7 +196,8 @@ class TestSparseSamples:
         pred = pred.astype(np.float32)
         values, mask = dense_batch(samples, np.arange(len(samples)))
         whole = [(slice(0, len(samples)), pred, None)]
-        assert T._sample_mse(whole, samples) == sparse_masked_loss(pred, values, mask)
+        dense = sparse_masked_loss_op(None, Tensor(pred, dtype=np.float64), values, mask)
+        assert T._sample_mse(whole, samples) == float(dense.data)
 
     def test_memory_per_sample(self, world):
         d, obs, schema = world
@@ -351,9 +352,8 @@ class TestTrainConv:
 
         norm = Normalization.fit(np.stack([s.features for s in train_s]))
         x_val = (np.stack([s.features for s in val_s]) - norm.mean) / norm.std
-        init_val = sparse_masked_loss(
-            M.forward_convdecoder(arch, model.params, x_val).data, v, m
-        )
+        init_pred = Tensor(M.forward_convdecoder(arch, model.params, x_val).data, dtype=np.float64)
+        init_val = float(sparse_masked_loss_op(None, init_pred, v, m).data)
         model, history = train_model(model, (train_s, val_s), config)
         assert history.best_val < init_val
 
