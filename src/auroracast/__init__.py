@@ -10,8 +10,6 @@ from .geomodel import (  # noqa: F401
     DriverSeries,
     GridMap,
     GridSpec,
-    MagCoord,
-    Observation,
     ObsTable,
     Region,
     WorldParams,

@@ -9,9 +9,9 @@ processes, and satellites sweep MLAT as a triangular wave with the MLT
 sector fixed per ascending/descending leg, which reproduces the
 1-D-trace-on-2-D-domain sparsity of real polar-orbit sampling.
 
-Observations are held column-wise in an ``ObsTable`` (one array per
-field, validated once at construction); ``Observation`` and ``MagCoord``
-are the row view that ``table[i]`` returns.
+Observations are held column-wise in an ``ObsTable``: one array per
+field, validated once at construction. Selecting rows gives another
+table; no object stands for a single row.
 
 Everything here is a pure function of (params, seed): repeated calls are
 bit-identical and safe to run concurrently.
@@ -56,19 +56,6 @@ DRIVER_NAMES = (
     "AE", "AL", "AU", "F107", "SymH",
     "Bx", "By", "Bz", "Vsw", "Psw", "Vx", "PC", "NewellCF",
 )
-
-
-@dataclass(frozen=True)
-class MagCoord:
-    """A point in MLAT [45, 90] x MLT [0, 24); MLT wraps modulo 24."""
-
-    mlat: float
-    mlt: float
-
-    def __post_init__(self):
-        if not MLAT_MIN <= self.mlat <= MLAT_MAX:
-            raise ValueError(f"mlat out of range [45, 90]: {self.mlat}")
-        object.__setattr__(self, "mlt", float(self.mlt) % 24.0)
 
 
 @dataclass(frozen=True)
@@ -175,8 +162,8 @@ class DriverSeries:
             raise ValueError("driver columns have unequal lengths")
         self.columns = {k: np.asarray(v, dtype=np.float64) for k, v in self.columns.items()}
         for name, col in self.columns.items():
-            if np.isnan(col).any():
-                raise ValueError(f"NaN in driver column {name}")
+            if not np.isfinite(col).all():
+                raise ValueError(f"non-finite value in driver column {name}")
 
     @property
     def n(self) -> int:
@@ -196,21 +183,6 @@ class DriverSeries:
         return np.clip(idx, 0, self.n - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One satellite measurement of total electron energy flux."""
-
-    t: float
-    sat_id: int
-    coord: MagCoord
-    eflux: float
-    region: Region | None = None
-
-    def __post_init__(self):
-        if not self.eflux > 0:
-            raise ValueError(f"eflux must be positive, got {self.eflux}")
-
-
 @dataclass(eq=False)
 class ObsTable:
     """Observations as parallel columns, one row per measurement.
@@ -218,8 +190,8 @@ class ObsTable:
     ``region`` holds int8 Region values with -1 for an unlabelled row, or
     is None when no row carries a label. MLT is wrapped modulo 24. The
     mlat range, positive eflux and equal lengths are checked once, for
-    the whole table. ``table[i]`` is an ``Observation`` view; a slice,
-    boolean mask or index array selects a sub-table.
+    the whole table. A slice, boolean mask or index array selects a
+    sub-table.
     """
 
     t: np.ndarray
@@ -256,18 +228,7 @@ class ObsTable:
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            region = None
-            if self.region is not None and self.region[key] >= 0:
-                region = Region(int(self.region[key]))
-            return Observation(
-                t=float(self.t[key]),
-                sat_id=int(self.sat_id[key]),
-                coord=MagCoord(float(self.mlat[key]), float(self.mlt[key])),
-                eflux=float(self.eflux[key]),
-                region=region,
-            )
+    def __getitem__(self, key) -> ObsTable:
         return ObsTable(
             t=self.t[key],
             sat_id=self.sat_id[key],
@@ -276,9 +237,6 @@ class ObsTable:
             eflux=self.eflux[key],
             region=None if self.region is None else self.region[key],
         )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ Input files are plain decimal CSV:
   drivers.csv       header ``t,AE,AL,AU,F107,SymH,Bx,By,Bz,Vsw,Psw,Vx,PC,NewellCF``
   observations.csv  header ``t,sat_id,mlat,mlt,eflux[,region]``, region in {SUB,AUR,POL}
 
-Observations are read into a columnar ``ObsTable``: the file is read
-once, each numeric column is converted in one call, and faults are found
-with masks; an error names the first offending line. Observation fields
-are split on commas, so a line with a quoted field is rejected.
+Both files go through one tokenizer, ``_read_csv``: the file is read
+once and split on newlines and commas, so a quoted field or a NUL byte is
+rejected. Each numeric column is converted in one call, every number must
+be finite, and faults are found with masks; an error names the first
+offending ``path:line`` and, for a bad number, its column. The drivers
+become a ``DriverSeries``, with single missing rows filled by midpoints;
+the observations become a columnar ``ObsTable``.
 
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
@@ -154,8 +157,10 @@ class FeatureTable:
                 raise ValueError(f"column {name} has wrong length")
         if self.region is not None and len(self.region) != n:
             raise ValueError("region column has wrong length")
-        # min propagates NaN and, unlike isnan, needs no row-sized mask
-        if np.isnan(self.rows.min(initial=np.inf)) or not np.all(np.isfinite(self.target)):
+        # min and max propagate NaN and reach any infinity, and, unlike
+        # isfinite, need no row-sized mask
+        extremes = (self.rows.min(initial=0.0), self.rows.max(initial=0.0))
+        if not np.all(np.isfinite(extremes)) or not np.all(np.isfinite(self.target)):
             raise ValueError("non-finite feature or target")
 
     @property
@@ -212,97 +217,159 @@ class Holdout:
 
 # ── CSV readers ───────────────────────────────────────────────────────
 
+def _read_csv(path) -> tuple[list[str], list[str], np.ndarray, DataError | None]:
+    """Split a CSV file of unquoted, comma-separated fields.
+
+    Returns (header names, the fields of every record one record after
+    another, each record's line number, the first line fault or None).
+    Blank and whitespace-only lines are skipped. A line fault is a wrong
+    field count, a quoted field or a NUL byte; the records end before it,
+    and the caller raises it only when they hold no fault, so an error
+    always names the first bad line.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if not text:
+        raise DataError(f"{path}: empty file")
+    lines = text.split("\n")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    n_fields = len(header)
+
+    body = lines[1:]
+    commas = np.fromiter((ln.count(",") for ln in body), dtype=np.int64, count=len(body))
+    blank = np.zeros(len(body), dtype=bool)
+    blank[[i for i in np.flatnonzero(commas == 0) if not body[i].strip()]] = True
+    line_fault = ~blank & (commas != n_fields - 1)
+    if '"' in text or "\0" in text:
+        line_fault |= np.array(['"' in ln or "\0" in ln for ln in body], dtype=bool)
+    stop = int(np.argmax(line_fault)) if line_fault.any() else len(body)
+    rec = np.flatnonzero(~blank[:stop])
+    fields = ",".join([body[i] for i in rec]).split(",") if rec.size else []
+    fault = None
+    if stop < len(body):
+        ln = body[stop]
+        if '"' in ln:
+            msg = "quoted fields are not supported"
+        elif "\0" in ln:
+            msg = "line contains NUL"
+        else:
+            msg = f"expected {n_fields} fields"
+        fault = DataError(f"{path}:{stop + 2}: {msg}")
+    return header, fields, rec + 2, fault
+
+
+def _column_index(path, header: list[str], names) -> list[int]:
+    """The header position of each of ``names``; a missing one is a DataError."""
+    for name in names:
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name}")
+    return [header.index(name) for name in names]
+
+
+def _parse_columns(fields: list[str], n_fields: int, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python ``float`` on the fields of columns ``idx``, a column per call.
+
+    Returns (values [len(idx), n records], mask of the records with an
+    unparsable field); an unparsable field's value is NaN.
+    """
+    n = len(fields) // n_fields
+    values = np.empty((len(idx), n))
+    bad = np.zeros(n, dtype=bool)
+    for k, j in enumerate(idx):
+        tokens = fields[j::n_fields]
+        try:
+            values[k] = np.array(tokens, dtype=object).astype(np.float64)
+        except ValueError:
+            for i, tok in enumerate(tokens):
+                try:
+                    values[k, i] = float(tok)
+                except ValueError:
+                    values[k, i], bad[i] = np.nan, True
+    return values, bad
+
+
+def _finite_fault(names, values: np.ndarray):
+    """The finite-number rule as a check for ``_raise_first_fault``: the
+    records with a NaN or infinite value, named by the first such column."""
+    bad = ~np.isfinite(values)
+
+    def message(r):
+        k = int(np.argmax(bad[:, r]))
+        return f"{names[k]} must be finite, got {float(values[k, r])}"
+
+    return bad.any(axis=0), message
+
+
+def _raise_first_fault(path, lineno: np.ndarray, checks, line_fault: DataError | None):
+    """Raise a DataError for the first record any check flags, with the
+    message of the first check that flags it; else raise ``line_fault``.
+
+    ``checks`` holds (mask, message) pairs in the order the rules apply to
+    one record; ``message(r)`` describes the fault of record ``r``.
+    """
+    flagged = np.logical_or.reduce([mask for mask, _ in checks])
+    if flagged.any():
+        r = int(np.argmax(flagged))
+        msg = next(message(r) for mask, message in checks if mask[r])
+        raise DataError(f"{path}:{lineno[r]}: {msg}")
+    if line_fault is not None:
+        raise line_fault
+
+
+def _parse_error(tokens: list[str], names, int_column: int | None = None) -> str:
+    """The error of the row-wise conversions for a record's first bad field:
+    ``float`` on each field, then ``int`` on the integer column, whose value
+    must fit an int64."""
+    for k, tok in enumerate(tokens):
+        try:
+            int(float(tok)) if k == int_column else float(tok)
+        except (ValueError, OverflowError) as exc:
+            return str(exc)
+    return f"{names[int_column]} {int(float(tokens[int_column]))} is outside the int64 range"
+
+
 def read_drivers_csv(path) -> DriverSeries:
     """Parse a driver CSV; small gaps (one missing row) are midpoint-filled.
 
     The cadence is the smallest time step in the file; steps of twice the
     cadence are treated as one missing row, anything larger is an error.
+    Columns other than ``t`` and the drivers are not read.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "t":
-            raise DataError(f"{path}: first column must be 't'")
-        for name in DRIVER_NAMES:
-            if name not in header:
-                raise DataError(f"{path}: missing required column {name}")
-        cols_idx = {name: header.index(name) for name in DRIVER_NAMES}
-        t_list: list[float] = []
-        data: dict[str, list[float]] = {name: [] for name in DRIVER_NAMES}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                t_list.append(float(row[0]))
-                for name, i in cols_idx.items():
-                    data[name].append(float(row[i]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    header, fields, lineno, line_fault = _read_csv(path)
+    if not header or header[0] != "t":
+        raise DataError(f"{path}: first column must be 't'")
+    names = ("t",) + DRIVER_NAMES
+    idx = _column_index(path, header, names)
+    n_fields = len(header)
+    values, parse_bad = _parse_columns(fields, n_fields, idx)
+    unparsable = (parse_bad, lambda r: _parse_error([fields[r * n_fields + j] for j in idx], names))
+    _raise_first_fault(path, lineno, [unparsable, _finite_fault(names, values)], line_fault)
 
-    t = np.asarray(t_list, dtype=np.float64)
+    t, data = values[0], values[1:]
     if t.size < 2:
         raise DataError(f"{path}: need at least two rows")
     dt = np.diff(t)
     if np.any(dt <= 0):
         raise DataError(f"{path}: non-monotonic time")
     cadence = float(dt.min())
-    cols = {name: np.asarray(v, dtype=np.float64) for name, v in data.items()}
-
-    # Fill single-row gaps by linear interpolation; larger gaps are errors.
+    ratio = dt / cadence
     if np.any(dt > cadence * 1.5):
-        filled_t = [t[0]]
-        filled = {name: [cols[name][0]] for name in DRIVER_NAMES}
-        for i in range(1, t.size):
-            step = t[i] - t[i - 1]
-            ratio = step / cadence
-            if abs(ratio - 1.0) < 1e-6:
-                pass
-            elif abs(ratio - 2.0) < 1e-6:
-                filled_t.append(t[i - 1] + cadence)
-                for name in DRIVER_NAMES:
-                    filled[name].append(0.5 * (cols[name][i - 1] + cols[name][i]))
-            else:
-                raise DataError(
-                    f"{path}: gap of {step:g}s exceeds one missing row at t={t[i - 1]:g}"
-                )
-            filled_t.append(t[i])
-            for name in DRIVER_NAMES:
-                filled[name].append(cols[name][i])
-        t = np.asarray(filled_t)
-        cols = {name: np.asarray(v) for name, v in filled.items()}
-    else:
-        ratio = dt / cadence
-        if np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
-            raise DataError(f"{path}: irregular cadence")
-
-    return DriverSeries(t0=float(t[0]), cadence=cadence, columns=cols)
+        # Fill single-row gaps with midpoints; larger gaps are errors.
+        gap = np.abs(ratio - 2.0) < 1e-6
+        bad = ~gap & ~(np.abs(ratio - 1.0) < 1e-6)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{path}: gap of {dt[i]:g}s exceeds one missing row at t={t[i]:g}")
+        at = np.flatnonzero(gap) + 1
+        data = np.insert(data, at, 0.5 * (data[:, at - 1] + data[:, at]), axis=1)
+    elif np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
+        raise DataError(f"{path}: irregular cadence")
+    return DriverSeries(t0=float(t[0]), cadence=cadence, columns=dict(zip(DRIVER_NAMES, data)))
 
 
 _OBS_COLUMNS = ("t", "sat_id", "mlat", "mlt", "eflux")
 _NO_REGION = -1
 _BAD_REGION = -2
-
-
-def _parse_floats(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Python ``float`` on every token in one call; returns (values, bad mask)."""
-    try:
-        return np.array(tokens, dtype=object).astype(np.float64), np.zeros(len(tokens), bool)
-    except ValueError:
-        pass
-    values = np.full(len(tokens), np.nan)
-    bad = np.zeros(len(tokens), dtype=bool)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = float(tok)
-        except ValueError:
-            bad[i] = True
-    return values, bad
 
 
 def _region_value(token: str) -> int:
@@ -314,20 +381,6 @@ def _region_value(token: str) -> int:
         return _BAD_REGION
 
 
-def _parse_error(fields: list[str]) -> str:
-    """The error the row-wise rules give for the first unparsable field."""
-    t, sat, mlat, mlt, eflux = fields
-    try:
-        float(t)
-        sat_id = int(float(sat))
-        float(mlat)
-        float(mlt)
-        float(eflux)
-    except (ValueError, OverflowError) as exc:
-        return str(exc)
-    return f"sat_id {sat_id} is outside the int64 range"
-
-
 def read_observations_csv(path) -> tuple[ObsTable, int]:
     """Parse observations; returns (table, count of dropped non-positive eflux).
 
@@ -335,74 +388,30 @@ def read_observations_csv(path) -> tuple[ObsTable, int]:
     before their region code is read. Any other fault raises a DataError
     for the first offending line: a wrong field count, a quoted field or
     NUL byte, an unparsable number, mlat outside [45, 90], an unknown
-    region code, or a NaN eflux.
+    region code, a NaN eflux, or any other number that is not finite.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise DataError(f"{path}: empty file")
-    lines = text.split("\n")
-    header = [h.strip() for h in next(csv.reader(lines[:1]))]
-    for name in _OBS_COLUMNS:
-        if name not in header:
-            raise DataError(f"{path}: missing required column {name}")
-    idx = [header.index(name) for name in _OBS_COLUMNS]
-    region_idx = header.index("region") if "region" in header else None
+    header, fields, lineno, line_fault = _read_csv(path)
+    idx = _column_index(path, header, _OBS_COLUMNS)
     n_fields = len(header)
-
-    # Line faults: everything before the first one is tokenised and checked.
-    body = lines[1:]
-    commas = np.fromiter((ln.count(",") for ln in body), dtype=np.int64, count=len(body))
-    blank = np.zeros(len(body), dtype=bool)
-    blank[[i for i in np.flatnonzero(commas == 0) if not body[i].strip()]] = True
-    line_fault = ~blank & (commas != n_fields - 1)
-    if '"' in text or "\0" in text:
-        line_fault |= np.array(['"' in ln or "\0" in ln for ln in body])
-    stop = int(np.argmax(line_fault)) if line_fault.any() else len(body)
-    rec = np.flatnonzero(~blank[:stop])
-    flat = ",".join([body[i] for i in rec]).split(",") if rec.size else []
-
-    cols, parse_bad = [], np.zeros(rec.size, dtype=bool)
-    for j in idx:
-        values, bad = _parse_floats(flat[j::n_fields])
-        cols.append(values)
-        parse_bad |= bad
-    t, sat, mlat, mlt, eflux = cols
+    values, parse_bad = _parse_columns(fields, n_fields, idx)
+    t, sat, mlat, mlt, eflux = values
     parse_bad |= ~(np.abs(sat) < 2.0**63)
-    mlat_bad = ~parse_bad & ~((mlat >= MLAT_MIN) & (mlat <= MLAT_MAX))
-    dropped = ~parse_bad & ~mlat_bad & (eflux <= 0)
-    labelled = ~parse_bad & ~mlat_bad & ~dropped
+    dropped = eflux <= 0
     region = None
-    region_bad = np.zeros(rec.size, dtype=bool)
-    if region_idx is not None:
-        tokens = flat[region_idx::n_fields]
+    region_bad = np.zeros(len(lineno), dtype=bool)
+    if "region" in header:
+        tokens = fields[header.index("region")::n_fields]
         lookup = {tok: _region_value(tok) for tok in set(tokens)}
-        region = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int8, count=rec.size)
-        region_bad = labelled & (region == _BAD_REGION)
-    nan_bad = labelled & ~region_bad & np.isnan(eflux)
-
-    fault = parse_bad | mlat_bad | region_bad | nan_bad
-    if fault.any():
-        r = int(np.argmax(fault))
-        fields = body[rec[r]].split(",")
-        if parse_bad[r]:
-            msg = _parse_error([fields[j] for j in idx])
-        elif mlat_bad[r]:
-            msg = f"mlat {float(mlat[r]):g} outside [45, 90]"
-        elif region_bad[r]:
-            msg = f"unknown region code: {fields[region_idx]!r}"
-        else:
-            msg = f"eflux must be positive, got {float(eflux[r])}"
-        raise DataError(f"{path}:{rec[r] + 2}: {msg}")
-    if stop < len(body):
-        ln = body[stop]
-        if '"' in ln:
-            msg = "quoted fields are not supported"
-        elif "\0" in ln:
-            msg = "line contains NUL"
-        else:
-            msg = f"expected {n_fields} fields"
-        raise DataError(f"{path}:{stop + 2}: {msg}")
+        region = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int8, count=len(tokens))
+        region_bad = ~dropped & (region == _BAD_REGION)
+    checks = [
+        (parse_bad, lambda r: _parse_error([fields[r * n_fields + j] for j in idx], _OBS_COLUMNS, 1)),
+        (~((mlat >= MLAT_MIN) & (mlat <= MLAT_MAX)), lambda r: f"mlat {float(mlat[r]):g} outside [45, 90]"),
+        (region_bad, lambda r: f"unknown region code: {tokens[r]!r}"),
+        (np.isnan(eflux), lambda r: f"eflux must be positive, got {float(eflux[r])}"),
+        _finite_fault(_OBS_COLUMNS, values),
+    ]
+    _raise_first_fault(path, lineno, checks, line_fault)
 
     keep = ~dropped
     table = ObsTable(
@@ -459,18 +468,10 @@ def history_feature_rows(
 
     Returns (rows [m, 10*n_vars], ok mask). Instantaneous lags take the
     nearest cadence sample; averages are the mean over driver samples in
-    the half-open window (t - tau, t]. Each distinct time is computed once
-    and gathered back; every row depends only on its own time, so the
-    result does not depend on duplicates or order.
+    the half-open window (t - tau, t]. Every row depends only on its own
+    time, so the result does not depend on duplicates or order.
     """
-    uniq, inverse = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
-    rows, ok = _history_rows(drivers, uniq, schema)
-    return rows[inverse], ok[inverse]
-
-
-def _history_rows(
-    drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema
-) -> tuple[np.ndarray, np.ndarray]:
+    times = np.asarray(times, dtype=np.float64)
     cad = drivers.cadence
     ok = (times - schema.history_seconds >= drivers.t0 - 1e-9) & (
         times <= drivers.t_end + 1e-9
@@ -595,7 +596,7 @@ def build_features(
 
     target = log_transform(obs.eflux)
     uniq, inverse = np.unique(np.asarray(obs.t, dtype=np.float64), return_inverse=True)
-    hist, ok_uniq = _history_rows(drivers, uniq, schema)
+    hist, ok_uniq = history_feature_rows(drivers, uniq, schema)
     ok = ok_uniq[inverse]
     n_dropped = int((~ok).sum())
     if not ok.any():

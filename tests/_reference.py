@@ -2,18 +2,22 @@
 
 Each function here is the straightforward per-row (or per-window) version
 of a vectorised function in ``auroracast``, or the whole-array version of
-a chunked one; the tests compare the two exactly. Conversion from
-``Observation`` rows to an ``ObsTable`` also lives here, so tests can
-still write observations one by one, as do the scalar oracles of the
-world (``true_flux``, ``true_region``, ``cell_of``, with
-``driver_row_at`` for their driver input) and the one-window compositor
-``composite_window``.
+a chunked one; the tests compare the two exactly. The row-wise CSV
+readers ``read_drivers_rows`` and ``read_observations_rows`` parse with
+``csv.reader`` and ``float`` one row at a time and apply the package's
+finite-number rule row by row, and ``obs_table`` turns
+observation tuples into an ``ObsTable``, so tests can still write
+observations one by one. The scalar oracles of the world (``true_flux``,
+``true_region``, ``cell_of``, with ``driver_row_at`` for their driver
+input) and the one-window compositor ``composite_window`` take plain
+floats.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import zlib
 
@@ -21,12 +25,12 @@ import numpy as np
 
 from auroracast.errors import DataError
 from auroracast.geomodel import (
+    DRIVER_NAMES,
     MLAT_MAX,
     MLAT_MIN,
+    DriverSeries,
     GridMap,
     GridSpec,
-    MagCoord,
-    Observation,
     ObsTable,
     Region,
     activity_level,
@@ -37,16 +41,17 @@ from auroracast.geomodel import (
 from auroracast.ingest import history_feature_rows, spatial_block
 
 
-def obs_table(rows: list[Observation]) -> ObsTable:
-    """Columns of a list of Observation rows; unlabelled rows get region -1."""
-    regions = [-1 if o.region is None else o.region.value for o in rows]
+def obs_table(rows) -> ObsTable:
+    """Columns of ``(t, sat_id, mlat, mlt, eflux, region)`` tuples, region
+    a ``Region`` or None; unlabelled rows get region -1."""
+    t, sat_id, mlat, mlt, eflux, region = zip(*rows) if rows else ([],) * 6
     return ObsTable(
-        t=np.array([o.t for o in rows], dtype=np.float64),
-        sat_id=np.array([o.sat_id for o in rows], dtype=np.int64),
-        mlat=np.array([o.coord.mlat for o in rows], dtype=np.float64),
-        mlt=np.array([o.coord.mlt for o in rows], dtype=np.float64),
-        eflux=np.array([o.eflux for o in rows], dtype=np.float64),
-        region=np.array(regions, dtype=np.int8),
+        t=np.array(t, dtype=np.float64),
+        sat_id=np.array(sat_id, dtype=np.int64),
+        mlat=np.array(mlat, dtype=np.float64),
+        mlt=np.array(mlt, dtype=np.float64),
+        eflux=np.array(eflux, dtype=np.float64),
+        region=np.array([-1 if r is None else r.value for r in region], dtype=np.int8),
     )
 
 
@@ -57,21 +62,23 @@ def driver_row_at(drivers, t: float) -> dict[str, float]:
     return {name: float(col[i]) for name, col in drivers.columns.items()}
 
 
-def true_flux(coord: MagCoord, drivers_at_t, params) -> float:
-    """The world's log10 flux at one coordinate, for one row of drivers."""
+def true_flux(mlat: float, mlt: float, drivers_at_t, params) -> float:
+    """The world's log10 flux at one coordinate (MLT taken modulo 24), for
+    one row of drivers."""
     a = activity_level(drivers_at_t["NewellCF"], params)
-    return float(flux_field(coord.mlat, coord.mlt, a, params))
+    return float(flux_field(mlat, mlt % 24.0, a, params))
 
 
-def true_region(coord: MagCoord, drivers_at_t, params) -> Region:
-    """The world's region at one coordinate, for one row of drivers."""
+def true_region(mlat: float, mlt: float, drivers_at_t, params) -> Region:
+    """The world's region at one coordinate (MLT taken modulo 24), for one
+    row of drivers."""
     a = activity_level(drivers_at_t["NewellCF"], params)
-    return Region(int(region_field(coord.mlat, coord.mlt, a, params)))
+    return Region(int(region_field(mlat, mlt % 24.0, a, params)))
 
 
-def cell_of(coord: MagCoord, spec: GridSpec) -> tuple[int, int]:
+def cell_of(mlat: float, mlt: float, spec: GridSpec) -> tuple[int, int]:
     """The (row, col) grid cell of one coordinate."""
-    row, col = cells_of(coord.mlat, coord.mlt, spec)
+    row, col = cells_of(mlat, mlt, spec)
     return int(row), int(col)
 
 
@@ -84,7 +91,7 @@ def composite_window(obs: ObsTable, t_center: float, spec: GridSpec, half_width_
     counts = np.zeros((spec.n_lat, spec.n_mlt))
     for i in np.argsort(obs.t, kind="stable"):
         if t_center - half_width_s <= obs.t[i] <= t_center + half_width_s:
-            r, c = cell_of(MagCoord(float(obs.mlat[i]), float(obs.mlt[i])), spec)
+            r, c = cell_of(float(obs.mlat[i]), float(obs.mlt[i]), spec)
             sums[r, c] += np.log10(obs.eflux[i])
             counts[r, c] += 1
     if not counts.any():
@@ -95,8 +102,91 @@ def composite_window(obs: ObsTable, t_center: float, spec: GridSpec, half_width_
     return GridMap(spec=spec, values=values, mask=mask)
 
 
-def read_observations_rows(path) -> tuple[list[Observation], int]:
-    """``csv.reader`` plus ``float`` per field, one Observation per row."""
+def _check_finite(path, lineno, names, values):
+    """The finite-number rule for one row: the first NaN or infinite value
+    is a DataError naming its column."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: {name} must be finite, got {value}")
+
+
+def read_drivers_rows(path) -> DriverSeries:
+    """``csv.reader`` plus ``float`` per field, one row at a time, then a
+    per-row gap fill: single missing rows get the midpoint of their
+    neighbours. The cadence is the smallest time step in the file; a
+    larger gap, or a step that is no whole number of cadences, is an error.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != "t":
+            raise DataError(f"{path}: first column must be 't'")
+        for name in DRIVER_NAMES:
+            if name not in header:
+                raise DataError(f"{path}: missing required column {name}")
+        cols_idx = {name: header.index(name) for name in DRIVER_NAMES}
+        t_list: list[float] = []
+        data: dict[str, list[float]] = {name: [] for name in DRIVER_NAMES}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                values = [float(row[0])] + [float(row[i]) for i in cols_idx.values()]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            _check_finite(path, lineno, ("t",) + DRIVER_NAMES, values)
+            t_list.append(values[0])
+            for name, value in zip(DRIVER_NAMES, values[1:]):
+                data[name].append(value)
+
+    t = np.asarray(t_list, dtype=np.float64)
+    if t.size < 2:
+        raise DataError(f"{path}: need at least two rows")
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise DataError(f"{path}: non-monotonic time")
+    cadence = float(dt.min())
+    cols = {name: np.asarray(v, dtype=np.float64) for name, v in data.items()}
+
+    if np.any(dt > cadence * 1.5):
+        filled_t = [t[0]]
+        filled = {name: [cols[name][0]] for name in DRIVER_NAMES}
+        for i in range(1, t.size):
+            step = t[i] - t[i - 1]
+            ratio = step / cadence
+            if abs(ratio - 1.0) < 1e-6:
+                pass
+            elif abs(ratio - 2.0) < 1e-6:
+                filled_t.append(t[i - 1] + cadence)
+                for name in DRIVER_NAMES:
+                    filled[name].append(0.5 * (cols[name][i - 1] + cols[name][i]))
+            else:
+                raise DataError(
+                    f"{path}: gap of {step:g}s exceeds one missing row at t={t[i - 1]:g}"
+                )
+            filled_t.append(t[i])
+            for name in DRIVER_NAMES:
+                filled[name].append(cols[name][i])
+        t = np.asarray(filled_t)
+        cols = {name: np.asarray(v) for name, v in filled.items()}
+    else:
+        ratio = dt / cadence
+        if np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
+            raise DataError(f"{path}: irregular cadence")
+
+    return DriverSeries(t0=float(t[0]), cadence=cadence, columns=cols)
+
+
+def read_observations_rows(path) -> tuple[list[tuple], int]:
+    """``csv.reader`` plus ``float`` per field, one row at a time; returns
+    (``(t, sat_id, mlat, mlt, eflux, region)`` tuples, count of dropped
+    non-positive eflux)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -110,7 +200,7 @@ def read_observations_rows(path) -> tuple[list[Observation], int]:
         idx = {name: header.index(name) for name in required}
         region_idx = header.index("region") if "region" in header else None
 
-        out: list[Observation] = []
+        out: list[tuple] = []
         n_nonpositive = 0
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -123,22 +213,23 @@ def read_observations_rows(path) -> tuple[list[Observation], int]:
                 mlat = float(row[idx["mlat"]])
                 mlt = float(row[idx["mlt"]])
                 eflux = float(row[idx["eflux"]])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             if not MLAT_MIN <= mlat <= MLAT_MAX:
                 raise DataError(f"{path}:{lineno}: mlat {mlat:g} outside [45, 90]")
-            if eflux <= 0:
-                n_nonpositive += 1
-                continue
             region = None
-            if region_idx is not None and row[region_idx].strip():
+            if not eflux <= 0 and region_idx is not None and row[region_idx].strip():
                 try:
                     region = Region.from_code(row[region_idx])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-            out.append(
-                Observation(t=t, sat_id=sat, coord=MagCoord(mlat, mlt), eflux=eflux, region=region)
-            )
+            if math.isnan(eflux):
+                raise DataError(f"{path}:{lineno}: eflux must be positive, got {eflux}")
+            _check_finite(path, lineno, required, (t, sat, mlat, mlt, eflux))
+            if eflux <= 0:
+                n_nonpositive += 1
+                continue
+            out.append((t, sat, mlat, mlt, eflux, region))
     return out, n_nonpositive
 
 

@@ -567,6 +567,68 @@ class TestContainerFaults:
         assert "re-run `auroracast features`" in err
 
 
+def _world_with_field(src, dst, name, column, value, line=50):
+    """A copy of the synth directory ``src`` in which ``value`` replaces
+    ``column`` of ``name`` at file line ``line``; returns the changed file."""
+    dst.mkdir()
+    for fname in ("drivers.csv", "observations.csv"):
+        lines = (src / fname).read_text().split("\n")
+        if fname == name:
+            fields = lines[line - 1].split(",")
+            fields[lines[0].split(",").index(column)] = value
+            lines[line - 1] = ",".join(fields)
+        (dst / fname).write_text("\n".join(lines))
+    return dst / name
+
+
+# file, column, replacement value, and what the reader says about line 50
+BAD_FIELDS = {
+    "inf_driver": ("drivers.csv", "AE", "inf", "AE must be finite, got inf"),
+    "nan_driver_t": ("drivers.csv", "t", "nan", "t must be finite, got nan"),
+    "quoted_driver": ("drivers.csv", "Bz", '"1.0"', "quoted fields are not supported"),
+    "inf_mlt": ("observations.csv", "mlt", "inf", "mlt must be finite, got inf"),
+    "inf_eflux": ("observations.csv", "eflux", "inf", "eflux must be finite, got inf"),
+    "nan_obs_t": ("observations.csv", "t", "nan", "t must be finite, got nan"),
+}
+BAD_DRIVERS = sorted(case for case, (name, *_) in BAD_FIELDS.items() if name == "drivers.csv")
+
+
+class TestBadInputFields:
+    """A field that is not a finite, unquoted number exits 3 naming its file
+    and line, before any output is written."""
+
+    def _world(self, tmp_path, synth_dir, case):
+        name, column, value, message = BAD_FIELDS[case]
+        path = _world_with_field(synth_dir, tmp_path / "world", name, column, value)
+        return tmp_path / "world", f"data error: {path}:50: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_features(self, tmp_path, capsys, synth_dir, case):
+        world, error = self._world(tmp_path, synth_dir, case)
+        out = tmp_path / "t.aft"
+        argv = ("--drivers", world / "drivers.csv", "--obs", world / "observations.csv", "--out", out)
+        assert run("features", *argv) == 3
+        assert capsys.readouterr().err.strip() == error
+        assert sorted(os.listdir(tmp_path)) == ["world"]
+
+    @pytest.mark.parametrize("case", BAD_DRIVERS)
+    def test_train_sparse(self, tmp_path, capsys, synth_dir, case):
+        world, error = self._world(tmp_path, synth_dir, case)
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("arch = conv\narch.grid = 32\nloss = sparse_masked\n")
+        assert run("train", "--sparse", world, "--config", cfg, "--out-dir", tmp_path / "run") == 3
+        assert capsys.readouterr().err.strip() == error
+        assert sorted(os.listdir(tmp_path)) == ["conv.cfg", "world"]
+
+    @pytest.mark.parametrize("case", BAD_DRIVERS)
+    def test_map(self, tmp_path, capsys, trained, synth_dir, case):
+        world, error = self._world(tmp_path, synth_dir, case)
+        argv = ("--checkpoint", trained, "--drivers", world / "drivers.csv", "--at", 43200)
+        assert run("map", *argv, "--out", tmp_path / "m") == 3
+        assert capsys.readouterr().err.strip() == error
+        assert sorted(os.listdir(tmp_path)) == ["world"]
+
+
 def test_memory_error_is_resource_exit_code(tmp_path, monkeypatch, capsys):
     request = "Unable to allocate 8.40 GiB for an array with shape (703, 4, 134, 134, 7, 7)"
 

@@ -13,8 +13,6 @@ from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
     DriverSeries,
-    MagCoord,
-    Observation,
     Region,
     WorldParams,
     gen_drivers,
@@ -22,6 +20,7 @@ from auroracast.geomodel import (
 )
 from auroracast.ingest import (
     FeatureSchema,
+    FeatureTable,
     Holdout,
     Normalization,
     build_features,
@@ -47,6 +46,7 @@ from _reference import (
     fit_normalization_whole,
     history_rows_one_by_one,
     obs_table,
+    read_drivers_rows,
     read_observations_rows,
 )
 
@@ -65,7 +65,7 @@ def _constant_series(n=200, cadence=300.0, value=2.0):
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0, region=None):
-    return Observation(t=t, sat_id=sat, coord=MagCoord(mlat, mlt), eflux=eflux, region=region)
+    return (t, sat, mlat, mlt, eflux, region)
 
 
 class TestReadDrivers:
@@ -100,15 +100,122 @@ class TestReadDrivers:
             read_drivers_csv(path)
 
 
+DRIVERS_HEADER = "t," + ",".join(DRIVER_NAMES)
+
+
+def _driver_line(t, value=1.0):
+    return f"{t}," + ",".join(repr(value + k) for k in range(len(DRIVER_NAMES)))
+
+
+def _write_lines(path, lines, end="\n"):
+    path.write_text(end.join(lines) + end, newline="")
+    return path
+
+
+def _drivers_lines(*times):
+    return [DRIVERS_HEADER] + [_driver_line(t) for t in times]
+
+
+class TestReadDriversOracle:
+    """The columnar reader against the row-wise ``read_drivers_rows``."""
+
+    VALID = {
+        "one_row_gaps": [DRIVERS_HEADER]
+        + [_driver_line(t, 0.5 * t) for t in (0, 300, 900, 1200, 1800, 2100)],
+        "blank_lines": [
+            DRIVERS_HEADER, _driver_line(0), "", _driver_line(300, 2.5), "   ", _driver_line(600, -1.25), "",
+        ],
+        "extra_columns": [DRIVERS_HEADER + ",note,AE2", _driver_line(0) + ",x,", _driver_line(300, 7.0) + ",y,z"],
+        "padded_fields": [
+            " t , " + " , ".join(DRIVER_NAMES),
+            " 0 , " + " , ".join(f" {k}e-1 " for k in range(len(DRIVER_NAMES))),
+            "300," + ",".join(f"{k}.5  " for k in range(len(DRIVER_NAMES))),
+        ],
+        "reordered_columns": ["t," + ",".join(reversed(DRIVER_NAMES))]
+        + [_driver_line(t, 3.0 + t) for t in (0, 600, 900)],
+    }
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", sorted(VALID))
+    def test_same_columns(self, tmp_path, case, end):
+        path = _write_lines(tmp_path / "d.csv", self.VALID[case], end)
+        got, ref = read_drivers_csv(path), read_drivers_rows(path)
+        assert (got.t0, got.cadence, got.n) == (ref.t0, ref.cadence, ref.n)
+        assert list(got.columns) == list(ref.columns) == list(DRIVER_NAMES)
+        for name in DRIVER_NAMES:
+            assert np.array_equal(got.columns[name], ref.columns[name]), name
+            assert got.columns[name].flags.c_contiguous
+
+    FAULTS = {
+        "gap_too_large": (_drivers_lines(0, 300, 600, 1500, 1800), "gap of 900s"),
+        "gap_not_whole": (_drivers_lines(0, 300, 900, 1290), "gap of 390s"),
+        "irregular_cadence": (_drivers_lines(0, 300, 700), "irregular cadence"),
+        "non_monotonic": (_drivers_lines(0, 600, 300), "non-monotonic time"),
+        "missing_column": (
+            [DRIVERS_HEADER.replace(",PC", "")] + _drivers_lines(0, 300)[1:], "missing required column PC"
+        ),
+        "first_column_not_t": (
+            ["AE,t" + DRIVERS_HEADER[4:]] + _drivers_lines(0, 300)[1:], "first column must be 't'"
+        ),
+        "field_count": (_drivers_lines(0) + [_driver_line(300) + ",1"], ":3: expected 14 fields"),
+        "unparsable_t": (
+            _drivers_lines(0) + ["x" + _driver_line(300)], ":3: could not convert string to float: 'x300'"
+        ),
+        "unparsable_driver": (
+            _drivers_lines(0) + [_driver_line(300).replace(",3.0,", ",3..0,")],
+            ":3: could not convert string to float: '3..0'",
+        ),
+        "one_row": (_drivers_lines(0), "need at least two rows"),
+        "inf_driver": (_drivers_lines(0) + [_driver_line(300, float("inf"))], ":3: AE must be finite, got inf"),
+        "nan_t": (_drivers_lines(0, "nan", 600), ":3: t must be finite, got nan"),
+        "neg_inf_last_column": (
+            _drivers_lines(0) + [_driver_line(300).replace(",13.0", ",-inf")],
+            ":3: NewellCF must be finite, got -inf",
+        ),
+        "nonfinite_before_bad_count": (
+            _drivers_lines(0) + [_driver_line(300, float("nan")), "1,2"], ":3: AE must be finite, got nan"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_same_error(self, tmp_path, case):
+        lines, message = self.FAULTS[case]
+        path = _write_lines(tmp_path / "d.csv", lines)
+        with pytest.raises(DataError) as info:
+            read_drivers_csv(path)
+        with pytest.raises(DataError) as ref:
+            read_drivers_rows(path)
+        assert str(info.value) == str(ref.value)
+        assert str(info.value).startswith(f"{path}")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [('"1.0"', "quoted fields are not supported"), ("1\0", "line contains NUL")],
+        ids=["quoted", "nul"],
+    )
+    def test_quoted_or_nul_field_names_line(self, tmp_path, bad, message):
+        line = _driver_line(300).replace(",3.0,", f",{bad},")
+        path = _write_lines(tmp_path / "d.csv", _drivers_lines(0) + [line, _driver_line(600)])
+        with pytest.raises(DataError, match=f":3: {message}"):
+            read_drivers_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            read_drivers_csv(path)
+
+
 class TestReadObservations:
     def test_basic_row(self, tmp_path):
         path = tmp_path / "o.csv"
         path.write_text("t,sat_id,mlat,mlt,eflux\n0,16,65,22,1e11\n")
         obs, dropped = read_observations_csv(path)
         assert dropped == 0
-        assert obs[0].sat_id == 16
-        assert obs[0].coord == MagCoord(65.0, 22.0)
-        assert obs[0].eflux == 1e11
+        assert obs.sat_id.tolist() == [16]
+        assert (obs.mlat.tolist(), obs.mlt.tolist()) == ([65.0], [22.0])
+        assert obs.eflux.tolist() == [1e11]
 
     def test_nonpositive_dropped_and_counted(self, tmp_path):
         path = tmp_path / "o.csv"
@@ -133,7 +240,7 @@ class TestReadObservations:
         path = tmp_path / "o.csv"
         path.write_text("t,sat_id,mlat,mlt,eflux,region\n0,1,65,22,1e9,AUR\n")
         obs, _ = read_observations_csv(path)
-        assert obs[0].region is Region.AURORAL
+        assert obs.region.tolist() == [Region.AURORAL.value]
 
 
 OBS_HEADER = "t,sat_id,mlat,mlt,eflux,region"
@@ -144,6 +251,7 @@ FAULT_ROWS = {
     "float": "60,1,65,x,1e9,AUR",
     "mlat_range": "60,1,30,22,1e9,AUR",
     "region_code": "60,1,65,22,1e9,XYZ",
+    "not_finite": "60,1,65,inf,1e9,AUR",
 }
 
 
@@ -233,11 +341,44 @@ class TestReadObservationsOracle:
         with pytest.raises(DataError, match=":3: eflux must be positive, got nan"):
             read_observations_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("nan,1,65,22,1e9,AUR", "t must be finite, got nan"),
+            ("60,1,65,inf,1e9,AUR", "mlt must be finite, got inf"),
+            ("60,1,65,22,inf,AUR", "eflux must be finite, got inf"),
+            ("60,1,65,22,-inf,XYZ", "eflux must be finite, got -inf"),
+        ],
+        ids=["nan_t", "inf_mlt", "inf_eflux", "neg_inf_eflux"],
+    )
+    def test_nonfinite_names_line_and_column(self, tmp_path, row, message):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n{GOOD_ROW}\n{row}\n{GOOD_ROW}\n")
+        with pytest.raises(DataError) as info:
+            read_observations_csv(path)
+        assert str(info.value) == f"{path}:3: {message}" == _reference_error(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "o.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty file"):
             read_observations_csv(path)
+
+
+class TestFeatureTable:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nonfinite_row_rejected(self, value, dtype):
+        schema = FeatureSchema(variables=("AE",))
+        rows = np.ones((3, schema.width), dtype=dtype)
+        cols = dict(
+            target=np.ones(3), region=None, t=np.zeros(3), mlat=np.full(3, 60.0),
+            mlt=np.zeros(3), sat_id=np.zeros(3, dtype=np.int64),
+        )
+        assert FeatureTable(schema, rows, **cols).n == 3
+        rows[1, 4] = value
+        with pytest.raises(ValueError, match="non-finite feature or target"):
+            FeatureTable(schema, rows, **cols)
 
 
 class TestCleaning:

@@ -13,8 +13,6 @@ from auroracast.config import parse_config_text, parse_values
 from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
     GridSpec,
-    MagCoord,
-    Observation,
     WorldParams,
     gen_drivers,
     sample_traces,
@@ -36,7 +34,7 @@ from _reference import cell_of, composite_add_at, composite_window, obs_table
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0):
-    return Observation(t=t, sat_id=sat, coord=MagCoord(mlat, mlt), eflux=eflux)
+    return (t, sat, mlat, mlt, eflux, None)
 
 
 class TestAdam:
@@ -114,10 +112,10 @@ class TestCompositeWindow:
         obs = sample_traces(p, d, 60.0)
         t_center = 3600.0
         gm = composite_window(obs, t_center, self.SPEC)
-        in_window = [o for o in obs if abs(o.t - t_center) <= 150.0]
+        in_window = obs[np.abs(obs.t - t_center) <= 150.0]
         assert len(in_window) <= 2 * 5
         # loop-oracle mask
-        cells = {cell_of(o.coord, self.SPEC) for o in in_window}
+        cells = {cell_of(mlat, mlt, self.SPEC) for mlat, mlt in zip(in_window.mlat, in_window.mlt)}
         assert gm.mask.sum() == len(cells)
         for r, c in cells:
             assert gm.mask[r, c]
