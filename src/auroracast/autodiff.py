@@ -30,16 +30,15 @@ import numpy as np
 class Tensor:
     """An ndarray with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         if arr.ndim > 4:
             raise ValueError(f"tensors are at most 4-D, got shape {arr.shape}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
     @property
@@ -51,7 +50,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 class Tape:

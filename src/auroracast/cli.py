@@ -13,6 +13,7 @@ file's values, including keys that the command does not read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,11 +61,6 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _fmt(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
-
-
 # ── synth ─────────────────────────────────────────────────────────────
 
 def cmd_synth(args) -> int:
@@ -79,24 +75,17 @@ def cmd_synth(args) -> int:
     obs = G.sample_traces(params, drivers)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    drivers_path = os.path.join(args.out_dir, "drivers.csv")
-    with open(drivers_path, "w", newline="") as fh:
-        fh.write("t," + ",".join(G.DRIVER_NAMES) + "\n")
-        times = drivers.times
-        cols = [drivers.columns[name] for name in G.DRIVER_NAMES]
-        for i in range(drivers.n):
-            fh.write(_fmt(times[i]) + "," + ",".join(repr(float(c[i])) for c in cols) + "\n")
-
-    obs_path = os.path.join(args.out_dir, "observations.csv")
-    codes = [G.Region(v).code for v in range(len(G.Region))]
-    columns = (obs.t.tolist(), obs.sat_id.tolist(), obs.mlat.tolist(), obs.mlt.tolist(),
-               obs.eflux.tolist(), obs.region.tolist())
-    with open(obs_path, "w", newline="") as fh:
-        fh.write("t,sat_id,mlat,mlt,eflux,region\n")
-        fh.writelines(
-            f"{_fmt(t)},{sat},{mlat!r},{mlt!r},{eflux!r},{codes[region]}\n"
-            for t, sat, mlat, mlt, eflux, region in zip(*columns)
-        )
+    I.write_csv(
+        os.path.join(args.out_dir, "drivers.csv"),
+        ("t",) + G.DRIVER_NAMES,
+        [I.whole_as_int(drivers.times)] + [drivers.columns[name] for name in G.DRIVER_NAMES],
+    )
+    codes = np.array([region.code for region in G.Region], dtype=object)
+    I.write_csv(
+        os.path.join(args.out_dir, "observations.csv"),
+        ("t", "sat_id", "mlat", "mlt", "eflux", "region"),
+        [I.whole_as_int(obs.t), obs.sat_id, obs.mlat, obs.mlt, obs.eflux, codes[obs.region]],
+    )
 
     _write_manifest(
         args.out_dir,
@@ -130,12 +119,9 @@ def cmd_features(args) -> int:
     schema = I.schema_from_config(cfg)
     table = I.build_features(drivers, obs, schema)
     I.write_table_cache(table, args.out)
-    with open(f"{args.out}.cleaning.csv", "w", newline="") as fh:
-        fh.write("n_in,n_dropped_outlier,n_dropped_nonpositive,threshold,n_dropped_history\n")
-        fh.write(
-            f"{report.n_in},{report.n_dropped_outlier},{report.n_dropped_nonpositive},"
-            f"{report.threshold!r},{table.n_dropped_history}\n"
-        )
+    names = [f.name for f in dataclasses.fields(report)] + ["n_dropped_history"]
+    values = dataclasses.astuple(report) + (table.n_dropped_history,)
+    I.write_csv(f"{args.out}.cleaning.csv", names, [[v] for v in values])
     return 0
 
 

@@ -4,9 +4,11 @@ histogram comparisons, region metrics, and full-hemisphere map export.
 Errors are reported in log10 target space; binned reports carry a
 secondary linear-space multiplier column (10**MAE) for readers who think
 in percent error. Percentile thresholds use the same linear-interpolation
-order statistic as target cleaning. Maps are written as a raw CSV grid
-plus an 8-bit binary portable graymap (P5) with the value range mapped
-linearly onto [0, 255].
+order statistic as target cleaning. Histogram counts are int64. Every
+table, and the raw map grid (no header line), is written by
+``ingest.write_csv``, so floats are shortest round-trip decimals and
+counts are integers. The map also goes to an 8-bit binary portable
+graymap (P5) with the grid's range mapped linearly onto [0, 255].
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .geomodel import DriverSeries, GridSpec, Region
-from .ingest import FeatureSchema, spatial_block
+from .ingest import FeatureSchema, spatial_block, whole_as_int, write_csv
 from .models import ConvDecoderArch, Model, predict
 from .stats import as_1d_pair, percentile_linear, uniform_bin_index
 
@@ -101,11 +103,10 @@ def tail_reduction(
     )
 
 
-def histogram_compare(y_true, y_pred, n_bins: int = 50, normalized: bool = False):
+def histogram_compare(y_true, y_pred, n_bins: int = 50):
     """Counts of true and predicted values over shared uniform bins.
 
-    Returns (edges, true_counts, pred_counts); with ``normalized`` the
-    counts are scaled to sum to 1 (the paper-style scaled comparison).
+    Returns (edges, true_counts, pred_counts), the counts as int64.
     """
     t, p = as_1d_pair(y_true, y_pred)
     lo = float(min(t.min(), p.min()))
@@ -113,15 +114,8 @@ def histogram_compare(y_true, y_pred, n_bins: int = 50, normalized: bool = False
     if not hi > lo:
         hi = lo + 1e-9
     edges = np.linspace(lo, hi, n_bins + 1)
-    t_counts = np.bincount(uniform_bin_index(t, lo, hi, n_bins), minlength=n_bins).astype(
-        np.float64
-    )
-    p_counts = np.bincount(uniform_bin_index(p, lo, hi, n_bins), minlength=n_bins).astype(
-        np.float64
-    )
-    if normalized:
-        t_counts = t_counts / t_counts.sum()
-        p_counts = p_counts / p_counts.sum()
+    t_counts = np.bincount(uniform_bin_index(t, lo, hi, n_bins), minlength=n_bins)
+    p_counts = np.bincount(uniform_bin_index(p, lo, hi, n_bins), minlength=n_bins)
     return edges, t_counts, p_counts
 
 
@@ -204,20 +198,18 @@ def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) 
 
 
 def write_grid_csv(grid: np.ndarray, path):
-    with open(path, "w", newline="") as fh:
-        for row in grid:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """The grid's rows as CSV lines, with no header line."""
+    write_csv(path, None, np.asarray(grid).T)
 
 
-def write_pgm(grid: np.ndarray, path, vmin: float | None = None, vmax: float | None = None):
-    """8-bit binary graymap; values map linearly [vmin, vmax] -> [0, 255].
+def write_pgm(grid: np.ndarray, path):
+    """8-bit binary graymap; the grid's range maps linearly onto [0, 255].
 
-    Defaults to the grid's own range; a constant grid renders as 0.
-    Row 0 of the image is the lowest latitude row of the grid.
+    A constant grid renders as 0. Row 0 of the image is the lowest
+    latitude row of the grid.
     """
     g = np.asarray(grid, dtype=np.float64)
-    lo = float(g.min()) if vmin is None else float(vmin)
-    hi = float(g.max()) if vmax is None else float(vmax)
+    lo, hi = float(g.min()), float(g.max())
     if hi > lo:
         scaled = np.clip(np.rint((g - lo) / (hi - lo) * 255.0), 0, 255)
     else:
@@ -238,60 +230,40 @@ def render_map(model: Model, drivers: DriverSeries, t: float, spec: GridSpec, ou
 
 # ── Report CSV writers ────────────────────────────────────────────────
 
-def _r(x) -> str:
-    """Shortest round-trip decimal for a scalar."""
-    return repr(float(x))
-
-
 def write_binned_errors_csv(report: BinnedErrorReport, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi,count,mae_log10,bias_log10,mae_linear_factor\n")
-        for i in range(report.n_bins):
-            factor = 10.0 ** float(report.mae[i])
-            fh.write(
-                f"{_r(report.edges[i])},{_r(report.edges[i + 1])},{int(report.count[i])},"
-                f"{_r(report.mae[i])},{_r(report.bias[i])},{_r(factor)}\n"
-            )
+    # Python's scalar power: np.power can differ in the last bit
+    factor = [10.0 ** mae for mae in report.mae.tolist()]
+    header = ("bin_lo", "bin_hi", "count", "mae_log10", "bias_log10", "mae_linear_factor")
+    columns = [report.edges[:-1], report.edges[1:], report.count, report.mae, report.bias, factor]
+    write_csv(path, header, columns)
 
 
 def write_tail_reduction_csv(report: TailReductionReport, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("percentile,threshold_log10,n,baseline_mae_log10,candidate_mae_log10,reduction_pct\n")
-        for i, p in enumerate(report.percentiles):
-            fh.write(
-                f"{p:g},{_r(report.thresholds[i])},{int(report.count[i])},"
-                f"{_r(report.base_mae[i])},{_r(report.cand_mae[i])},{_r(100.0 * report.reduction[i])}\n"
-            )
+    header = ("percentile", "threshold_log10", "n", "baseline_mae_log10", "candidate_mae_log10",
+              "reduction_pct")
+    columns = [report.thresholds, report.count, report.base_mae, report.cand_mae, 100.0 * report.reduction]
+    write_csv(path, header, [whole_as_int(report.percentiles)] + columns)
 
 
 def write_histogram_csv(edges, true_counts, pred_counts, path):
-    t_total = true_counts.sum() or 1.0
-    p_total = pred_counts.sum() or 1.0
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi,true_count,pred_count,true_frac,pred_frac\n")
-        for i in range(len(true_counts)):
-            fh.write(
-                f"{_r(edges[i])},{_r(edges[i + 1])},{true_counts[i]:g},{pred_counts[i]:g},"
-                f"{_r(true_counts[i] / t_total)},{_r(pred_counts[i] / p_total)}\n"
-            )
+    fracs = [counts / (counts.sum() or 1) for counts in (true_counts, pred_counts)]
+    header = ("bin_lo", "bin_hi", "true_count", "pred_count", "true_frac", "pred_frac")
+    write_csv(path, header, [edges[:-1], edges[1:], true_counts, pred_counts, *fracs])
 
 
 def write_region_mse_csv(table: dict[str, tuple[float | None, int]], path):
-    with open(path, "w", newline="") as fh:
-        fh.write("region,count,mse_log10\n")
-        for code, (mse, count) in table.items():
-            fh.write(f"{code},{count},{'' if mse is None else _r(mse)}\n")
+    mse = ["" if mse is None else mse for mse, _ in table.values()]
+    write_csv(path, ("region", "count", "mse_log10"), [list(table), [n for _, n in table.values()], mse])
 
 
 def write_classification_csv(report: ClassificationReport, path):
     codes = [r.code for r in Region]
-    with open(path, "w", newline="") as fh:
-        fh.write("metric,arg1,arg2,value\n")
-        fh.write(f"accuracy,,,{_r(report.accuracy)}\n")
-        for i, ti in enumerate(codes):
-            for j, pj in enumerate(codes):
-                fh.write(f"confusion,{ti},{pj},{int(report.confusion[i, j])}\n")
-        for i, code in enumerate(codes):
-            fh.write(f"precision,{code},,{_r(report.precision[i])}\n")
-        for i, code in enumerate(codes):
-            fh.write(f"recall,{code},,{_r(report.recall[i])}\n")
+    k = len(codes)
+    columns = [
+        ["accuracy"] + ["confusion"] * k * k + ["precision"] * k + ["recall"] * k,
+        [""] + [code for code in codes for _ in codes] + codes + codes,
+        [""] + codes * k + [""] * 2 * k,
+        [report.accuracy] + report.confusion.ravel().tolist()
+        + report.precision.tolist() + report.recall.tolist(),
+    ]
+    write_csv(path, ("metric", "arg1", "arg2", "value"), columns)

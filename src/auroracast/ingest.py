@@ -1,17 +1,19 @@
-"""CSV ingestion, target cleaning, and feature engineering.
+"""CSV reading and writing, target cleaning, and feature engineering.
 
 Input files are plain decimal CSV:
 
   drivers.csv       header ``t,AE,AL,AU,F107,SymH,Bx,By,Bz,Vsw,Psw,Vx,PC,NewellCF``
   observations.csv  header ``t,sat_id,mlat,mlt,eflux[,region]``, region in {SUB,AUR,POL}
 
-Both files go through one tokenizer, ``_read_csv``: the file is read
-once and split on newlines and commas, so a quoted field or a NUL byte is
-rejected. Each numeric column is converted in one call, every number must
-be finite, and faults are found with masks; an error names the first
-offending ``path:line`` and, for a bad number, its column. The drivers
-become a ``DriverSeries``, with single missing rows filled by midpoints;
-the observations become a columnar ``ObsTable``.
+This module owns the CSV text format. Every CSV the commands write goes
+through one writer, ``write_csv``, and both input files through one
+tokenizer, ``_read_csv``: the file is read once and split on newlines and
+commas, so a quoted field, a NUL byte or a header that names a column
+twice is rejected. Each numeric column is converted in one call, every
+number must be finite, and faults are found with masks; an error names
+the first offending ``path:line`` and, for a bad number, its column. The
+drivers become a ``DriverSeries``, with single missing rows filled by
+midpoints; the observations become a columnar ``ObsTable``.
 
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
@@ -222,7 +224,8 @@ def _read_csv(path) -> tuple[list[str], list[str], np.ndarray, DataError | None]
 
     Returns (header names, the fields of every record one record after
     another, each record's line number, the first line fault or None).
-    Blank and whitespace-only lines are skipped. A line fault is a wrong
+    A header that names a column twice is a DataError. Blank and
+    whitespace-only lines are skipped. A line fault is a wrong
     field count, a quoted field or a NUL byte; the records end before it,
     and the caller raises it only when they hold no fault, so an error
     always names the first bad line.
@@ -233,6 +236,9 @@ def _read_csv(path) -> tuple[list[str], list[str], np.ndarray, DataError | None]
         raise DataError(f"{path}: empty file")
     lines = text.split("\n")
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name} appears twice in the header")
     n_fields = len(header)
 
     body = lines[1:]
@@ -387,8 +393,9 @@ def read_observations_csv(path) -> tuple[ObsTable, int]:
     Blank lines are skipped. Rows with eflux <= 0 are dropped and counted
     before their region code is read. Any other fault raises a DataError
     for the first offending line: a wrong field count, a quoted field or
-    NUL byte, an unparsable number, mlat outside [45, 90], an unknown
-    region code, a NaN eflux, or any other number that is not finite.
+    NUL byte, an unparsable number, a sat_id that is not a non-negative
+    integer, mlat outside [45, 90], an unknown region code, a NaN eflux, or
+    any other number that is not finite.
     """
     header, fields, lineno, line_fault = _read_csv(path)
     idx = _column_index(path, header, _OBS_COLUMNS)
@@ -406,6 +413,8 @@ def read_observations_csv(path) -> tuple[ObsTable, int]:
         region_bad = ~dropped & (region == _BAD_REGION)
     checks = [
         (parse_bad, lambda r: _parse_error([fields[r * n_fields + j] for j in idx], _OBS_COLUMNS, 1)),
+        ((sat < 0) | (sat != np.floor(sat)),
+         lambda r: f"sat_id must be a non-negative integer, got {float(sat[r])}"),
         (~((mlat >= MLAT_MIN) & (mlat <= MLAT_MAX)), lambda r: f"mlat {float(mlat[r]):g} outside [45, 90]"),
         (region_bad, lambda r: f"unknown region code: {tokens[r]!r}"),
         (np.isnan(eflux), lambda r: f"eflux must be positive, got {float(eflux[r])}"),
@@ -423,6 +432,42 @@ def read_observations_csv(path) -> tuple[ObsTable, int]:
         region=None if region is None else region[keep],
     )
     return table, int(dropped.sum())
+
+
+# ── CSV writer ────────────────────────────────────────────────────────
+
+def write_csv(path, header, columns):
+    """Write equal-length ``columns`` (1-D arrays or lists) as CSV rows
+    under ``header``; a header of None writes no header line.
+
+    Each field is ``str`` of its Python value, an array's values taken by
+    ``tolist()`` a row chunk at a time, so a float is written as its
+    shortest round-trip decimal and no whole column is ever held as text.
+    Columns of different lengths, or a header of another width, raise a
+    ValueError before the file is opened.
+    """
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) != 1 or (header is not None and len(header) != len(columns)):
+        raise ValueError(f"write_csv: columns of lengths {lengths} under header {header}")
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        # a field held as a Python number and its str takes about 100 bytes
+        for sl in row_chunks(lengths[0], 100 * len(columns)):
+            chunk = [col[sl].tolist() if isinstance(col, np.ndarray) else col[sl] for col in columns]
+            fields = [list(map(str, values)) for values in chunk]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*fields)))
+
+
+def whole_as_int(values) -> np.ndarray:
+    """``values`` as an object array for ``write_csv``: each integral value
+    below 1e15 in magnitude is an int, written without a fraction, and
+    the others stay floats."""
+    v = np.asarray(values, dtype=np.float64)
+    whole = (v == np.floor(v)) & (np.abs(v) < 1e15)
+    out = v.astype(object)
+    out[whole] = v[whole].astype(np.int64)
+    return out
 
 
 # ── Cleaning and transforms ───────────────────────────────────────────

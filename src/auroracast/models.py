@@ -200,7 +200,7 @@ def init_params(arch: Arch, seed: int = 0, dtype=np.float32) -> dict[str, Tensor
             fan_in = shape[0]
             gain = 1.0 if name.startswith(("out", "head", "to_grid")) else 2.0
             data = rng.standard_normal(shape) * np.sqrt(gain / fan_in)
-        params[name] = Tensor(data.astype(dtype), requires_grad=True)
+        params[name] = Tensor(data.astype(dtype))
     return params
 
 
@@ -420,9 +420,7 @@ def load_checkpoint(path) -> Model:
                 f"{path}: declared-shape mismatch for {name}: "
                 f"{arrays[name].shape} vs {shape}"
             )
-    params = {
-        name: Tensor(data.astype(np.float32), requires_grad=True) for name, data in arrays.items()
-    }
+    params = {name: Tensor(data.astype(np.float32)) for name, data in arrays.items()}
     return Model(arch=arch, params=params, meta=model_meta)
 
 

@@ -39,7 +39,7 @@ from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
 from .errors import ConfigError, DataError, TrainingDiverged, bind
 from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
-from .ingest import FeatureSchema, FeatureTable, Normalization, history_feature_rows
+from .ingest import FeatureSchema, FeatureTable, Normalization, history_feature_rows, write_csv
 from .losses import LossSpec
 
 COMPOSITE_HALF_WIDTH_S = 150.0
@@ -419,7 +419,5 @@ def train_config_from_config(cfg, seed_override: int | None = None) -> TrainConf
 
 
 def write_history_csv(history: History, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, train_loss, val_loss in history.epochs:
-            fh.write(f"{epoch},{train_loss!r},{val_loss!r}\n")
+    columns = [[epoch[k] for epoch in history.epochs] for k in range(3)]
+    write_csv(path, ("epoch", "train_loss", "val_loss"), columns)

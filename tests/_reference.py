@@ -7,7 +7,9 @@ readers ``read_drivers_rows`` and ``read_observations_rows`` parse with
 ``csv.reader`` and ``float`` one row at a time and apply the package's
 finite-number rule row by row, and ``obs_table`` turns
 observation tuples into an ``ObsTable``, so tests can still write
-observations one by one. The scalar oracles of the world (``true_flux``,
+observations one by one. The ``write_*_rows`` functions are the per-row
+CSV writers the package had before ``ingest.write_csv``, one f-string per
+line. The scalar oracles of the world (``true_flux``,
 ``true_region``, ``cell_of``, with ``driver_row_at`` for their driver
 input) and the one-window compositor ``composite_window`` take plain
 floats.
@@ -110,6 +112,13 @@ def _check_finite(path, lineno, names, values):
             raise DataError(f"{path}:{lineno}: {name} must be finite, got {value}")
 
 
+def _check_header(path, header):
+    """A header that names a column twice is a DataError."""
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name} appears twice in the header")
+
+
 def read_drivers_rows(path) -> DriverSeries:
     """``csv.reader`` plus ``float`` per field, one row at a time, then a
     per-row gap fill: single missing rows get the midpoint of their
@@ -123,6 +132,7 @@ def read_drivers_rows(path) -> DriverSeries:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        _check_header(path, header)
         if not header or header[0] != "t":
             raise DataError(f"{path}: first column must be 't'")
         for name in DRIVER_NAMES:
@@ -186,13 +196,14 @@ def read_drivers_rows(path) -> DriverSeries:
 def read_observations_rows(path) -> tuple[list[tuple], int]:
     """``csv.reader`` plus ``float`` per field, one row at a time; returns
     (``(t, sat_id, mlat, mlt, eflux, region)`` tuples, count of dropped
-    non-positive eflux)."""
+    non-positive eflux). sat_id must be a whole, non-negative number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        _check_header(path, header)
         required = ["t", "sat_id", "mlat", "mlt", "eflux"]
         for name in required:
             if name not in header:
@@ -209,12 +220,15 @@ def read_observations_rows(path) -> tuple[list[tuple], int]:
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
                 t = float(row[idx["t"]])
-                sat = int(float(row[idx["sat_id"]]))
+                sat_value = float(row[idx["sat_id"]])
+                sat = int(sat_value)
                 mlat = float(row[idx["mlat"]])
                 mlt = float(row[idx["mlt"]])
                 eflux = float(row[idx["eflux"]])
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if sat != sat_value or sat < 0:
+                raise DataError(f"{path}:{lineno}: sat_id must be a non-negative integer, got {sat_value}")
             if not MLAT_MIN <= mlat <= MLAT_MAX:
                 raise DataError(f"{path}:{lineno}: mlat {mlat:g} outside [45, 90]")
             region = None
@@ -391,3 +405,115 @@ def cache_bytes_container(table, normalization: bool = False) -> bytes:
     }
     meta = {"schema": schema, "n_dropped_history": table.n_dropped_history}
     return container_bytes("feature cache", meta, arrays)
+
+
+# ── Per-row CSV writers ───────────────────────────────────────────────
+
+def _fmt_time(v: float) -> str:
+    """An integral value below 1e15 in magnitude as an int, else repr."""
+    f = float(v)
+    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
+
+
+def _r(x) -> str:
+    return repr(float(x))
+
+
+def write_drivers_rows(drivers, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("t," + ",".join(DRIVER_NAMES) + "\n")
+        times = drivers.times
+        cols = [drivers.columns[name] for name in DRIVER_NAMES]
+        for i in range(drivers.n):
+            fh.write(_fmt_time(times[i]) + "," + ",".join(repr(float(c[i])) for c in cols) + "\n")
+
+
+def write_observations_rows(obs, path):
+    codes = [Region(v).code for v in range(len(Region))]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,sat_id,mlat,mlt,eflux,region\n")
+        for i in range(len(obs)):
+            fh.write(
+                f"{_fmt_time(obs.t[i])},{int(obs.sat_id[i])},{_r(obs.mlat[i])},{_r(obs.mlt[i])},"
+                f"{_r(obs.eflux[i])},{codes[obs.region[i]]}\n"
+            )
+
+
+def write_cleaning_rows(report, n_dropped_history, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("n_in,n_dropped_outlier,n_dropped_nonpositive,threshold,n_dropped_history\n")
+        fh.write(
+            f"{report.n_in},{report.n_dropped_outlier},{report.n_dropped_nonpositive},"
+            f"{report.threshold!r},{n_dropped_history}\n"
+        )
+
+
+def write_history_rows(history, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,train_loss,val_loss\n")
+        for epoch, train_loss, val_loss in history.epochs:
+            fh.write(f"{epoch},{train_loss!r},{val_loss!r}\n")
+
+
+def write_grid_rows(grid, path):
+    with open(path, "w", newline="") as fh:
+        for row in grid:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def write_binned_errors_rows(report, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("bin_lo,bin_hi,count,mae_log10,bias_log10,mae_linear_factor\n")
+        for i in range(report.n_bins):
+            factor = 10.0 ** float(report.mae[i])
+            fh.write(
+                f"{_r(report.edges[i])},{_r(report.edges[i + 1])},{int(report.count[i])},"
+                f"{_r(report.mae[i])},{_r(report.bias[i])},{_r(factor)}\n"
+            )
+
+
+def write_tail_reduction_rows(report, path):
+    """Percentiles follow the time rule; the writer before ``write_csv``
+    used ``:g``, which agrees up to six significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write("percentile,threshold_log10,n,baseline_mae_log10,candidate_mae_log10,reduction_pct\n")
+        for i, p in enumerate(report.percentiles):
+            fh.write(
+                f"{_fmt_time(p)},{_r(report.thresholds[i])},{int(report.count[i])},"
+                f"{_r(report.base_mae[i])},{_r(report.cand_mae[i])},{_r(100.0 * report.reduction[i])}\n"
+            )
+
+
+def write_histogram_rows(edges, true_counts, pred_counts, path):
+    """Counts are written as integers; the writer before ``write_csv``
+    used ``:g``, which rounds a count of 1e6 or more."""
+    t_total = float(true_counts.sum()) or 1.0
+    p_total = float(pred_counts.sum()) or 1.0
+    with open(path, "w", newline="") as fh:
+        fh.write("bin_lo,bin_hi,true_count,pred_count,true_frac,pred_frac\n")
+        for i in range(len(true_counts)):
+            fh.write(
+                f"{_r(edges[i])},{_r(edges[i + 1])},{int(true_counts[i])},{int(pred_counts[i])},"
+                f"{_r(true_counts[i] / t_total)},{_r(pred_counts[i] / p_total)}\n"
+            )
+
+
+def write_region_mse_rows(table, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("region,count,mse_log10\n")
+        for code, (mse, count) in table.items():
+            fh.write(f"{code},{count},{'' if mse is None else _r(mse)}\n")
+
+
+def write_classification_rows(report, path):
+    codes = [r.code for r in Region]
+    with open(path, "w", newline="") as fh:
+        fh.write("metric,arg1,arg2,value\n")
+        fh.write(f"accuracy,,,{_r(report.accuracy)}\n")
+        for i, ti in enumerate(codes):
+            for j, pj in enumerate(codes):
+                fh.write(f"confusion,{ti},{pj},{int(report.confusion[i, j])}\n")
+        for i, code in enumerate(codes):
+            fh.write(f"precision,{code},,{_r(report.precision[i])}\n")
+        for i, code in enumerate(codes):
+            fh.write(f"recall,{code},,{_r(report.recall[i])}\n")

@@ -9,8 +9,8 @@ from auroracast import autodiff as ad
 from auroracast.autodiff import Tape, Tensor
 
 
-def _t(rng, *shape, requires_grad=True):
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+def _t(rng, *shape):
+    return Tensor(rng.standard_normal(shape))
 
 
 class TestDense:
@@ -46,7 +46,7 @@ class TestRelu:
         assert np.array_equal(ad.relu(x).data, x.data)
 
     def test_nonpositive_zero_grad(self):
-        x = Tensor(-np.abs(np.random.default_rng(2).standard_normal(6)), requires_grad=True)
+        x = Tensor(-np.abs(np.random.default_rng(2).standard_normal(6)))
         tape = Tape()
         y = ad.sum_all(ad.relu(x, tape), tape)
         tape.backward(y)
@@ -55,8 +55,7 @@ class TestRelu:
 
     def test_gradcheck_away_from_kinks(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((5, 3)) + np.sign(rng.standard_normal((5, 3))) * 0.1,
-                   requires_grad=True)
+        x = Tensor(rng.standard_normal((5, 3)) + np.sign(rng.standard_normal((5, 3))) * 0.1)
 
         def build():
             tape = Tape()
@@ -322,8 +321,8 @@ def test_conv2d_memory_stays_near_input_size():
     shape allocates a few input-sized arrays, not a kernel-area-sized window
     copy (a 7x7 im2col needs about 49x the input)."""
     rng = np.random.default_rng(24)
-    x = Tensor(rng.standard_normal((16, 4, 134, 134)).astype(np.float32), requires_grad=True)
-    k = Tensor(rng.standard_normal((1, 4, 7, 7)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.standard_normal((16, 4, 134, 134)).astype(np.float32))
+    k = Tensor(rng.standard_normal((1, 4, 7, 7)).astype(np.float32))
 
     def forward_backward():
         tape = Tape()
@@ -395,7 +394,7 @@ class TestPadding:
 
 class TestTapeSemantics:
     def test_sum_of_weights_gives_ones(self):
-        w = Tensor(np.random.default_rng(16).standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(np.random.default_rng(16).standard_normal((3, 4)))
         tape = Tape()
         loss = ad.sum_all(w, tape)
         tape.backward(loss)
@@ -434,7 +433,7 @@ class TestTapeSemantics:
         assert np.array_equal(x.grad, np.full((4, 3), 3.0))
 
     def test_non_scalar_loss_rejected(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 2)))
         tape = Tape()
         y = ad.relu(w, tape)
         with pytest.raises(ValueError, match="scalar"):
@@ -448,7 +447,7 @@ class TestTapeSemantics:
             tape.backward(stranger)
 
     def test_double_backward_rejected(self):
-        w = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(3))
         tape = Tape()
         loss = ad.sum_all(w, tape)
         tape.backward(loss)
@@ -461,7 +460,7 @@ class TestTapeSemantics:
         alpha, beta = 0.7, -1.3
 
         def grads_of(fn):
-            w = Tensor(data.copy(), requires_grad=True)
+            w = Tensor(data.copy())
             tape = Tape()
             loss = fn(tape, w)
             tape.backward(loss)
@@ -479,7 +478,7 @@ class TestTapeSemantics:
         assert np.allclose(combined, alpha * g1 + beta * g2, atol=1e-14)
 
     def test_reuse_accumulates_once_per_use(self):
-        w = Tensor(np.arange(3.0), requires_grad=True)
+        w = Tensor(np.arange(3.0))
         tape = Tape()
         y = ad.relu(w, tape)
         loss = ad.add(ad.sum_all(y, tape), ad.sum_all(y, tape), tape)

@@ -589,8 +589,11 @@ BAD_FIELDS = {
     "inf_mlt": ("observations.csv", "mlt", "inf", "mlt must be finite, got inf"),
     "inf_eflux": ("observations.csv", "eflux", "inf", "eflux must be finite, got inf"),
     "nan_obs_t": ("observations.csv", "t", "nan", "t must be finite, got nan"),
+    "fractional_sat_id": ("observations.csv", "sat_id", "1.7", "sat_id must be a non-negative integer, got 1.7"),
+    "negative_sat_id": ("observations.csv", "sat_id", "-3", "sat_id must be a non-negative integer, got -3.0"),
 }
 BAD_DRIVERS = sorted(case for case, (name, *_) in BAD_FIELDS.items() if name == "drivers.csv")
+BAD_SAT_IDS = ["fractional_sat_id", "negative_sat_id"]
 
 
 class TestBadInputFields:
@@ -611,7 +614,7 @@ class TestBadInputFields:
         assert capsys.readouterr().err.strip() == error
         assert sorted(os.listdir(tmp_path)) == ["world"]
 
-    @pytest.mark.parametrize("case", BAD_DRIVERS)
+    @pytest.mark.parametrize("case", BAD_DRIVERS + BAD_SAT_IDS)
     def test_train_sparse(self, tmp_path, capsys, synth_dir, case):
         world, error = self._world(tmp_path, synth_dir, case)
         cfg = tmp_path / "conv.cfg"
@@ -625,6 +628,21 @@ class TestBadInputFields:
         world, error = self._world(tmp_path, synth_dir, case)
         argv = ("--checkpoint", trained, "--drivers", world / "drivers.csv", "--at", 43200)
         assert run("map", *argv, "--out", tmp_path / "m") == 3
+        assert capsys.readouterr().err.strip() == error
+        assert sorted(os.listdir(tmp_path)) == ["world"]
+
+    @pytest.mark.parametrize("name", ["drivers.csv", "observations.csv"])
+    def test_repeated_header_column(self, tmp_path, capsys, synth_dir, name):
+        world = tmp_path / "world"
+        world.mkdir()
+        for fname in ("drivers.csv", "observations.csv"):
+            lines = (synth_dir / fname).read_text().splitlines()
+            if fname == name:  # repeat the first column at the end
+                lines = [line + "," + line.split(",")[0] for line in lines]
+            (world / fname).write_text("\n".join(lines) + "\n")
+        argv = ("--drivers", world / "drivers.csv", "--obs", world / "observations.csv")
+        assert run("features", *argv, "--out", tmp_path / "t.aft") == 3
+        error = f"data error: {world / name}: column t appears twice in the header"
         assert capsys.readouterr().err.strip() == error
         assert sorted(os.listdir(tmp_path)) == ["world"]
 

@@ -5,7 +5,10 @@ import pytest
 
 from auroracast import models as M
 from auroracast.errors import DataError
+from auroracast.container import _CHUNK_BYTES
 from auroracast.evaluate import (
+    BinnedErrorReport,
+    TailReductionReport,
     binned_errors,
     classification_report,
     histogram_compare,
@@ -13,12 +16,26 @@ from auroracast.evaluate import (
     region_mse_table,
     render_map,
     tail_reduction,
+    write_binned_errors_csv,
+    write_classification_csv,
     write_grid_csv,
+    write_histogram_csv,
     write_pgm,
+    write_region_mse_csv,
+    write_tail_reduction_csv,
 )
 from auroracast.geomodel import GridSpec, WorldParams, gen_drivers
 from auroracast.ingest import FeatureSchema
 from auroracast.stats import percentile_linear
+
+from _reference import (
+    write_binned_errors_rows,
+    write_classification_rows,
+    write_grid_rows,
+    write_histogram_rows,
+    write_region_mse_rows,
+    write_tail_reduction_rows,
+)
 
 
 class TestBinnedErrors:
@@ -126,13 +143,18 @@ class TestHistogramCompare:
         assert np.array_equal(tc, pc)
         assert tc.sum() == 256
 
-    def test_normalized(self):
+    def test_normalized(self, tmp_path):
         rng = np.random.default_rng(10)
         y = rng.normal(10, 1, 100)
         p = rng.normal(11, 1, 100)
-        _, tc, pc = histogram_compare(y, p, n_bins=10, normalized=True)
-        assert tc.sum() == pytest.approx(1.0)
-        assert pc.sum() == pytest.approx(1.0)
+        write_histogram_csv(*histogram_compare(y, p, n_bins=10), tmp_path / "h.csv")
+        table = np.genfromtxt(tmp_path / "h.csv", delimiter=",", names=True)
+        assert table["true_frac"].sum() == pytest.approx(1.0)
+        assert table["pred_frac"].sum() == pytest.approx(1.0)
+
+    def test_counts_are_int64(self):
+        _, tc, pc = histogram_compare(np.arange(5.0), np.arange(5.0), n_bins=3)
+        assert tc.dtype == pc.dtype == np.int64
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -314,3 +336,77 @@ class TestMaps:
         render_map(model, drivers, 43200.0, spec, tmp_path / "b")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+
+# Values a float field must survive: signed zero, the smallest subnormal, a
+# value past the 1e16 switch to exponent notation, and plain fractions.
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, -1e16, 0.1, 2.5, 1e-300]
+
+
+class TestReportWriters:
+    """Each table writer against its per-row oracle in ``_reference``,
+    byte for byte."""
+
+    def _same(self, tmp_path, write, oracle, *args):
+        write(*args, tmp_path / "a.csv")
+        oracle(*args, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_binned_errors(self, tmp_path):
+        y = np.concatenate([np.full(5, 1.0), np.full(3, 9.0)])  # empty middle bins
+        self._same(tmp_path, write_binned_errors_csv, write_binned_errors_rows,
+                   binned_errors(y, y + 0.25, n_bins=10))
+        edges = np.array(EDGE_FLOATS + [1e17])
+        mae = np.array([-0.0, 5e-324, 0.0, 0.5, 1e-300, 2.5, 0.1])
+        report = BinnedErrorReport(edges=edges, mae=mae, bias=np.array(EDGE_FLOATS),
+                                   count=np.array([0, 1, 0, 7, 10**6, 3, 2]))
+        self._same(tmp_path, write_binned_errors_csv, write_binned_errors_rows, report)
+
+    def test_tail_reduction(self, tmp_path):
+        report = TailReductionReport(
+            percentiles=(90.0, 99.5, 0.5, 99),
+            thresholds=np.array(EDGE_FLOATS[:4]),
+            base_mae=np.array(EDGE_FLOATS[3:]),
+            cand_mae=np.array([5e-324, 0.0, -0.0, 1e16]),
+            reduction=np.array([-0.0, 5e-324, 1e14, 0.123]),
+            count=np.array([0, 1, 2, 10**7]),
+        )
+        self._same(tmp_path, write_tail_reduction_csv, write_tail_reduction_rows, report)
+        assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith("90,-0.0,0,-1e+16,")
+
+    def test_histogram_past_one_chunk(self, tmp_path):
+        n_bins = _CHUNK_BYTES // 8  # more bins than one chunk of six columns holds
+        rng = np.random.default_rng(42)
+        y = np.concatenate([rng.normal(0, 1, 5000), [1e16, -0.0]])
+        edges, tc, pc = histogram_compare(y, -y, n_bins=n_bins)
+        assert (tc == 0).any()
+        self._same(tmp_path, write_histogram_csv, write_histogram_rows, edges, tc, pc)
+        zeros = np.zeros(4, dtype=np.int64)
+        self._same(tmp_path, write_histogram_csv, write_histogram_rows, np.array(EDGE_FLOATS[:5]), zeros, zeros)
+
+    def test_histogram_count_of_a_million_is_exact(self, tmp_path):
+        y = np.full(1_234_567, 10.0)
+        write_histogram_csv(*histogram_compare(y, y, n_bins=4), tmp_path / "h.csv")
+        counts = [line.split(",")[2:4] for line in (tmp_path / "h.csv").read_text().splitlines()[1:]]
+        assert ["1234567", "1234567"] in counts
+        assert sum(int(t) for t, _ in counts) == 1_234_567
+
+    def test_region_mse_with_absent_region(self, tmp_path):
+        table = {"SUB": (None, 0), "AUR": (5e-324, 3), "POL": (-0.0, 10**6)}
+        self._same(tmp_path, write_region_mse_csv, write_region_mse_rows, table)
+        assert (tmp_path / "a.csv").read_text().splitlines()[1] == "SUB,0,"
+        labels = np.array([1, 1, 2, 2, 2])
+        self._same(tmp_path, write_region_mse_csv, write_region_mse_rows,
+                   region_mse_table(labels * 1.0, labels * 1.5, labels))
+
+    def test_classification(self, tmp_path):
+        t = np.array([0, 0, 1, 1, 1, 0])
+        p = np.array([0, 1, 1, 1, 0, 0])  # no POL, true or predicted
+        self._same(tmp_path, write_classification_csv, write_classification_rows, classification_report(t, p))
+
+    def test_grid_past_one_chunk(self, tmp_path):
+        n_cols = 500
+        grid = np.random.default_rng(43).normal(9, 1, (_CHUNK_BYTES // (8 * n_cols) + 5, n_cols))
+        grid[0, :7] = EDGE_FLOATS
+        self._same(tmp_path, write_grid_csv, write_grid_rows, grid)
+        assert (tmp_path / "a.csv").read_text().startswith("-0.0,5e-324,1e+16,-1e+16,0.1,")

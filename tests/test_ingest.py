@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from auroracast import cli
+from auroracast import train as T
+from auroracast.container import _CHUNK_BYTES
 from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
     DriverSeries,
+    ObsTable,
     Region,
     WorldParams,
     gen_drivers,
@@ -31,6 +34,7 @@ from auroracast.ingest import (
     read_observations_csv,
     read_table_cache,
     split_by_holdout,
+    write_csv,
     write_table_cache,
 )
 from auroracast.models import BaselineArch, build_model, load_checkpoint
@@ -48,6 +52,10 @@ from _reference import (
     obs_table,
     read_drivers_rows,
     read_observations_rows,
+    write_cleaning_rows,
+    write_drivers_rows,
+    write_history_rows,
+    write_observations_rows,
 )
 
 
@@ -166,6 +174,14 @@ class TestReadDriversOracle:
             ":3: could not convert string to float: '3..0'",
         ),
         "one_row": (_drivers_lines(0), "need at least two rows"),
+        "repeated_column": (
+            [DRIVERS_HEADER + ",AE"] + [_driver_line(t) + ",999" for t in (0, 300)],
+            "column AE appears twice in the header",
+        ),
+        "repeated_unread_column": (
+            [DRIVERS_HEADER + ",note,note"] + [_driver_line(t) + ",x,y" for t in (0, 300)],
+            "column note appears twice in the header",
+        ),
         "inf_driver": (_drivers_lines(0) + [_driver_line(300, float("inf"))], ":3: AE must be finite, got inf"),
         "nan_t": (_drivers_lines(0, "nan", 600), ":3: t must be finite, got nan"),
         "neg_inf_last_column": (
@@ -249,6 +265,7 @@ GOOD_ROW = "60,1,65,22,1e9,AUR"
 FAULT_ROWS = {
     "field_count": "60,1,65,22,1e9",
     "float": "60,1,65,x,1e9,AUR",
+    "sat_id": "60,1.7,65,22,1e9,AUR",
     "mlat_range": "60,1,30,22,1e9,AUR",
     "region_code": "60,1,65,22,1e9,XYZ",
     "not_finite": "60,1,65,inf,1e9,AUR",
@@ -329,6 +346,36 @@ class TestReadObservationsOracle:
             read_observations_csv(path)
         assert str(info.value) == _reference_error(path)
 
+    @pytest.mark.parametrize(
+        "sat_id,message",
+        [("1.7", "got 1.7"), ("-3", "got -3.0"), ("-0.5", "got -0.5"), ("1e-300", "got 1e-300")],
+    )
+    def test_sat_id_must_be_non_negative_integer(self, tmp_path, sat_id, message):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n{GOOD_ROW}\n60,{sat_id},65,22,0,AUR\n")
+        with pytest.raises(DataError) as info:
+            read_observations_csv(path)
+        expect = f"{path}:3: sat_id must be a non-negative integer, {message}"
+        assert str(info.value) == expect == _reference_error(path)
+
+    def test_whole_sat_ids_are_read(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text(f"{OBS_HEADER}\n60,-0,65,22,1e9,AUR\n60,2.0,65,22,1e9,AUR\n60,3e0,65,22,1e9,AUR\n")
+        table, _ = read_observations_csv(path)
+        rows, _ = read_observations_rows(path)
+        _same_columns(table, obs_table(rows))
+        assert table.sat_id.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("header", [OBS_HEADER + ",mlat", "t,t,sat_id,mlat,mlt,eflux"])
+    def test_repeated_header_column(self, tmp_path, header):
+        name = header.split(",")[-1] if header.endswith("mlat") else "t"
+        path = tmp_path / "o.csv"
+        path.write_text(f"{header}\n{GOOD_ROW},66\n")
+        with pytest.raises(DataError) as info:
+            read_observations_csv(path)
+        assert str(info.value) == f"{path}: column {name} appears twice in the header"
+        assert _reference_error(path) == str(info.value)
+
     def test_quoted_field_names_line(self, tmp_path):
         path = tmp_path / "o.csv"
         path.write_text(f'{OBS_HEADER}\n{GOOD_ROW}\n"60",1,65,22,1e9,AUR\n')
@@ -363,6 +410,116 @@ class TestReadObservationsOracle:
         path.write_text("")
         with pytest.raises(DataError, match="empty file"):
             read_observations_csv(path)
+
+
+def _rows_past_one_chunk(n_columns: int) -> int:
+    """More rows of ``n_columns`` columns than two ``row_chunks`` chunks
+    hold even at 8 bytes a field, so ``write_csv`` crosses chunk boundaries."""
+    return 2 * (_CHUNK_BYTES // (8 * n_columns)) + 3
+
+
+def _edge_world():
+    """Drivers at t0 = 0.5 and cadence 0.5 and observations, each with
+    more rows than one ``write_csv`` chunk, holding -0.0, 5e-324, 1e16 and
+    integral and fractional times."""
+    rng = np.random.default_rng(40)
+    n = _rows_past_one_chunk(1 + len(DRIVER_NAMES))
+    columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n) for name in DRIVER_NAMES}
+    columns["AE"][:6] = [-0.0, 5e-324, 1e16, -1e16, 1e15, 123456789.0]
+    drivers = DriverSeries(t0=0.5, cadence=0.5, columns=columns)
+    m = _rows_past_one_chunk(6)
+    t = 0.5 * np.arange(m)
+    t[:6] = [-0.0, 1e16, 1e15, 999999999999999.0, -2.5, 5e-324]
+    mlat = rng.uniform(45.0, 90.0, m)
+    mlat[:2] = [45.0, 90.0]
+    mlt = rng.uniform(0.0, 24.0, m)
+    mlt[:2] = [0.0, 5e-324]
+    eflux = 10.0 ** rng.uniform(6.0, 13.0, m)
+    eflux[:3] = [5e-324, 1e16, 1.0]
+    obs = ObsTable(t=t, sat_id=rng.integers(0, 70000, m), mlat=mlat, mlt=mlt,
+                   eflux=eflux, region=rng.integers(0, 3, m))
+    return drivers, obs
+
+
+class TestWriteCsv:
+    """``write_csv`` against the per-row writers it replaced, and back
+    through the readers."""
+
+    @pytest.fixture
+    def synth_out(self, tmp_path, monkeypatch):
+        drivers, obs = _edge_world()
+        monkeypatch.setattr(cli.G, "gen_drivers", lambda params, duration: drivers)
+        monkeypatch.setattr(cli.G, "sample_traces", lambda params, drivers: obs)
+        assert cli.main(["synth", "--out-dir", str(tmp_path / "world"), "--days", "1"]) == 0
+        return tmp_path / "world", drivers, obs
+
+    def test_synth_files_equal_row_writers(self, tmp_path, synth_out):
+        out, drivers, obs = synth_out
+        write_drivers_rows(drivers, tmp_path / "drivers.csv")
+        write_observations_rows(obs, tmp_path / "observations.csv")
+        for name in ("drivers.csv", "observations.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        lines = (out / "observations.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:8]] == [
+            "0", "1e+16", "1000000000000000.0", "999999999999999", "-2.5", "5e-324", "3",
+        ]
+
+    def test_read_back_bit_identical(self, synth_out):
+        out, drivers, obs = synth_out
+        back = read_drivers_csv(out / "drivers.csv")
+        assert (back.t0, back.cadence, back.n) == (0.5, 0.5, drivers.n)
+        for name in DRIVER_NAMES:
+            assert np.array_equal(back.columns[name].view(np.int64), drivers.columns[name].view(np.int64))
+        table, dropped = read_observations_csv(out / "observations.csv")
+        assert dropped == 0
+        assert np.array_equal(table.t, obs.t)  # the time rule writes -0.0 as 0
+        for name in ("sat_id", "mlat", "mlt", "eflux", "region"):
+            assert np.array_equal(getattr(table, name).view(np.int8), getattr(obs, name).view(np.int8)), name
+
+    def test_history_equals_row_writer(self, tmp_path):
+        history = T.History()
+        for epoch, (a, b) in enumerate([(-0.0, 5e-324), (1e16, 0.1), (2.5, 1e-300)]):
+            history.record(epoch, a, b)
+        T.write_history_csv(history, tmp_path / "a.csv")
+        write_history_rows(history, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("config", ["", "features.threshold = 1e16\n"])
+    def test_cleaning_equals_row_writer(self, tmp_path, config):
+        world, cfg = tmp_path / "world", tmp_path / "c.cfg"
+        cfg.write_text("world.n_sats = 1\n" + config)
+        assert cli.main(["synth", "--config", str(cfg), "--out-dir", str(world), "--days", "1"]) == 0
+        argv = ["--drivers", str(world / "drivers.csv"), "--obs", str(world / "observations.csv")]
+        assert cli.main(["features", *argv, "--config", str(cfg), "--out", str(tmp_path / "t.aft")]) == 0
+        obs, report = cli._clean_observations(world / "observations.csv", cli.load_config(str(cfg))[1])
+        table = build_features(read_drivers_csv(world / "drivers.csv"), obs)
+        write_cleaning_rows(report, table.n_dropped_history, tmp_path / "ref.csv")
+        assert (tmp_path / "t.aft.cleaning.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_unequal_columns_raise_and_write_nothing(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="lengths \\[3, 2\\]"):
+            write_csv(path, ("a", "b"), [np.zeros(3), [1, 2]])
+        with pytest.raises(ValueError, match="under header"):
+            write_csv(path, ("a",), [np.zeros(3), np.zeros(3)])
+        assert not path.exists()
+
+    def test_fields_are_str_of_python_values(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ("f", "i", "o"), [np.array([0.1, -0.0]), np.array([7, -8]), ["", 2.5]])
+        assert path.read_bytes() == b"f,i,o\n0.1,7,\n-0.0,-8,2.5\n"
+        write_csv(path, None, [np.array([1.0]), np.array([2])])
+        assert path.read_bytes() == b"1.0,2\n"
+        write_csv(path, ("a",), [np.array([])])
+        assert path.read_bytes() == b"a\n"
+
+    def test_streams_a_chunk_at_a_time(self, tmp_path):
+        n = 5 * _rows_past_one_chunk(6)
+        columns = list(np.random.default_rng(41).standard_normal((6, n)))
+        path = tmp_path / "x.csv"
+        peak, _ = peak_bytes(write_csv, path, tuple("abcdef"), columns)
+        size = path.stat().st_size
+        assert peak < size / 4, f"peak {peak / size:.2f}x the file"
 
 
 class TestFeatureTable:

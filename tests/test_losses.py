@@ -137,13 +137,13 @@ class TestTailLoss:
         p0 = np.array([11.0, 9.5, 12.9])
         factors = tail_factors(t, p0, DEFAULT_TAIL_TERMS)
 
-        pred = Tensor(p0.copy(), requires_grad=True)
+        pred = Tensor(p0.copy())
         tape = Tape()
         loss = tail_loss_op(tape, pred, t)
         tape.backward(loss)
         g_tail = pred.grad.copy()
 
-        pred2 = Tensor(p0.copy(), requires_grad=True)
+        pred2 = Tensor(p0.copy())
         tape2 = Tape()
         tape2.backward(mse_op(tape2, pred2, t))
         g_mse = pred2.grad
@@ -156,7 +156,7 @@ class TestTailLoss:
         # keep every sample several eps away from any threshold
         for term in DEFAULT_TAIL_TERMS:
             p0[np.abs(p0 - term.y_r) < 0.05] += 0.1
-        pred = Tensor(p0, requires_grad=True)
+        pred = Tensor(p0)
 
         def build():
             tape = Tape()
@@ -253,7 +253,7 @@ class TestDistLoss:
         p0 = rng.normal(10, 1, 30)
 
         def grad_with(weights):
-            pred = Tensor(p0.copy(), requires_grad=True)
+            pred = Tensor(p0.copy())
             tape = Tape()
             tape.backward(dist_loss_op(tape, pred, t, weights))
             return pred.grad
@@ -267,7 +267,7 @@ class TestDistLoss:
         y_fit = rng.normal(10, 1, 100)
         dw = fit_dist_weights(y_fit, n_bins=8)
         t = rng.normal(10, 1, 15)
-        pred = Tensor(rng.normal(10, 1, 15), requires_grad=True)
+        pred = Tensor(rng.normal(10, 1, 15))
 
         def build():
             tape = Tape()
@@ -336,11 +336,11 @@ class TestMultitask:
         rng = np.random.default_rng(11)
         n = 10
         t = rng.normal(10, 1, n)
-        flux = Tensor(rng.normal(10, 1, (n, 3)), requires_grad=True)
+        flux = Tensor(rng.normal(10, 1, (n, 3)))
         # logits -> softmax handled upstream; check the fused op's grads with FD
         probs0 = np.full((n, 3), 1.0 / 3.0) + rng.uniform(-0.05, 0.05, (n, 3))
         probs0 /= probs0.sum(axis=1, keepdims=True)
-        probs = Tensor(probs0, requires_grad=True)
+        probs = Tensor(probs0)
         onehot = np.eye(3)[rng.integers(0, 3, n)]
         tape = Tape()
         loss = multitask_loss_op(tape, flux, probs, t, onehot, 1.0)
@@ -397,7 +397,7 @@ class TestSparseMasked:
 
     def test_gradient_bitwise_zero_off_mask(self):
         rng = np.random.default_rng(14)
-        pred = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+        pred = Tensor(rng.standard_normal((2, 5, 5)))
         values = rng.standard_normal((2, 5, 5))
         mask = rng.random((2, 5, 5)) < 0.2
         mask[0, 0, 0] = True
@@ -408,7 +408,7 @@ class TestSparseMasked:
 
     def test_nan_poisoned_unobserved_cells_ignored(self):
         rng = np.random.default_rng(15)
-        pred = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        pred = Tensor(rng.standard_normal((2, 4, 4)))
         values = rng.standard_normal((2, 4, 4))
         mask = rng.random((2, 4, 4)) < 0.3
         mask[1, 1, 1] = True
@@ -426,7 +426,7 @@ class TestSparseMasked:
         values = rng.standard_normal((2, 4, 4))
         mask = rng.random((2, 4, 4)) < 0.4
         mask[0, 2, 2] = True
-        pred = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        pred = Tensor(rng.standard_normal((2, 4, 4)))
 
         def build():
             tape = Tape()
@@ -470,7 +470,7 @@ def test_op_without_tape_is_inference(variant, monkeypatch):
     arrays, call = _loss_cases()[variant]
 
     def run(tape):
-        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        tensors = [Tensor(a.copy()) for a in arrays]
         return tensors, call(tape, *tensors)
 
     _, taped = run(Tape())

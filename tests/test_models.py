@@ -17,7 +17,7 @@ SMALL_CONV = dict(trunk=(24, 16), n_lat=32, n_mlt=32)
 
 
 def _zero_params(arch):
-    return {name: Tensor(np.zeros(shape), requires_grad=True)
+    return {name: Tensor(np.zeros(shape))
             for name, shape in M.param_shapes(arch).items()}
 
 
@@ -122,7 +122,7 @@ class TestMultitask:
         x = np.random.default_rng(6).standard_normal((20, 5))
         _, _, selected = M.forward_multitask(arch, params, x)
         for c in (0.5, 2.0, 10.0):
-            params_scaled = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+            params_scaled = {k: Tensor(v.data.copy()) for k, v in params.items()}
             params_scaled["head_class.w"].data *= c
             params_scaled["head_class.b"].data *= c
             _, _, sel2 = M.forward_multitask(arch, params_scaled, x)

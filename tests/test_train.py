@@ -39,7 +39,7 @@ def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0):
 
 class TestAdam:
     def _params(self):
-        return {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+        return {"w": Tensor(np.array([1.0, -2.0]))}
 
     def test_zero_grads_leave_params_and_decay_moments(self):
         params = self._params()
@@ -56,7 +56,7 @@ class TestAdam:
 
     def test_single_step_matches_hand_computation(self):
         config = TrainConfig(lr=1e-3)
-        params = {"w": Tensor(np.zeros(1), requires_grad=True)}
+        params = {"w": Tensor(np.zeros(1))}
         g = np.array([0.4])
         state = AdamState()
         adam_step(params, {"w": g}, state, config)
@@ -68,8 +68,8 @@ class TestAdam:
 
     def test_params_update_independently(self):
         params = {
-            "a": Tensor(np.zeros(1), requires_grad=True),
-            "b": Tensor(np.zeros(1), requires_grad=True),
+            "a": Tensor(np.zeros(1)),
+            "b": Tensor(np.zeros(1)),
         }
         state = AdamState()
         adam_step(params, {"a": np.array([1.0]), "b": np.array([0.0])}, state, TrainConfig())
