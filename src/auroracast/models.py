@@ -1,17 +1,21 @@
 """The three architectures as parameter containers with forward semantics.
 
-  baseline   point-wise MLP: widths input -> 2*input -> 64 -> 32 -> 256
-             -> 1024 -> 256 -> 64 -> 1, ReLU hidden, 50% dropout after
-             the first hidden layer, linear scalar output.
-  multitask  the same trunk (ending at 64) with two heads: a 3-way
-             softmax region classifier and a 3-wide regression head (one
-             flux output per region); the reported flux is the head
-             selected by the predicted class.
-  conv       a dense trunk ending in a reshape to a coarse square grid,
-             two strided transposed convolutions (x2 then x4), dropout,
-             a periodic pad of the MLT axis (plus zero pad in latitude),
-             and a final valid convolution that restores the exact grid
-             size. Takes no spatial inputs; predicts the whole grid.
+Every model takes its input one way: raw feature rows, z-scored by the
+model's stored ``Normalization``, enter one dense ReLU trunk (widths
+``arch.trunk``, 50% dropout after the first layer), and a head follows.
+
+  baseline   trunk input -> 2*input -> 64 -> 32 -> 256 -> 1024 -> 256 -> 64
+             (the ``hidden`` field), linear scalar output.
+  multitask  the same trunk with two heads: a 3-way softmax region
+             classifier and a 3-wide regression head (one flux output per
+             region); the reported flux is the head selected by the
+             predicted class.
+  conv       trunk input -> 256 -> 64 -> 32, a dense layer reshaped to a
+             coarse square grid, two strided transposed convolutions (x2
+             then x4), dropout, a periodic pad of the MLT axis (plus zero
+             pad in latitude), and a final valid convolution that restores
+             the exact grid size. Takes no spatial inputs; predicts the
+             whole grid.
 
 A checkpoint is a ``container`` file of kind ``checkpoint`` (the layout
 is described there): the variant, the architecture fields and the
@@ -31,6 +35,16 @@ from .errors import ConfigError, DataError, bind
 from .ingest import SPATIAL_NAMES, Normalization
 
 
+def _check_trunk(arch):
+    """The rules every architecture's dense trunk shares."""
+    if arch.input_width < 1:
+        raise ValueError("input_width must be >= 1")
+    if any(w < 1 for w in arch.trunk):
+        raise ValueError("all layer widths must be >= 1")
+    if not 0.0 <= arch.dropout_rate < 1.0:
+        raise ValueError("dropout_rate must be in [0, 1)")
+
+
 @dataclass(frozen=True)
 class BaselineArch:
     input_width: int
@@ -38,18 +52,13 @@ class BaselineArch:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input_width must be >= 1")
         if not self.hidden:
             object.__setattr__(self, "hidden", default_hidden(self.input_width))
-        if any(w < 1 for w in self.hidden):
-            raise ValueError("all layer widths must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        _check_trunk(self)
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.input_width, *self.hidden, 1)
+    def trunk(self) -> tuple[int, ...]:
+        return self.hidden
 
 
 def default_hidden(input_width: int) -> tuple[int, ...]:
@@ -64,16 +73,11 @@ class MultiTaskArch:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input_width must be >= 1")
         if not self.trunk:
             object.__setattr__(self, "trunk", default_hidden(self.input_width))
-        if any(w < 1 for w in self.trunk):
-            raise ValueError("all layer widths must be >= 1")
+        _check_trunk(self)
         if self.n_regions < 2:
             raise ValueError("need at least two regions")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ class ConvDecoderArch:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input_width must be >= 1")
+        _check_trunk(self)
         if self.n_lat != self.n_mlt:
             raise ValueError("decoder currently requires a square grid")
         s = self.strides[0] * self.strides[1]
@@ -108,10 +111,6 @@ class ConvDecoderArch:
             raise ValueError("kernel must be at least as large as its stride")
         if self.final_kernel != 2 * self.overlap + 1:
             raise ValueError("final kernel must equal 2*overlap + 1 to restore grid size")
-        if any(w < 1 for w in self.trunk):
-            raise ValueError("all trunk widths must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
     @property
     def side(self) -> int:
@@ -147,29 +146,22 @@ class Model:
 # ── Initialization ────────────────────────────────────────────────────
 
 def param_shapes(arch: Arch) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes in init order: the dense trunk, then the head."""
+    widths = (arch.input_width, *arch.trunk)
     shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(len(widths) - 1):
+        shapes[f"dense{i}.w"] = (widths[i], widths[i + 1])
+        shapes[f"dense{i}.b"] = (widths[i + 1],)
+    top = widths[-1]
     if isinstance(arch, BaselineArch):
-        widths = arch.widths
-        for i in range(len(widths) - 2):
-            shapes[f"dense{i}.w"] = (widths[i], widths[i + 1])
-            shapes[f"dense{i}.b"] = (widths[i + 1],)
-        shapes["out.w"] = (widths[-2], 1)
+        shapes["out.w"] = (top, 1)
         shapes["out.b"] = (1,)
     elif isinstance(arch, MultiTaskArch):
-        widths = (arch.input_width, *arch.trunk)
-        for i in range(len(widths) - 1):
-            shapes[f"dense{i}.w"] = (widths[i], widths[i + 1])
-            shapes[f"dense{i}.b"] = (widths[i + 1],)
-        shapes["head_class.w"] = (widths[-1], arch.n_regions)
-        shapes["head_class.b"] = (arch.n_regions,)
-        shapes["head_flux.w"] = (widths[-1], arch.n_regions)
-        shapes["head_flux.b"] = (arch.n_regions,)
-    elif isinstance(arch, ConvDecoderArch):
-        widths = (arch.input_width, *arch.trunk)
-        for i in range(len(widths) - 1):
-            shapes[f"dense{i}.w"] = (widths[i], widths[i + 1])
-            shapes[f"dense{i}.b"] = (widths[i + 1],)
-        shapes["to_grid.w"] = (widths[-1], arch.side * arch.side)
+        for head in ("head_class", "head_flux"):
+            shapes[f"{head}.w"] = (top, arch.n_regions)
+            shapes[f"{head}.b"] = (arch.n_regions,)
+    else:
+        shapes["to_grid.w"] = (top, arch.side * arch.side)
         shapes["to_grid.b"] = (arch.side * arch.side,)
         f1, f2 = arch.filters
         k1, k2 = arch.kernels
@@ -179,8 +171,6 @@ def param_shapes(arch: Arch) -> dict[str, tuple[int, ...]]:
         shapes["deconv2.b"] = (f2,)
         shapes["final.k"] = (1, f2, arch.final_kernel, arch.final_kernel)
         shapes["final.b"] = (1,)
-    else:
-        raise TypeError(f"unknown architecture type {type(arch)!r}")
     return shapes
 
 
@@ -222,26 +212,22 @@ def warm_start_output(model: Model, base_level: float):
 
 # ── Forward passes ────────────────────────────────────────────────────
 
-def _as_input(x, params: dict[str, Tensor]) -> Tensor:
+def _trunk(arch: Arch, params: dict[str, Tensor], x, tape, training, dropout_rng) -> Tensor:
+    """The shared entry of every forward pass: ``x`` [n, input_width] in
+    the parameters' dtype, through the dense ReLU layers of ``arch.trunk``,
+    with dropout after the first."""
     dtype = next(iter(params.values())).data.dtype
     if isinstance(x, Tensor):
-        if x.data.dtype != dtype:
-            return Tensor(x.data.astype(dtype))
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
-def _check_width(x: Tensor, width: int):
-    if x.data.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"expected input [n, {width}], got {x.shape}")
-
-
-def _mlp_trunk(widths_count, params, h, arch_dropout, tape, training, dropout_rng):
-    for i in range(widths_count):
+        h = x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
+    else:
+        h = Tensor(np.asarray(x, dtype=dtype))
+    if h.data.ndim != 2 or h.shape[1] != arch.input_width:
+        raise ValueError(f"expected input [n, {arch.input_width}], got {h.shape}")
+    for i in range(len(arch.trunk)):
         h = ad.dense(h, params[f"dense{i}.w"], params[f"dense{i}.b"], tape)
         h = ad.relu(h, tape)
-        if i == 0 and arch_dropout > 0:
-            h = ad.dropout(h, arch_dropout, training, dropout_rng, tape)
+        if i == 0 and arch.dropout_rate > 0:
+            h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
     return h
 
 
@@ -254,12 +240,9 @@ def forward_baseline(
     dropout_rng=None,
 ) -> Tensor:
     """Point-wise flux regression: returns a [n] tensor of log10 flux."""
-    h = _as_input(x, params)
-    _check_width(h, arch.input_width)
-    n = h.shape[0]
-    h = _mlp_trunk(len(arch.hidden), params, h, arch.dropout_rate, tape, training, dropout_rng)
+    h = _trunk(arch, params, x, tape, training, dropout_rng)
     y = ad.dense(h, params["out.w"], params["out.b"], tape)
-    return ad.reshape(y, (n,), tape)
+    return ad.reshape(y, (h.shape[0],), tape)
 
 
 def forward_multitask(
@@ -275,9 +258,7 @@ def forward_multitask(
     selected_flux picks, per row, the regression head at the argmax class
     probability; ties break to the lowest class index.
     """
-    h = _as_input(x, params)
-    _check_width(h, arch.input_width)
-    h = _mlp_trunk(len(arch.trunk), params, h, arch.dropout_rate, tape, training, dropout_rng)
+    h = _trunk(arch, params, x, tape, training, dropout_rng)
     logits = ad.dense(h, params["head_class.w"], params["head_class.b"], tape)
     probs = ad.softmax(logits, tape)
     flux = ad.dense(h, params["head_flux.w"], params["head_flux.b"], tape)
@@ -295,10 +276,8 @@ def forward_convdecoder(
     dropout_rng=None,
 ) -> Tensor:
     """One full [n_lat, n_mlt] grid per input row of global features."""
-    h = _as_input(x, params)
-    _check_width(h, arch.input_width)
+    h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
-    h = _mlp_trunk(len(arch.trunk), params, h, arch.dropout_rate, tape, training, dropout_rng)
     h = ad.dense(h, params["to_grid.w"], params["to_grid.b"], tape)
     h = ad.reshape(h, (n, 1, arch.side, arch.side), tape)
     h = ad.conv2d_transpose(h, params["deconv1.k"], arch.strides[0], tape)
@@ -344,7 +323,7 @@ def predict_chunks(model: Model, raw_rows: np.ndarray):
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)
     if raw_rows.shape[1] != width:
         raise DataError(f"checkpoint normalizes {width} features, each input row has {raw_rows.shape[1]}")
-    widest = max(width, *(arch.hidden if isinstance(arch, BaselineArch) else arch.trunk))
+    widest = max((width, *arch.trunk))
     if isinstance(arch, ConvDecoderArch):
         mid = arch.side * arch.strides[0]
         padded = (arch.n_lat + 2 * arch.overlap) * (arch.n_mlt + 2 * arch.overlap)

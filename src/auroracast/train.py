@@ -8,8 +8,10 @@ training-row count, ``step_loss`` and ``validate`` closures, and the
 mean training target, which the output bias starts at (not at 0), so
 training starts at the scale of the data. Each setup fits an
 ``ingest.Normalization`` on its training inputs only and stores it as
-``model.meta["normalization"]``; validation predicts through
-``models.predict``, which applies it, as ``eval`` and ``map`` do. The
+``model.meta["normalization"]``. It keeps no normalized copy of those
+inputs: ``step_loss`` normalizes its batch of raw rows as
+``models.predict_chunks`` normalizes a prediction chunk, and validation
+predicts through ``models.predict``, as ``eval`` and ``map`` do. The
 closures look up ops and forward passes by module attribute at call
 time, so wrappers installed after import see every call.
 
@@ -295,16 +297,15 @@ def _point_setup(
 
     norm = Normalization.fit(train_table.rows)
     model.meta["normalization"] = norm.to_meta()
-    x_train = norm.apply(train_table.rows)
     y_train = train_table.target
-    onehot_train = np.eye(3)[train_table.region] if spec.variant == "multitask" else None
     dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
-        x, y = x_train[idx], y_train[idx]
+        x, y = norm.apply(train_table.rows[idx]), y_train[idx]
         if spec.variant == "multitask":
             probs, flux, _ = M.forward_multitask(model.arch, model.params, x, tape, True, dropout_rng)
-            return L.multitask_loss_op(tape, flux, probs, y, onehot_train[idx], spec.lambda_cce)
+            onehot = np.eye(3)[train_table.region[idx]]
+            return L.multitask_loss_op(tape, flux, probs, y, onehot, spec.lambda_cce)
         pred = M.forward_baseline(model.arch, model.params, x, tape, True, dropout_rng)
         if spec.variant == "tail":
             return L.tail_loss_op(tape, pred, y, spec.tail_terms)
@@ -346,11 +347,11 @@ def _conv_setup(
 
     norm = Normalization.fit(train_samples.features)
     model.meta["normalization"] = norm.to_meta()
-    x_train = norm.apply(train_samples.features)
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         values, mask = dense_batch(train_samples, idx)
-        pred = M.forward_convdecoder(model.arch, model.params, x_train[idx], tape, True, dropout_rng)
+        x = norm.apply(train_samples.features[idx])
+        pred = M.forward_convdecoder(model.arch, model.params, x, tape, True, dropout_rng)
         return L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
 
     def validate() -> float:

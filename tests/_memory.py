@@ -1,16 +1,24 @@
-"""Peak heap use of one call, as ``tracemalloc`` sees it (numpy buffers included)."""
+"""Heap use of one call, as ``tracemalloc`` sees it (numpy buffers included)."""
 
 from __future__ import annotations
 
 import tracemalloc
 
 
-def peak_bytes(fn, *args):
-    """Run ``fn(*args)``; return (peak bytes allocated during the call, result)."""
+def traced_bytes(fn, *args):
+    """Run ``fn(*args)``; return (peak bytes allocated during the call,
+    bytes still allocated at its end, result). What the result holds
+    counts in the second."""
     tracemalloc.start()
     try:
         result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, held, result
+
+
+def peak_bytes(fn, *args):
+    """Run ``fn(*args)``; return (peak bytes allocated during the call, result)."""
+    peak, _, result = traced_bytes(fn, *args)
     return peak, result

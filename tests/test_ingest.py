@@ -919,6 +919,16 @@ class TestChunkedPathsMatchReference:
             assert mean.dtype == std.dtype == np.float64
             assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
 
+    def test_batch_normalizes_like_the_whole_matrix(self):
+        # a training batch is normalized as it is drawn; row chunks of the
+        # whole matrix and the batch's own chunks give the same bits
+        rng = np.random.default_rng(5)
+        rows = (rng.normal(1e3, 1.0, (40_000, 17)) * rng.uniform(0.1, 1e4, 17)).astype(np.float32)
+        norm = Normalization.fit(rows)
+        whole = norm.apply(rows)
+        for idx in (rng.permutation(len(rows))[:4096], np.arange(len(rows))[::-3]):
+            assert np.array_equal(norm.apply(rows[idx]), whole[idx])
+
 
 class TestMemory:
     """Peak heap use of each step of the point-model data path, on a

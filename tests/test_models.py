@@ -1,10 +1,13 @@
 """Architecture forwards, invariances, and checkpoint round-trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from _gradcheck import probe_gradcheck
 from auroracast import autodiff as ad
+from auroracast import container
 from auroracast import models as M
 from auroracast.autodiff import Tape, Tensor
 from auroracast.config import parse_values
@@ -24,7 +27,7 @@ def _zero_params(arch):
 class TestBaseline:
     def test_default_widths(self):
         arch = M.BaselineArch(input_width=133)
-        assert arch.widths == (133, 266, 64, 32, 256, 1024, 256, 64, 1)
+        assert arch.hidden == (266, 64, 32, 256, 1024, 256, 64)
 
     def test_zero_weights_output_bias(self):
         arch = M.BaselineArch(input_width=5, hidden=(8, 4))
@@ -219,6 +222,79 @@ class TestConvDecoder:
         with pytest.raises(ConfigError, match="spatial"):
             M.assert_global_only(["sin_mlt", "AE_lag0m"])
         M.assert_global_only(["AE_lag0m", "Bz_avg30m"])
+
+
+def _trunk_arch(variant, input_width=6, widths=(8, 4), dropout_rate=0.5):
+    cls = {"baseline": M.BaselineArch, "multitask": M.MultiTaskArch, "conv": M.ConvDecoderArch}[variant]
+    fields = {"hidden" if variant == "baseline" else "trunk": widths}
+    if variant == "conv":
+        fields.update(n_lat=32, n_mlt=32)
+    return cls(input_width=input_width, dropout_rate=dropout_rate, **fields)
+
+
+BAD_TRUNKS = {
+    "input_width must be >= 1": {"input_width": 0},
+    "all layer widths must be >= 1": {"widths": (8, 0)},
+    "dropout_rate must be in [0, 1)": {"dropout_rate": 1.0},
+}
+
+VARIANTS = ["baseline", "multitask", "conv"]
+
+
+class TestTrunk:
+    """The dense trunk every architecture starts with: one set of rules,
+    one parameter layout, one forward prologue."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("message", list(BAD_TRUNKS))
+    def test_shared_rules(self, variant, message):
+        with pytest.raises(ValueError) as exc:
+            _trunk_arch(variant, **BAD_TRUNKS[message])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("message", list(BAD_TRUNKS))
+    def test_bad_checkpoint_header_is_data_error(self, tmp_path, variant, message):
+        arch = _trunk_arch(variant)
+        header = asdict(arch)
+        bad = dict(BAD_TRUNKS[message])
+        if "widths" in bad:
+            bad["hidden" if variant == "baseline" else "trunk"] = list(bad.pop("widths"))
+        header.update(bad)
+        arrays = {k: (v.data, "<f4") for k, v in M.init_params(arch).items()}
+        path = tmp_path / "bad.aur"
+        container.write(path, "checkpoint", {"variant": variant, "arch": header, "meta": {}}, arrays)
+        with pytest.raises(DataError, match="corrupt checkpoint architecture"):
+            M.load_checkpoint(path)
+
+    def test_param_shapes_order(self):
+        trunk = [("dense0.w", (6, 8)), ("dense0.b", (8,)), ("dense1.w", (8, 4)), ("dense1.b", (4,))]
+        heads = {
+            "baseline": [("out.w", (4, 1)), ("out.b", (1,))],
+            "multitask": [("head_class.w", (4, 3)), ("head_class.b", (3,)),
+                          ("head_flux.w", (4, 3)), ("head_flux.b", (3,))],
+            "conv": [("to_grid.w", (4, 16)), ("to_grid.b", (16,)),
+                     ("deconv1.k", (1, 4, 9, 9)), ("deconv1.b", (4,)),
+                     ("deconv2.k", (4, 4, 5, 5)), ("deconv2.b", (4,)),
+                     ("final.k", (1, 4, 7, 7)), ("final.b", (1,))],
+        }
+        for variant, head in heads.items():
+            assert list(M.param_shapes(_trunk_arch(variant)).items()) == trunk + head
+
+    def test_baseline_trunk_is_hidden(self):
+        arch = M.BaselineArch(input_width=6, hidden=(8, 4))
+        assert arch.trunk == arch.hidden == (8, 4)
+        assert "trunk" not in asdict(arch)
+        with pytest.raises(AttributeError):
+            arch.trunk = (9,)
+
+    def test_conv_without_trunk_predicts(self):
+        # the grid layer then reads the normalized inputs directly
+        model = M.build_model(_trunk_arch("conv", widths=()), seed=0)
+        raw = np.random.default_rng(2).standard_normal((5, 6))
+        model.meta["normalization"] = Normalization.fit(raw).to_meta()
+        pred, region = M.predict(model, raw)
+        assert pred.shape == (5, 32, 32) and region is None
 
 
 class TestCheckpoints:

@@ -29,7 +29,7 @@ from auroracast.train import (
     train_model,
 )
 
-from _memory import peak_bytes
+from _memory import peak_bytes, traced_bytes
 from _reference import cell_of, composite_add_at, composite_window, obs_table
 
 
@@ -228,6 +228,16 @@ class TestTrainPoint:
         # the warm start is the only change: the output bias sits at the mean target
         assert after["out.b"].tolist() == [np.float32(np.mean(train.target))]
 
+    @pytest.mark.parametrize("loss", ["mse", "multitask"])
+    def test_setup_holds_no_copy_of_the_inputs(self, loss):
+        # batches are normalized as they are drawn, so the setup keeps
+        # its Normalization and no float32 copy of the training rows
+        train, val = _point_tables()
+        arch_cls = M.MultiTaskArch if loss == "multitask" else M.BaselineArch
+        model = M.build_model(arch_cls(train.schema.width, (8,)), seed=0)
+        _, held, _ = traced_bytes(T._point_setup, model, train, val, LossSpec(loss))
+        assert held < train.rows.size  # a quarter of one float32 copy
+
     def test_warm_started_baseline_near_constant_predictor(self):
         # default arch and Adam settings, 3 epochs: best val MSE over the
         # constant predictor's is 0.99-1.08 for seeds 1-5, and 7-17 with
@@ -334,6 +344,14 @@ class TestTrainConv:
         samples, _ = build_sparse_samples(d, obs, schema, spec)
         cut = int(0.75 * len(samples))
         return samples[:cut], samples[cut:], schema
+
+    def test_setup_holds_no_copy_of_the_inputs(self):
+        train_s, val_s, schema = self._samples()
+        arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
+        model = M.build_model(arch, seed=0)
+        spec = LossSpec("sparse_masked")
+        _, held, _ = traced_bytes(T._conv_setup, model, train_s, val_s, spec)
+        assert held < train_s.features.size  # a quarter of one float32 copy
 
     def test_conv_training_reduces_masked_mse(self):
         train_s, val_s, schema = self._samples()
