@@ -17,7 +17,10 @@ The convolutions (conv2d, conv2d_transpose) loop over kernel taps: each
 tap contracts the channels of one shifted or strided slice with that
 tap's [c_out, c_in] matrix and accumulates into the output, forward and
 backward. Memory stays at a few output-sized arrays, with no im2col
-window copy that grows with the kernel area.
+window copy that grows with the kernel area. conv2d's backward computes
+dk over the whole grid but scatters dx only from the output cells whose
+gradient is nonzero, so under a sparse target mask its dx costs the
+observed cells times the kernel area, not the grid times the kernel area.
 """
 
 from __future__ import annotations
@@ -151,13 +154,13 @@ def dropout(
         raise ValueError("dropout in training mode requires an rng or seed")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
-    scale = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * keep * scale)
+    # keep is 0 or 1, so x * mask is bitwise x * keep * (1 / (1 - rate))
+    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) * (1.0 / (1.0 - rate))
+    out = Tensor(x.data * mask)
 
     if tape is not None:
         def backward():
-            _accumulate(x, out.grad * keep * scale)
+            _accumulate(x, out.grad * mask)
 
         tape.record(out, backward)
     return out
@@ -330,11 +333,22 @@ def _corr2d(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
     """Valid cross-correlation; x [n, c_in, h, w], k [c_out, c_in, kh, kw].
 
-    Forward is `_corr2d`. Backward runs the adjoint of the same per-sample
-    tap loop: dy is laid out on the forward's full-width flattened rows
-    (zero in the cropped columns), and per tap it is contracted with that
-    tap's slice of x to give dk[:, :, p, q] and scatter-added through
-    k[:, :, p, q] into the same slice of dx.
+    Forward is `_corr2d`. Backward runs the adjoint of the same tap loop,
+    with dy laid out on the forward's full-width flattened rows (zero in the
+    cropped columns):
+    - dk: per sample and tap, dy over the whole grid is contracted with that
+      tap's slice of x to give dk[:, :, p, q].
+    - dx: only the (sample, position) cells where some channel of dy is
+      nonzero are scattered, per tap in tap order, through k[:, :, p, q]
+      into dx at position + the tap's offset. Within one tap those targets
+      are distinct, so a buffered += is exact, and each dx element sums the
+      same einsum products in the same order as a scatter over every cell;
+      the skipped terms are zeros, which never change a sum. The cost is
+      the nonzero cells times the kernel area: under
+      `sparse_masked_loss_op` that is the observed cells only.
+    One edge differs from a dense scatter: a zero dy cell no longer spreads
+    0 * inf = NaN from a non-finite kernel into dx. Training stops on a
+    non-finite loss before any backward runs, so no CLI path reaches it.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -356,14 +370,15 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
             dy = dy_rows.reshape(n, co, oh * w)[:, :, :span]
             x_flat = x.data.reshape(n, ci, h * w)
             taps = _row_taps(w, kh, kw, span)
-            dx = np.zeros_like(x_flat)
             dk = np.zeros_like(k.data)
-            tap = np.empty((ci, span), dtype=x.data.dtype)
             for i in range(n):
                 for p, q, run in taps:
                     dk[:, :, p, q] += dy[i] @ x_flat[i, :, run].T
-                    np.einsum("oc,ol->cl", k.data[:, :, p, q], dy[i], out=tap)
-                    dx[i, :, run] += tap
+            sample, position = np.nonzero(np.any(dy != 0, axis=1))
+            g = dy[sample, :, position]
+            dx = np.zeros_like(x_flat)
+            for p, q, run in taps:
+                dx[sample, :, position + run.start] += np.einsum("mo,oc->mc", g, k.data[:, :, p, q])
             _accumulate(k, dk)
             _accumulate(x, dx.reshape(x.shape))
 

@@ -12,8 +12,9 @@ the class or function it feeds. The keys, by what they set:
   features.*           ``percentile`` or fixed ``threshold`` of the eflux
                        cut (``ingest.clean_targets``), driver ``variables``
   arch, arch.*         baseline, multitask or conv, and its ``hidden``
-                       widths and ``dropout``; conv also takes ``grid``,
-                       ``filters``, ``kernels``, ``strides``, ``overlap``
+                       widths (at least one) and ``dropout``; conv also
+                       takes ``grid``, ``filters``, ``kernels``,
+                       ``strides``, ``overlap``
   holdout.*            the ``ingest.Holdout`` that training validates on
                        and ``eval`` scores: ``sat_id`` (point models only,
                        default 0) and ``t_start``/``t_end``, set together
@@ -110,7 +111,7 @@ KEYS: dict[str, Parser] = {
     "features.percentile": _number(float, "[0, 100]"),
     "features.variables": _list(_choice(DRIVER_NAMES), nonempty=True, distinct=True),
     "arch": _choice(tuple(ARCH_LOSSES)),
-    "arch.hidden": _list(_WIDTH),
+    "arch.hidden": _list(_WIDTH, nonempty=True),
     "loss": _choice(LOSS_VARIANTS),
     "tail.terms": _list(_tail_term, nonempty=True),
     "dist.bins": _number(int, "[2, inf]"),

@@ -12,7 +12,8 @@ CSV writers the package had before ``ingest.write_csv``, one f-string per
 line. The scalar oracles of the world (``true_flux``,
 ``true_region``, ``cell_of``, with ``driver_row_at`` for their driver
 input) and the one-window compositor ``composite_window`` take plain
-floats.
+floats. ``conv2d_backward_dense`` is ``autodiff.conv2d``'s backward as it
+was before ``dx`` skipped the cells with a zero output gradient.
 """
 
 from __future__ import annotations
@@ -517,3 +518,28 @@ def write_classification_rows(report, path):
             fh.write(f"precision,{code},,{_r(report.precision[i])}\n")
         for i, code in enumerate(codes):
             fh.write(f"recall,{code},,{_r(report.recall[i])}\n")
+
+
+def conv2d_backward_dense(x, k, dy):
+    """(dx, dk) of a valid cross-correlation of x [n, c_in, h, w] with
+    k [c_out, c_in, kh, kw] for output gradient dy: per sample and tap, the
+    channel contraction of dy on the full-width flattened rows, scattered
+    over every output cell, zero or not."""
+    n, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    oh, ow = dy.shape[2:]
+    span = (oh - 1) * w + ow
+    dy_rows = np.zeros((n, co, oh, w), dtype=x.dtype)
+    dy_rows[:, :, :, :ow] = dy
+    dy_flat = dy_rows.reshape(n, co, oh * w)[:, :, :span]
+    x_flat = x.reshape(n, ci, h * w)
+    taps = [(p, q, slice(p * w + q, p * w + q + span)) for p in range(kh) for q in range(kw)]
+    dx = np.zeros_like(x_flat)
+    dk = np.zeros_like(k)
+    tap = np.empty((ci, span), dtype=x.dtype)
+    for i in range(n):
+        for p, q, run in taps:
+            dk[:, :, p, q] += dy_flat[i] @ x_flat[i, :, run].T
+            np.einsum("oc,ol->cl", k[:, :, p, q], dy_flat[i], out=tap)
+            dx[i, :, run] += tap
+    return dx.reshape(x.shape), dk

@@ -5,8 +5,10 @@ import pytest
 
 from _gradcheck import check_gradients
 from _memory import peak_bytes
+from _reference import conv2d_backward_dense
 from auroracast import autodiff as ad
 from auroracast.autodiff import Tape, Tensor
+from auroracast.losses import sparse_masked_loss_op
 
 
 def _t(rng, *shape):
@@ -97,6 +99,31 @@ class TestDropout:
             return tape, ad.sum_all(y, tape)
 
         check_gradients(build, [x])
+
+    @pytest.mark.parametrize("rate", [0.5, 0.25])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_mask_is_bitwise_keep_times_scale(self, rate, dtype):
+        """Forward and backward multiply by one mask, keep * scale; keep is 0
+        or 1, so every value, signed zeros and inf * 0 included, is the bits
+        of multiplying by keep and then by scale."""
+        rng = np.random.default_rng(30)
+        data = rng.standard_normal((8, 16))
+        data[0, :8] = [0.0, -0.0, np.inf, -np.inf, 0.0, -0.0, np.inf, -np.inf]
+        x = Tensor(data.astype(dtype))
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        upstream[1, :8] = [0.0, -0.0, np.inf, -np.inf, 0.0, -0.0, np.inf, -np.inf]
+        keep = (np.random.default_rng(5).random(x.shape) >= rate).astype(dtype)
+        scale = 1.0 / (1.0 - rate)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            tape = Tape()
+            y = ad.dropout(x, rate, training=True, rng=5, tape=tape)
+            tape.backward(_weighted_sum(tape, y, upstream))
+            expect_y = x.data * keep * scale
+            expect_grad = np.zeros_like(upstream) + upstream * keep * scale  # .grad starts at +0
+        assert 0 < keep.sum() < keep.size and np.isnan(expect_y).any()
+        assert y.data.dtype == x.grad.dtype == dtype
+        assert y.data.tobytes() == expect_y.tobytes()
+        assert x.grad.tobytes() == expect_grad.tobytes()
 
 
 class TestSoftmax:
@@ -314,6 +341,72 @@ class TestConvOracle:
         np.testing.assert_allclose(y.data, ref_y, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
+
+
+class TestConv2dSparseGradient:
+    """The backward scatters dx from the output cells whose gradient is
+    nonzero only; dk still runs over the whole grid."""
+
+    def test_sparse_output_gradient_against_naive_loops(self):
+        rng = np.random.default_rng(25)
+        x = _t(rng, 3, 3, 9, 11)
+        k = _t(rng, 2, 3, 3, 4)
+        tape = Tape()
+        y = ad.conv2d(x, k, tape)
+        oh, ow = y.shape[2:]
+        dy = np.zeros(y.shape)
+        corners = [(0, 0), (0, ow - 1), (oh - 1, 0), (oh - 1, ow - 1)]
+        edges = [(0, 3), (oh - 1, 2), (4, 0), (2, ow - 1)]
+        for i, j in corners + edges:
+            dy[0, :, i, j] = rng.standard_normal(2)
+        dy[1, 1, 3, 4] = rng.standard_normal()  # one channel only
+        dy[1, 0, oh - 1, ow - 1] = rng.standard_normal()
+        # sample 2 has no nonzero cell
+        tape.backward(_weighted_sum(tape, y, dy))
+        _, ref_dx, ref_dk = _naive_conv2d(x.data, k.data, dy)
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
+        assert not x.grad[2].any()
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, cells",
+        [((16, 4, 134, 134), (1, 4, 7, 7), 15), ((3, 3, 20, 23), (2, 3, 5, 4), 60)],
+    )
+    def test_bitwise_equal_to_dense_scatter(self, x_shape, k_shape, cells):
+        """float32, at the final layer's training shape with about 15
+        observed cells per sample, and with two output channels: the same
+        bits as scattering every cell."""
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
+        k = Tensor(rng.standard_normal(k_shape).astype(np.float32))
+        n, co = x_shape[0], k_shape[0]
+        oh, ow = x_shape[2] - k_shape[2] + 1, x_shape[3] - k_shape[3] + 1
+        dy = np.zeros((n, co, oh, ow), dtype=np.float32)
+        for i in range(n):
+            at = rng.choice(co * oh * ow, size=cells, replace=False)
+            dy[i].flat[at] = rng.standard_normal(cells).astype(np.float32)
+        tape = Tape()
+        y = ad.conv2d(x, k, tape)
+        tape.backward(_weighted_sum(tape, y, dy))
+        ref_dx, ref_dk = conv2d_backward_dense(x.data, k.data, dy)
+        assert x.grad.dtype == k.grad.dtype == np.float32
+        assert x.grad.tobytes() == ref_dx.tobytes()
+        assert k.grad.tobytes() == ref_dk.tobytes()
+
+    def test_gradcheck_sparse_masked_loss(self):
+        rng = np.random.default_rng(27)
+        x = _t(rng, 2, 2, 6, 7)
+        k = _t(rng, 1, 2, 3, 3)
+        mask = np.zeros((2, 1, 4, 5), dtype=bool)
+        mask[0, 0, [0, 3, 2], [0, 4, 1]] = True
+        mask[1, 0, 1, 3] = True
+        target = rng.standard_normal(mask.shape)
+
+        def build():
+            tape = Tape()
+            return tape, sparse_masked_loss_op(tape, ad.conv2d(x, k, tape), target, mask)
+
+        check_gradients(build, [x, k])
 
 
 def test_conv2d_memory_stays_near_input_size():

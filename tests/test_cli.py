@@ -697,6 +697,17 @@ class TestConfigValues:
         assert f"bad value for {key}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("arch", sorted(ARCH_LOSSES))
+    def test_empty_hidden_list_exits_2(self, tmp_path, capsys, synth_dir, features_file, arch):
+        """``arch.hidden = ,`` names no width: rejected for every architecture,
+        not read as the point models' default trunk or as no conv trunk."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"arch = {arch}\narch.grid = 32\narch.hidden = ,\n")
+        source = ["--sparse", synth_dir] if arch == "conv" else ["--features", features_file]
+        assert run("train", *source, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert "bad value for arch.hidden: ','" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, features_file, command):
         out = tmp_path / "out"

@@ -60,6 +60,8 @@ def test_malformed_or_non_finite_value_names_the_key(key, text):
         ("features.variables", ","),
         ("arch", "transformer"),
         ("arch.hidden", "8,0"),
+        ("arch.hidden", ","),
+        ("arch.hidden", ""),
         ("arch.dropout", "1"),
         ("arch.grid", "0"),
         ("arch.strides", "2"),
