@@ -5,8 +5,13 @@ when given a Tape, appends a backward closure for its output. Tape.backward
 replays the closures in exact reverse execution order, accumulating
 gradients into every tensor on the path from parameters to the loss, and
 skips the closure of an output no gradient reached (its .grad is None).
-The operation set is deliberately small: exactly what the bundled
-architectures need.
+It consumes the tape record by record: once a record is replayed, the
+tape drops it, so an output that only the tape referenced, its gradient
+and the arrays its closure captured are freed there and then. A training
+step therefore holds each activation and gradient only while a later
+closure still reads it, and nothing of the step outlives its backward
+except what the caller holds (parameters, the loss). The operation set is
+deliberately small: exactly what the bundled architectures need.
 
 Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
@@ -59,8 +64,9 @@ class Tensor:
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
-    A tape is single-use: backward() consumes it. Independent tapes may
-    run concurrently; a tape itself is single-threaded.
+    A tape is single-use: backward() consumes it, popping each record as it
+    replays it, and leaves the tape empty. Independent tapes may run
+    concurrently; a tape itself is single-threaded.
     """
 
     def __init__(self):
@@ -71,7 +77,13 @@ class Tape:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor):
-        """Populate .grad on every tensor the scalar loss depends on."""
+        """Populate .grad on every tensor the scalar loss depends on.
+
+        Records are popped last first. A popped record's closure and its
+        captured arrays are freed after it runs, and so is its output, with
+        its .grad, unless the caller still holds it: every tensor the
+        caller keeps (parameters, leaves, the loss) keeps its .grad.
+        """
         if self._spent:
             raise RuntimeError("tape already consumed; re-run the forward pass")
         if loss.data.size != 1:
@@ -80,15 +92,18 @@ class Tape:
             raise ValueError("loss is not an output of this tape (detached graph)")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        while self._records:
+            out, fn = self._records.pop()
             if out.grad is not None:
                 fn()
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g + 0 is 0 + g bit for bit (-0 becomes +0), cast into t's dtype
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _check_dtypes(*tensors: Tensor):
@@ -105,13 +120,16 @@ def zero_grads(tensors):
 # ── Dense / elementwise ───────────────────────────────────────────────
 
 def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """y = x @ w + b for x [n, d_in], w [d_in, d_out], b [d_out]."""
+    """y = x @ w + b for x [n, d_in], w [d_in, d_out], b [d_out]; b is
+    added in place, the same add without an [n, d_out] temporary."""
     _check_dtypes(x, w, b)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ValueError("dense expects x [n,di], w [di,do], b [do]")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ValueError(f"dense shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    out = Tensor(x.data @ w.data + b.data)
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
 
     if tape is not None:
         def backward():
@@ -125,14 +143,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """max(0, x); subgradient at 0 is 0."""
+    """max(0, x); subgradient at 0 is 0.
+
+    The backward gates on the output, out > 0, which equals x > 0 for every
+    input, NaN included, so no separate boolean gate stays on the tape.
+    """
     out = Tensor(np.maximum(x.data, 0))
 
     if tape is not None:
-        gate = x.data > 0
-
         def backward():
-            _accumulate(x, out.grad * gate)
+            _accumulate(x, out.grad * (out.data > 0))
 
         tape.record(out, backward)
     return out

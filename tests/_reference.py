@@ -14,6 +14,8 @@ line. The scalar oracles of the world (``true_flux``,
 input) and the one-window compositor ``composite_window`` take plain
 floats. ``conv2d_backward_dense`` is ``autodiff.conv2d``'s backward as it
 was before ``dx`` skipped the cells with a zero output gradient.
+``backward_keeping_records`` with ``accumulate_zero_filled`` is
+``Tape.backward`` as it was before it consumed the tape record by record.
 """
 
 from __future__ import annotations
@@ -543,3 +545,20 @@ def conv2d_backward_dense(x, k, dy):
             np.einsum("oc,ol->cl", k[:, :, p, q], dy_flat[i], out=tap)
             dx[i, :, run] += tap
     return dx.reshape(x.shape), dk
+
+
+def accumulate_zero_filled(t, g):
+    """``autodiff._accumulate`` with every gradient starting from zeros."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def backward_keeping_records(tape, loss):
+    """Replay ``tape`` in reverse and leave every record on it, so every
+    activation and gradient lives as long as the tape. Run it with
+    ``accumulate_zero_filled`` in place of ``_accumulate``."""
+    loss.grad = np.ones_like(loss.data)
+    for out, fn in reversed(tape._records):
+        if out.grad is not None:
+            fn()

@@ -1,14 +1,22 @@
 """Forward semantics and finite-difference gradient checks for every op."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from _gradcheck import check_gradients
 from _memory import peak_bytes
-from _reference import conv2d_backward_dense
+from _reference import accumulate_zero_filled, backward_keeping_records, conv2d_backward_dense
 from auroracast import autodiff as ad
+from auroracast import losses as L
+from auroracast import models as M
 from auroracast.autodiff import Tape, Tensor
 from auroracast.losses import sparse_masked_loss_op
+
+# Values where IEEE edge cases live: signed zeros, infinities, NaN, and
+# float32 (1e-40) and float64 (1e-310) subnormals.
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 1e-310, 1.5, -2.5]
 
 
 def _t(rng, *shape):
@@ -41,6 +49,14 @@ class TestDense:
 
         check_gradients(build, [x, w, b])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_is_bitwise_x_at_w_plus_b(self, dtype):
+        rng = np.random.default_rng(42)
+        x, w = _t(rng, 33, 7), _t(rng, 7, 5)
+        b = Tensor(np.array([0.0, -0.0, 1e-40, -3.0, 1e30]))
+        x, w, b = (Tensor(t.data.astype(dtype)) for t in (x, w, b))
+        assert ad.dense(x, w, b).data.tobytes() == (x.data @ w.data + b.data).tobytes()
+
 
 class TestRelu:
     def test_nonnegative_identity(self):
@@ -64,6 +80,58 @@ class TestRelu:
             return tape, ad.sum_all(ad.relu(x, tape), tape)
 
         check_gradients(build, [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_bitwise_g_times_x_positive(self, dtype):
+        """The backward gates on the output, ``out > 0``; that is ``x > 0``
+        for every input, NaN, signed zeros and infinities included."""
+        x = Tensor(np.array(EDGES * len(EDGES), dtype=dtype).reshape(len(EDGES), -1))
+        g = x.data.T.copy()  # every input meets every upstream edge value
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            tape = Tape()
+            tape.backward(_weighted_sum(tape, ad.relu(x, tape), g))
+            expect = np.zeros_like(g) + g * (x.data > 0)  # .grad starts at +0
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == expect.tobytes()
+
+
+class TestAccumulate:
+    """The first gradient into a tensor is ``g + 0`` cast to the tensor's
+    dtype: bit for bit the ``0 + g`` of adding ``g`` to a zero-filled array."""
+
+    @staticmethod
+    def _first(data, g):
+        t = Tensor(data)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ad._accumulate(t, g)
+            expect = np.zeros_like(data)
+            expect += g
+        return t.grad, expect
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values(self, dtype):
+        g = np.array(EDGES, dtype=dtype)
+        grad, expect = self._first(np.ones(g.size, dtype=dtype), g)
+        assert not np.signbit(grad[1]) and np.isnan(grad[4])  # -0 becomes +0
+        assert grad.dtype == dtype and grad.tobytes() == expect.tobytes()
+        assert g.tobytes() == np.array(EDGES, dtype=dtype).tobytes()
+
+    def test_float64_gradient_into_float32_tensor(self):
+        g = np.array(EDGES + [1 + 2.0**-30, 3.4e39], dtype=np.float64)  # rounds, overflows
+        grad, expect = self._first(np.ones(g.size, dtype=np.float32), g)
+        assert grad.dtype == np.float32 and grad.tobytes() == expect.tobytes()
+
+    def test_broadcast_gradient(self):
+        g = np.array(EDGES, dtype=np.float32)
+        grad, expect = self._first(np.ones((3, g.size), dtype=np.float32), g)
+        assert grad.shape == (3, g.size) and grad.tobytes() == expect.tobytes()
+
+    def test_first_gradient_is_a_copy(self):
+        g = np.arange(4.0)
+        t = Tensor(np.zeros(4))
+        ad._accumulate(t, g)
+        ad._accumulate(t, g)
+        assert np.array_equal(t.grad, 2 * np.arange(4.0)) and np.array_equal(g, np.arange(4.0))
 
 
 class TestDropout:
@@ -592,3 +660,101 @@ class TestTapeSemantics:
         w = Tensor(np.zeros((2, 2), dtype=np.float64))
         with pytest.raises(ValueError, match="dtype"):
             ad.dense(x, w, Tensor(np.zeros(2, dtype=np.float64)))
+
+
+class TestTapeRelease:
+    """Backward pops each record as it replays it: an output only the tape
+    referenced, its gradient and its closure's captures are freed as soon as
+    the walk has passed them, and the gradients are the same bits."""
+
+    def test_intermediates_only_the_tape_held_are_freed(self):
+        rng = np.random.default_rng(43)
+        x, w, b = _t(rng, 8, 5), _t(rng, 5, 5), _t(rng, 5)
+        tape = Tape()
+        y = ad.dense(x, w, b, tape)
+        h = ad.relu(y, tape)
+        loss = ad.sum_all(ad.scale(h, 2.0, tape), tape)
+        freed = [weakref.ref(y.data), weakref.ref(h.data)]
+        del y, h
+        tape.backward(loss)
+        assert all(ref() is None for ref in freed)
+        assert loss.grad == 1.0
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in (x, w, b))
+
+    @staticmethod
+    def _conv_graph(tape):
+        arch = M.ConvDecoderArch(input_width=6, trunk=(8,), n_lat=16, n_mlt=16)
+        params = M.build_model(arch, seed=1).params
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
+        pred = M.forward_convdecoder(arch, params, x, tape, True, np.random.default_rng(45))
+        mask = rng.random(pred.shape) < 0.05
+        target = rng.standard_normal(pred.shape)
+        return sparse_masked_loss_op(tape, pred, target, mask), [x, *params.values()]
+
+    @staticmethod
+    def _multitask_graph(tape):
+        arch = M.MultiTaskArch(input_width=6, trunk=(16, 8))
+        params = M.build_model(arch, seed=2).params
+        rng = np.random.default_rng(46)
+        x = Tensor(rng.standard_normal((40, 6)).astype(np.float32))
+        probs, flux, _ = M.forward_multitask(arch, params, x, tape, True, np.random.default_rng(47))
+        onehot = np.eye(3)[rng.integers(0, 3, 40)]
+        return L.multitask_loss_op(tape, flux, probs, rng.standard_normal(40), onehot), [x, *params.values()]
+
+    @staticmethod
+    def _reuse_graph(tape):
+        x = Tensor(np.array([[0.0, -0.0, 1e-40, -1e-40], [1.5, -2.5, 3.0, 0.25]], dtype=np.float32))
+        w = Tensor(np.linspace(-1, 1, 16, dtype=np.float32).reshape(4, 4))
+        b = Tensor(np.array([0.0, -0.0, 0.5, -0.5], dtype=np.float32))
+        h = ad.relu(ad.dense(x, w, b, tape), tape)
+        twice = ad.add(ad.scale(h, 3.0, tape), ad.relu(x, tape), tape)
+        return ad.add(ad.sum_all(twice, tape), ad.sum_all(h, tape), tape), [x, w, b]
+
+    @pytest.mark.parametrize("graph", ["_conv_graph", "_multitask_graph", "_reuse_graph"])
+    def test_gradients_bitwise_equal_to_a_replay_that_keeps_records(self, graph, monkeypatch):
+        build = getattr(self, graph)
+        tape = Tape()
+        loss, leaves = build(tape)
+        tape.backward(loss)
+        monkeypatch.setattr(ad, "_accumulate", accumulate_zero_filled)
+        monkeypatch.setattr(L, "_accumulate", accumulate_zero_filled)
+        kept = Tape()
+        kept_loss, kept_leaves = build(kept)
+        backward_keeping_records(kept, kept_loss)
+        assert loss.data.tobytes() == kept_loss.data.tobytes()
+        for leaf, ref in zip(leaves, kept_leaves):
+            assert leaf.grad.dtype == ref.grad.dtype == np.float32
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+        left, kept_left = len(tape._records), len(kept._records)
+        assert left == 0 and kept_left > 0
+
+    def test_dense_relu_chain_peaks_at_activations_plus_a_few_arrays(self):
+        """Six dense+ReLU layers hold twelve [n, d] activations when backward
+        starts. From there each record's output and gradient go as the walk
+        passes them, so the peak stays within four more [n, d] arrays: at
+        most three are in flight (the output's gradient, the product and the
+        input's new gradient). Keeping the records kept all twelve
+        activation gradients on top."""
+        rng = np.random.default_rng(48)
+        n, d, depth = 4096, 64, 6
+        x = Tensor(rng.standard_normal((n, d)).astype(np.float32))
+        layers = [
+            (Tensor(rng.standard_normal((d, d)).astype(np.float32) / 8), Tensor(np.zeros(d, np.float32)))
+            for _ in range(depth)
+        ]
+
+        def forward(tape):
+            h = x
+            for w, b in layers:
+                h = ad.relu(ad.dense(h, w, b, tape), tape)
+            return ad.sum_all(h, tape)
+
+        def forward_backward():
+            tape = Tape()
+            tape.backward(forward(tape))
+
+        peak, _ = peak_bytes(forward_backward)
+        widest = x.data.nbytes
+        assert x.grad.shape == x.shape
+        assert peak < (2 * depth + 4) * widest, f"peak {peak / widest:.2f} [n, d] arrays"

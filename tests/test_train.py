@@ -8,7 +8,7 @@ import pytest
 from auroracast import losses as L
 from auroracast import models as M
 from auroracast import train as T
-from auroracast.autodiff import Tensor
+from auroracast.autodiff import Tape, Tensor
 from auroracast.config import parse_config_text, parse_values
 from auroracast.errors import ConfigError, DataError
 from auroracast.geomodel import (
@@ -451,6 +451,35 @@ class TestTrainConv:
         peak, _ = peak_bytes(validate)
         peak4, _ = peak_bytes(validate4)
         assert peak4 - peak < chunk * arch.n_lat * arch.n_mlt * 4
+
+    def test_epoch_peaks_at_one_step_or_validation_not_both(self):
+        """Backward consumes the step's tape, so validation after an epoch's
+        last step runs with no activation or gradient of that step alive.
+        One conv epoch then peaks below the larger of one step's peak and
+        validate()'s peak, plus a slack of 16x the parameter bytes for Adam's
+        two moments, the best-epoch copy and the update's temporaries. A
+        tape that kept its records held the last step's activations and
+        gradients through validation, on top of validate()'s peak."""
+        train_s, val_s, schema = self._samples(seed=46)
+        arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
+        spec = LossSpec("sparse_masked")
+        config = TrainConfig(loss=spec, max_epochs=1, batch_size=16, seed=7)
+        model = M.build_model(arch, seed=0)
+        _, step_loss, validate, _ = T._conv_setup(model, train_s, val_s, spec)
+
+        def step():
+            tape = Tape()
+            tape.backward(step_loss(tape, np.arange(config.batch_size), np.random.default_rng(0)))
+
+        step_peak, _ = peak_bytes(step)
+        val_peak, _ = peak_bytes(validate)
+        model = M.build_model(arch, seed=0)
+        epoch_peak, _ = peak_bytes(train_model, model, (train_s, val_s), config)
+        slack = 16 * sum(p.data.nbytes for p in model.params.values())
+        assert len(train_s) > 4 * config.batch_size
+        assert epoch_peak < max(step_peak, val_peak) + slack, (
+            f"epoch {epoch_peak}, step {step_peak}, validate {val_peak}, slack {slack}"
+        )
 
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
