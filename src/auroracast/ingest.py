@@ -28,12 +28,12 @@ satellite, for the conv decoder) over a time range, by default satellite
 checkpoint records it, and ``eval`` scores the rows it selects.
 
 A process holds the feature matrix once. ``build_features`` computes the
-history block once per distinct observation time and gathers it, a row
-chunk at a time, into the one ``[n, width]`` float64 matrix it returns.
-The binary cache is a ``container`` file of kind ``feature cache`` (the
-layout is described there) that stores the rows as float32;
-``read_table_cache`` returns them as a read-only float32 view of the
-file's bytes.
+history block in float64 once per distinct observation time, a chunk of
+times at a time, and scatters each chunk into the one ``[n, width]``
+float32 matrix it returns, rounded as the cache stores it. The binary
+cache is a ``container`` file of kind ``feature cache`` (the layout is
+described there) that stores the rows as float32; ``read_table_cache``
+returns them as a read-only float32 view of the file's bytes.
 """
 
 from __future__ import annotations
@@ -136,8 +136,9 @@ def _fmt_min(minutes: float) -> str:
 class FeatureTable:
     """Unnormalized feature rows with their target and observation columns.
 
-    ``rows`` is float64 when built by ``build_features``; when read by
-    ``read_table_cache`` it is the cache's read-only float32 view.
+    ``rows`` is float32: a writable matrix when built by
+    ``build_features``, the cache's read-only view when read by
+    ``read_table_cache``.
     """
 
     schema: FeatureSchema
@@ -506,6 +507,11 @@ def log_transform(eflux):
 
 # ── Feature construction ──────────────────────────────────────────────
 
+def _has_history(drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+    """The mask of ``times`` whose full driver history lies in the series."""
+    return (times - schema.history_seconds >= drivers.t0 - 1e-9) & (times <= drivers.t_end + 1e-9)
+
+
 def history_feature_rows(
     drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -518,9 +524,7 @@ def history_feature_rows(
     """
     times = np.asarray(times, dtype=np.float64)
     cad = drivers.cadence
-    ok = (times - schema.history_seconds >= drivers.t0 - 1e-9) & (
-        times <= drivers.t_end + 1e-9
-    )
+    ok = _has_history(drivers, times, schema)
     n_feat = len(schema.lag_minutes) + len(schema.avg_minutes)
     rows = np.zeros((times.size, len(schema.variables) * n_feat))
 
@@ -630,6 +634,13 @@ def build_features(
     Rows whose time lacks the full driver history are dropped and counted
     in ``n_dropped_history``. Region labels are kept only when every
     retained row carries one.
+
+    The rows are one float32 ``[n, width]`` matrix, rounded as the cache
+    stores them, and nothing else of its size is held: the spatial block
+    is written a row chunk at a time, and the history block a chunk of
+    distinct observation times at a time, each chunk's rows computed once
+    in float64 and scattered to the observations at those times. A
+    history feature beyond the float32 range is a DataError naming it.
     """
     if schema is None:
         schema = FeatureSchema()
@@ -641,20 +652,36 @@ def build_features(
 
     target = log_transform(obs.eflux)
     uniq, inverse = np.unique(np.asarray(obs.t, dtype=np.float64), return_inverse=True)
-    hist, ok_uniq = history_feature_rows(drivers, uniq, schema)
-    ok = ok_uniq[inverse]
+    ok = _has_history(drivers, uniq, schema)[inverse]
     n_dropped = int((~ok).sum())
     if not ok.any():
         raise DataError("no observation has the full driver history")
     keep = np.flatnonzero(ok)
     src = inverse[keep]
-    spatial = spatial_block(obs.mlat, obs.mlt)
-    n_sp = spatial.shape[1]
-    rows = np.empty((keep.size, schema.width))
-    for sl in row_chunks(keep.size, rows.itemsize * schema.width):
-        rows[sl, :n_sp] = spatial[keep[sl]]
-        rows[sl, n_sp:] = hist[src[sl]]
-    del hist, spatial
+    del inverse
+    n_sp = len(SPATIAL_NAMES)
+    rows = np.empty((keep.size, schema.width), dtype=np.float32)
+    for sl in row_chunks(keep.size, 8 * n_sp):
+        rows[sl, :n_sp] = spatial_block(obs.mlat[keep[sl]], obs.mlt[keep[sl]])
+    # kept rows in time order: a chunk of distinct times is one run of it
+    order = np.argsort(src, kind="stable")
+    names = schema.global_names
+    for sl in row_chunks(uniq.size, rows.itemsize * len(names)):
+        hist, _ = history_feature_rows(drivers, uniq[sl], schema)
+        with np.errstate(over="ignore"):
+            hist32 = hist.astype(np.float32)
+        bad = ~np.isfinite(hist32)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise DataError(
+                f"build_features: feature {names[c]} is {float(hist[r, c])!r} "
+                f"at t={float(uniq[sl.start + r])!r}, "
+                "beyond the float32 range of the feature cache"
+            )
+        del hist, bad  # before the chunk's gathered copy is made
+        lo, hi = np.searchsorted(src, (sl.start, sl.stop), sorter=order)
+        at = order[lo:hi]
+        rows[at, n_sp:] = hist32[src[at] - sl.start]
     region_arr = None
     if obs.region is not None and np.all(obs.region[ok] >= 0):
         region_arr = obs.region[ok]

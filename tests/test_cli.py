@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import zlib
 
@@ -612,6 +613,20 @@ class TestBadInputFields:
         argv = ("--drivers", world / "drivers.csv", "--obs", world / "observations.csv", "--out", out)
         assert run("features", *argv) == 3
         assert capsys.readouterr().err.strip() == error
+        assert sorted(os.listdir(tmp_path)) == ["world"]
+
+    def test_driver_beyond_float32_writes_no_cache(self, tmp_path, capsys, synth_dir):
+        # finite, so the reader takes it, but the float32 feature cache cannot
+        world = tmp_path / "world"
+        _world_with_field(synth_dir, world, "drivers.csv", "AE", "1e39", line=200)
+        argv = ("--drivers", world / "drivers.csv", "--obs", world / "observations.csv")
+        assert run("features", *argv, "--out", tmp_path / "t.aft") == 3
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(
+            r"data error: build_features: feature AE_lag0m is 1e\+39 at t=\d+\.\d+, "
+            r"beyond the float32 range of the feature cache",
+            err,
+        ), err
         assert sorted(os.listdir(tmp_path)) == ["world"]
 
     @pytest.mark.parametrize("case", BAD_DRIVERS + BAD_SAT_IDS)

@@ -871,10 +871,10 @@ class TestCache:
         assert np.array_equal(back.rows, table.rows.astype(np.float32))
 
 
-def _world(seed, n_sats=3):
-    """Drivers and observations of a 1-day world."""
+def _world(seed, n_sats=3, days=1):
+    """Drivers and observations of a ``days``-day world."""
     p = WorldParams(seed=seed, n_sats=n_sats)
-    d = gen_drivers(p, 86400)
+    d = gen_drivers(p, days * 86400)
     return d, sample_traces(p, d)
 
 
@@ -888,8 +888,17 @@ class TestChunkedPathsMatchReference:
         if shuffle:
             obs = obs[np.random.default_rng(0).permutation(len(obs))]
         table = build_features(d, obs)
-        assert table.rows.dtype == np.float64
-        assert np.array_equal(table.rows, feature_rows_hstack(d, obs, table.schema))
+        assert table.rows.dtype == np.float32
+        assert np.array_equal(table.rows, feature_rows_hstack(d, obs, table.schema).astype(np.float32))
+
+    def test_cache_bytes_equal_float64_rows(self, tmp_path):
+        # the float32 build writes the bytes of the float64 rows it replaced
+        d, obs = _world(24)
+        table = build_features(d, obs)
+        path = tmp_path / "t.aft"
+        write_table_cache(table, path)
+        wide = dataclasses.replace(table, rows=feature_rows_hstack(d, obs, table.schema))
+        assert path.read_bytes() == cache_bytes_container(wide)
 
     def test_cache_bytes_equal_bytearray_writer(self, tmp_path):
         d, obs = _world(22)
@@ -932,7 +941,7 @@ class TestChunkedPathsMatchReference:
 
 class TestMemory:
     """Peak heap use of each step of the point-model data path, on a
-    1-day, 3-satellite world."""
+    1-day, 3-satellite world (the build also on a 5-day one)."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -941,6 +950,12 @@ class TestMemory:
     def test_build_holds_one_matrix(self, world):
         peak, table = peak_bytes(build_features, *world)
         assert peak < 2 * table.rows.nbytes, f"peak {peak / table.rows.nbytes:.2f}x the rows"
+
+    def test_build_holds_little_beside_the_float32_rows(self):
+        world = _world(25, days=5)
+        peak, table = peak_bytes(build_features, *world)
+        block = table.n * table.schema.width * 4
+        assert peak < 1.5 * block, f"peak {peak / block:.2f}x the float32 row block"
 
     def test_write_streams_the_rows(self, world, tmp_path):
         table = build_features(*world)
