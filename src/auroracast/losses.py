@@ -14,7 +14,8 @@ mse, tail and dist are one kernel, the mean of w * (y_pred - y_true)**2:
                  bin containing y_true
   multitask      selected-region squared error plus categorical
                  cross-entropy over the three region classes
-  sparse_masked  squared error summed over observed grid cells only;
+  sparse_masked  squared error summed over the observed grid cells only,
+                 given as flat positions with their target values;
                  unobserved cells contribute zero loss and zero gradient
 
 ``mse`` is also the numpy metric that validation and evaluation report.
@@ -212,34 +213,33 @@ def multitask_loss_op(
 def sparse_masked_loss_op(
     tape: Tape | None,
     pred: Tensor,
-    target_values: np.ndarray,
-    mask: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
     normalize: bool = True,
 ) -> Tensor:
     """Masked squared error over one grid or a batch of grids.
 
-    With ``normalize`` the sum of squared errors over observed cells is
-    divided by the total observed-cell count of the batch; otherwise the
-    raw double sum is returned. The gradient is bitwise zero at
-    unobserved cells. Target values are only ever read under the mask, so
-    poisoned (NaN) unobserved cells cannot reach the loss or the gradient.
+    The observed cells are the flat positions ``positions`` in ``pred``
+    (C order, as ``SparseSamples.positions`` gives them), with target
+    ``values``. With ``normalize`` the sum of squared errors over them is
+    divided by their count; otherwise the raw sum is returned. The
+    gradient is bitwise zero at every other cell, and nothing there, not
+    even a NaN prediction, reaches the loss or the gradient.
     """
-    m = np.asarray(mask, dtype=bool)
-    if pred.shape != m.shape:
-        raise ValueError("pred/mask shapes differ")
-    count = int(m.sum())
-    if count == 0:
-        raise ValueError("empty mask: no observed cells in batch")
-    v = np.asarray(target_values, dtype=np.float64)[m].astype(pred.data.dtype)
-    diff = pred.data[m] - v
-    denom = count if normalize else 1
+    if positions.shape != values.shape or positions.ndim != 1:
+        raise ValueError("positions and values must be 1-D arrays of one length")
+    if positions.size == 0:
+        raise ValueError("no observed cells in batch")
+    v = np.asarray(values, dtype=np.float64).astype(pred.data.dtype)
+    diff = pred.data.reshape(-1)[positions] - v
+    denom = positions.size if normalize else 1
     out = Tensor(np.array(np.sum(diff**2) / denom, dtype=pred.data.dtype))
 
     if tape is not None:
         def backward():
-            dp = np.zeros_like(pred.data)
-            dp[m] = out.grad * 2.0 * diff / denom
-            _accumulate(pred, dp)
+            dp = np.zeros(pred.data.size, dtype=pred.data.dtype)
+            dp[positions] = out.grad * 2.0 * diff / denom
+            _accumulate(pred, dp.reshape(pred.shape))
 
         tape.record(out, backward)
     return out

@@ -21,8 +21,9 @@ the training loss, so runs with different losses stay comparable.
 
 Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
 the driver features, and the observed cells of its composite window as
-ascending flat cell indices with their mean log10 flux. Training
-densifies one batch at a time; validation reads the table directly.
+ascending flat cell indices with their mean log10 flux. Training and
+validation both read the table directly: a batch is a sub-table, and the
+loss gathers the predicted grids at its observed-cell ``positions``.
 
 ``train_config_from_config`` binds the ``train.*`` and loss keys of a run
 config (``config`` lists them). History is emitted as
@@ -85,10 +86,6 @@ class SparseSample:
     features: np.ndarray
     target: GridMap
 
-    def __post_init__(self):
-        if not self.target.mask.any():
-            raise ValueError("sparse sample must have at least one observed cell")
-
 
 @dataclass(eq=False)
 class SparseSamples:
@@ -97,9 +94,12 @@ class SparseSamples:
     Sample i has driver features ``features[i]`` and observes the flat
     cells (row * n_mlt + col) ``cells[offsets[i]:offsets[i + 1]]``, in
     ascending order, with mean log10 flux ``values`` at the same
-    positions. ``len``, iteration and ``table[i]`` give ``SparseSample``
-    views with a dense ``GridMap`` target; a slice, boolean mask or index
-    array selects a sub-table.
+    positions. ``positions`` gives each observed cell's flat position in
+    the stacked ``[len, n_lat, n_mlt]`` grids, in the same CSR order,
+    which is the order a boolean mask over those grids reads. A slice,
+    boolean mask or index array selects a sub-table. ``len``, iteration
+    and ``table[i]`` give ``SparseSample`` views with a dense ``GridMap``
+    target; they exist for tests and ``perfbench/tracer.py``.
     """
 
     spec: GridSpec
@@ -121,7 +121,7 @@ class SparseSamples:
         n_cells = self.spec.n_lat * self.spec.n_mlt
         if np.any((self.cells < 0) | (self.cells >= n_cells)):
             raise ValueError("cell index outside the grid")
-        if np.any(np.diff(np.repeat(np.arange(n), counts) * n_cells + self.cells) <= 0):
+        if np.any(np.diff(self.positions) <= 0):
             raise ValueError("cells must ascend within each sample")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite sample value")
@@ -129,11 +129,20 @@ class SparseSamples:
     def __len__(self) -> int:
         return self.t_center.size
 
+    @property
+    def positions(self) -> np.ndarray:
+        n_cells = self.spec.n_lat * self.spec.n_mlt
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets)) * n_cells + self.cells
+
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             i = range(len(self))[key]
-            values, mask = dense_batch(self, [i])
-            target = GridMap(spec=self.spec, values=values[0], mask=mask[0])
+            run = slice(self.offsets[i], self.offsets[i + 1])
+            shape = (self.spec.n_lat, self.spec.n_mlt)
+            values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+            values.flat[self.cells[run]] = self.values[run]
+            mask.flat[self.cells[run]] = True
+            target = GridMap(spec=self.spec, values=values, mask=mask)
             return SparseSample(float(self.t_center[i]), self.features[i], target)
         idx = np.arange(len(self))[key]
         starts, counts = self.offsets[idx], np.diff(self.offsets)[idx]
@@ -157,21 +166,6 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     run_of = np.repeat(np.arange(lens.size), lens)
     first = np.cumsum(lens) - lens
     return run_of, np.arange(lens.sum()) + np.repeat(starts - first, lens)
-
-
-def dense_batch(samples: SparseSamples, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (values, mask) grids [b, n_lat, n_mlt] for samples ``idx``;
-    unobserved cells hold 0."""
-    spec = samples.spec
-    idx = np.asarray(idx, dtype=np.int64)
-    offsets = samples.offsets
-    sample_of, pos = _runs(offsets[idx], offsets[idx + 1] - offsets[idx])
-    values = np.zeros((len(idx), spec.n_lat * spec.n_mlt))
-    mask = np.zeros(values.shape, dtype=bool)
-    values[sample_of, samples.cells[pos]] = samples.values[pos]
-    mask[sample_of, samples.cells[pos]] = True
-    shape = (len(idx), spec.n_lat, spec.n_mlt)
-    return values.reshape(shape), mask.reshape(shape)
 
 
 # ── Adam ──────────────────────────────────────────────────────────────
@@ -323,17 +317,16 @@ def _sample_mse(chunks, samples: SparseSamples) -> float:
     """Masked MSE of the grids in ``(rows, pred [b, n_lat, n_mlt], _)``
     chunks that cover the samples in order (``models.predict_chunks``).
 
-    The observed cells are gathered into one array in CSR order, which is
-    boolean-mask order, so this equals ``losses.sparse_masked_loss_op``
-    on float64 grids and the dense targets bit for bit, however the
-    samples are chunked.
+    The observed cells are gathered at ``samples.positions`` into one
+    float64 array, so this equals ``losses.sparse_masked_loss_op`` on
+    float64 grids bit for bit, however the samples are chunked.
     """
+    positions = samples.positions
+    n_cells = samples.spec.n_lat * samples.spec.n_mlt
     observed = np.empty(samples.cells.size)
     for rows, pred, _ in chunks:
-        offsets = samples.offsets[rows.start : rows.stop + 1]
-        sample_of = np.repeat(np.arange(len(pred)), np.diff(offsets))
-        cells = slice(offsets[0], offsets[-1])
-        observed[cells] = pred.reshape(len(pred), -1)[sample_of, samples.cells[cells]]
+        cells = slice(samples.offsets[rows.start], samples.offsets[rows.stop])
+        observed[cells] = pred.reshape(-1)[positions[cells] - rows.start * n_cells]
     diff = observed - samples.values
     return float(np.sum(diff**2)) / samples.cells.size
 
@@ -349,10 +342,10 @@ def _conv_setup(
     model.meta["normalization"] = norm.to_meta()
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
-        values, mask = dense_batch(train_samples, idx)
-        x = norm.apply(train_samples.features[idx])
+        batch = train_samples[idx]
+        x = norm.apply(batch.features)
         pred = M.forward_convdecoder(model.arch, model.params, x, tape, True, dropout_rng)
-        return L.sparse_masked_loss_op(tape, pred, values, mask, spec.masked_normalize)
+        return L.sparse_masked_loss_op(tape, pred, batch.positions, batch.values, spec.masked_normalize)
 
     def validate() -> float:
         return _sample_mse(M.predict_chunks(model, val_samples.features), val_samples)

@@ -16,6 +16,9 @@ floats. ``conv2d_backward_dense`` is ``autodiff.conv2d``'s backward as it
 was before ``dx`` skipped the cells with a zero output gradient.
 ``backward_keeping_records`` with ``accumulate_zero_filled`` is
 ``Tape.backward`` as it was before it consumed the tape record by record.
+``dense_batch`` and ``sparse_masked_loss_dense`` are the conv training
+step's targets and loss as they were before the loss read observed-cell
+positions: dense value and mask grids, gathered through the mask.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import zlib
 
 import numpy as np
 
+from auroracast.autodiff import Tape, Tensor, _accumulate
 from auroracast.errors import DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
@@ -44,6 +48,7 @@ from auroracast.geomodel import (
     region_field,
 )
 from auroracast.ingest import history_feature_rows, spatial_block
+from auroracast.train import SparseSamples, _runs
 
 
 def obs_table(rows) -> ObsTable:
@@ -562,3 +567,48 @@ def backward_keeping_records(tape, loss):
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn()
+
+
+def dense_batch(samples: SparseSamples, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (values, mask) grids [b, n_lat, n_mlt] for samples ``idx``;
+    unobserved cells hold 0."""
+    spec = samples.spec
+    idx = np.asarray(idx, dtype=np.int64)
+    offsets = samples.offsets
+    sample_of, pos = _runs(offsets[idx], offsets[idx + 1] - offsets[idx])
+    values = np.zeros((len(idx), spec.n_lat * spec.n_mlt))
+    mask = np.zeros(values.shape, dtype=bool)
+    values[sample_of, samples.cells[pos]] = samples.values[pos]
+    mask[sample_of, samples.cells[pos]] = True
+    shape = (len(idx), spec.n_lat, spec.n_mlt)
+    return values.reshape(shape), mask.reshape(shape)
+
+
+def sparse_masked_loss_dense(
+    tape: Tape | None,
+    pred: Tensor,
+    target_values: np.ndarray,
+    mask: np.ndarray,
+    normalize: bool = True,
+) -> Tensor:
+    """``losses.sparse_masked_loss_op`` on dense target and mask grids of
+    ``pred``'s shape: the observed cells are read through the mask."""
+    m = np.asarray(mask, dtype=bool)
+    if pred.shape != m.shape:
+        raise ValueError("pred/mask shapes differ")
+    count = int(m.sum())
+    if count == 0:
+        raise ValueError("empty mask: no observed cells in batch")
+    v = np.asarray(target_values, dtype=np.float64)[m].astype(pred.data.dtype)
+    diff = pred.data[m] - v
+    denom = count if normalize else 1
+    out = Tensor(np.array(np.sum(diff**2) / denom, dtype=pred.data.dtype))
+
+    if tape is not None:
+        def backward():
+            dp = np.zeros_like(pred.data)
+            dp[m] = out.grad * 2.0 * diff / denom
+            _accumulate(pred, dp)
+
+        tape.record(out, backward)
+    return out

@@ -354,19 +354,24 @@ class TestMultitask:
         assert np.allclose(probs.grad, -onehot / probs0 / n, atol=1e-12)
 
 
+def _observed(values, mask):
+    """(positions, values) of the cells under ``mask``, in C order."""
+    return np.flatnonzero(mask), np.asarray(values)[mask]
+
+
 class TestSparseMasked:
     def test_two_cells(self):
         pred = np.zeros((2, 2))
         target = np.array([[1.0, 0.0], [0.0, 2.0]])
         mask = np.array([[True, False], [False, True]])
-        assert _value(sparse_masked_loss_op, pred, target, mask) == pytest.approx(2.5)
+        assert _value(sparse_masked_loss_op, pred, *_observed(target, mask)) == pytest.approx(2.5)
 
     def test_mask_locality(self):
         rng = np.random.default_rng(12)
         pred = rng.standard_normal((4, 5))
         target = pred.copy()
         target[~(mask := rng.random((4, 5)) < 0.4)] = 999.0
-        assert _value(sparse_masked_loss_op, pred, target, mask) == 0.0
+        assert _value(sparse_masked_loss_op, pred, *_observed(target, mask)) == 0.0
 
     def test_empty_sample_excluded_from_batch_mean(self):
         pred = np.zeros((2, 2, 2))
@@ -374,24 +379,25 @@ class TestSparseMasked:
         masks = np.zeros((2, 2, 2), dtype=bool)
         masks[0, 0, 0] = True
         # sample 1 contributes nothing; denominator is 1 cell
-        assert _value(sparse_masked_loss_op, pred, values, masks) == 1.0
+        assert _value(sparse_masked_loss_op, pred, *_observed(values, masks)) == 1.0
 
     def test_all_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty mask"):
-            _value(sparse_masked_loss_op, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+        empty = _observed(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="no observed cells"):
+            _value(sparse_masked_loss_op, np.zeros((2, 2)), *empty)
 
     def test_raw_sum_mode(self):
         pred = np.zeros((2, 2))
         target = np.array([[1.0, 0.0], [0.0, 2.0]])
         mask = np.array([[True, False], [False, True]])
-        assert _value(sparse_masked_loss_op, pred, target, mask, False) == pytest.approx(5.0)
+        assert _value(sparse_masked_loss_op, pred, *_observed(target, mask), False) == pytest.approx(5.0)
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(13)
         pred = rng.standard_normal((3, 6, 6))
         values = rng.standard_normal((3, 6, 6))
         mask = rng.random((3, 6, 6)) < 0.3
-        assert _value(sparse_masked_loss_op, pred, values, mask) == pytest.approx(
+        assert _value(sparse_masked_loss_op, pred, *_observed(values, mask)) == pytest.approx(
             _loop_sparse(pred, values, mask), rel=1e-13
         )
 
@@ -402,24 +408,29 @@ class TestSparseMasked:
         mask = rng.random((2, 5, 5)) < 0.2
         mask[0, 0, 0] = True
         tape = Tape()
-        loss = sparse_masked_loss_op(tape, pred, values, mask)
+        loss = sparse_masked_loss_op(tape, pred, *_observed(values, mask))
         tape.backward(loss)
         assert np.all(pred.grad[~mask] == 0.0)
 
     def test_nan_poisoned_unobserved_cells_ignored(self):
         rng = np.random.default_rng(15)
-        pred = Tensor(rng.standard_normal((2, 4, 4)))
+        clean = rng.standard_normal((2, 4, 4))
         values = rng.standard_normal((2, 4, 4))
         mask = rng.random((2, 4, 4)) < 0.3
         mask[1, 1, 1] = True
-        poisoned = values.copy()
+        poisoned = clean.copy()
         poisoned[~mask] = np.nan
-        tape = Tape()
-        loss = sparse_masked_loss_op(tape, pred, poisoned, mask)
-        tape.backward(loss)
-        assert math.isfinite(float(loss.data))
-        assert np.all(np.isfinite(pred.grad))
-        assert float(loss.data) == _value(sparse_masked_loss_op, pred.data, values, mask)
+        grads = []
+        for data in (clean, poisoned):
+            pred = Tensor(data)
+            tape = Tape()
+            loss = sparse_masked_loss_op(tape, pred, *_observed(values, mask))
+            tape.backward(loss)
+            grads.append((float(loss.data), pred.grad))
+        (clean_loss, clean_grad), (loss, grad) = grads
+        assert math.isfinite(loss) and loss == clean_loss
+        assert np.array_equal(grad, clean_grad)
+        assert np.all(grad[~mask] == 0.0) and not np.signbit(grad[~mask]).any()
 
     def test_gradcheck(self):
         rng = np.random.default_rng(16)
@@ -430,7 +441,7 @@ class TestSparseMasked:
 
         def build():
             tape = Tape()
-            return tape, sparse_masked_loss_op(tape, pred, values, mask)
+            return tape, sparse_masked_loss_op(tape, pred, *_observed(values, mask))
 
         check_gradients(build, [pred])
 
@@ -458,7 +469,7 @@ def _loss_cases():
         ),
         "sparse_masked": (
             [rng.standard_normal((2, 4, 4))],
-            lambda tape, y: sparse_masked_loss_op(tape, y, values, mask),
+            lambda tape, y: sparse_masked_loss_op(tape, y, *_observed(values, mask)),
         ),
     }
 

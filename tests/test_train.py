@@ -24,13 +24,19 @@ from auroracast.train import (
     TrainConfig,
     adam_step,
     build_sparse_samples,
-    dense_batch,
     train_config_from_config,
     train_model,
 )
 
 from _memory import peak_bytes, traced_bytes
-from _reference import cell_of, composite_add_at, composite_window, obs_table
+from _reference import (
+    cell_of,
+    composite_add_at,
+    composite_window,
+    dense_batch,
+    obs_table,
+    sparse_masked_loss_dense,
+)
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0):
@@ -194,8 +200,41 @@ class TestSparseSamples:
         pred = pred.astype(np.float32)
         values, mask = dense_batch(samples, np.arange(len(samples)))
         whole = [(slice(0, len(samples)), pred, None)]
-        dense = sparse_masked_loss_op(None, Tensor(pred, dtype=np.float64), values, mask)
+        dense = sparse_masked_loss_dense(None, Tensor(pred, dtype=np.float64), values, mask)
         assert T._sample_mse(whole, samples) == float(dense.data)
+
+    def test_positions_are_the_dense_mask_cells(self, world):
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        idx = np.random.default_rng(5).permutation(len(samples))[:16]
+        whole = np.arange(len(samples))
+        for sub, rows in ((samples[idx], idx), (samples, whole)):
+            assert np.array_equal(sub.positions, np.flatnonzero(dense_batch(samples, rows)[1]))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_on_positions_is_the_mask_form_bitwise(self, world, dtype, normalize):
+        # a shuffled 16-sample batch, as train_model draws one
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        idx = np.random.default_rng(6).permutation(len(samples))[:16]
+        batch = samples[idx]
+        values, mask = dense_batch(samples, idx)
+        data = np.random.default_rng(7).normal(9.0, 1.0, mask.shape).astype(dtype)
+        results = []
+        for loss_op, targets in (
+            (sparse_masked_loss_op, (batch.positions, batch.values)),
+            (sparse_masked_loss_dense, (values, mask)),
+        ):
+            pred = Tensor(data.copy())
+            tape = Tape()
+            loss = loss_op(tape, pred, *targets, normalize)
+            tape.backward(loss)
+            results.append((loss.data, pred.grad))
+        (loss, grad), (ref_loss, ref_grad) = results
+        assert loss.dtype == grad.dtype == dtype
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_memory_per_sample(self, world):
         d, obs, schema = world
@@ -369,36 +408,9 @@ class TestTrainConv:
         norm = Normalization.fit(np.stack([s.features for s in train_s]))
         x_val = (np.stack([s.features for s in val_s]) - norm.mean) / norm.std
         init_pred = Tensor(M.forward_convdecoder(arch, model.params, x_val).data, dtype=np.float64)
-        init_val = float(sparse_masked_loss_op(None, init_pred, v, m).data)
+        init_val = float(sparse_masked_loss_dense(None, init_pred, v, m).data)
         model, history = train_model(model, (train_s, val_s), config)
         assert history.best_val < init_val
-
-    def test_nan_poisoning_does_not_contaminate(self, monkeypatch):
-        train_s, val_s, schema = self._samples(seed=41)
-        arch = M.ConvDecoderArch(
-            input_width=len(schema.global_names), trunk=(16, 8), n_lat=32, n_mlt=32
-        )
-        config = TrainConfig(
-            loss=LossSpec("sparse_masked"), lr=1e-3, max_epochs=2, batch_size=16, seed=6
-        )
-        dense = T.dense_batch
-        poisoned_calls = []
-
-        def poisoned(samples, idx):
-            values, mask = dense(samples, idx)
-            values[~mask] = np.nan
-            poisoned_calls.append(len(idx))
-            return values, mask
-
-        m_clean = M.build_model(arch, seed=9)
-        m_clean, h_clean = train_model(m_clean, (train_s, val_s), config)
-        monkeypatch.setattr(T, "dense_batch", poisoned)
-        m_pois = M.build_model(arch, seed=9)
-        m_pois, h_pois = train_model(m_pois, (train_s, val_s), config)
-        assert sum(poisoned_calls) == 2 * len(train_s)
-        for k in m_clean.params:
-            assert np.array_equal(m_clean.params[k].data, m_pois.params[k].data)
-        assert h_clean.epochs == h_pois.epochs
 
     def test_normalization_fit_on_train_is_stored(self):
         train_s, val_s, schema = self._samples(seed=43)
@@ -506,7 +518,6 @@ class TestTrainConv:
         train_s, val_s, schema = self._samples(seed=44)
         for module, name in (
             (T, "adam_step"),
-            (T, "dense_batch"),
             (L, "mse_op"),
             (L, "sparse_masked_loss_op"),
             (M, "forward_baseline"),
@@ -530,7 +541,7 @@ class TestTrainConv:
         _, history = train_model(M.build_model(arch, seed=0), (train_s, val_s), config)
         assert len(history.epochs) == 2
         steps = 2 * -(-len(train_s) // 16)
-        assert counts["adam_step"] == counts["dense_batch"] == steps
+        assert counts["adam_step"] == steps
         assert counts["sparse_masked_loss_op"] == steps
         assert counts["forward_convdecoder"] == steps + 2
 
