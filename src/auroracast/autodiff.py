@@ -216,43 +216,6 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_dtypes(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    if tape is not None:
-        def backward():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
-
-        tape.record(out, backward)
-    return out
-
-
-def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
-    out = Tensor(x.data * c)
-
-    if tape is not None:
-        def backward():
-            _accumulate(x, out.grad * c)
-
-        tape.record(out, backward)
-    return out
-
-
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.array(x.data.sum(), dtype=x.data.dtype))
-
-    if tape is not None:
-        def backward():
-            _accumulate(x, np.broadcast_to(out.grad, x.shape).astype(x.data.dtype))
-
-        tape.record(out, backward)
-    return out
-
-
 def add_channel_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """x [n, c, h, w] plus a per-channel bias b [c]."""
     _check_dtypes(x, b)

@@ -177,7 +177,8 @@ def _point_data(args, cfg):
     for a point model trained from ``--features``."""
     table = I.read_table_cache(args.features)
     holdout = I.Holdout.from_config(cfg, table.t)
-    data = I.split_by_holdout(table, holdout)
+    in_val = holdout.mask(table.t, table.sat_id)
+    data = (table[~in_val], table[in_val])
     arch = M.arch_from_config(cfg, input_width=table.schema.width)
     time_range = (float(table.t.min()), float(table.t.max()))
     return arch, table.schema, holdout, data, [args.features], time_range
@@ -216,9 +217,8 @@ def _val_rows(model: M.Model, table: I.FeatureTable):
         holdout = I.Holdout.from_meta(model.meta["holdout"])
     except KeyError as exc:
         raise DataError(f"checkpoint metadata lacks a complete holdout (missing key {exc})") from None
-    mask = holdout.mask(table.t, table.sat_id)
-    regions = None if table.region is None else table.region[mask]
-    return table.rows[mask], table.target[mask], regions
+    val = table[holdout.mask(table.t, table.sat_id)]
+    return val.rows, val.target, val.region
 
 
 def _load_point_model(path):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .geomodel import DriverSeries, GridSpec, Region
-from .ingest import FeatureSchema, spatial_block, whole_as_int, write_csv
+from .ingest import FeatureSchema, has_history, spatial_block, whole_as_int, write_csv
 from .models import ConvDecoderArch, Model, predict
 from .stats import as_1d_pair, percentile_linear, uniform_bin_index
 
@@ -173,16 +173,16 @@ def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) 
     A point model gets one feature row per cell center, the cell's spatial
     block followed by the driver history at ``t``; the conv decoder gets
     the history row alone and predicts the grid. Both go through
-    ``models.predict``.
+    ``models.predict``. A ``t`` that ``has_history`` rejects is a DataError.
     """
     from .ingest import history_feature_rows
 
     if t < drivers.t0 or t > drivers.t_end:
         raise DataError(f"timestamp {t:g} outside driver range")
     schema = _schema_from_meta(model.meta)
-    hist, ok = history_feature_rows(drivers, np.array([t]), schema)
-    if not ok[0]:
+    if not has_history(drivers, np.array([t]), schema)[0]:
         raise DataError(f"timestamp {t:g} lacks full driver history")
+    hist = history_feature_rows(drivers, np.array([t]), schema)
 
     if isinstance(model.arch, ConvDecoderArch):
         return predict(model, hist)[0][0]

@@ -18,14 +18,16 @@ midpoints; the observations become a columnar ``ObsTable``.
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
-time. Rows are stored unnormalized: training fits a ``Normalization`` on
-its training rows and records it in the checkpoint, and
-``models.predict`` applies the recorded one.
+time; ``has_history`` is the one rule of which times have that history.
+Rows are stored unnormalized: training fits a ``Normalization`` on its
+training rows and records it in the checkpoint, and ``models.predict``
+applies the recorded one.
 
 ``Holdout`` is the one validation rule: one satellite (or every
 satellite, for the conv decoder) over a time range, by default satellite
-0 over the last quarter of the data's span. Training splits by it, the
-checkpoint records it, and ``eval`` scores the rows it selects.
+0 over the last quarter of the data's span. It is applied one way:
+``holdout.mask`` marks the validation rows and ``table[...]`` selects
+each side, for training and for ``eval``. The checkpoint records it.
 
 A process holds the feature matrix once. ``build_features`` computes the
 history block in float64 once per distinct observation time, a chunk of
@@ -170,6 +172,19 @@ class FeatureTable:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    def __getitem__(self, key) -> FeatureTable:
+        """The rows a slice, mask or index array selects, ``n_dropped_history`` 0."""
+        return FeatureTable(
+            schema=self.schema,
+            rows=self.rows[key],
+            target=self.target[key],
+            region=None if self.region is None else self.region[key],
+            t=self.t[key],
+            mlat=self.mlat[key],
+            mlt=self.mlt[key],
+            sat_id=self.sat_id[key],
+        )
+
 
 @dataclass(frozen=True)
 class Holdout:
@@ -186,13 +201,16 @@ class Holdout:
         set for data at times ``t``. ``holdout.sat_id`` defaults to 0; for
         data not split by satellite (no ``by_satellite``) it is None, and
         setting it is a ConfigError. ``holdout.t_start``/``t_end`` default to
-        the last quarter of the span of ``t``, the end one second past it."""
+        the last quarter of the span of ``t``, the end one second past it;
+        a configured window that is empty whatever the data is a ConfigError."""
         if not by_satellite and "holdout.sat_id" in cfg:
             raise ConfigError("holdout.sat_id does not apply to data not split by satellite")
         if ("holdout.t_start" in cfg) != ("holdout.t_end" in cfg):
             raise ConfigError("holdout.t_start and holdout.t_end must be given together")
         if "holdout.t_start" in cfg:
             t_start, t_end = cfg["holdout.t_start"], cfg["holdout.t_end"]
+            if t_end <= t_start:
+                raise ConfigError("holdout.t_end must exceed holdout.t_start")
         else:
             t_lo, t_hi = float(t.min()), float(t.max())
             t_start, t_end = t_hi - 0.25 * (t_hi - t_lo), t_hi + 1.0
@@ -471,7 +489,7 @@ def whole_as_int(values) -> np.ndarray:
     return out
 
 
-# ── Cleaning and transforms ───────────────────────────────────────────
+# ── Cleaning ──────────────────────────────────────────────────────────
 
 def clean_targets(
     obs: ObsTable,
@@ -496,72 +514,50 @@ def clean_targets(
     return kept, report
 
 
-def log_transform(eflux):
-    """Base-10 log of a positive flux (scalar or array)."""
-    v = np.asarray(eflux, dtype=np.float64)
-    if np.any(v <= 0):
-        raise ValueError("log_transform requires positive flux")
-    out = np.log10(v)
-    return float(out) if out.ndim == 0 else out
-
-
 # ── Feature construction ──────────────────────────────────────────────
 
-def _has_history(drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+def has_history(drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema) -> np.ndarray:
     """The mask of ``times`` whose full driver history lies in the series."""
     return (times - schema.history_seconds >= drivers.t0 - 1e-9) & (times <= drivers.t_end + 1e-9)
 
 
-def history_feature_rows(
-    drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lag/average features for arbitrary times; rows lacking history are flagged.
+def history_feature_rows(drivers: DriverSeries, times: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+    """Lag/average features [m, 10*n_vars] for times that all have history.
 
-    Returns (rows [m, 10*n_vars], ok mask). Instantaneous lags take the
-    nearest cadence sample; averages are the mean over driver samples in
-    the half-open window (t - tau, t]. Every row depends only on its own
-    time, so the result does not depend on duplicates or order.
+    A time that ``has_history`` rejects is a ValueError. Instantaneous lags
+    take the nearest cadence sample (``DriverSeries.index_at``); averages
+    are the mean over driver samples in the half-open window (t - tau, t].
+    Every row depends only on its own time, so the result does not depend
+    on duplicates or order.
     """
-    times = np.asarray(times, dtype=np.float64)
-    cad = drivers.cadence
-    ok = _has_history(drivers, times, schema)
+    tt = np.asarray(times, dtype=np.float64)
+    if not has_history(drivers, tt, schema).all():
+        raise ValueError("history_feature_rows: a time lacks the full driver history")
+    cad, last = drivers.cadence, drivers.n - 1
+    lag_idx = [drivers.index_at(tt - 60.0 * lag_min) for lag_min in schema.lag_minutes]
+    i_now = np.floor((tt - drivers.t0) / cad + 1e-9).astype(np.int64)
+    windows = []  # per trailing mean: reduceat bounds of each window, and its sample count
+    for avg_min in schema.avg_minutes:
+        i_start = np.floor((tt - 60.0 * avg_min - drivers.t0) / cad + 1e-9).astype(np.int64) + 1
+        i_start = np.clip(i_start, 0, last)
+        bounds = np.empty(2 * tt.size, dtype=np.int64)
+        bounds[0::2] = i_start
+        bounds[1::2] = np.clip(i_now, i_start, last) + 1
+        windows.append((bounds, bounds[1::2] - i_start))
+
     n_feat = len(schema.lag_minutes) + len(schema.avg_minutes)
-    rows = np.zeros((times.size, len(schema.variables) * n_feat))
-
-    tt = times[ok]
-    if tt.size:
-        lag_idx = []
-        for lag_min in schema.lag_minutes:
-            idx = np.rint((tt - 60.0 * lag_min - drivers.t0) / cad)
-            lag_idx.append(np.clip(idx, 0, drivers.n - 1).astype(np.int64))
-        win_bounds = []
-        for avg_min in schema.avg_minutes:
-            tau = 60.0 * avg_min
-            i_end = np.floor((tt - drivers.t0) / cad + 1e-9).astype(np.int64)
-            i_start = np.floor((tt - tau - drivers.t0) / cad + 1e-9).astype(np.int64) + 1
-            i_start = np.clip(i_start, 0, drivers.n - 1)
-            i_end = np.clip(i_end, i_start, drivers.n - 1)
-            win_bounds.append((i_start, i_end))
-
-        col = 0
-        block = np.empty((tt.size, n_feat))
-        for var in schema.variables:
-            series = drivers.columns[var]
-            padded = np.concatenate([series, [0.0]])
-            j = 0
-            for idx in lag_idx:
-                block[:, j] = series[idx]
-                j += 1
-            for i_start, i_end in win_bounds:
-                starts = np.empty(2 * tt.size, dtype=np.int64)
-                starts[0::2] = i_start
-                starts[1::2] = i_end + 1
-                sums = np.add.reduceat(padded, starts)[0::2]
-                block[:, j] = sums / (i_end - i_start + 1)
-                j += 1
-            rows[ok, col : col + n_feat] = block
-            col += n_feat
-    return rows, ok
+    rows = np.empty((tt.size, len(schema.variables) * n_feat))
+    col = 0
+    for var in schema.variables:
+        series = drivers.columns[var]
+        padded = np.concatenate([series, [0.0]])
+        for idx in lag_idx:
+            rows[:, col] = series[idx]
+            col += 1
+        for bounds, count in windows:
+            rows[:, col] = np.add.reduceat(padded, bounds)[0::2] / count
+            col += 1
+    return rows
 
 
 def spatial_block(mlat: np.ndarray, mlt: np.ndarray) -> np.ndarray:
@@ -631,15 +627,15 @@ def build_features(
 ) -> FeatureTable:
     """Assemble the feature table for a table of observations.
 
-    Rows whose time lacks the full driver history are dropped and counted
-    in ``n_dropped_history``. Region labels are kept only when every
-    retained row carries one.
+    Observations at times ``has_history`` rejects are dropped and counted
+    in ``n_dropped_history``; the target is log10 of the kept eflux.
+    Region labels are kept only when every retained row carries one.
 
     The rows are one float32 ``[n, width]`` matrix, rounded as the cache
     stores them, and nothing else of its size is held: the spatial block
     is written a row chunk at a time, and the history block a chunk of
-    distinct observation times at a time, each chunk's rows computed once
-    in float64 and scattered to the observations at those times. A
+    the kept rows' distinct times at a time, each chunk's rows computed
+    once in float64 and scattered to the observations at those times. A
     history feature beyond the float32 range is a DataError naming it.
     """
     if schema is None:
@@ -650,15 +646,12 @@ def build_features(
         if var not in drivers.columns:
             raise DataError(f"driver series lacks variable {var}")
 
-    target = log_transform(obs.eflux)
-    uniq, inverse = np.unique(np.asarray(obs.t, dtype=np.float64), return_inverse=True)
-    ok = _has_history(drivers, uniq, schema)[inverse]
+    ok = has_history(drivers, obs.t, schema)
     n_dropped = int((~ok).sum())
     if not ok.any():
         raise DataError("no observation has the full driver history")
     keep = np.flatnonzero(ok)
-    src = inverse[keep]
-    del inverse
+    uniq, src = np.unique(obs.t[keep], return_inverse=True)
     n_sp = len(SPATIAL_NAMES)
     rows = np.empty((keep.size, schema.width), dtype=np.float32)
     for sl in row_chunks(keep.size, 8 * n_sp):
@@ -667,7 +660,7 @@ def build_features(
     order = np.argsort(src, kind="stable")
     names = schema.global_names
     for sl in row_chunks(uniq.size, rows.itemsize * len(names)):
-        hist, _ = history_feature_rows(drivers, uniq[sl], schema)
+        hist = history_feature_rows(drivers, uniq[sl], schema)
         with np.errstate(over="ignore"):
             hist32 = hist.astype(np.float32)
         bad = ~np.isfinite(hist32)
@@ -689,7 +682,7 @@ def build_features(
     return FeatureTable(
         schema=schema,
         rows=rows,
-        target=target[ok],
+        target=np.log10(obs.eflux[ok]),
         region=region_arr,
         t=obs.t[ok],
         mlat=obs.mlat[ok],
@@ -697,27 +690,6 @@ def build_features(
         sat_id=obs.sat_id[ok],
         n_dropped_history=n_dropped,
     )
-
-
-def _subset(table: FeatureTable, mask: np.ndarray) -> FeatureTable:
-    return FeatureTable(
-        schema=table.schema,
-        rows=table.rows[mask],
-        target=table.target[mask],
-        region=None if table.region is None else table.region[mask],
-        t=table.t[mask],
-        mlat=table.mlat[mask],
-        mlt=table.mlt[mask],
-        sat_id=table.sat_id[mask],
-        n_dropped_history=0,
-    )
-
-
-def split_by_holdout(table: FeatureTable, holdout: Holdout) -> tuple[FeatureTable, FeatureTable]:
-    """(training rows, validation rows): the rows ``holdout`` does not
-    select, and those it does."""
-    val_mask = holdout.mask(table.t, table.sat_id)
-    return _subset(table, ~val_mask), _subset(table, val_mask)
 
 
 # ── Binary feature cache ──────────────────────────────────────────────

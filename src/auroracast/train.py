@@ -42,7 +42,8 @@ from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
 from .errors import ConfigError, DataError, TrainingDiverged, bind
 from .geomodel import DriverSeries, GridMap, GridSpec, ObsTable, cells_of
-from .ingest import FeatureSchema, FeatureTable, Normalization, history_feature_rows, write_csv
+from .ingest import FeatureSchema, FeatureTable, Normalization, has_history, write_csv
+from .ingest import history_feature_rows
 from .losses import LossSpec
 
 COMPOSITE_HALF_WIDTH_S = 150.0
@@ -236,16 +237,16 @@ def build_sparse_samples(
     spec: GridSpec,
     half_width_s: float = COMPOSITE_HALF_WIDTH_S,
 ) -> tuple[SparseSamples, int]:
-    """One sample per driver time step that has full feature history and a
-    non-empty window; returns (samples, n_skipped_empty)."""
-    feats, ok = history_feature_rows(drivers, drivers.times, schema)
-    t_centers = drivers.times[ok]
+    """One sample per driver time step that ``has_history`` accepts and
+    whose window is non-empty; returns (samples, n_skipped_empty). Features
+    are computed for those samples' centers only."""
+    t_centers = drivers.times[has_history(drivers, drivers.times, schema)]
     cells, values, per_window = _composite(obs, t_centers, spec, half_width_s)
     keep = per_window > 0
     samples = SparseSamples(
         spec=spec,
         t_center=t_centers[keep],
-        features=feats[ok][keep],
+        features=history_feature_rows(drivers, t_centers[keep], schema),
         cells=cells,
         values=values,
         offsets=np.concatenate([[0], np.cumsum(per_window[keep])]),

@@ -19,6 +19,10 @@ was before ``dx`` skipped the cells with a zero output gradient.
 ``dense_batch`` and ``sparse_masked_loss_dense`` are the conv training
 step's targets and loss as they were before the loss read observed-cell
 positions: dense value and mask grids, gathered through the mask.
+``history_rows_and_mask`` is ``ingest.history_feature_rows`` as it was
+before it refused times without history: a zero row for each such time,
+and the ``has_history`` mask. ``add``, ``scale`` and ``sum_all`` are
+autodiff ops that only the tests' graphs use.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import zlib
 
 import numpy as np
 
-from auroracast.autodiff import Tape, Tensor, _accumulate
+from auroracast.autodiff import Tape, Tensor, _accumulate, _check_dtypes
 from auroracast.errors import DataError
 from auroracast.geomodel import (
     DRIVER_NAMES,
@@ -47,7 +51,7 @@ from auroracast.geomodel import (
     flux_field,
     region_field,
 )
-from auroracast.ingest import history_feature_rows, spatial_block
+from auroracast.ingest import has_history, history_feature_rows, spatial_block
 from auroracast.train import SparseSamples, _runs
 
 
@@ -261,7 +265,7 @@ def composite_add_at(drivers, obs: ObsTable, schema, spec: GridSpec, half_width_
     Returns (list of (t_center, features, values grid, mask grid), n_empty).
     """
     times = drivers.times
-    feats, ok = history_feature_rows(drivers, times, schema)
+    feats, ok = history_rows_and_mask(drivers, times, schema)
     order = np.argsort(obs.t, kind="stable")
     t_all = obs.t[order]
     mlat_all = obs.mlat[order]
@@ -289,16 +293,26 @@ def composite_add_at(drivers, obs: ObsTable, schema, spec: GridSpec, half_width_
     return out, n_empty
 
 
+def history_rows_and_mask(drivers, times, schema):
+    """(rows [m, 10*n_vars], mask of the times with history): each time's
+    ``history_feature_rows`` row, or zeros where ``has_history`` rejects it."""
+    times = np.asarray(times, dtype=np.float64)
+    ok = has_history(drivers, times, schema)
+    rows = np.zeros((times.size, len(schema.global_names)))
+    rows[ok] = history_feature_rows(drivers, times[ok], schema)
+    return rows, ok
+
+
 def history_rows_one_by_one(drivers, times, schema):
     """Each time's feature row computed in a call of its own."""
-    pairs = [history_feature_rows(drivers, np.array([t]), schema) for t in times]
+    pairs = [history_rows_and_mask(drivers, np.array([t]), schema) for t in times]
     return np.vstack([rows for rows, _ in pairs]), np.concatenate([ok for _, ok in pairs])
 
 
 def feature_rows_hstack(drivers, obs: ObsTable, schema):
     """Feature rows as the full spatial and history blocks side by side,
     then the rows with full history selected."""
-    hist, ok = history_feature_rows(drivers, obs.t, schema)
+    hist, ok = history_rows_and_mask(drivers, obs.t, schema)
     return np.hstack([spatial_block(obs.mlat, obs.mlt), hist])[ok]
 
 
@@ -609,6 +623,43 @@ def sparse_masked_loss_dense(
             dp = np.zeros_like(pred.data)
             dp[m] = out.grad * 2.0 * diff / denom
             _accumulate(pred, dp)
+
+        tape.record(out, backward)
+    return out
+
+
+def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    _check_dtypes(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.data + b.data)
+
+    if tape is not None:
+        def backward():
+            _accumulate(a, out.grad)
+            _accumulate(b, out.grad)
+
+        tape.record(out, backward)
+    return out
+
+
+def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
+    out = Tensor(x.data * c)
+
+    if tape is not None:
+        def backward():
+            _accumulate(x, out.grad * c)
+
+        tape.record(out, backward)
+    return out
+
+
+def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.array(x.data.sum(), dtype=x.data.dtype))
+
+    if tape is not None:
+        def backward():
+            _accumulate(x, np.broadcast_to(out.grad, x.shape).astype(x.data.dtype))
 
         tape.record(out, backward)
     return out

@@ -7,7 +7,14 @@ import pytest
 
 from _gradcheck import check_gradients
 from _memory import peak_bytes
-from _reference import accumulate_zero_filled, backward_keeping_records, conv2d_backward_dense
+from _reference import (
+    accumulate_zero_filled,
+    add,
+    backward_keeping_records,
+    conv2d_backward_dense,
+    scale,
+    sum_all,
+)
 from auroracast import autodiff as ad
 from auroracast import losses as L
 from auroracast import models as M
@@ -45,7 +52,7 @@ class TestDense:
         def build():
             tape = Tape()
             y = ad.dense(x, w, b, tape)
-            return tape, ad.sum_all(ad.relu(y, tape), tape)
+            return tape, sum_all(ad.relu(y, tape), tape)
 
         check_gradients(build, [x, w, b])
 
@@ -66,7 +73,7 @@ class TestRelu:
     def test_nonpositive_zero_grad(self):
         x = Tensor(-np.abs(np.random.default_rng(2).standard_normal(6)))
         tape = Tape()
-        y = ad.sum_all(ad.relu(x, tape), tape)
+        y = sum_all(ad.relu(x, tape), tape)
         tape.backward(y)
         assert np.array_equal(y.data, 0.0)
         assert np.array_equal(x.grad, np.zeros(6))
@@ -77,7 +84,7 @@ class TestRelu:
 
         def build():
             tape = Tape()
-            return tape, ad.sum_all(ad.relu(x, tape), tape)
+            return tape, sum_all(ad.relu(x, tape), tape)
 
         check_gradients(build, [x])
 
@@ -164,7 +171,7 @@ class TestDropout:
         def build():
             tape = Tape()
             y = ad.dropout(x, 0.4, training=True, rng=11, tape=tape)
-            return tape, ad.sum_all(y, tape)
+            return tape, sum_all(y, tape)
 
         check_gradients(build, [x])
 
@@ -263,7 +270,7 @@ class TestConv2d:
 
         def build():
             tape = Tape()
-            return tape, ad.sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
+            return tape, sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
 
         check_gradients(build, [x, k])
 
@@ -274,7 +281,7 @@ class TestConv2d:
 
         def build():
             tape = Tape()
-            return tape, ad.sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
+            return tape, sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
 
         check_gradients(build, [x, k])
 
@@ -325,7 +332,7 @@ class TestConvTranspose:
 
         def build():
             tape = Tape()
-            return tape, ad.sum_all(ad.relu(ad.conv2d_transpose(x, k, 2, tape), tape), tape)
+            return tape, sum_all(ad.relu(ad.conv2d_transpose(x, k, 2, tape), tape), tape)
 
         check_gradients(build, [x, k])
 
@@ -337,7 +344,7 @@ class TestConvTranspose:
         def build():
             tape = Tape()
             y = ad.conv2d_transpose(x, k, (2, 3), tape)
-            return tape, ad.sum_all(ad.relu(y, tape), tape)
+            return tape, sum_all(ad.relu(y, tape), tape)
 
         check_gradients(build, [x, k])
 
@@ -488,7 +495,7 @@ def test_conv2d_memory_stays_near_input_size():
 
     def forward_backward():
         tape = Tape()
-        tape.backward(ad.sum_all(ad.conv2d(x, k, tape), tape))
+        tape.backward(sum_all(ad.conv2d(x, k, tape), tape))
 
     peak, _ = peak_bytes(forward_backward)
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
@@ -535,7 +542,7 @@ class TestPadding:
         def build():
             tape = Tape()
             y = ad.pad_zero_lat(x, 1, tape)
-            return tape, ad.sum_all(ad.relu(y, tape), tape)
+            return tape, sum_all(ad.relu(y, tape), tape)
 
         check_gradients(build, [x])
 
@@ -558,7 +565,7 @@ class TestTapeSemantics:
     def test_sum_of_weights_gives_ones(self):
         w = Tensor(np.random.default_rng(16).standard_normal((3, 4)))
         tape = Tape()
-        loss = ad.sum_all(w, tape)
+        loss = sum_all(w, tape)
         tape.backward(loss)
         assert np.array_equal(w.grad, np.ones((3, 4)))
 
@@ -567,7 +574,7 @@ class TestTapeSemantics:
         w = _t(rng, 3, 3)
         u = _t(rng, 3, 3)
         tape = Tape()
-        loss = ad.sum_all(w, tape)
+        loss = sum_all(w, tape)
         tape.backward(loss)
         assert u.grad is None
 
@@ -587,8 +594,8 @@ class TestTapeSemantics:
         x = _t(rng, 4, 3)
         tape = CountingTape()
         unused = ad.relu(x, tape)
-        used = ad.scale(x, 3.0, tape)
-        loss = ad.sum_all(used, tape)
+        used = scale(x, 3.0, tape)
+        loss = sum_all(used, tape)
         tape.backward(loss)
         assert tape.ran == [loss, used]
         assert unused.grad is None
@@ -603,7 +610,7 @@ class TestTapeSemantics:
 
     def test_detached_loss_rejected(self):
         tape = Tape()
-        ad.sum_all(Tensor(np.ones(3)), tape)
+        sum_all(Tensor(np.ones(3)), tape)
         stranger = Tensor(np.array(1.0))
         with pytest.raises(ValueError, match="detached"):
             tape.backward(stranger)
@@ -611,7 +618,7 @@ class TestTapeSemantics:
     def test_double_backward_rejected(self):
         w = Tensor(np.ones(3))
         tape = Tape()
-        loss = ad.sum_all(w, tape)
+        loss = sum_all(w, tape)
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="consumed"):
             tape.backward(loss)
@@ -628,12 +635,12 @@ class TestTapeSemantics:
             tape.backward(loss)
             return w.grad
 
-        g1 = grads_of(lambda tape, w: ad.sum_all(ad.relu(w, tape), tape))
-        g2 = grads_of(lambda tape, w: ad.scale(ad.sum_all(w, tape), 2.0, tape))
+        g1 = grads_of(lambda tape, w: sum_all(ad.relu(w, tape), tape))
+        g2 = grads_of(lambda tape, w: scale(sum_all(w, tape), 2.0, tape))
         combined = grads_of(
-            lambda tape, w: ad.add(
-                ad.scale(ad.sum_all(ad.relu(w, tape), tape), alpha, tape),
-                ad.scale(ad.scale(ad.sum_all(w, tape), 2.0, tape), beta, tape),
+            lambda tape, w: add(
+                scale(sum_all(ad.relu(w, tape), tape), alpha, tape),
+                scale(scale(sum_all(w, tape), 2.0, tape), beta, tape),
                 tape,
             )
         )
@@ -643,7 +650,7 @@ class TestTapeSemantics:
         w = Tensor(np.arange(3.0))
         tape = Tape()
         y = ad.relu(w, tape)
-        loss = ad.add(ad.sum_all(y, tape), ad.sum_all(y, tape), tape)
+        loss = add(sum_all(y, tape), sum_all(y, tape), tape)
         tape.backward(loss)
         assert np.array_equal(w.grad, 2.0 * (w.data > 0))
 
@@ -674,7 +681,7 @@ class TestTapeRelease:
         tape = Tape()
         y = ad.dense(x, w, b, tape)
         h = ad.relu(y, tape)
-        loss = ad.sum_all(ad.scale(h, 2.0, tape), tape)
+        loss = sum_all(scale(h, 2.0, tape), tape)
         freed = [weakref.ref(y.data), weakref.ref(h.data)]
         del y, h
         tape.backward(loss)
@@ -710,8 +717,8 @@ class TestTapeRelease:
         w = Tensor(np.linspace(-1, 1, 16, dtype=np.float32).reshape(4, 4))
         b = Tensor(np.array([0.0, -0.0, 0.5, -0.5], dtype=np.float32))
         h = ad.relu(ad.dense(x, w, b, tape), tape)
-        twice = ad.add(ad.scale(h, 3.0, tape), ad.relu(x, tape), tape)
-        return ad.add(ad.sum_all(twice, tape), ad.sum_all(h, tape), tape), [x, w, b]
+        twice = add(scale(h, 3.0, tape), ad.relu(x, tape), tape)
+        return add(sum_all(twice, tape), sum_all(h, tape), tape), [x, w, b]
 
     @pytest.mark.parametrize("graph", ["_conv_graph", "_multitask_graph", "_reuse_graph"])
     def test_gradients_bitwise_equal_to_a_replay_that_keeps_records(self, graph, monkeypatch):
@@ -750,7 +757,7 @@ class TestTapeRelease:
             h = x
             for w, b in layers:
                 h = ad.relu(ad.dense(h, w, b, tape), tape)
-            return ad.sum_all(h, tape)
+            return sum_all(h, tape)
 
         def forward_backward():
             tape = Tape()

@@ -308,6 +308,22 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["400000", "500000"], ids=["before", "equal"])
+    @pytest.mark.parametrize("source", ["--features", "--sparse"])
+    def test_empty_holdout_window_is_config_error(
+        self, tmp_path, capsys, synth_dir, features_file, source, t_end
+    ):
+        """A window with t_end <= t_start selects no rows whatever the data."""
+        cfg = tmp_path / "empty.cfg"
+        arch = "arch = conv\narch.grid = 32\nloss = sparse_masked\n" if source == "--sparse" else ""
+        cfg.write_text(f"{arch}holdout.t_start = 500000\nholdout.t_end = {t_end}\n")
+        data = synth_dir if source == "--sparse" else features_file
+        out = tmp_path / "run"
+        assert run("train", source, data, "--config", cfg, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "config error: holdout.t_end must exceed holdout.t_start" in err
+        assert not out.exists()
+
     def test_features_and_sparse_hold_out_the_same_window(
         self, tmp_path, monkeypatch, synth_dir, features_file
     ):

@@ -28,12 +28,11 @@ from auroracast.ingest import (
     Normalization,
     build_features,
     clean_targets,
+    has_history,
     history_feature_rows,
-    log_transform,
     read_drivers_csv,
     read_observations_csv,
     read_table_cache,
-    split_by_holdout,
     write_csv,
     write_table_cache,
 )
@@ -575,18 +574,19 @@ class TestCleaning:
             clean_targets(obs_table([]))
 
 
-class TestLogTransform:
-    def test_values(self):
-        assert log_transform(1e12) == 12.0
-        assert log_transform(1.0) == 0.0
-        assert log_transform(7.37e13) == pytest.approx(np.log10(7.37e13), rel=0)
-
-    def test_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_transform(0.0)
-
-
 class TestBuildFeatures:
+    def test_target_is_log10_of_kept_eflux(self):
+        d = _constant_series()
+        eflux = [1e12, 1.0, 7.37e13, 3.3e9]
+        kept = [_obs(30000.0 + 60 * i, eflux=v) for i, v in enumerate(eflux)]
+        obs = obs_table([_obs(10.0, eflux=5e11)] + kept)
+        table = build_features(d, obs)
+        assert table.n_dropped_history == 1
+        assert table.target.dtype == np.float64
+        assert table.target.tobytes() == np.log10(obs.eflux[1:]).tobytes()
+        assert table.target[0] == 12.0
+        assert table.target[1] == 0.0
+
     def test_constant_driver_features_all_equal(self):
         d = _constant_series(value=3.25)
         obs = [_obs(30000.0)]
@@ -654,8 +654,8 @@ class TestBuildFeatures:
         rng = np.random.default_rng(1)
         times = rng.uniform(22000.0, 86000.0, size=40)
         schema = FeatureSchema()
-        rows, ok = history_feature_rows(d, times, schema)
-        assert ok.all()
+        assert has_history(d, times, schema).all()
+        rows = history_feature_rows(d, times, schema)
         names = [f"{v}_{k}" for v in schema.variables
                  for k in [f"lag{m:g}m" for m in schema.lag_minutes]
                  + [f"avg{m:g}m" for m in schema.avg_minutes]]
@@ -682,11 +682,21 @@ class TestBuildFeatures:
         times = np.concatenate([times, times[::3], d.times[100:110], [21600.0, 21600.0]])
         rng.shuffle(times)
         schema = FeatureSchema()
-        rows, ok = history_feature_rows(d, times, schema)
+        ok = has_history(d, times, schema)
+        rows = history_feature_rows(d, times[ok], schema)
         ref_rows, ref_ok = history_rows_one_by_one(d, times, schema)
         assert not ok.all() and ok.any()
         assert np.array_equal(ok, ref_ok)
-        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(rows, ref_rows[ok])
+
+    def test_time_without_history_is_error(self):
+        d = _constant_series()
+        schema = FeatureSchema()
+        for late in (10.0, d.t_end + 1.0):
+            assert not has_history(d, np.array([late]), schema)[0]
+            with pytest.raises(ValueError, match="lacks the full driver history"):
+                history_feature_rows(d, np.array([30000.0, late]), schema)
+        assert history_feature_rows(d, np.array([]), schema).shape == (0, len(schema.global_names))
 
     def test_mlt_seam_feature_continuity(self):
         d = _constant_series()
@@ -694,6 +704,12 @@ class TestBuildFeatures:
         t1 = build_features(d, obs_table([_obs(30000.0, mlt=24.0 - eps)]))
         t2 = build_features(d, obs_table([_obs(30000.0, mlt=eps)]))
         assert np.all(np.abs(t1.rows[0][:3] - t2.rows[0][:3]) < 1e-5)
+
+
+def _split(table, holdout):
+    """(training rows, validation rows), selected as ``cli`` selects them."""
+    in_val = holdout.mask(table.t, table.sat_id)
+    return table[~in_val], table[in_val]
 
 
 class TestSplitAndFilter:
@@ -705,7 +721,7 @@ class TestSplitAndFilter:
 
     def test_partition(self):
         table = self._table()
-        train, val = split_by_holdout(table, Holdout(1, 86400.0, 2 * 86400.0 + 1))
+        train, val = _split(table, Holdout(1, 86400.0, 2 * 86400.0 + 1))
         assert train.n + val.n == table.n
         assert np.all(val.sat_id == 1)
         assert np.all((val.t >= 86400.0) & (val.t < 2 * 86400.0 + 1))
@@ -717,13 +733,13 @@ class TestSplitAndFilter:
     def test_empty_holdout_is_error(self):
         table = self._table()
         with pytest.raises(DataError):
-            split_by_holdout(table, Holdout(7, 0.0, 86400.0))
+            _split(table, Holdout(7, 0.0, 86400.0))
 
     def test_norm_refit_on_train(self):
         """Training fits the z-scoring on the training rows alone and
         stores it in the model's metadata."""
         table = self._table()
-        train, val = split_by_holdout(table, Holdout(0, 86400.0, 2 * 86400.0 + 1))
+        train, val = _split(table, Holdout(0, 86400.0, 2 * 86400.0 + 1))
         model = build_model(BaselineArch(table.schema.width, hidden=(4,)), seed=0)
         model, _ = train_model(model, (train, val), TrainConfig(max_epochs=1))
         norm = Normalization.fit(train.rows)
@@ -732,6 +748,53 @@ class TestSplitAndFilter:
         z = (train.rows - mean) / std
         live = train.rows.std(axis=0) > 1e-12
         assert np.all(np.abs(z.mean(axis=0)[live]) < 1e-9)
+
+
+class TestFeatureTableIndex:
+    COLUMNS = ("rows", "target", "region", "t", "mlat", "mlt", "sat_id")
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        p = WorldParams(seed=6, n_sats=2)
+        d = gen_drivers(p, 86400)
+        table = build_features(d, sample_traces(p, d, 300.0))
+        assert table.n_dropped_history > 0 and table.region is not None
+        return table
+
+    @pytest.mark.parametrize("kind", ["slice", "mask", "index"])
+    def test_selects_every_column_in_order(self, table, kind):
+        rng = np.random.default_rng(9)
+        key = {
+            "slice": slice(5, 200, 3),
+            "mask": table.sat_id == 1,
+            "index": rng.permutation(table.n)[:50],
+        }[kind]
+        picked = np.arange(table.n)[key]
+        sub = table[key]
+        assert sub.schema == table.schema
+        assert sub.n == picked.size
+        assert sub.n_dropped_history == 0
+        for name in self.COLUMNS:
+            got, full = getattr(sub, name), getattr(table, name)
+            assert got.dtype == full.dtype
+            assert got.tobytes() == full[picked].tobytes(), name
+
+    def test_no_region_stays_none(self, table):
+        unlabelled = dataclasses.replace(table, region=None)
+        assert unlabelled[table.sat_id == 0].region is None
+
+    def test_sub_table_of_cache_view_is_writable(self, table, tmp_path):
+        write_table_cache(table, tmp_path / "t.aft")
+        view = read_table_cache(tmp_path / "t.aft")
+        assert not view.rows.flags.writeable
+        in_val = Holdout(0, 50000.0, 86401.0).mask(view.t, view.sat_id)
+        for key in (in_val, ~in_val):
+            sub = view[key]
+            for name in self.COLUMNS:
+                got = getattr(sub, name)
+                assert got.flags.writeable, name
+                assert got.tobytes() == getattr(view, name)[key].tobytes(), name
+            assert sub.rows.tobytes() == table.rows[key].tobytes()
 
 
 class TestHoldout:
@@ -751,6 +814,13 @@ class TestHoldout:
         cfg = {"holdout.sat_id": 2}
         with pytest.raises(ConfigError, match="holdout.sat_id"):
             Holdout.from_config(cfg, self.T, by_satellite=False)
+
+    @pytest.mark.parametrize("by_satellite", [True, False])
+    @pytest.mark.parametrize("t_end", [50.0, 100.0])
+    def test_empty_time_range_is_config_error(self, t_end, by_satellite):
+        cfg = {"holdout.t_start": 100.0, "holdout.t_end": t_end}
+        with pytest.raises(ConfigError, match="holdout.t_end must exceed holdout.t_start"):
+            Holdout.from_config(cfg, self.T, by_satellite=by_satellite)
 
     @pytest.mark.parametrize("key", ["holdout.t_start", "holdout.t_end"])
     def test_half_a_time_range_is_config_error(self, key):

@@ -17,7 +17,7 @@ from auroracast.geomodel import (
     gen_drivers,
     sample_traces,
 )
-from auroracast.ingest import FeatureSchema, Holdout, build_features, split_by_holdout
+from auroracast.ingest import FeatureSchema, Holdout, build_features, history_feature_rows
 from auroracast.losses import LossSpec, sparse_masked_loss_op
 from auroracast.train import (
     AdamState,
@@ -176,6 +176,14 @@ class TestSparseSamples:
             assert np.all(np.diff(cells) > 0)
             assert np.array_equal(np.flatnonzero(samples[i].target.mask), cells)
 
+    def test_features_are_history_rows_at_the_centers(self, world):
+        d, obs, schema = world
+        samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
+        expect = history_feature_rows(d, samples.t_center, schema)
+        assert samples.features.dtype == expect.dtype
+        assert samples.features.shape == expect.shape
+        assert samples.features.tobytes() == expect.tobytes()
+
     def test_subset_keeps_samples(self, world):
         d, obs, schema = world
         samples, _ = build_sparse_samples(d, obs, schema, self.SPEC)
@@ -249,7 +257,8 @@ def _point_tables(seed=30, days=2.0, obs_cadence=240.0, n_sats=1):
     table = build_features(d, obs)
     t_hi = float(table.t.max())
     t_lo = t_hi - 0.25 * (t_hi - float(table.t.min()))
-    return split_by_holdout(table, Holdout(0, t_lo, t_hi + 1))
+    in_val = Holdout(0, t_lo, t_hi + 1).mask(table.t, table.sat_id)
+    return table[~in_val], table[in_val]
 
 
 class TestTrainPoint:
