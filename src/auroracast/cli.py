@@ -212,11 +212,15 @@ def _sparse_data(args, cfg):
 
 # ── eval ──────────────────────────────────────────────────────────────
 
-def _val_rows(model: M.Model, table: I.FeatureTable):
+def _val_rows(model: M.Model, table: I.FeatureTable, checkpoint, features):
+    """The cache's holdout rows for ``model``; a DataError for an incomplete
+    holdout, or a checkpoint trained on another layout of the cache's width."""
     try:
         holdout = I.Holdout.from_meta(model.meta["holdout"])
     except KeyError as exc:
         raise DataError(f"checkpoint metadata lacks a complete holdout (missing key {exc})") from None
+    if model.arch.input_width == table.schema.width and E._schema_from_meta(model.meta) != table.schema:
+        raise DataError(f"{features}: feature layout is not the one {checkpoint} was trained on")
     val = table[holdout.mask(table.t, table.sat_id)]
     return val.rows, val.target, val.region
 
@@ -231,11 +235,11 @@ def _load_point_model(path):
 def cmd_eval(args) -> int:
     model = _load_point_model(args.checkpoint)
     table = I.read_table_cache(args.features)
-    rows, y_true, regions = _val_rows(model, table)
+    rows, y_true, regions = _val_rows(model, table, args.checkpoint, args.features)
     y_pred, pred_regions = M.predict(model, rows)
     if args.baseline_checkpoint:
         base_model = _load_point_model(args.baseline_checkpoint)
-        base_rows, base_y, _ = _val_rows(base_model, table)
+        base_rows, base_y, _ = _val_rows(base_model, table, args.baseline_checkpoint, args.features)
         if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
             raise DataError("baseline checkpoint holdout differs from candidate's")
         base_pred, _ = M.predict(base_model, base_rows)

@@ -425,7 +425,8 @@ def sample_traces(
 
     Observation times run from t0 to the end of the driver series at the
     observation cadence; log-flux noise is Gaussian per sample with a
-    seeded stream per satellite. Rows are ordered by time, then satellite.
+    seeded stream per satellite. Every satellite is drawn at once, as
+    ``[n_sats, n_obs]`` arrays; rows are ordered by time, then satellite.
     """
     if drivers.n < 1:
         raise ValueError("empty driver series")
@@ -441,36 +442,21 @@ def sample_traces(
     cf = drivers.columns["NewellCF"][drivers.index_at(times)]
     a = activity_level(cf, params)
 
-    root = np.random.SeedSequence([params.seed, 1])
-    children = root.spawn(params.n_sats)
-
-    all_t, all_sat, all_mlat, all_mlt, all_flux, all_region = [], [], [], [], [], []
-    for s in range(params.n_sats):
-        mlat, mlt = _orbit_track(times, s, params)
-        logf = flux_field(mlat, mlt, a, params)
-        rng = np.random.default_rng(children[s])
-        noisy = logf + params.noise_sigma * rng.standard_normal(n_obs)
-        all_t.append(times)
-        all_sat.append(np.full(n_obs, s, dtype=np.int64))
-        all_mlat.append(mlat)
-        all_mlt.append(mlt)
-        all_flux.append(noisy)
-        all_region.append(region_field(mlat, mlt, a, params))
-
-    t = np.concatenate(all_t)
-    sat = np.concatenate(all_sat)
-    order = np.lexsort((sat, t))
-    logf = np.concatenate(all_flux)[order]
+    sats = np.arange(params.n_sats)
+    mlat, mlt = _orbit_track(times, sats[:, None], params)
+    children = np.random.SeedSequence([params.seed, 1]).spawn(params.n_sats)
+    noise = np.array([np.random.default_rng(c).standard_normal(n_obs) for c in children])
+    logf = flux_field(mlat, mlt, a, params) + params.noise_sigma * noise
     # Python's scalar power, not np.power: the vectorised kernel rounds the
     # last bit differently on some inputs, and eflux is written to CSV.
-    eflux = np.array([10.0 ** x for x in logf.tolist()])
+    eflux = np.array([10.0 ** x for x in logf.T.ravel().tolist()])
     return ObsTable(
-        t=t[order],
-        sat_id=sat[order],
-        mlat=np.concatenate(all_mlat)[order],
-        mlt=np.concatenate(all_mlt)[order],
+        t=np.repeat(times, params.n_sats),
+        sat_id=np.tile(sats, n_obs),
+        mlat=mlat.T.ravel(),
+        mlt=mlt.T.ravel(),
         eflux=eflux,
-        region=np.concatenate(all_region)[order],
+        region=region_field(mlat, mlt, a, params).T.ravel(),
     )
 
 

@@ -10,10 +10,11 @@ mse, tail and dist are one kernel, the mean of w * (y_pred - y_true)**2:
                  active when y_true > y_r and y_pred < y_r, so only
                  under-predicted high values pay. The indicator is held
                  constant in the gradient.
-  dist           w = the inverse (count+1) weight of the training-histogram
-                 bin containing y_true
+  dist           w = the row's ``dist_weights`` entry: the inverse
+                 (count+1) weight of the training-histogram bin holding
+                 its target, fitted once on the training rows
   multitask      selected-region squared error plus categorical
-                 cross-entropy over the three region classes
+                 cross-entropy, ``-log p`` of each row's true region index
   sparse_masked  squared error summed over the observed grid cells only,
                  given as flat positions with their target values;
                  unobserved cells contribute zero loss and zero gradient
@@ -53,37 +54,10 @@ DEFAULT_TAIL_TERMS = (
 )
 
 
-@dataclass(frozen=True)
-class DistWeights:
-    """Per-bin inverse-frequency weights fitted on training targets.
-
-    weight_i = 1 / ((count_i + 1) * n) over equal-width bins spanning
-    [min, max] of the n fitted targets. Out-of-range values clamp
-    to the edge bins; the top edge falls in the last bin.
-    """
-
-    edges: np.ndarray
-    weights: np.ndarray
-    n_bins: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=np.float64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if len(self.edges) != self.n_bins + 1 or len(self.weights) != self.n_bins:
-            raise ValueError("inconsistent bin arrays")
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-
-    def bin_index(self, y) -> np.ndarray:
-        return uniform_bin_index(y, float(self.edges[0]), float(self.edges[-1]), self.n_bins)
-
-    def weight_of(self, y) -> np.ndarray:
-        return self.weights[self.bin_index(y)]
-
-
-def fit_dist_weights(y_train: np.ndarray, n_bins: int = 50) -> DistWeights:
+def dist_weights(y_train: np.ndarray, n_bins: int = 50) -> np.ndarray:
+    """One float64 weight per target, ``1 / ((count + 1) * n)``: ``count``
+    of the ``n`` targets share its bin, of ``n_bins`` equal-width bins over
+    [min, max]. The dist loss weights each training row by its entry."""
     y = np.asarray(y_train, dtype=np.float64)
     if y.size < 2:
         raise ValueError("need at least two training targets")
@@ -91,9 +65,7 @@ def fit_dist_weights(y_train: np.ndarray, n_bins: int = 50) -> DistWeights:
     if not hi > lo:
         raise ValueError("degenerate target range (min == max)")
     idx = uniform_bin_index(y, lo, hi, n_bins)
-    counts = np.bincount(idx, minlength=n_bins)
-    weights = 1.0 / ((counts + 1.0) * y.size)
-    return DistWeights(edges=np.linspace(lo, hi, n_bins + 1), weights=weights, n_bins=n_bins)
+    return (1.0 / ((np.bincount(idx, minlength=n_bins) + 1.0) * y.size))[idx]
 
 
 # ── Metric and fused autodiff operations ──────────────────────────────
@@ -154,13 +126,12 @@ def tail_loss_op(
     return _weighted_se(tape, y_pred, t, factors)
 
 
-def dist_loss_op(tape: Tape | None, y_pred: Tensor, y_true: np.ndarray, weights: DistWeights) -> Tensor:
-    """Squared error weighted by the bin weight of each float64 target."""
-    if weights is None:
-        raise ValueError("dist weights are unfitted")
-    t = _flat_target("dist_loss_op", y_pred, y_true, np.float64)
-    w = weights.weight_of(t).astype(y_pred.data.dtype)
-    return _weighted_se(tape, y_pred, t.astype(y_pred.data.dtype), w)
+def dist_loss_op(tape: Tape | None, y_pred: Tensor, y_true: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Squared error weighted per row by ``weights``, the batch's entries
+    of ``dist_weights``, cast to the prediction dtype."""
+    t = _flat_target("dist_loss_op", y_pred, y_true, y_pred.data.dtype)
+    w = _flat_target("dist_loss_op", y_pred, weights, y_pred.data.dtype)
+    return _weighted_se(tape, y_pred, t, w)
 
 
 def multitask_loss_op(
@@ -168,7 +139,7 @@ def multitask_loss_op(
     region_flux: Tensor,
     class_probs: Tensor,
     y_flux_true: np.ndarray,
-    class_true_onehot: np.ndarray,
+    region_true: np.ndarray,
     lambda_cce: float = 1.0,
 ) -> Tensor:
     """Selected-head MSE plus ``lambda_cce`` times categorical cross-entropy.
@@ -176,11 +147,12 @@ def multitask_loss_op(
     region_flux is [n, 3] (one regression output per region); the squared
     error uses, per sample, only the head selected by the argmax of the
     predicted class probabilities (ties go to the lowest class index).
-    The gradient reaches the selected flux head and all class
+    The cross-entropy is the mean of ``-log probs[i, region_true[i]]``
+    over each row's true region index, so a zero elsewhere gives no NaN.
+    The gradient reaches the selected flux head and the true-class
     probabilities (through which softmax backpropagates to every logit).
     The argmax selection itself is piecewise constant and carries none."""
     t = np.asarray(y_flux_true, dtype=np.float64).ravel()
-    onehot = np.asarray(class_true_onehot, dtype=np.float64)
     probs = class_probs.data
     flux = region_flux.data
     if probs.ndim != 2:
@@ -188,13 +160,14 @@ def multitask_loss_op(
     if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("invalid probability rows")
     n = t.size
-    if flux.shape != probs.shape or onehot.shape != probs.shape or flux.shape[0] != n:
+    if flux.shape != probs.shape or np.shape(region_true) != (n,) or flux.shape[0] != n:
         raise ValueError("multitask_loss_op: shape mismatch")
     sel = np.argmax(probs, axis=1)
     rows = np.arange(n)
     diff = flux[rows, sel] - t
     mse_term = np.mean(diff**2)
-    cce_term = np.mean(-np.sum(onehot * np.log(probs), axis=1))
+    p_true = probs[rows, region_true]
+    cce_term = np.mean(-np.log(p_true).astype(np.float64))
     out = Tensor(np.array(mse_term + lambda_cce * cce_term, dtype=flux.dtype))
 
     if tape is not None:
@@ -203,8 +176,9 @@ def multitask_loss_op(
             dflux = np.zeros_like(flux)
             dflux[rows, sel] = g * 2.0 * diff / n
             _accumulate(region_flux, dflux)
-            dprobs = g * lambda_cce * (-onehot / probs) / n
-            _accumulate(class_probs, dprobs.astype(probs.dtype))
+            dprobs = np.zeros_like(probs)
+            dprobs[rows, region_true] = g * lambda_cce * (-1.0 / p_true.astype(np.float64)) / n
+            _accumulate(class_probs, dprobs)
 
         tape.record(out, backward)
     return out

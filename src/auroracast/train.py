@@ -11,13 +11,16 @@ training starts at the scale of the data. Each setup fits an
 ``model.meta["normalization"]``. It keeps no normalized copy of those
 inputs: ``step_loss`` normalizes its batch of raw rows as
 ``models.predict_chunks`` normalizes a prediction chunk, and validation
-predicts through ``models.predict``, as ``eval`` and ``map`` do. The
-closures look up ops and forward passes by module attribute at call
-time, so wrappers installed after import see every call.
+predicts through ``models.predict``, as ``eval`` and ``map`` do. Per-row
+loss inputs (dist weights, region indices) are fitted or read once per
+training row, and a step passes its batch's entries. The closures look up
+ops and forward passes by module attribute at call time, so wrappers
+installed after import see every call.
 
-Validation is the plain MSE for point models (for multitask, of the
-selected-region flux) and the masked MSE for the conv decoder, whatever
-the training loss, so runs with different losses stay comparable.
+Validation is ``losses.mse`` whatever the training loss, so runs with
+different losses stay comparable: of the flux for point models (for
+multitask, the selected region's), and of the conv decoder's observed
+cells. glibc's ``malloc_trim`` returns the freed training heap first.
 
 Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
 the driver features, and the observed cells of its composite window as
@@ -32,6 +35,7 @@ config (``config`` lists them). History is emitted as
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -256,6 +260,15 @@ def build_sparse_samples(
 
 # ── Training loop ─────────────────────────────────────────────────────
 
+# Freed training-step heap that glibc keeps below a live chunk stays resident,
+# and validation allocates on top of it; a trim keeps peak RSS off that layout.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # a C library without it
+    def _malloc_trim(pad: int) -> int:
+        return 0
+
+
 @dataclass
 class History:
     epochs: list[tuple[int, float, float]] = field(default_factory=list)
@@ -293,19 +306,18 @@ def _point_setup(
     norm = Normalization.fit(train_table.rows)
     model.meta["normalization"] = norm.to_meta()
     y_train = train_table.target
-    dist_w = L.fit_dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
+    dist_w = L.dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         x, y = norm.apply(train_table.rows[idx]), y_train[idx]
         if spec.variant == "multitask":
             probs, flux, _ = M.forward_multitask(model.arch, model.params, x, tape, True, dropout_rng)
-            onehot = np.eye(3)[train_table.region[idx]]
-            return L.multitask_loss_op(tape, flux, probs, y, onehot, spec.lambda_cce)
+            return L.multitask_loss_op(tape, flux, probs, y, train_table.region[idx], spec.lambda_cce)
         pred = M.forward_baseline(model.arch, model.params, x, tape, True, dropout_rng)
         if spec.variant == "tail":
             return L.tail_loss_op(tape, pred, y, spec.tail_terms)
         if spec.variant == "dist":
-            return L.dist_loss_op(tape, pred, y, dist_w)
+            return L.dist_loss_op(tape, pred, y, dist_w[idx])
         return L.mse_op(tape, pred, y)
 
     def validate() -> float:
@@ -319,8 +331,9 @@ def _sample_mse(chunks, samples: SparseSamples) -> float:
     chunks that cover the samples in order (``models.predict_chunks``).
 
     The observed cells are gathered at ``samples.positions`` into one
-    float64 array, so this equals ``losses.sparse_masked_loss_op`` on
-    float64 grids bit for bit, however the samples are chunked.
+    float64 array and scored by ``losses.mse``: this equals
+    ``losses.sparse_masked_loss_op`` on float64 grids bit for bit, however
+    the samples are chunked.
     """
     positions = samples.positions
     n_cells = samples.spec.n_lat * samples.spec.n_mlt
@@ -328,8 +341,7 @@ def _sample_mse(chunks, samples: SparseSamples) -> float:
     for rows, pred, _ in chunks:
         cells = slice(samples.offsets[rows.start], samples.offsets[rows.stop])
         observed[cells] = pred.reshape(-1)[positions[cells] - rows.start * n_cells]
-    diff = observed - samples.values
-    return float(np.sum(diff**2)) / samples.cells.size
+    return L.mse(samples.values, observed)
 
 
 def _conv_setup(
@@ -388,6 +400,7 @@ def train_model(model: M.Model, data, config: TrainConfig) -> tuple[M.Model, His
             zero_grads(model.params.values())
             batch_losses.append(float(loss.data))
 
+        _malloc_trim(0)
         val_loss = validate()
         _check_finite(val_loss, epoch, -1, history)
         if history.record(epoch, float(np.mean(batch_losses)), val_loss):

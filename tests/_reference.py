@@ -22,7 +22,11 @@ positions: dense value and mask grids, gathered through the mask.
 ``history_rows_and_mask`` is ``ingest.history_feature_rows`` as it was
 before it refused times without history: a zero row for each such time,
 and the ``has_history`` mask. ``add``, ``scale`` and ``sum_all`` are
-autodiff ops that only the tests' graphs use.
+autodiff ops that only the tests' graphs use. ``dist_weights_fit_then_bin``
+is ``losses.dist_weights`` as a fitted per-bin table that bins the targets
+again through its edges, and ``sample_traces_per_satellite`` is
+``geomodel.sample_traces`` drawing one satellite at a time, then sorting
+the rows by time and satellite.
 """
 
 from __future__ import annotations
@@ -46,12 +50,14 @@ from auroracast.geomodel import (
     GridSpec,
     ObsTable,
     Region,
+    _orbit_track,
     activity_level,
     cells_of,
     flux_field,
     region_field,
 )
 from auroracast.ingest import has_history, history_feature_rows, spatial_block
+from auroracast.stats import uniform_bin_index
 from auroracast.train import SparseSamples, _runs
 
 
@@ -663,3 +669,39 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 
         tape.record(out, backward)
     return out
+
+
+def dist_weights_fit_then_bin(y_train, n_bins: int = 50) -> np.ndarray:
+    """Per-bin weights ``1 / ((count + 1) * n)`` over ``np.linspace`` edges
+    of [min, max], then each target's weight looked up by binning it again
+    between the first and last edge."""
+    y = np.asarray(y_train, dtype=np.float64)
+    lo, hi = float(y.min()), float(y.max())
+    counts = np.bincount(uniform_bin_index(y, lo, hi, n_bins), minlength=n_bins)
+    weights = 1.0 / ((counts + 1.0) * y.size)
+    edges = np.linspace(lo, hi, n_bins + 1)
+    return weights[uniform_bin_index(y, float(edges[0]), float(edges[-1]), n_bins)]
+
+
+def sample_traces_per_satellite(params, drivers, obs_cadence_s=None) -> ObsTable:
+    """Each satellite's track, flux, noise and regions drawn on its own,
+    concatenated, then ordered by time and satellite with ``np.lexsort``."""
+    cad = params.obs_cadence_s if obs_cadence_s is None else float(obs_cadence_s)
+    n_obs = int(math.floor((drivers.t_end - drivers.t0) / cad)) + 1
+    times = drivers.t0 + cad * np.arange(n_obs)
+    a = activity_level(drivers.columns["NewellCF"][drivers.index_at(times)], params)
+    children = np.random.SeedSequence([params.seed, 1]).spawn(params.n_sats)
+    cols = {key: [] for key in ("t", "sat_id", "mlat", "mlt", "logf", "region")}
+    for s in range(params.n_sats):
+        mlat, mlt = _orbit_track(times, s, params)
+        noise = params.noise_sigma * np.random.default_rng(children[s]).standard_normal(n_obs)
+        for key, value in (
+            ("t", times), ("sat_id", np.full(n_obs, s, dtype=np.int64)), ("mlat", mlat), ("mlt", mlt),
+            ("logf", flux_field(mlat, mlt, a, params) + noise), ("region", region_field(mlat, mlt, a, params)),
+        ):
+            cols[key].append(value)
+    cols = {key: np.concatenate(value) for key, value in cols.items()}
+    order = np.lexsort((cols["sat_id"], cols["t"]))
+    cols = {key: value[order] for key, value in cols.items()}
+    eflux = np.array([10.0**x for x in cols.pop("logf").tolist()])
+    return ObsTable(eflux=eflux, **cols)

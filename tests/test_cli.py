@@ -792,6 +792,36 @@ class TestEvalWidths:
         assert run("train", "--features", table, "--config", cfg, "--out-dir", root / "run") == 0
         return table, root / "run" / "checkpoint.aur"
 
+    @pytest.fixture(scope="class")
+    def swapped(self, tmp_path_factory, synth_dir, config_file):
+        """A checkpoint of another layout of the narrow table's width, 23."""
+        root = tmp_path_factory.mktemp("swapped")
+        cfg = root / "swapped.cfg"
+        cfg.write_text(config_file.read_text() + "features.variables = AE,AL\n")
+        drivers, obs = synth_dir / "drivers.csv", synth_dir / "observations.csv"
+        table = root / "table.aft"
+        assert run("features", "--drivers", drivers, "--obs", obs, "--config", cfg, "--out", table) == 0
+        assert run("train", "--features", table, "--config", cfg, "--out-dir", root / "run") == 0
+        return root / "run" / "checkpoint.aur"
+
+    def test_checkpoint_of_another_layout_is_data_error(self, tmp_path, capsys, narrow, swapped):
+        table, _ = narrow
+        out = tmp_path / "x"
+        assert run("eval", "--checkpoint", swapped, "--features", table, "--out-dir", out) == 3
+        err = capsys.readouterr().err
+        assert f"{table}: feature layout is not the one {swapped} was trained on" in err
+        assert not out.exists()
+
+    def test_baseline_of_another_layout_is_data_error(self, tmp_path, capsys, narrow, swapped):
+        table, narrow_ckpt = narrow
+        argv = ("eval", "--checkpoint", narrow_ckpt, "--features", table, "--out-dir")
+        assert run(*argv, tmp_path / "alone") == 0
+        out = tmp_path / "x"
+        assert run(*argv, out, "--baseline-checkpoint", swapped) == 3
+        err = capsys.readouterr().err
+        assert f"{table}: feature layout is not the one {swapped} was trained on" in err
+        assert not out.exists()
+
     def test_point_checkpoint_on_narrow_table_is_data_error(self, tmp_path, capsys, trained, narrow):
         table, _ = narrow
         out = tmp_path / "x"

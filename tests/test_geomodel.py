@@ -23,7 +23,7 @@ from auroracast.geomodel import (
     sample_traces,
 )
 
-from _reference import cell_of, driver_row_at, true_flux, true_region
+from _reference import cell_of, driver_row_at, sample_traces_per_satellite, true_flux, true_region
 
 
 GRID = GridSpec()
@@ -234,6 +234,19 @@ class TestTraces:
         assert len(a) == len(b)
         for name in ("t", "sat_id", "mlat", "mlt", "eflux", "region"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("n_sats", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 5, 7])
+    def test_bitwise_equal_to_one_satellite_at_a_time(self, seed, n_sats):
+        """Drawing every satellite at once gives the columns, dtypes and row
+        order of drawing each on its own and sorting by time, satellite."""
+        p = WorldParams(seed=seed, n_sats=n_sats)
+        d = gen_drivers(p, 86400)
+        for cadence in (None, 60.0):
+            obs, ref = sample_traces(p, d, cadence), sample_traces_per_satellite(p, d, cadence)
+            for name in ("t", "sat_id", "mlat", "mlt", "eflux", "region"):
+                a, b = getattr(obs, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_regions_attached(self):
         p = WorldParams(seed=2)

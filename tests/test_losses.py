@@ -1,5 +1,6 @@
 """Value and gradient semantics of the five losses against loop oracles."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gradcheck import check_gradients
-from auroracast.autodiff import Tape, Tensor
+from _reference import dist_weights_fit_then_bin
+from auroracast.autodiff import Tape, Tensor, softmax
 from auroracast.config import parse_values
 from auroracast.errors import ConfigError
 from auroracast.losses import (
     DEFAULT_TAIL_TERMS,
     LOSS_VARIANTS,
-    DistWeights,
     LossSpec,
     TailTerm,
     dist_loss_op,
-    fit_dist_weights,
+    dist_weights,
     mse,
     mse_op,
     multitask_loss_op,
@@ -48,22 +49,28 @@ def _loop_tail(t, p, terms):
     return total / len(t)
 
 
-def _loop_dist(t, p, w):
+def _loop_dist(t, p, y_fit, n_bins):
+    """Dist loss of targets ``t`` drawn from the fitted targets ``y_fit``:
+    each target's bin counted among ``y_fit`` one value at a time."""
+    lo, hi = min(y_fit), max(y_fit)
+
+    def bin_of(v):
+        return min(int(math.floor((v - lo) / (hi - lo) * n_bins)), n_bins - 1)
+
+    counts = collections.Counter(bin_of(v) for v in y_fit)
     total = 0.0
     for a, b in zip(t, p):
-        idx = int(np.floor((a - w.edges[0]) / (w.edges[-1] - w.edges[0]) * w.n_bins))
-        idx = min(max(idx, 0), w.n_bins - 1)
-        total += w.weights[idx] * (a - b) ** 2
+        total += (a - b) ** 2 / ((counts[bin_of(a)] + 1) * len(y_fit))
     return total / len(t)
 
 
-def _loop_multitask(t, flux, onehot, probs, lam):
+def _loop_multitask(t, flux, region, probs, lam):
     total_mse = 0.0
     total_cce = 0.0
     for i in range(len(t)):
         sel = int(np.argmax(probs[i]))
         total_mse += (t[i] - flux[i][sel]) ** 2
-        total_cce += -sum(onehot[i][k] * math.log(probs[i][k]) for k in range(3))
+        total_cce += -math.log(probs[i][region[i]])
     n = len(t)
     return total_mse / n + lam * total_cce / n
 
@@ -179,48 +186,61 @@ class TestDistWeights:
         counts = np.array([3, 1, 0])
         w = 1.0 / ((counts + 1) * 4)
         assert np.allclose(w, [1 / 16, 1 / 8, 1 / 4])
-        dw = DistWeights(edges=np.array([0.0, 1, 2, 3]), weights=w, n_bins=3)
-        assert dw.weight_of(np.array([0.5]))[0] == 1 / 16
-        assert dw.weight_of(np.array([2.5]))[0] == 1 / 4
+        # over [0, 3] in 3 bins, these rows count [3, 0, 1]
+        assert dist_weights(np.array([0.0, 0.5, 0.9, 3.0]), n_bins=3).tolist() == [1 / 16] * 3 + [1 / 8]
 
     def test_fit_with_empty_interior_bin(self):
         y = np.array([0.0, 0.1, 0.2, 2.9, 3.0])
-        dw = fit_dist_weights(y, n_bins=3)
-        assert np.array_equal(
-            dw.weights, 1.0 / ((np.array([3, 0, 2]) + 1) * 5)
-        )
+        w = dist_weights(y, n_bins=3)
+        assert np.array_equal(w, 1.0 / ((np.array([3, 3, 3, 2, 2]) + 1) * 5))
 
     def test_equal_counts_equal_weights(self):
-        y = np.concatenate([np.full(4, 0.5), np.full(4, 1.5), np.full(4, 2.5), [0.0, 3.0]])
-        # arrange exactly equal counts by construction over [0, 3]
-        dw = fit_dist_weights(np.concatenate([np.linspace(0, 3, 12)]), n_bins=4)
-        assert len(set(np.round(dw.weights, 15))) == 1
+        # exactly equal counts by construction over [0, 3]
+        w = dist_weights(np.linspace(0, 3, 12), n_bins=4)
+        assert len(set(np.round(w, 15))) == 1
 
     def test_empty_to_fullest_ratio(self):
+        # the empty middle bin weighs no row: the rows' weights span the
+        # fullest bin (4 rows) and the last one (1 row)
         y = np.array([0.0, 0.1, 0.15, 0.2, 3.0])
-        dw = fit_dist_weights(y, n_bins=3)
+        w = dist_weights(y, n_bins=3)
         counts = np.array([4, 0, 1])
-        assert dw.weights.max() / dw.weights.min() == pytest.approx(
-            (counts.max() + 1) / (counts[1] + 1), rel=1e-12
-        )
+        assert w.max() / w.min() == pytest.approx((counts.max() + 1) / (counts[2] + 1), rel=1e-12)
 
     def test_top_edge_in_last_bin(self):
+        # bins of [5, 9] hold 5, 5, 5 and 6 rows: 9.0 shares the last bin
         y = np.linspace(5.0, 9.0, 21)
-        dw = fit_dist_weights(y, n_bins=4)
-        assert dw.bin_index(np.array([9.0]))[0] == 3
+        w = dist_weights(y, n_bins=4)
+        assert w[-1] == w[-2] == 1 / (7 * 21)
+        assert w[0] == 1 / (6 * 21)
 
     def test_degenerate_range(self):
-        with pytest.raises(ValueError):
-            fit_dist_weights(np.full(5, 2.0))
+        with pytest.raises(ValueError, match="degenerate"):
+            dist_weights(np.full(5, 2.0))
+        with pytest.raises(ValueError, match="two training targets"):
+            dist_weights(np.array([2.0]))
 
     def test_sum_of_sample_weights_in_unit_interval(self):
         rng = np.random.default_rng(4)
         y = rng.normal(10, 1.5, 500)
-        dw = fit_dist_weights(y, n_bins=50)
-        total = dw.weight_of(y).sum()
-        loop = sum(dw.weights[int(dw.bin_index(np.array([v]))[0])] for v in y)
+        total = dist_weights(y, n_bins=50).sum()
+        lo, hi = y.min(), y.max()
+        bins = [min(int(math.floor((v - lo) / (hi - lo) * 50)), 49) for v in y]
+        counts = collections.Counter(bins)
+        loop = sum(1.0 / ((counts[b] + 1) * y.size) for b in bins)
         assert total == pytest.approx(loop, rel=1e-12)
         assert 0.0 < total <= 1.0
+
+    @pytest.mark.parametrize("n_bins", [2, 17, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_fit_then_bin(self, seed, n_bins):
+        """Each row's weight is its bin's weight, as a fitted per-bin table
+        that bins the targets again through its edges gives it."""
+        rng = np.random.default_rng(seed)
+        y = np.round(rng.normal(10, 1.5, 4000), 2)  # ties, and rows at both ends
+        w = dist_weights(y, n_bins)
+        ref = dist_weights_fit_then_bin(y, n_bins)
+        assert w.dtype == ref.dtype == np.float64 and w.tobytes() == ref.tobytes()
 
 
 class TestDistLoss:
@@ -228,28 +248,25 @@ class TestDistLoss:
         rng = np.random.default_rng(5)
         t = rng.uniform(0, 3, 40)
         p = rng.uniform(0, 3, 40)
-        dw = DistWeights(edges=np.array([0.0, 1.5, 3.0]), weights=np.ones(2), n_bins=2)
-        assert _value(dist_loss_op, p, t, dw) == pytest.approx(mse(t, p), rel=1e-13)
+        assert _value(dist_loss_op, p, t, np.ones(40)) == pytest.approx(mse(t, p), rel=1e-13)
 
     def test_zero_when_equal(self):
         y = np.linspace(8, 12, 20)
-        dw = fit_dist_weights(y)
-        assert _value(dist_loss_op, y, y, dw) == 0.0
+        assert _value(dist_loss_op, y, y, dist_weights(y)) == 0.0
 
     def test_loop_oracle(self):
         rng = np.random.default_rng(6)
         y_fit = rng.normal(10, 1, 300)
-        dw = fit_dist_weights(y_fit, n_bins=17)
-        t = rng.normal(10, 1.5, 50)  # some out of fitted range -> clamped
-        p = rng.normal(10, 1.5, 50)
-        assert _value(dist_loss_op, p, t, dw) == pytest.approx(_loop_dist(t, p, dw), rel=1e-13)
+        w = dist_weights(y_fit, n_bins=17)
+        rows = rng.choice(300, 50, replace=False)
+        t, p = y_fit[rows], rng.normal(10, 1.5, 50)
+        assert _value(dist_loss_op, p, t, w[rows]) == pytest.approx(_loop_dist(t, p, y_fit, 17), rel=1e-13)
 
     def test_weight_scaling_preserves_gradient_direction(self):
         rng = np.random.default_rng(7)
         y_fit = rng.normal(10, 1, 200)
-        dw = fit_dist_weights(y_fit, n_bins=10)
-        scaled = DistWeights(dw.edges, dw.weights * 3.7, dw.n_bins)
-        t = rng.normal(10, 1, 30)
+        w = dist_weights(y_fit, n_bins=10)[:30]
+        t = y_fit[:30]
         p0 = rng.normal(10, 1, 30)
 
         def grad_with(weights):
@@ -258,43 +275,47 @@ class TestDistLoss:
             tape.backward(dist_loss_op(tape, pred, t, weights))
             return pred.grad
 
-        g1 = grad_with(dw)
-        g2 = grad_with(scaled)
+        g1 = grad_with(w)
+        g2 = grad_with(w * 3.7)
         assert np.allclose(g2, 3.7 * g1, rtol=1e-12)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
         y_fit = rng.normal(10, 1, 100)
-        dw = fit_dist_weights(y_fit, n_bins=8)
-        t = rng.normal(10, 1, 15)
+        w = dist_weights(y_fit, n_bins=8)[:15]
+        t = y_fit[:15]
         pred = Tensor(rng.normal(10, 1, 15))
 
         def build():
             tape = Tape()
-            return tape, dist_loss_op(tape, pred, t, dw)
+            return tape, dist_loss_op(tape, pred, t, w)
 
         check_gradients(build, [pred])
+
+    def test_weights_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="bad lengths"):
+            _value(dist_loss_op, np.ones(4), np.ones(4), np.ones(3))
 
 
 class TestMultitask:
     def test_perfect_prediction_zero_loss(self):
         t = np.array([9.0, 11.0])
-        onehot = np.array([[1.0, 0, 0], [0, 0, 1.0]])
+        region = np.array([0, 2])
         probs = np.array([[1.0, 0, 0], [0, 0, 1.0]])
         # clamp away exact zeros for the log
         probs = np.clip(probs, 1e-12, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
         flux = np.array([[9.0, 0, 0], [0, 0, 11.0]])
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region).data)
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_probs_cce_is_ln3(self):
         t = np.array([9.0])
-        onehot = np.array([[0.0, 1.0, 0.0]])
+        region = np.array([1])
         probs = np.full((1, 3), 1.0 / 3.0)
         flux = np.array([[0.0, 9.0, 0.0]])
         # argmax ties break to class 0, whose flux is 0 -> mse = 81
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region).data)
         assert v == pytest.approx(81.0 + math.log(3.0), rel=1e-12)
 
     def test_loop_oracle(self):
@@ -304,10 +325,10 @@ class TestMultitask:
         flux = rng.normal(10, 1, (n, 3))
         logits = rng.standard_normal((n, 3)) * 2
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        onehot = np.eye(3)[rng.integers(0, 3, n)]
+        region = rng.integers(0, 3, n)
         lam = 0.7
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot, lam).data)
-        assert v == pytest.approx(_loop_multitask(t, flux, onehot, probs, lam), rel=1e-12)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region, lam).data)
+        assert v == pytest.approx(_loop_multitask(t, flux, region, probs, lam), rel=1e-12)
 
     def test_confident_classifier_reduces_to_true_head_mse(self):
         rng = np.random.default_rng(10)
@@ -315,10 +336,9 @@ class TestMultitask:
         t = rng.normal(10, 1, n)
         flux = rng.normal(10, 1, (n, 3))
         classes = rng.integers(0, 3, n)
-        onehot = np.eye(3)[classes]
-        probs = np.clip(onehot, 1e-15, 1.0)
+        probs = np.clip(np.eye(3)[classes], 1e-15, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, onehot).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, classes).data)
         expect = np.mean((t - flux[np.arange(n), classes]) ** 2)
         assert v == pytest.approx(expect, abs=1e-9)
 
@@ -329,7 +349,7 @@ class TestMultitask:
                 Tensor(np.ones((1, 3))),
                 Tensor(np.array([[0.9, 0.9, 0.9]])),
                 np.array([1.0]),
-                np.array([[1.0, 0, 0]]),
+                np.array([0]),
             )
 
     def test_gradient_flow(self):
@@ -341,9 +361,9 @@ class TestMultitask:
         probs0 = np.full((n, 3), 1.0 / 3.0) + rng.uniform(-0.05, 0.05, (n, 3))
         probs0 /= probs0.sum(axis=1, keepdims=True)
         probs = Tensor(probs0)
-        onehot = np.eye(3)[rng.integers(0, 3, n)]
+        region = rng.integers(0, 3, n)
         tape = Tape()
-        loss = multitask_loss_op(tape, flux, probs, t, onehot, 1.0)
+        loss = multitask_loss_op(tape, flux, probs, t, region, 1.0)
         tape.backward(loss)
         sel = np.argmax(probs0, axis=1)
         # flux gradient: only selected entries, 2*(pred-true)/n
@@ -351,7 +371,43 @@ class TestMultitask:
         expect[np.arange(n), sel] = 2.0 * (flux.data[np.arange(n), sel] - t) / n
         assert np.allclose(flux.grad, expect, atol=1e-14)
         # probs gradient: -onehot/probs / n
+        onehot = np.eye(3)[region]
         assert np.allclose(probs.grad, -onehot / probs0 / n, atol=1e-12)
+
+    def test_region_indices_must_be_one_per_row(self):
+        probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+        for region in (np.array([0]), np.array([[1.0, 0, 0], [0, 1.0, 0]])):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                multitask_loss_op(None, Tensor(np.ones((2, 3))), probs, np.ones(2), region)
+
+    def test_zero_non_target_probability_is_finite(self):
+        """A float32 probability that is exactly 0 in a class that is not
+        the row's true one leaves the loss at its direct formula and the
+        gradient finite, with 0 in that cell."""
+        probs0 = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]], dtype=np.float32)
+        flux0 = np.array([[9.0, 1.0, 2.0], [3.0, 11.0, 4.0]], dtype=np.float32)
+        t, region, lam = np.array([9.5, 10.0]), np.array([0, 1]), 0.7
+        flux, probs = Tensor(flux0), Tensor(probs0)
+        tape = Tape()
+        loss = multitask_loss_op(tape, flux, probs, t, region, lam)
+        tape.backward(loss)
+        p_true = probs0.astype(np.float64)[[0, 1], region]
+        direct = np.mean((flux0[[0, 1], [0, 1]] - t) ** 2) + lam * np.mean(-np.log(p_true))
+        assert math.isfinite(float(loss.data)) and float(loss.data) == pytest.approx(direct, rel=1e-6)
+        assert np.all(np.isfinite(probs.grad)) and np.all(np.isfinite(flux.grad))
+        assert np.all(probs.grad[:, 2] == 0.0)
+        assert probs.grad[[0, 1], region] == pytest.approx(-lam / p_true / 2, rel=1e-6)
+
+    def test_softmax_underflow_trains_finite(self):
+        """Logits 120 apart give an exact 0 probability; the loss and the
+        logits' gradient stay finite through softmax."""
+        logits = Tensor(np.array([[0.0, -50.0, -120.0], [-120.0, 0.0, -1.0]], dtype=np.float32))
+        tape = Tape()
+        probs = softmax(logits, tape)
+        assert probs.data[0, 2] == 0.0 and probs.data[1, 0] == 0.0
+        loss = multitask_loss_op(tape, Tensor(np.ones((2, 3), np.float32)), probs, np.ones(2), np.array([0, 2]))
+        tape.backward(loss)
+        assert math.isfinite(float(loss.data)) and np.all(np.isfinite(logits.grad))
 
 
 def _observed(values, mask):
@@ -452,20 +508,20 @@ def _loss_cases():
     rng = np.random.default_rng(20)
     t = rng.uniform(8, 15, 12)
     p = rng.uniform(8, 15, 12)
-    dw = fit_dist_weights(rng.normal(10, 1, 100), n_bins=8)
+    w = dist_weights(rng.normal(10, 1, 100), n_bins=8)[:12]
     probs = rng.uniform(0.1, 1.0, (12, 3))
     probs /= probs.sum(axis=1, keepdims=True)
-    onehot = np.eye(3)[rng.integers(0, 3, 12)]
+    region = rng.integers(0, 3, 12)
     values = rng.standard_normal((2, 4, 4))
     mask = rng.random((2, 4, 4)) < 0.4
     mask[0, 0, 0] = True
     return {
         "mse": ([p], lambda tape, y: mse_op(tape, y, t)),
         "tail": ([p], lambda tape, y: tail_loss_op(tape, y, t)),
-        "dist": ([p], lambda tape, y: dist_loss_op(tape, y, t, dw)),
+        "dist": ([p], lambda tape, y: dist_loss_op(tape, y, t, w)),
         "multitask": (
             [rng.normal(10, 1, (12, 3)), probs],
-            lambda tape, flux, pr: multitask_loss_op(tape, flux, pr, t, onehot, 0.7),
+            lambda tape, flux, pr: multitask_loss_op(tape, flux, pr, t, region, 0.7),
         ),
         "sparse_masked": (
             [rng.standard_normal((2, 4, 4))],

@@ -286,6 +286,23 @@ class TestTrainPoint:
         _, held, _ = traced_bytes(T._point_setup, model, train, val, LossSpec(loss))
         assert held < train.rows.size  # a quarter of one float32 copy
 
+    @pytest.mark.parametrize("loss", ["mse", "dist", "multitask"])
+    def test_heap_trimmed_before_each_validation(self, loss, monkeypatch):
+        """Every epoch hands the freed training heap back (``malloc_trim(0)``)
+        after its last step and before its validation pass."""
+        train, val = _point_tables()
+        arch_cls = M.MultiTaskArch if loss == "multitask" else M.BaselineArch
+        model = M.build_model(arch_cls(train.schema.width, (8,)), seed=0)
+        events, adam, predict = [], T.adam_step, M.predict
+        monkeypatch.setattr(T, "adam_step", lambda *a: events.append("step") or adam(*a))
+        monkeypatch.setattr(T, "_malloc_trim", lambda pad: events.append(("trim", pad)) or 0)
+        monkeypatch.setattr(M, "predict", lambda *a: events.append("validate") or predict(*a))
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=512, seed=1, loss=LossSpec(loss))
+        _, history = train_model(model, (train, val), config)
+        steps = -(-train.n // 512)
+        assert len(history.epochs) == 3
+        assert events == (["step"] * steps + [("trim", 0), "validate"]) * 3
+
     def test_warm_started_baseline_near_constant_predictor(self):
         # default arch and Adam settings, 3 epochs: best val MSE over the
         # constant predictor's is 0.99-1.08 for seeds 1-5, and 7-17 with
