@@ -128,6 +128,8 @@ def cmd_features(args) -> int:
 # ── train ─────────────────────────────────────────────────────────────
 
 def cmd_train(args) -> int:
+    if (args.features is None) == (args.sparse is None):
+        raise ConfigError("exactly one of --features or --sparse is required")
     config_text, cfg = load_config(args.config)
     config = T.train_config_from_config(cfg, seed_override=args.seed)
     arch_kind = M.arch_kind(cfg)
@@ -138,8 +140,6 @@ def cmd_train(args) -> int:
             raise ConfigError("--sparse training requires arch=conv")
         arch, schema, holdout, data, inputs, time_range = _sparse_data(args, cfg)
     else:
-        if args.features is None:
-            raise ConfigError("one of --features or --sparse is required")
         if arch_kind == "conv":
             raise ConfigError("arch=conv trains from --sparse, not --features")
         arch, schema, holdout, data, inputs, time_range = _point_data(args, cfg)
@@ -212,9 +212,17 @@ def _sparse_data(args, cfg):
 
 # ── eval ──────────────────────────────────────────────────────────────
 
-def _val_rows(model: M.Model, table: I.FeatureTable, checkpoint, features):
-    """The cache's holdout rows for ``model``; a DataError for an incomplete
-    holdout, or a checkpoint trained on another layout of the cache's width."""
+def _holdout_predictions(checkpoint, features, table=None, y_expected=None):
+    """(model, table, holdout rows, pred, pred regions) of point checkpoint
+    ``checkpoint`` on the cache ``features``, read after the checkpoint
+    unless ``table`` is given. A conv checkpoint is a ConfigError; an
+    incomplete holdout, a checkpoint trained on another layout of the
+    cache's width, or holdout targets other than ``y_expected`` is a
+    DataError."""
+    model = M.load_checkpoint(checkpoint)
+    if model.variant == "conv":
+        raise ConfigError(f"{checkpoint}: eval scores point models; use map for the conv decoder")
+    table = I.read_table_cache(features) if table is None else table
     try:
         holdout = I.Holdout.from_meta(model.meta["holdout"])
     except KeyError as exc:
@@ -222,27 +230,16 @@ def _val_rows(model: M.Model, table: I.FeatureTable, checkpoint, features):
     if model.arch.input_width == table.schema.width and E._schema_from_meta(model.meta) != table.schema:
         raise DataError(f"{features}: feature layout is not the one {checkpoint} was trained on")
     val = table[holdout.mask(table.t, table.sat_id)]
-    return val.rows, val.target, val.region
-
-
-def _load_point_model(path):
-    model = M.load_checkpoint(path)
-    if model.variant == "conv":
-        raise ConfigError(f"{path}: eval scores point models; use map for the conv decoder")
-    return model
+    if y_expected is not None and not np.array_equal(val.target, y_expected):
+        raise DataError("baseline checkpoint holdout differs from candidate's")
+    return model, table, val, *M.predict(model, val.rows)
 
 
 def cmd_eval(args) -> int:
-    model = _load_point_model(args.checkpoint)
-    table = I.read_table_cache(args.features)
-    rows, y_true, regions = _val_rows(model, table, args.checkpoint, args.features)
-    y_pred, pred_regions = M.predict(model, rows)
+    model, table, val, y_pred, pred_regions = _holdout_predictions(args.checkpoint, args.features)
+    y_true, regions = val.target, val.region
     if args.baseline_checkpoint:
-        base_model = _load_point_model(args.baseline_checkpoint)
-        base_rows, base_y, _ = _val_rows(base_model, table, args.baseline_checkpoint, args.features)
-        if base_y.size != y_true.size or not np.array_equal(base_y, y_true):
-            raise DataError("baseline checkpoint holdout differs from candidate's")
-        base_pred, _ = M.predict(base_model, base_rows)
+        *_, base_pred, _ = _holdout_predictions(args.baseline_checkpoint, args.features, table, y_true)
 
     # Created only now, so a run that fails leaves no out-dir behind.
     os.makedirs(args.out_dir, exist_ok=True)

@@ -177,7 +177,7 @@ def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) 
     """
     from .ingest import history_feature_rows
 
-    if t < drivers.t0 or t > drivers.t_end:
+    if not drivers.t0 <= t <= drivers.t_end:
         raise DataError(f"timestamp {t:g} outside driver range")
     schema = _schema_from_meta(model.meta)
     if not has_history(drivers, np.array([t]), schema)[0]:

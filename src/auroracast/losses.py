@@ -13,8 +13,9 @@ mse, tail and dist are one kernel, the mean of w * (y_pred - y_true)**2:
   dist           w = the row's ``dist_weights`` entry: the inverse
                  (count+1) weight of the training-histogram bin holding
                  its target, fitted once on the training rows
-  multitask      selected-region squared error plus categorical
-                 cross-entropy, ``-log p`` of each row's true region index
+  multitask      squared error of the region head that the logits' argmax
+                 selects, plus a fused log-softmax cross-entropy of the
+                 logits against each row's true region index
   sparse_masked  squared error summed over the observed grid cells only,
                  given as flat positions with their target values;
                  unobserved cells contribute zero loss and zero gradient
@@ -137,38 +138,33 @@ def dist_loss_op(tape: Tape | None, y_pred: Tensor, y_true: np.ndarray, weights:
 def multitask_loss_op(
     tape: Tape | None,
     region_flux: Tensor,
-    class_probs: Tensor,
+    logits: Tensor,
     y_flux_true: np.ndarray,
     region_true: np.ndarray,
     lambda_cce: float = 1.0,
 ) -> Tensor:
     """Selected-head MSE plus ``lambda_cce`` times categorical cross-entropy.
 
-    region_flux is [n, 3] (one regression output per region); the squared
-    error uses, per sample, only the head selected by the argmax of the
-    predicted class probabilities (ties go to the lowest class index).
-    The cross-entropy is the mean of ``-log probs[i, region_true[i]]``
-    over each row's true region index, so a zero elsewhere gives no NaN.
-    The gradient reaches the selected flux head and the true-class
-    probabilities (through which softmax backpropagates to every logit).
-    The argmax selection itself is piecewise constant and carries none."""
+    region_flux and logits are [n, 3]; the squared error uses, per row,
+    only the flux head at the argmax of the logits (ties go to the lowest
+    class index). With ``z = logits - max(logits)`` per row, the
+    cross-entropy is the mean of ``log sum exp z - z[region_true]``, finite
+    for any finite logits. The gradient reaches the selected flux head and,
+    as ``softmax(z) - onehot``, every logit. The argmax selection itself is
+    piecewise constant and carries none."""
     t = np.asarray(y_flux_true, dtype=np.float64).ravel()
-    probs = class_probs.data
     flux = region_flux.data
-    if probs.ndim != 2:
-        raise ValueError("class probabilities must be [n, k]")
-    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("invalid probability rows")
     n = t.size
-    if flux.shape != probs.shape or np.shape(region_true) != (n,) or flux.shape[0] != n:
+    if flux.ndim != 2 or logits.shape != flux.shape or np.shape(region_true) != (n,) or flux.shape[0] != n:
         raise ValueError("multitask_loss_op: shape mismatch")
-    sel = np.argmax(probs, axis=1)
+    sel = np.argmax(logits.data, axis=1)
     rows = np.arange(n)
     diff = flux[rows, sel] - t
-    mse_term = np.mean(diff**2)
-    p_true = probs[rows, region_true]
-    cce_term = np.mean(-np.log(p_true).astype(np.float64))
-    out = Tensor(np.array(mse_term + lambda_cce * cce_term, dtype=flux.dtype))
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    cce_term = np.mean((np.log(total) - z[rows, region_true]).astype(np.float64))
+    out = Tensor(np.array(np.mean(diff**2) + lambda_cce * cce_term, dtype=flux.dtype))
 
     if tape is not None:
         def backward():
@@ -176,9 +172,9 @@ def multitask_loss_op(
             dflux = np.zeros_like(flux)
             dflux[rows, sel] = g * 2.0 * diff / n
             _accumulate(region_flux, dflux)
-            dprobs = np.zeros_like(probs)
-            dprobs[rows, region_true] = g * lambda_cce * (-1.0 / p_true.astype(np.float64)) / n
-            _accumulate(class_probs, dprobs)
+            dlogits = e / total[:, None]
+            dlogits[rows, region_true] -= 1.0
+            _accumulate(logits, dlogits * (g * lambda_cce / n))
 
         tape.record(out, backward)
     return out

@@ -6,10 +6,10 @@ model's stored ``Normalization``, enter one dense ReLU trunk (widths
 
   baseline   trunk input -> 2*input -> 64 -> 32 -> 256 -> 1024 -> 256 -> 64
              (the ``hidden`` field), linear scalar output.
-  multitask  the same trunk with two heads: a 3-way softmax region
-             classifier and a 3-wide regression head (one flux output per
-             region); the reported flux is the head selected by the
-             predicted class.
+  multitask  the same trunk with two heads: a 3-way region classifier
+             (its logits; the loss applies the softmax) and a 3-wide
+             regression head (one flux output per region); the reported
+             flux is the head selected by the predicted class.
   conv       trunk input -> 256 -> 64 -> 32, a dense layer reshaped to a
              coarse square grid, two strided transposed convolutions (x2
              then x4), dropout, a periodic pad of the MLT axis (plus zero
@@ -253,18 +253,16 @@ def forward_multitask(
     training: bool = False,
     dropout_rng=None,
 ) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Returns (class_probs [n,3], region_flux [n,3], selected_flux [n]).
+    """Returns (class_logits [n,3], region_flux [n,3], selected_flux [n]).
 
     selected_flux picks, per row, the regression head at the argmax class
-    probability; ties break to the lowest class index.
+    logit, the most probable class; ties break to the lowest class index.
     """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     logits = ad.dense(h, params["head_class.w"], params["head_class.b"], tape)
-    probs = ad.softmax(logits, tape)
     flux = ad.dense(h, params["head_flux.w"], params["head_flux.b"], tape)
-    sel = np.argmax(probs.data, axis=1)
-    selected = flux.data[np.arange(flux.shape[0]), sel]
-    return probs, flux, selected
+    selected = flux.data[np.arange(flux.shape[0]), np.argmax(logits.data, axis=1)]
+    return logits, flux, selected
 
 
 def forward_convdecoder(
@@ -305,11 +303,11 @@ def assert_global_only(feature_names):
 
 def predict_point(model: Model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(flux [n], region [n]) for normalized feature rows; the region, the
-    most probable class, is None for the baseline."""
+    argmax of the class logits, is None for the baseline."""
     if isinstance(model.arch, BaselineArch):
         return forward_baseline(model.arch, model.params, rows).data.astype(np.float64), None
-    probs, _, selected = forward_multitask(model.arch, model.params, rows)
-    return selected.astype(np.float64), np.argmax(probs.data, axis=1)
+    logits, _, selected = forward_multitask(model.arch, model.params, rows)
+    return selected.astype(np.float64), np.argmax(logits.data, axis=1)
 
 
 # Bytes that the widest activation of one prediction chunk may take.

@@ -311,8 +311,8 @@ def _point_setup(
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         x, y = norm.apply(train_table.rows[idx]), y_train[idx]
         if spec.variant == "multitask":
-            probs, flux, _ = M.forward_multitask(model.arch, model.params, x, tape, True, dropout_rng)
-            return L.multitask_loss_op(tape, flux, probs, y, train_table.region[idx], spec.lambda_cce)
+            logits, flux, _ = M.forward_multitask(model.arch, model.params, x, tape, True, dropout_rng)
+            return L.multitask_loss_op(tape, flux, logits, y, train_table.region[idx], spec.lambda_cce)
         pred = M.forward_baseline(model.arch, model.params, x, tape, True, dropout_rng)
         if spec.variant == "tail":
             return L.tail_loss_op(tape, pred, y, spec.tail_terms)

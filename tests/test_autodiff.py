@@ -707,9 +707,9 @@ class TestTapeRelease:
         params = M.build_model(arch, seed=2).params
         rng = np.random.default_rng(46)
         x = Tensor(rng.standard_normal((40, 6)).astype(np.float32))
-        probs, flux, _ = M.forward_multitask(arch, params, x, tape, True, np.random.default_rng(47))
+        logits, flux, _ = M.forward_multitask(arch, params, x, tape, True, np.random.default_rng(47))
         region = rng.integers(0, 3, 40)
-        return L.multitask_loss_op(tape, flux, probs, rng.standard_normal(40), region), [x, *params.values()]
+        return L.multitask_loss_op(tape, flux, logits, rng.standard_normal(40), region), [x, *params.values()]
 
     @staticmethod
     def _reuse_graph(tape):

@@ -209,6 +209,15 @@ class TestTrain:
         assert run("train", "--config", config_file, "--out-dir", out) == 2
         assert not out.exists()
 
+    def test_both_data_sources_leave_no_out_dir(self, tmp_path, capsys, features_file, synth_dir):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("arch = conv\narch.grid = 32\nloss = sparse_masked\n")
+        out = tmp_path / "run"
+        argv = ("--features", features_file, "--sparse", synth_dir, "--config", cfg, "--out-dir", out)
+        assert run("train", *argv) == 2
+        assert "exactly one of --features or --sparse" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sparse_dir_without_drivers_leaves_no_out_dir(self, tmp_path, synth_dir):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text("arch = conv\narch.grid = 32\nloss = sparse_masked\n")
@@ -518,6 +527,13 @@ class TestEvalAndMap:
             )
             == 3
         )
+
+    @pytest.mark.parametrize("at", ["nan", "inf"])
+    def test_map_non_finite_time_is_out_of_range(self, tmp_path, capsys, trained, synth_dir, at):
+        argv = ("--checkpoint", trained, "--drivers", synth_dir / "drivers.csv", "--at", at)
+        assert run("map", *argv, "--out", tmp_path / "m") == 3
+        assert f"timestamp {at} outside driver range" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.pgm").exists()
 
     def test_map_conv_model(self, tmp_path, synth_dir):
         cfg = tmp_path / "conv.cfg"

@@ -297,6 +297,12 @@ class TestDistLoss:
             _value(dist_loss_op, np.ones(4), np.ones(4), np.ones(3))
 
 
+def _softmax64(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestMultitask:
     def test_perfect_prediction_zero_loss(self):
         t = np.array([9.0, 11.0])
@@ -306,7 +312,7 @@ class TestMultitask:
         probs = np.clip(probs, 1e-12, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
         flux = np.array([[9.0, 0, 0], [0, 0, 11.0]])
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(np.log(probs)), t, region).data)
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_probs_cce_is_ln3(self):
@@ -315,7 +321,7 @@ class TestMultitask:
         probs = np.full((1, 3), 1.0 / 3.0)
         flux = np.array([[0.0, 9.0, 0.0]])
         # argmax ties break to class 0, whose flux is 0 -> mse = 81
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(np.log(probs)), t, region).data)
         assert v == pytest.approx(81.0 + math.log(3.0), rel=1e-12)
 
     def test_loop_oracle(self):
@@ -327,7 +333,7 @@ class TestMultitask:
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         region = rng.integers(0, 3, n)
         lam = 0.7
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, region, lam).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(logits), t, region, lam).data)
         assert v == pytest.approx(_loop_multitask(t, flux, region, probs, lam), rel=1e-12)
 
     def test_confident_classifier_reduces_to_true_head_mse(self):
@@ -338,76 +344,89 @@ class TestMultitask:
         classes = rng.integers(0, 3, n)
         probs = np.clip(np.eye(3)[classes], 1e-15, 1.0)
         probs /= probs.sum(axis=1, keepdims=True)
-        v = float(multitask_loss_op(None, Tensor(flux), Tensor(probs), t, classes).data)
+        v = float(multitask_loss_op(None, Tensor(flux), Tensor(np.log(probs)), t, classes).data)
         expect = np.mean((t - flux[np.arange(n), classes]) ** 2)
         assert v == pytest.approx(expect, abs=1e-9)
-
-    def test_invalid_probability_rows(self):
-        with pytest.raises(ValueError):
-            multitask_loss_op(
-                None,
-                Tensor(np.ones((1, 3))),
-                Tensor(np.array([[0.9, 0.9, 0.9]])),
-                np.array([1.0]),
-                np.array([0]),
-            )
 
     def test_gradient_flow(self):
         rng = np.random.default_rng(11)
         n = 10
         t = rng.normal(10, 1, n)
         flux = Tensor(rng.normal(10, 1, (n, 3)))
-        # logits -> softmax handled upstream; check the fused op's grads with FD
-        probs0 = np.full((n, 3), 1.0 / 3.0) + rng.uniform(-0.05, 0.05, (n, 3))
-        probs0 /= probs0.sum(axis=1, keepdims=True)
-        probs = Tensor(probs0)
+        logits0 = rng.normal(0, 0.2, (n, 3))
+        logits = Tensor(logits0.copy())
         region = rng.integers(0, 3, n)
         tape = Tape()
-        loss = multitask_loss_op(tape, flux, probs, t, region, 1.0)
+        loss = multitask_loss_op(tape, flux, logits, t, region, 1.0)
         tape.backward(loss)
-        sel = np.argmax(probs0, axis=1)
+        sel = np.argmax(logits0, axis=1)
         # flux gradient: only selected entries, 2*(pred-true)/n
         expect = np.zeros((n, 3))
         expect[np.arange(n), sel] = 2.0 * (flux.data[np.arange(n), sel] - t) / n
         assert np.allclose(flux.grad, expect, atol=1e-14)
-        # probs gradient: -onehot/probs / n
+        # logits gradient: (softmax - onehot) / n
         onehot = np.eye(3)[region]
-        assert np.allclose(probs.grad, -onehot / probs0 / n, atol=1e-12)
+        assert np.allclose(logits.grad, (_softmax64(logits0) - onehot) / n, atol=1e-14)
 
     def test_region_indices_must_be_one_per_row(self):
-        probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+        logits = Tensor(np.zeros((2, 3)))
         for region in (np.array([0]), np.array([[1.0, 0, 0], [0, 1.0, 0]])):
             with pytest.raises(ValueError, match="shape mismatch"):
-                multitask_loss_op(None, Tensor(np.ones((2, 3))), probs, np.ones(2), region)
+                multitask_loss_op(None, Tensor(np.ones((2, 3))), logits, np.ones(2), region)
 
     def test_zero_non_target_probability_is_finite(self):
         """A float32 probability that is exactly 0 in a class that is not
         the row's true one leaves the loss at its direct formula and the
         gradient finite, with 0 in that cell."""
-        probs0 = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]], dtype=np.float32)
+        logits0 = np.array([[math.log(0.7), math.log(0.3), -200.0], [math.log(0.2), math.log(0.8), -200.0]], dtype=np.float32)
         flux0 = np.array([[9.0, 1.0, 2.0], [3.0, 11.0, 4.0]], dtype=np.float32)
         t, region, lam = np.array([9.5, 10.0]), np.array([0, 1]), 0.7
-        flux, probs = Tensor(flux0), Tensor(probs0)
+        flux, logits = Tensor(flux0), Tensor(logits0)
         tape = Tape()
-        loss = multitask_loss_op(tape, flux, probs, t, region, lam)
+        loss = multitask_loss_op(tape, flux, logits, t, region, lam)
         tape.backward(loss)
-        p_true = probs0.astype(np.float64)[[0, 1], region]
+        p_true = _softmax64(logits0)[[0, 1], region]
         direct = np.mean((flux0[[0, 1], [0, 1]] - t) ** 2) + lam * np.mean(-np.log(p_true))
         assert math.isfinite(float(loss.data)) and float(loss.data) == pytest.approx(direct, rel=1e-6)
-        assert np.all(np.isfinite(probs.grad)) and np.all(np.isfinite(flux.grad))
-        assert np.all(probs.grad[:, 2] == 0.0)
-        assert probs.grad[[0, 1], region] == pytest.approx(-lam / p_true / 2, rel=1e-6)
+        assert np.all(np.isfinite(logits.grad)) and np.all(np.isfinite(flux.grad))
+        assert np.all(logits.grad[:, 2] == 0.0)
+        assert logits.grad[[0, 1], region] == pytest.approx(lam * (p_true - 1.0) / 2, rel=1e-6)
 
     def test_softmax_underflow_trains_finite(self):
-        """Logits 120 apart give an exact 0 probability; the loss and the
-        logits' gradient stay finite through softmax."""
-        logits = Tensor(np.array([[0.0, -50.0, -120.0], [-120.0, 0.0, -1.0]], dtype=np.float32))
+        """Logits [0, -50, -120] give the true region 2 a float32
+        probability of exactly 0; the loss is still its cross-entropy, 120,
+        with no warning, and the logits' gradient is ``(softmax - onehot) / n``,
+        [1, 1.9e-22, -1]."""
+        logits0 = np.array([[0.0, -50.0, -120.0]], dtype=np.float32)
+        assert softmax(Tensor(logits0)).data[0, 2] == 0.0
+        logits = Tensor(logits0.copy())
         tape = Tape()
-        probs = softmax(logits, tape)
-        assert probs.data[0, 2] == 0.0 and probs.data[1, 0] == 0.0
-        loss = multitask_loss_op(tape, Tensor(np.ones((2, 3), np.float32)), probs, np.ones(2), np.array([0, 2]))
+        loss = multitask_loss_op(tape, Tensor(np.zeros((1, 3), np.float32)), logits, np.zeros(1), np.array([2]))
         tape.backward(loss)
-        assert math.isfinite(float(loss.data)) and np.all(np.isfinite(logits.grad))
+        assert float(loss.data) == 120.0
+        assert logits.grad.dtype == np.float32
+        expect = _softmax64(logits0) - np.eye(3)[[2]]
+        assert np.allclose(logits.grad, expect, rtol=0, atol=np.finfo(np.float32).eps)
+        assert logits.grad[0, 1] == pytest.approx(math.exp(-50.0), rel=1e-6)
+
+    @pytest.mark.parametrize("region", [0, 1, 2])
+    def test_gradcheck_at_a_wide_logit_spread(self, region):
+        """float64 gradcheck where one class's float64 probability is below
+        1e-12 (logits about 35 apart), for every choice of true class."""
+        rng = np.random.default_rng(12)
+        n = 6
+        logits0 = np.tile([0.0, -35.0, 4.0], (n, 1)) + rng.uniform(-0.5, 0.5, (n, 3))
+        assert _softmax64(logits0)[:, 1].max() < 1e-12
+        flux = Tensor(rng.normal(10, 1, (n, 3)))
+        logits = Tensor(logits0)
+        t = rng.normal(10, 1, n)
+        regions = np.full(n, region)
+
+        def build():
+            tape = Tape()
+            return tape, multitask_loss_op(tape, flux, logits, t, regions, 0.7)
+
+        check_gradients(build, [flux, logits])
 
 
 def _observed(values, mask):
@@ -509,8 +528,7 @@ def _loss_cases():
     t = rng.uniform(8, 15, 12)
     p = rng.uniform(8, 15, 12)
     w = dist_weights(rng.normal(10, 1, 100), n_bins=8)[:12]
-    probs = rng.uniform(0.1, 1.0, (12, 3))
-    probs /= probs.sum(axis=1, keepdims=True)
+    logits = rng.uniform(-2.0, 2.0, (12, 3))
     region = rng.integers(0, 3, 12)
     values = rng.standard_normal((2, 4, 4))
     mask = rng.random((2, 4, 4)) < 0.4
@@ -520,8 +538,8 @@ def _loss_cases():
         "tail": ([p], lambda tape, y: tail_loss_op(tape, y, t)),
         "dist": ([p], lambda tape, y: dist_loss_op(tape, y, t, w)),
         "multitask": (
-            [rng.normal(10, 1, (12, 3)), probs],
-            lambda tape, flux, pr: multitask_loss_op(tape, flux, pr, t, region, 0.7),
+            [rng.normal(10, 1, (12, 3)), logits],
+            lambda tape, flux, lg: multitask_loss_op(tape, flux, lg, t, region, 0.7),
         ),
         "sparse_masked": (
             [rng.standard_normal((2, 4, 4))],

@@ -94,10 +94,12 @@ class TestMultitask:
         return arch, params
 
     def test_probs_sum_to_one(self):
+        # the class head returns logits; their softmax is a probability row
         arch, params = self._setup()
         x = np.random.default_rng(1).standard_normal((11, 5))
-        probs, flux, selected = M.forward_multitask(arch, params, x)
-        assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
+        logits, flux, selected = M.forward_multitask(arch, params, x)
+        assert logits.shape == (11, 3) and np.all(np.isfinite(logits.data))
+        assert np.allclose(ad.softmax(logits).data.sum(axis=1), 1.0, atol=1e-6)
         assert flux.shape == (11, 3)
         assert selected.shape == (11,)
 
@@ -106,17 +108,17 @@ class TestMultitask:
         params["head_class.w"].data[:] = 0.0
         params["head_class.b"].data[:] = np.array([50.0, 0.0, 0.0])
         x = np.random.default_rng(2).standard_normal((6, 5))
-        probs, flux, selected = M.forward_multitask(arch, params, x)
+        logits, flux, selected = M.forward_multitask(arch, params, x)
         assert np.array_equal(selected, flux.data[:, 0])
 
     def test_selection_matches_loop_oracle(self):
         arch, params = self._setup(seed=3)
         x = np.random.default_rng(4).standard_normal((30, 5))
-        probs, flux, selected = M.forward_multitask(arch, params, x)
+        logits, flux, selected = M.forward_multitask(arch, params, x)
         for i in range(30):
             best = 0
             for k in range(1, 3):
-                if probs.data[i, k] > probs.data[i, best]:
+                if logits.data[i, k] > logits.data[i, best]:
                     best = k
             assert selected[i] == flux.data[i, best]
 
@@ -468,7 +470,7 @@ class TestPredict:
         """The multitask heads are not bit-stable across chunk sizes (flux
         differences up to 7.2e-7 were seen): the flux agrees within 4
         float32 eps of the largest flux, and the region wherever the top two
-        class probabilities are apart."""
+        class logits are apart."""
         arch = M.MultiTaskArch(40, trunk=(64, 256, 32))
         model, raw = self._model(arch, 12000)
         whole, whole_region = self._predict(monkeypatch, model, raw, 1 << 40)
@@ -476,9 +478,9 @@ class TestPredict:
         tol = 4 * np.finfo(np.float32).eps * np.max(np.abs(whole))
         assert np.max(np.abs(part - whole)) <= tol
         norm = model.meta["normalization"]
-        probs = M.forward_multitask(arch, model.params, (raw - norm["mean"]) / norm["std"])[0].data
-        assert np.array_equal(whole_region, np.argmax(probs, axis=1))
-        top2 = np.sort(probs, axis=1)[:, -2:]
+        logits = M.forward_multitask(arch, model.params, (raw - norm["mean"]) / norm["std"])[0].data
+        assert np.array_equal(whole_region, np.argmax(logits, axis=1))
+        top2 = np.sort(logits, axis=1)[:, -2:]
         apart = top2[:, 1] - top2[:, 0] > 1e-5
         assert np.array_equal(part_region[apart], whole_region[apart])
 

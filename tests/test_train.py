@@ -398,6 +398,20 @@ class TestTrainPoint:
         model, history = train_model(model, (train, val), config)
         assert len(history.epochs) == 2
 
+    def test_multitask_trains_through_an_underflowed_true_class(self):
+        """A class-2 logit 200 below the others gives every region-2 row a
+        float32 probability of exactly 0; the cross-entropy from the logits
+        stays finite and training runs to the end."""
+        train, val = _point_tables(seed=34)
+        assert np.any(train.region == 2)
+        arch = M.MultiTaskArch(input_width=train.schema.width, trunk=(16, 8))
+        model = M.build_model(arch, seed=0)
+        model.params["head_class.b"].data[:] = [0.0, 0.0, -200.0]
+        config = TrainConfig(loss=LossSpec("multitask"), max_epochs=2, batch_size=1024, seed=4)
+        model, history = train_model(model, (train, val), config)
+        assert len(history.epochs) == 2
+        assert all(np.isfinite([loss, v]).all() for _, loss, v in history.epochs)
+
 
 class TestTrainConv:
     def _samples(self, seed=40, grid=32):
