@@ -22,10 +22,11 @@ The convolutions (conv2d, conv2d_transpose) loop over kernel taps: each
 tap contracts the channels of one shifted or strided slice with that
 tap's [c_out, c_in] matrix and accumulates into the output, forward and
 backward. Memory stays at a few output-sized arrays, with no im2col
-window copy that grows with the kernel area. conv2d's backward computes
-dk over the whole grid but scatters dx only from the output cells whose
-gradient is nonzero, so under a sparse target mask its dx costs the
-observed cells times the kernel area, not the grid times the kernel area.
+window copy that grows with the kernel area. conv2d's backward gathers
+both dk and dx from the output cells whose gradient is nonzero only, and
+its forward can be asked for a list of output cells only, so under a
+sparse target a training step's final conv costs the observed cells
+times the kernel area, not the grid times the kernel area.
 """
 
 from __future__ import annotations
@@ -313,25 +314,33 @@ def _corr2d(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.reshape(n, co, oh, w)[:, :, :, :ow])
 
 
-def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None, cells=None) -> Tensor:
     """Valid cross-correlation; x [n, c_in, h, w], k [c_out, c_in, kh, kw].
 
-    Forward is `_corr2d`. Backward runs the adjoint of the same tap loop,
-    with dy laid out on the forward's full-width flattened rows (zero in the
-    cropped columns):
-    - dk: per sample and tap, dy over the whole grid is contracted with that
-      tap's slice of x to give dk[:, :, p, q].
-    - dx: only the (sample, position) cells where some channel of dy is
-      nonzero are scattered, per tap in tap order, through k[:, :, p, q]
-      into dx at position + the tap's offset. Within one tap those targets
-      are distinct, so a buffered += is exact, and each dx element sums the
-      same einsum products in the same order as a scatter over every cell;
-      the skipped terms are zeros, which never change a sum. The cost is
-      the nonzero cells times the kernel area: under
-      `sparse_masked_loss_op` that is the observed cells only.
-    One edge differs from a dense scatter: a zero dy cell no longer spreads
-    0 * inf = NaN from a non-finite kernel into dx. Training stops on a
-    non-finite loss before any backward runs, so no CLI path reaches it.
+    Without ``cells`` the forward is `_corr2d`. ``cells`` lists flat output
+    positions in [n, oh, ow] (a 1-D integer array, each in [0, n*oh*ow));
+    the forward then evaluates only those cells, for every output channel,
+    and fills every other output cell with NaN, so nothing can mistake it
+    for a prediction. Each listed cell sums the same einsum products in
+    the same tap order as `_corr2d`, so its value is bit-equal to the dense
+    forward's.
+
+    Backward runs the adjoint of the same tap loop at the (sample, cell)
+    positions where some channel of dy is nonzero, whether or not
+    ``cells`` was given. Per tap in tap order, it gathers that tap's
+    slice of x at those cells:
+    - dk[:, :, p, q] is g.T @ x gathered, g being dy at the cells.
+    - dx: g is scattered through k[:, :, p, q] into dx at the cell +
+      the tap's offset. Within one tap those targets are distinct, so a
+      buffered += is exact, and each dx element sums the same einsum
+      products in the same order as a scatter over every cell; the
+      skipped terms are zeros, which never change a sum.
+    The cost is the nonzero cells times the kernel area: under
+    `sparse_masked_loss_op` that is the observed cells only.
+    One edge differs from a dense backward: a zero dy cell no longer
+    spreads 0 * inf = NaN from a non-finite kernel into dx, or from a
+    non-finite input into dk. Training stops on a non-finite loss before
+    any backward runs, so no CLI path reaches it.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -342,26 +351,37 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
         raise ValueError(f"conv2d channel mismatch: {ci} vs {ci2}")
     if kh > h or kw > w:
         raise ValueError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    out = Tensor(_corr2d(x.data, k.data))
+    oh, ow = h - kh + 1, w - kw + 1
+    x_flat = x.data.reshape(n, ci, h * w)
+    taps = _row_taps(w, kh, kw, (oh - 1) * w + ow)
+    if cells is None:
+        out = Tensor(_corr2d(x.data, k.data))
+    else:
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError("conv2d cells must be a 1-D integer array")
+        if cells.size and (cells.min() < 0 or cells.max() >= n * oh * ow):
+            raise ValueError(f"conv2d cells must lie in [0, {n * oh * ow})")
+        sample, row, col = np.unravel_index(cells, (n, oh, ow))
+        position = row * w + col
+        y = np.zeros((cells.size, co), dtype=x.data.dtype)
+        for p, q, run in taps:
+            y += np.einsum("oc,mc->mo", k.data[:, :, p, q], x_flat[sample, :, position + run.start])
+        grid = np.full((n, co, oh, ow), np.nan, dtype=x.data.dtype)
+        grid[sample, :, row, col] = y
+        out = Tensor(grid)
 
     if tape is not None:
         def backward():
-            oh, ow = out.shape[2:]
-            span = (oh - 1) * w + ow
-            dy_rows = np.zeros((n, co, oh, w), dtype=x.data.dtype)
-            dy_rows[:, :, :, :ow] = out.grad
-            dy = dy_rows.reshape(n, co, oh * w)[:, :, :span]
-            x_flat = x.data.reshape(n, ci, h * w)
-            taps = _row_taps(w, kh, kw, span)
-            dk = np.zeros_like(k.data)
-            for i in range(n):
-                for p, q, run in taps:
-                    dk[:, :, p, q] += dy[i] @ x_flat[i, :, run].T
-            sample, position = np.nonzero(np.any(dy != 0, axis=1))
-            g = dy[sample, :, position]
+            sample, row, col = np.nonzero(np.any(out.grad != 0, axis=1))
+            g = out.grad[sample, :, row, col]
+            position = row * w + col
+            dk = np.empty_like(k.data)
             dx = np.zeros_like(x_flat)
             for p, q, run in taps:
-                dx[sample, :, position + run.start] += np.einsum("mo,oc->mc", g, k.data[:, :, p, q])
+                at = position + run.start
+                dk[:, :, p, q] = g.T @ x_flat[sample, :, at]
+                dx[sample, :, at] += np.einsum("mo,oc->mc", g, k.data[:, :, p, q])
             _accumulate(k, dk)
             _accumulate(x, dx.reshape(x.shape))
 

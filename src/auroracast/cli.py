@@ -364,9 +364,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_at_value(argv: list[str]) -> list[str]:
+    """Pass ``--at VALUE`` as ``--at=VALUE``. argparse reads a word that
+    starts with '-' and is not a plain negative number, such as -inf or
+    -1e400, as an option rather than as the time, so it would never reach
+    the range check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at":
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_at_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

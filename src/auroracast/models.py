@@ -272,8 +272,15 @@ def forward_convdecoder(
     tape: Tape | None = None,
     training: bool = False,
     dropout_rng=None,
+    cells=None,
 ) -> Tensor:
-    """One full [n_lat, n_mlt] grid per input row of global features."""
+    """One [n_lat, n_mlt] grid per input row of global features.
+
+    Without ``cells`` every grid cell is predicted. ``cells`` lists flat
+    positions in the stacked [n, n_lat, n_mlt] grids (a training batch's
+    observed cells); the final convolution then runs at those cells only,
+    and every other cell of the returned grids is NaN (``autodiff.conv2d``).
+    """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
     h = ad.dense(h, params["to_grid.w"], params["to_grid.b"], tape)
@@ -287,7 +294,7 @@ def forward_convdecoder(
     h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
     h = ad.pad_periodic_mlt(h, arch.overlap, tape)
     h = ad.pad_zero_lat(h, arch.overlap, tape)
-    h = ad.conv2d(h, params["final.k"], tape)
+    h = ad.conv2d(h, params["final.k"], tape, cells)
     h = ad.add_channel_bias(h, params["final.b"], tape)
     return ad.reshape(h, (n, arch.n_lat, arch.n_mlt), tape)
 

@@ -25,8 +25,10 @@ cells. glibc's ``malloc_trim`` returns the freed training heap first.
 Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
 the driver features, and the observed cells of its composite window as
 ascending flat cell indices with their mean log10 flux. Training and
-validation both read the table directly: a batch is a sub-table, and the
-loss gathers the predicted grids at its observed-cell ``positions``.
+validation both read the table directly: a batch is a sub-table. A
+training step's decoder runs its final convolution at the batch's
+observed-cell ``positions`` only, and the loss gathers the predicted grids
+there; validation predicts whole grids.
 
 ``train_config_from_config`` binds the ``train.*`` and loss keys of a run
 config (``config`` lists them). History is emitted as
@@ -357,7 +359,9 @@ def _conv_setup(
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         batch = train_samples[idx]
         x = norm.apply(batch.features)
-        pred = M.forward_convdecoder(model.arch, model.params, x, tape, True, dropout_rng)
+        pred = M.forward_convdecoder(
+            model.arch, model.params, x, tape, True, dropout_rng, cells=batch.positions
+        )
         return L.sparse_masked_loss_op(tape, pred, batch.positions, batch.values, spec.masked_normalize)
 
     def validate() -> float:

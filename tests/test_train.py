@@ -533,6 +533,34 @@ class TestTrainConv:
             f"epoch {epoch_peak}, step {step_peak}, validate {val_peak}, slack {slack}"
         )
 
+    def test_dense_correlation_runs_in_validation_only(self, monkeypatch):
+        """A training step runs the final conv at its batch's observed cells
+        only; the dense correlation runs once per epoch, in validation,
+        after that epoch's last step."""
+        from auroracast import autodiff as ad
+
+        events = []
+        corr2d, adam = ad._corr2d, T.adam_step
+
+        def counted_corr2d(*args):
+            events.append("corr2d")
+            return corr2d(*args)
+
+        def counted_adam(*args):
+            events.append("step")
+            return adam(*args)
+
+        monkeypatch.setattr(ad, "_corr2d", counted_corr2d)
+        monkeypatch.setattr(T, "adam_step", counted_adam)
+        train_s, val_s, schema = self._samples(seed=47)
+        arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
+        config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=2, batch_size=16, seed=1)
+        _, history = train_model(M.build_model(arch, seed=0), (train_s, val_s), config)
+        assert len(history.epochs) == 2
+        steps = -(-len(train_s) // 16)
+        assert steps > 1
+        assert events == (["step"] * steps + ["corr2d"]) * 2
+
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
         arch = M.ConvDecoderArch(
