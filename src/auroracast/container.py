@@ -14,7 +14,13 @@ little-endian:
   crc         u32 CRC32 of every byte before it
 
 ``write`` converts and writes each array a row chunk at a time, so no
-whole-file buffer is built. ``read`` checks the magic first, then the
+whole-file buffer is built. An array may also be given as ``Blocks``, its
+shape and the row blocks that make it up, which are written as they are
+made, so the whole array is never held. The file is written under a
+temporary name in the same directory and renamed over ``path`` only when
+complete: a write that fails, whether on a block or on the disk, removes
+the temporary file and leaves whatever was at ``path`` as it was.
+``read`` checks the magic first, then the
 CRC over the raw bytes, then the kind and version, and last that the
 arrays end exactly at the CRC. It returns the metadata and read-only
 views of the file's bytes; no array is copied. Older formats (``AFT1``
@@ -26,8 +32,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +54,25 @@ def row_chunks(n: int, row_bytes: int):
     return (slice(r0, min(r0 + step, n)) for r0 in range(0, n, step))
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """An array given as its ``shape`` and ``blocks``, a function whose
+    every call yields, in order, the row blocks that make up the array."""
+
+    shape: tuple[int, ...]
+    blocks: Callable[[], Iterable[np.ndarray]]
+
+    def __iter__(self):
+        return iter(self.blocks())
+
+
 def write(path, kind: str, meta: dict, arrays: dict):
     """Write a container of ``kind`` holding ``meta`` (JSON-serializable)
-    and ``arrays``, a mapping of name to ``(array, dtype)``; each array is
-    stored with its shape as the little-endian form of ``dtype``."""
+    and ``arrays``, a mapping of name to ``(array, dtype)``, where an
+    array may be ``Blocks``; each array is stored with its shape as the
+    little-endian form of ``dtype``. Blocks that do not make up their
+    declared shape are a ValueError. The file appears at ``path`` only
+    once it is whole."""
     specs = [(name, arr, np.dtype(dtype).newbyteorder("<")) for name, (arr, dtype) in arrays.items()]
     header = {
         "kind": kind,
@@ -58,22 +82,44 @@ def write(path, kind: str, meta: dict, arrays: dict):
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     crc = 0
-    with open(path, "wb") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "wb")
+    except OSError as exc:  # named by the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
 
-        def put(block):
-            nonlocal crc
-            fh.write(block)
-            crc = zlib.crc32(block, crc)
+            def put(block):
+                nonlocal crc
+                fh.write(block)
+                crc = zlib.crc32(block, crc)
 
-        put(MAGIC + struct.pack("<I", len(raw)) + raw)
-        offset = 8 + len(raw)
-        for _, arr, dt in specs:
-            pad = -offset % _ALIGN
-            put(bytes(pad))
-            for sl in row_chunks(len(arr), dt.itemsize * arr.size // max(1, len(arr))):
-                put(np.ascontiguousarray(arr[sl], dtype=dt))
-            offset += pad + dt.itemsize * arr.size
-        fh.write(struct.pack("<I", crc))
+            put(MAGIC + struct.pack("<I", len(raw)) + raw)
+            offset = 8 + len(raw)
+            for name, arr, dt in specs:
+                pad = -offset % _ALIGN
+                put(bytes(pad))
+                n, row_shape = arr.shape[0], tuple(arr.shape[1:])
+                blocks = arr
+                if not isinstance(arr, Blocks):
+                    blocks = (arr[sl] for sl in row_chunks(n, dt.itemsize * math.prod(row_shape)))
+                rows = 0
+                for block in blocks:
+                    block = np.ascontiguousarray(block, dtype=dt)
+                    rows += len(block)
+                    if block.shape[1:] != row_shape:
+                        raise ValueError(f"container.write: blocks of {name} do not make its shape")
+                    put(block)
+                    del block  # before the next block is made
+                if rows != n:
+                    raise ValueError(f"container.write: blocks of {name} do not make its shape")
+                offset += pad + dt.itemsize * n * math.prod(row_shape)
+            fh.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read(path, kind: str, rebuild_hint: str) -> tuple[dict, dict[str, np.ndarray]]:

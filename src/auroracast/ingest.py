@@ -7,13 +7,18 @@ Input files are plain decimal CSV:
 
 This module owns the CSV text format. Every CSV the commands write goes
 through one writer, ``write_csv``, and both input files through one
-tokenizer, ``_read_csv``: the file is read once and split on newlines and
-commas, so a quoted field, a NUL byte or a header that names a column
-twice is rejected. Each numeric column is converted in one call, every
-number must be finite, and faults are found with masks; an error names
-the first offending ``path:line`` and, for a bad number, its column. The
-drivers become a ``DriverSeries``, with single missing rows filled by
-midpoints; the observations become a columnar ``ObsTable``.
+scanner, ``_Records``: the file is read once as bytes, and numpy finds
+its newlines and commas, so each line's field count, a quoted field, a
+NUL byte and each record's line number come from arrays of offsets, and
+no field becomes a Python string. A header that names a column twice is
+rejected, and a UTF-8 byte-order mark is skipped. Each numeric column is
+converted by numpy from the bytes of its fields, a row chunk at a time;
+Python ``float`` reads only the few fields numpy rejects, so every value
+is the one ``float`` gives. Every number must be finite, and faults are
+found with masks; an error names the first offending ``path:line`` and,
+for a bad number, its column. The drivers become a ``DriverSeries``,
+with single missing rows filled by midpoints; the observations become a
+columnar ``ObsTable``.
 
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
@@ -29,10 +34,13 @@ satellite, for the conv decoder) over a time range, by default satellite
 ``holdout.mask`` marks the validation rows and ``table[...]`` selects
 each side, for training and for ``eval``. The checkpoint records it.
 
-A process holds the feature matrix once. ``build_features`` computes the
-history block in float64 once per distinct observation time, a chunk of
-times at a time, and scatters each chunk into the one ``[n, width]``
-float32 matrix it returns, rounded as the cache stores it. The binary
+The ``features`` command holds none of the feature matrix.
+``build_features`` gives the rows as ``container.Blocks``: one function,
+``_feature_block``, builds a run of kept observations' float32 rows,
+computing the history of the run's distinct times once in float64 and
+scattering it to the rows, rounded as the cache stores it.
+``write_table_cache`` streams the blocks into the cache, and a table
+whose ``rows`` are read is filled from the same blocks, once. The binary
 cache is a ``container`` file of kind ``feature cache`` (the layout is
 described there) that stores the rows as float32; ``read_table_cache``
 returns them as a read-only float32 view of the file's bytes.
@@ -138,9 +146,11 @@ def _fmt_min(minutes: float) -> str:
 class FeatureTable:
     """Unnormalized feature rows with their target and observation columns.
 
-    ``rows`` is float32: a writable matrix when built by
-    ``build_features``, the cache's read-only view when read by
-    ``read_table_cache``.
+    ``rows`` is float32: the cache's read-only view when read by
+    ``read_table_cache``. ``build_features`` gives them as
+    ``container.Blocks``, and a writable matrix is filled from the blocks
+    the first time ``rows`` is read; ``write_table_cache`` streams the
+    blocks instead, so a table that is only cached never holds its rows.
     """
 
     schema: FeatureSchema
@@ -154,7 +164,8 @@ class FeatureTable:
     n_dropped_history: int = 0
 
     def __post_init__(self):
-        n, w = self.rows.shape
+        rows = vars(self)["rows"]  # blocks stay unread
+        n, w = rows.shape
         if w != self.schema.width:
             raise ValueError("row width does not match schema")
         for name in ("target", "t", "mlat", "mlt", "sat_id"):
@@ -163,14 +174,14 @@ class FeatureTable:
         if self.region is not None and len(self.region) != n:
             raise ValueError("region column has wrong length")
         # min and max propagate NaN and reach any infinity, and, unlike
-        # isfinite, need no row-sized mask
-        extremes = (self.rows.min(initial=0.0), self.rows.max(initial=0.0))
+        # isfinite, need no row-sized mask; blocks check their own rows
+        extremes = (rows.min(initial=0.0), rows.max(initial=0.0)) if isinstance(rows, np.ndarray) else ()
         if not np.all(np.isfinite(extremes)) or not np.all(np.isfinite(self.target)):
             raise ValueError("non-finite feature or target")
 
     @property
     def n(self) -> int:
-        return self.rows.shape[0]
+        return len(self.target)
 
     def __getitem__(self, key) -> FeatureTable:
         """The rows a slice, mask or index array selects, ``n_dropped_history`` 0."""
@@ -184,6 +195,30 @@ class FeatureTable:
             mlt=self.mlt[key],
             sat_id=self.sat_id[key],
         )
+
+
+class _FilledOnRead:
+    """``FeatureTable.rows``: ``container.Blocks`` stored there are filled
+    into a float32 matrix, once, when ``rows`` is first read."""
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        rows = vars(table)["rows"]
+        if isinstance(rows, container.Blocks):
+            filled = np.empty(rows.shape, dtype=np.float32)
+            r0 = 0
+            for block in rows:
+                filled[r0 : r0 + len(block)] = block
+                r0 += len(block)
+            rows = vars(table)["rows"] = filled
+        return rows
+
+    def __set__(self, table, rows):
+        vars(table)["rows"] = rows
+
+
+FeatureTable.rows = _FilledOnRead()
 
 
 @dataclass(frozen=True)
@@ -238,49 +273,156 @@ class Holdout:
 
 # ── CSV readers ───────────────────────────────────────────────────────
 
-def _read_csv(path) -> tuple[list[str], list[str], np.ndarray, DataError | None]:
-    """Split a CSV file of unquoted, comma-separated fields.
+_BOM = b"\xef\xbb\xbf"
 
-    Returns (header names, the fields of every record one record after
-    another, each record's line number, the first line fault or None).
-    A header that names a column twice is a DataError. Blank and
-    whitespace-only lines are skipped. A line fault is a wrong
-    field count, a quoted field or a NUL byte; the records end before it,
-    and the caller raises it only when they hold no fault, so an error
-    always names the first bad line.
+
+def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
+    """The offsets of ``byte`` in ``buf``, found a chunk at a time, so no
+    mask the size of the file is made; int32 when they fit."""
+    dtype = np.int32 if len(buf) < 2**31 else np.int64
+    return np.concatenate(
+        [np.flatnonzero(buf[sl] == byte).astype(dtype) + dtype(sl.start) for sl in row_chunks(len(buf), 1)]
+    )
+
+
+def _to_float(tokens: np.ndarray, out: np.ndarray, bad: np.ndarray):
+    """Convert the byte-string ``tokens`` into ``out`` as ``float`` would.
+
+    numpy's cast converts every token it can; a run it rejects is halved
+    until each rejected token stands alone, and Python ``float`` reads that
+    one from its text, so a non-ASCII digit or space reads as ``float``
+    reads it. A token ``float`` also rejects is NaN in ``out`` and True in
+    ``bad``.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise DataError(f"{path}: empty file")
-    lines = text.split("\n")
-    header = [h.strip() for h in next(csv.reader(lines[:1]))]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise DataError(f"{path}: column {name} appears twice in the header")
-    n_fields = len(header)
+    try:
+        out[:] = tokens.astype(np.float64)
+    except ValueError:
+        if len(tokens) > 1:
+            mid = len(tokens) // 2
+            _to_float(tokens[:mid], out[:mid], bad[:mid])
+            _to_float(tokens[mid:], out[mid:], bad[mid:])
+            return
+        try:
+            out[0] = float(tokens[0].decode())
+        except ValueError:
+            out[0], bad[0] = np.nan, True
 
-    body = lines[1:]
-    commas = np.fromiter((ln.count(",") for ln in body), dtype=np.int64, count=len(body))
-    blank = np.zeros(len(body), dtype=bool)
-    blank[[i for i in np.flatnonzero(commas == 0) if not body[i].strip()]] = True
-    line_fault = ~blank & (commas != n_fields - 1)
-    if '"' in text or "\0" in text:
-        line_fault |= np.array(['"' in ln or "\0" in ln for ln in body], dtype=bool)
-    stop = int(np.argmax(line_fault)) if line_fault.any() else len(body)
-    rec = np.flatnonzero(~blank[:stop])
-    fields = ",".join([body[i] for i in rec]).split(",") if rec.size else []
-    fault = None
-    if stop < len(body):
-        ln = body[stop]
-        if '"' in ln:
-            msg = "quoted fields are not supported"
-        elif "\0" in ln:
-            msg = "line contains NUL"
-        else:
-            msg = f"expected {n_fields} fields"
-        fault = DataError(f"{path}:{stop + 2}: {msg}")
-    return header, fields, rec + 2, fault
+
+class _Records:
+    """The records of a CSV file of unquoted, comma-separated fields,
+    located in the file's bytes.
+
+    The scan is numpy's: the offsets of every newline and comma give each
+    line's field count, and a field is the bytes between its commas. A
+    UTF-8 byte-order mark at the start is skipped, and ``\\r\\n`` or a
+    lone ``\\r`` ends a line as ``\\n`` does. A header that names a column
+    twice is a DataError. Blank and whitespace-only lines are skipped. A
+    line fault is a wrong field count, a quoted field or a NUL byte; the
+    records end before it, and ``fault`` holds it for the caller to raise
+    only when the records hold no fault, so an error always names the
+    first bad line. ``lineno`` is each record's line number.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        bom = len(_BOM) if raw.startswith(_BOM) else 0
+        if len(raw) == bom:
+            raise DataError(f"{path}: empty file")
+        self.buf = buf = np.frombuffer(raw, np.uint8, offset=bom)
+        if buf.max() >= 0x80:
+            try:
+                raw.decode("utf-8-sig")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        ends = _offsets(buf, ord("\n"))
+        starts = np.insert(ends + 1, 0, 0)
+        ends = np.append(ends, ends.dtype.type(len(buf)))
+        self.header = [h.strip() for h in next(csv.reader([self._text(starts[0], ends[0])]), [])]
+        for i, name in enumerate(self.header):
+            if name in self.header[:i]:
+                raise DataError(f"{path}: column {name} appears twice in the header")
+        n_fields = len(self.header)
+        body = int(ends[0]) + 1  # the first byte past the header line
+
+        commas = _offsets(buf, ord(","))
+        count = np.diff(np.searchsorted(commas, starts), append=len(commas))[1:]
+        starts, ends = starts[1:], ends[1:]
+        blank = (count == 0) & (starts == ends)
+        for i in np.flatnonzero((count == 0) & ~blank):
+            blank[i] = not self._text(starts[i], ends[i]).strip()
+        stop = np.flatnonzero(~blank & (count != n_fields - 1))[:1].tolist()
+        for byte in (b'"', b"\0"):
+            at = raw.find(byte, bom + body)
+            if at >= 0:
+                stop.append(int(np.searchsorted(starts, at - bom, side="right")) - 1)
+        stop = min(stop, default=len(starts))
+        rec = np.flatnonzero(~blank[:stop]).astype(starts.dtype)
+        self.lineno = rec + 2
+        self.starts, self.ends = starts[rec], ends[rec]
+        first = int(np.searchsorted(commas, body))
+        n_commas = max(n_fields - 1, 0)
+        self.commas = commas[first : first + rec.size * n_commas].reshape(rec.size, n_commas)
+
+        self.fault = None
+        if stop < len(starts):
+            line = self._text(starts[stop], ends[stop])
+            if '"' in line:
+                msg = "quoted fields are not supported"
+            elif "\0" in line:
+                msg = "line contains NUL"
+            else:
+                msg = f"expected {n_fields} fields"
+            self.fault = DataError(f"{path}:{stop + 2}: {msg}")
+
+    def _text(self, start, end) -> str:
+        return self.buf[start:end].tobytes().decode()
+
+    def _spans(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where field ``j`` of each record starts and ends."""
+        starts = self.starts if j == 0 else self.commas[:, j - 1] + 1
+        ends = self.ends if j == self.commas.shape[1] else self.commas[:, j]
+        return starts, ends
+
+    def _tokens(self, j: int):
+        """Field ``j`` of the records as byte strings, a row chunk at a
+        time: (the chunk's slice, its tokens)."""
+        starts, ends = self._spans(j)
+        width = max(1, int((ends - starts).max(initial=0)))
+        for sl in row_chunks(len(starts), 10 * width):
+            at = starts[sl, None] + np.arange(width)
+            tokens = np.take(self.buf, at, mode="clip")
+            tokens[at >= ends[sl, None]] = 0  # the padding of a byte string
+            yield sl, tokens.view(f"S{width}")[:, 0]
+
+    def numbers(self, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Columns ``idx`` as numbers: (values [len(idx), n records], mask
+        of the records with an unparsable field, whose value is NaN)."""
+        values = np.empty((len(idx), len(self.lineno)))
+        bad = np.zeros(len(self.lineno), dtype=bool)
+        for k, j in enumerate(idx):
+            for sl, tokens in self._tokens(j):
+                _to_float(tokens, values[k, sl], bad[sl])
+        return values, bad
+
+    def codes(self, j: int, code, dtype) -> np.ndarray:
+        """``code(text)`` of field ``j`` of every record, called once per
+        distinct text."""
+        out = np.empty(len(self.lineno), dtype=dtype)
+        seen = {}
+        for sl, tokens in self._tokens(j):
+            distinct, inverse = np.unique(tokens, return_inverse=True)
+            for tok in distinct:
+                if tok not in seen:
+                    seen[tok] = code(tok.decode())
+            out[sl] = np.array([seen[tok] for tok in distinct], dtype=dtype)[inverse]
+        return out
+
+    def fields(self, r: int, idx: list[int]) -> list[str]:
+        """The text of fields ``idx`` of record ``r``."""
+        return [self._text(s[r], e[r]) for s, e in map(self._spans, idx)]
 
 
 def _column_index(path, header: list[str], names) -> list[int]:
@@ -289,28 +431,6 @@ def _column_index(path, header: list[str], names) -> list[int]:
         if name not in header:
             raise DataError(f"{path}: missing required column {name}")
     return [header.index(name) for name in names]
-
-
-def _parse_columns(fields: list[str], n_fields: int, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python ``float`` on the fields of columns ``idx``, a column per call.
-
-    Returns (values [len(idx), n records], mask of the records with an
-    unparsable field); an unparsable field's value is NaN.
-    """
-    n = len(fields) // n_fields
-    values = np.empty((len(idx), n))
-    bad = np.zeros(n, dtype=bool)
-    for k, j in enumerate(idx):
-        tokens = fields[j::n_fields]
-        try:
-            values[k] = np.array(tokens, dtype=object).astype(np.float64)
-        except ValueError:
-            for i, tok in enumerate(tokens):
-                try:
-                    values[k, i] = float(tok)
-                except ValueError:
-                    values[k, i], bad[i] = np.nan, True
-    return values, bad
 
 
 def _finite_fault(names, values: np.ndarray):
@@ -360,15 +480,15 @@ def read_drivers_csv(path) -> DriverSeries:
     cadence are treated as one missing row, anything larger is an error.
     Columns other than ``t`` and the drivers are not read.
     """
-    header, fields, lineno, line_fault = _read_csv(path)
-    if not header or header[0] != "t":
+    records = _Records(path)
+    if not records.header or records.header[0] != "t":
         raise DataError(f"{path}: first column must be 't'")
     names = ("t",) + DRIVER_NAMES
-    idx = _column_index(path, header, names)
-    n_fields = len(header)
-    values, parse_bad = _parse_columns(fields, n_fields, idx)
-    unparsable = (parse_bad, lambda r: _parse_error([fields[r * n_fields + j] for j in idx], names))
-    _raise_first_fault(path, lineno, [unparsable, _finite_fault(names, values)], line_fault)
+    idx = _column_index(path, records.header, names)
+    values, parse_bad = records.numbers(idx)
+    unparsable = (parse_bad, lambda r: _parse_error(records.fields(r, idx), names))
+    _raise_first_fault(path, records.lineno, [unparsable, _finite_fault(names, values)], records.fault)
+    del records  # the file's bytes, before the series is built
 
     t, data = values[0], values[1:]
     if t.size < 2:
@@ -416,30 +536,30 @@ def read_observations_csv(path) -> tuple[ObsTable, int]:
     integer, mlat outside [45, 90], an unknown region code, a NaN eflux, or
     any other number that is not finite.
     """
-    header, fields, lineno, line_fault = _read_csv(path)
+    records = _Records(path)
+    header = records.header
     idx = _column_index(path, header, _OBS_COLUMNS)
-    n_fields = len(header)
-    values, parse_bad = _parse_columns(fields, n_fields, idx)
+    values, parse_bad = records.numbers(idx)
     t, sat, mlat, mlt, eflux = values
     parse_bad |= ~(np.abs(sat) < 2.0**63)
     dropped = eflux <= 0
     region = None
-    region_bad = np.zeros(len(lineno), dtype=bool)
+    region_bad = np.zeros(len(records.lineno), dtype=bool)
     if "region" in header:
-        tokens = fields[header.index("region")::n_fields]
-        lookup = {tok: _region_value(tok) for tok in set(tokens)}
-        region = np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int8, count=len(tokens))
+        j = header.index("region")
+        region = records.codes(j, _region_value, np.int8)
         region_bad = ~dropped & (region == _BAD_REGION)
     checks = [
-        (parse_bad, lambda r: _parse_error([fields[r * n_fields + j] for j in idx], _OBS_COLUMNS, 1)),
+        (parse_bad, lambda r: _parse_error(records.fields(r, idx), _OBS_COLUMNS, 1)),
         ((sat < 0) | (sat != np.floor(sat)),
          lambda r: f"sat_id must be a non-negative integer, got {float(sat[r])}"),
         (~((mlat >= MLAT_MIN) & (mlat <= MLAT_MAX)), lambda r: f"mlat {float(mlat[r]):g} outside [45, 90]"),
-        (region_bad, lambda r: f"unknown region code: {tokens[r]!r}"),
+        (region_bad, lambda r: f"unknown region code: {records.fields(r, [j])[0]!r}"),
         (np.isnan(eflux), lambda r: f"eflux must be positive, got {float(eflux[r])}"),
         _finite_fault(_OBS_COLUMNS, values),
     ]
-    _raise_first_fault(path, lineno, checks, line_fault)
+    _raise_first_fault(path, records.lineno, checks, records.fault)
+    del records, checks  # the file's bytes, before the table's copies
 
     keep = ~dropped
     table = ObsTable(
@@ -622,6 +742,45 @@ class Normalization:
         return cls(mean, std)
 
 
+def _feature_block(drivers: DriverSeries, schema: FeatureSchema, t, mlat, mlt, sl: slice) -> np.ndarray:
+    """The float32 feature rows ``sl`` of the observations at ``t``,
+    ``mlat``, ``mlt``, which all have history, rounded as the cache stores
+    them: the spatial block, then the history rows of the run's distinct
+    times, computed once in float64 and scattered to the observations at
+    each time. A history feature beyond the float32 range is a DataError
+    naming the earliest time of all ``t`` that has one, and its first
+    such feature."""
+    times, at = np.unique(t[sl], return_inverse=True)
+    with np.errstate(over="ignore"):
+        hist = history_feature_rows(drivers, times, schema).astype(np.float32)
+    if not np.isfinite(hist).all():
+        raise _float32_error(drivers, t, schema)
+    n_sp = len(SPATIAL_NAMES)
+    rows = np.empty((len(at), schema.width), dtype=np.float32)
+    rows[:, :n_sp] = spatial_block(mlat[sl], mlt[sl])
+    rows[:, n_sp:] = hist[at]
+    return rows
+
+
+def _float32_error(drivers: DriverSeries, t: np.ndarray, schema: FeatureSchema) -> DataError:
+    """The error for the earliest of times ``t`` with a history feature
+    beyond the float32 range, naming the first such feature."""
+    times = np.unique(t)
+    names = schema.global_names
+    for sl in row_chunks(times.size, 4 * len(names)):
+        hist = history_feature_rows(drivers, times[sl], schema)
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(hist.astype(np.float32))
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            return DataError(
+                f"build_features: feature {names[c]} is {float(hist[r, c])!r} "
+                f"at t={float(times[sl.start + r])!r}, "
+                "beyond the float32 range of the feature cache"
+            )
+    raise AssertionError("no history feature beyond the float32 range")
+
+
 def build_features(
     drivers: DriverSeries, obs: ObsTable, schema: FeatureSchema | None = None
 ) -> FeatureTable:
@@ -631,12 +790,12 @@ def build_features(
     in ``n_dropped_history``; the target is log10 of the kept eflux.
     Region labels are kept only when every retained row carries one.
 
-    The rows are one float32 ``[n, width]`` matrix, rounded as the cache
-    stores them, and nothing else of its size is held: the spatial block
-    is written a row chunk at a time, and the history block a chunk of
-    the kept rows' distinct times at a time, each chunk's rows computed
-    once in float64 and scattered to the observations at those times. A
-    history feature beyond the float32 range is a DataError naming it.
+    The rows are ``container.Blocks``: each run of about ``_CHUNK_BYTES``
+    of kept float32 rows is built by ``_feature_block`` from ``drivers``
+    when the rows are written or read, so nothing of the float32
+    ``[n, width]`` matrix's size is held until ``rows`` is read. A history
+    feature beyond the float32 range is a DataError naming the earliest
+    such time and its first such feature, raised when the blocks are made.
     """
     if schema is None:
         schema = FeatureSchema()
@@ -650,43 +809,24 @@ def build_features(
     n_dropped = int((~ok).sum())
     if not ok.any():
         raise DataError("no observation has the full driver history")
-    keep = np.flatnonzero(ok)
-    uniq, src = np.unique(obs.t[keep], return_inverse=True)
-    n_sp = len(SPATIAL_NAMES)
-    rows = np.empty((keep.size, schema.width), dtype=np.float32)
-    for sl in row_chunks(keep.size, 8 * n_sp):
-        rows[sl, :n_sp] = spatial_block(obs.mlat[keep[sl]], obs.mlt[keep[sl]])
-    # kept rows in time order: a chunk of distinct times is one run of it
-    order = np.argsort(src, kind="stable")
-    names = schema.global_names
-    for sl in row_chunks(uniq.size, rows.itemsize * len(names)):
-        hist = history_feature_rows(drivers, uniq[sl], schema)
-        with np.errstate(over="ignore"):
-            hist32 = hist.astype(np.float32)
-        bad = ~np.isfinite(hist32)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise DataError(
-                f"build_features: feature {names[c]} is {float(hist[r, c])!r} "
-                f"at t={float(uniq[sl.start + r])!r}, "
-                "beyond the float32 range of the feature cache"
-            )
-        del hist, bad  # before the chunk's gathered copy is made
-        lo, hi = np.searchsorted(src, (sl.start, sl.stop), sorter=order)
-        at = order[lo:hi]
-        rows[at, n_sp:] = hist32[src[at] - sl.start]
+    t, mlat, mlt = obs.t[ok], obs.mlat[ok], obs.mlt[ok]
+
+    def blocks():
+        runs = row_chunks(t.size, 4 * schema.width)
+        return (_feature_block(drivers, schema, t, mlat, mlt, sl) for sl in runs)
+
     region_arr = None
     if obs.region is not None and np.all(obs.region[ok] >= 0):
         region_arr = obs.region[ok]
 
     return FeatureTable(
         schema=schema,
-        rows=rows,
+        rows=container.Blocks((t.size, schema.width), blocks),
         target=np.log10(obs.eflux[ok]),
         region=region_arr,
-        t=obs.t[ok],
-        mlat=obs.mlat[ok],
-        mlt=obs.mlt[ok],
+        t=t,
+        mlat=mlat,
+        mlt=mlt,
         sat_id=obs.sat_id[ok],
         n_dropped_history=n_dropped,
     )
@@ -720,10 +860,9 @@ def write_table_cache(table: FeatureTable, path):
         raise DataError(
             f"sat_id {int(table.sat_id[out_of_range][0])} outside 0..65535 cannot be cached"
         )
+    columns = vars(table)  # rows given as blocks are streamed, not filled
     arrays = {
-        name: (getattr(table, name), dtype)
-        for name, dtype in _CACHE_DTYPES.items()
-        if getattr(table, name) is not None
+        name: (columns[name], dtype) for name, dtype in _CACHE_DTYPES.items() if columns[name] is not None
     }
     meta = {"schema": table.schema.to_meta(), "n_dropped_history": table.n_dropped_history}
     container.write(path, _CACHE_KIND, meta, arrays)

@@ -3,12 +3,13 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from auroracast import cli
+from auroracast import cli, container
 from auroracast import train as T
 from auroracast.container import _CHUNK_BYTES
 from auroracast.errors import ConfigError, DataError
@@ -1040,3 +1041,266 @@ class TestMemory:
         peak, back = peak_bytes(read_table_cache, path)
         assert back.rows.dtype == np.float32
         assert peak < 1.2 * size, f"peak {peak / size:.2f}x the file"
+
+
+def _bits_equal(a, b) -> bool:
+    """Equal dtype, shape and bytes, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_drivers(got, ref):
+    assert (got.t0, got.cadence, got.n) == (ref.t0, ref.cadence, ref.n)
+    for name in DRIVER_NAMES:
+        assert _bits_equal(got.columns[name], ref.columns[name]), name
+
+
+def _same_observations(path):
+    (table, dropped), (rows, dropped_ref) = read_observations_csv(path), read_observations_rows(path)
+    ref = obs_table(rows)
+    assert dropped == dropped_ref
+    for name in ("t", "sat_id", "mlat", "mlt", "eflux"):
+        assert _bits_equal(getattr(table, name), getattr(ref, name)), name
+    return table
+
+
+def _same_error(reader, oracle, path) -> str:
+    with pytest.raises(DataError) as info:
+        reader(path)
+    with pytest.raises(DataError) as ref:
+        oracle(path)
+    assert str(info.value) == str(ref.value)
+    return str(info.value)
+
+
+class TestReaderParity:
+    """Fields that numpy's parser and Python's ``float`` treat apart, read
+    by the columnar readers as the row oracles read them: bit-equal values
+    and identical messages."""
+
+    # float reads these; np.loadtxt rejects them
+    FLOAT_ONLY = ["1_0", "0_0.5", "\u0663", " \u0663.\u0665 ", "\u00a07", "2\u2003"]
+
+    def test_drivers_tokens_float_alone_reads(self, tmp_path):
+        lines = [DRIVERS_HEADER, _driver_line(0)]
+        for k, tok in enumerate(self.FLOAT_ONLY):
+            fields = _driver_line(300 * (k + 1)).split(",")
+            fields[1 + k] = tok
+            lines.append(",".join(fields))
+        lines.append("2_100," + _driver_line(0).split(",", 1)[1])
+        path = _write_lines(tmp_path / "d.csv", lines)
+        got = read_drivers_csv(path)
+        _same_drivers(got, read_drivers_rows(path))
+        assert got.columns["AE"][1] == 10.0 and got.columns["AU"][3] == 3.0
+        assert got.n == len(lines) - 1
+
+    def test_observations_tokens_float_alone_reads(self, tmp_path):
+        rows = [f"{60 * k},1_0,6_5,{tok},1e9,AUR" for k, tok in enumerate(self.FLOAT_ONLY)]
+        digits = "\u0663\u0660\u0660,\u0662,\u0667\u0660,\u0661,\u0663e\u0669,pol"  # 300,2,70,1,3e9
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, *rows, digits])
+        table = _same_observations(path)
+        assert table.sat_id.tolist() == [10] * len(rows) + [2]
+        assert table.t[-1] == 300.0 and table.eflux[-1] == 3e9
+
+    def test_hash_inside_a_field(self, tmp_path):
+        # loadtxt would read everything after '#' as a comment
+        bad = _driver_line(300).replace(",3.0,", ",3#0,")
+        path = _write_lines(tmp_path / "d.csv", _drivers_lines(0) + [bad])
+        assert _same_error(read_drivers_csv, read_drivers_rows, path).endswith(
+            ":3: could not convert string to float: '3#0'"
+        )
+        path = _write_lines(
+            tmp_path / "n.csv",
+            [DRIVERS_HEADER + ",note"] + [_driver_line(t) + ",#x" for t in (0, 300)],
+        )
+        _same_drivers(read_drivers_csv(path), read_drivers_rows(path))
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, GOOD_ROW, "60,1,65,22,1e9#5,AUR"])
+        assert _same_error(read_observations_csv, read_observations_rows, path).endswith(
+            ":3: could not convert string to float: '1e9#5'"
+        )
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        # loadtxt does not skip a line of spaces
+        lines = [DRIVERS_HEADER, " ", _driver_line(0), "\t \t", _driver_line(300), "\x0c", _driver_line(600)]
+        path = _write_lines(tmp_path / "d.csv", lines)
+        _same_drivers(read_drivers_csv(path), read_drivers_rows(path))
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, "   ", GOOD_ROW, "\t", GOOD_ROW, " "])
+        assert len(_same_observations(path)) == 2
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        path = _write_lines(tmp_path / "d.csv", _drivers_lines(0, 300))
+        path.write_text(path.read_text().replace(",1.0,", ",-0,").replace(",2.0,", ",-0.0,"))
+        got = read_drivers_csv(path)
+        _same_drivers(got, read_drivers_rows(path))
+        assert np.signbit(got.columns["AE"]).all() and np.signbit(got.columns["AL"]).all()
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, "-0,-0,65,22,1e9,AUR"])
+        assert np.signbit(_same_observations(path).t).all()
+
+    def test_underflow_reads_as_zero(self, tmp_path):
+        path = _write_lines(tmp_path / "d.csv", _drivers_lines(0, 300))
+        path.write_text(path.read_text().replace(",1.0,", ",1e-400,").replace(",2.0,", ",-1e-400,"))
+        got = read_drivers_csv(path)
+        _same_drivers(got, read_drivers_rows(path))
+        assert got.columns["AE"].tolist() == [0.0, 0.0] and np.signbit(got.columns["AL"]).all()
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, GOOD_ROW, "60,1,65,1e-400,1e-400,AUR"])
+        assert len(_same_observations(path)) == 1  # eflux 0 is dropped
+
+    def test_overflow_is_not_finite(self, tmp_path):
+        line = _driver_line(300).replace(",1.0,", ",1e400,")
+        path = _write_lines(tmp_path / "d.csv", _drivers_lines(0) + [line])
+        message = _same_error(read_drivers_csv, read_drivers_rows, path)
+        assert message.endswith(":3: AE must be finite, got inf")
+        path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, GOOD_ROW, "60,1,65,22,-1e400,AUR"])
+        assert _same_error(read_observations_csv, read_observations_rows, path).endswith(
+            ":3: eflux must be finite, got -inf"
+        )
+
+    def test_invalid_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_write_lines(tmp_path / "x.csv", _drivers_lines(0, 300)).read_bytes() + b"\xff\n")
+        with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
+            read_drivers_csv(path)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is skipped."""
+
+    def test_drivers(self, tmp_path):
+        plain = _write_lines(tmp_path / "plain.csv", _drivers_lines(0, 300, 900))
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        _same_drivers(read_drivers_csv(marked), read_drivers_rows(plain))
+
+    def test_observations(self, tmp_path):
+        plain = _write_lines(tmp_path / "plain.csv", [OBS_HEADER, GOOD_ROW, "120,2,70,3,5e9,"], "\r\n")
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, dropped = read_observations_csv(marked)
+        want, _ = read_observations_csv(plain)
+        assert dropped == 0 and len(got) == 2
+        for name in ("t", "sat_id", "mlat", "mlt", "eflux", "region"):
+            assert _bits_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_fault_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{OBS_HEADER}\n{GOOD_ROW}\n60,1,30,22,1e9,AUR\n".encode())
+        with pytest.raises(DataError, match=r"bom\.csv:3: mlat 30 outside \[45, 90\]"):
+            read_observations_csv(path)
+
+
+class TestAtomicWrite:
+    """A container write that fails part-way leaves what was at the path."""
+
+    def _old_file(self, tmp_path):
+        path = tmp_path / "t.aft"
+        path.write_bytes(b"the previous file")
+        return path
+
+    def test_failed_chunk_leaves_the_old_file(self, tmp_path):
+        path = self._old_file(tmp_path)
+        values = np.ones(3 * (_CHUNK_BYTES // 8), dtype=object)
+        values[_CHUNK_BYTES // 8 + 5] = "x"  # in the second row chunk
+        with pytest.raises(ValueError):
+            container.write(path, "test", {}, {"values": (values, "<f8")})
+        assert path.read_bytes() == b"the previous file"
+        assert os.listdir(tmp_path) == ["t.aft"]
+
+    def test_short_blocks_are_an_error(self, tmp_path):
+        blocks = container.Blocks((10, 2), lambda: iter([np.zeros((4, 2)), np.zeros((4, 2))]))
+        with pytest.raises(ValueError, match="do not make its shape"):
+            container.write(tmp_path / "t.aft", "test", {}, {"a": (blocks, "<f4")})
+        assert os.listdir(tmp_path) == []
+
+    def test_blocks_are_written_like_the_array(self, tmp_path):
+        a = np.arange(30.0).reshape(10, 3)
+        blocks = container.Blocks(a.shape, lambda: (a[i : i + 4] for i in range(0, 10, 4)))
+        container.write(tmp_path / "a.bin", "test", {"k": 1}, {"a": (a, "<f4")})
+        container.write(tmp_path / "b.bin", "test", {"k": 1}, {"a": (blocks, "<f4")})
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "no" / "t.aft"
+        with pytest.raises(FileNotFoundError) as info:
+            container.write(path, "test", {}, {})
+        assert info.value.filename == str(path)
+
+    def test_float32_overflow_leaves_the_old_cache(self, tmp_path):
+        d, obs = _world(26)
+        d.columns["AE"][200] = 1e39
+        path = self._old_file(tmp_path)
+        with pytest.raises(DataError, match="AE_lag0m is 1e\\+39"):
+            write_table_cache(build_features(d, obs), path)
+        assert path.read_bytes() == b"the previous file"
+        assert os.listdir(tmp_path) == ["t.aft"]
+
+
+class TestStreamedFeatures:
+    """``build_features`` gives its rows as blocks, which the cache writer
+    streams and a read of ``rows`` fills."""
+
+    def test_written_then_read_rows_equal_the_cache(self, tmp_path):
+        d, obs = _world(27)
+        table = build_features(d, obs)
+        write_table_cache(table, tmp_path / "t.aft")
+        assert np.array_equal(table.rows, read_table_cache(tmp_path / "t.aft").rows)
+        assert np.array_equal(table.rows, feature_rows_hstack(d, obs[has_history(d, obs.t, table.schema)],
+                                                              table.schema).astype(np.float32))
+
+    def test_unsorted_overflow_names_the_earliest_time(self):
+        d, obs = _world(28, days=2)
+        d.columns["By"][300] = 1e39  # earlier, but later in the schema than AE
+        d.columns["AE"][400] = -2e39
+        obs = obs[np.random.default_rng(1).permutation(len(obs))]
+        obs = obs[np.argsort(-obs.t, kind="stable")]  # latest times in the first block
+        schema = FeatureSchema()
+        t = np.unique(obs.t[has_history(d, obs.t, schema)])
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(history_feature_rows(d, t, schema).astype(np.float32))
+        r, c = np.argwhere(bad)[0]
+        assert schema.global_names[c].startswith("By_")
+        with pytest.raises(DataError) as info:
+            build_features(d, obs).rows
+        assert str(info.value) == (
+            f"build_features: feature {schema.global_names[c]} is 1e+39 at t={float(t[r])!r}, "
+            "beyond the float32 range of the feature cache"
+        )
+
+
+class TestStreamingMemory:
+    """Peak heap use of the readers and of the ``features`` command's path."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("world10")
+        cfg = out / "synth.cfg"
+        cfg.write_text("world.n_sats = 3\n")
+        argv = ["synth", "--config", str(cfg), "--out-dir", str(out), "--days", "10", "--seed", "1"]
+        assert cli.main(argv) == 0
+        return out
+
+    @pytest.mark.parametrize("name", ["drivers.csv", "observations.csv"])
+    def test_reader_holds_under_three_files(self, world, name):
+        reader = read_drivers_csv if name == "drivers.csv" else read_observations_csv
+        size = (world / name).stat().st_size
+        peak, _ = peak_bytes(reader, world / name)
+        assert peak < 3 * size, f"peak {peak / size:.2f}x the file"
+
+    def test_features_command_path_holds_under_half_the_rows(self, tmp_path):
+        d, obs = _world(25, days=5)
+        path = tmp_path / "t.aft"
+        peak, table = peak_bytes(lambda: _built_and_cached(d, obs, path))
+        block = table.n * table.schema.width * 4
+        assert peak < block / 2, f"peak {peak / block:.2f}x the float32 row block"
+
+    def test_filled_rows_hold_little_beside_the_matrix(self):
+        d, obs = _world(25, days=5)
+        table = build_features(d, obs)
+        peak, rows = peak_bytes(lambda: table.rows)
+        assert peak < 1.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the float32 row block"
+
+
+def _built_and_cached(drivers, obs, path):
+    """``cmd_features``'s calls: the table is built, then cached."""
+    table = build_features(drivers, obs)
+    write_table_cache(table, path)
+    return table
