@@ -78,7 +78,7 @@ def cmd_synth(args) -> int:
     I.write_csv(
         os.path.join(args.out_dir, "drivers.csv"),
         ("t",) + G.DRIVER_NAMES,
-        [I.whole_as_int(drivers.times)] + [drivers.columns[name] for name in G.DRIVER_NAMES],
+        [I.whole_as_int(drivers.times), *drivers.values],
     )
     codes = np.array([region.code for region in G.Region], dtype=object)
     I.write_csv(

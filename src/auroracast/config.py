@@ -14,7 +14,7 @@ the class or function it feeds. The keys, by what they set:
   arch, arch.*         baseline, multitask or conv, and its ``hidden``
                        widths (at least one) and ``dropout``; conv also
                        takes ``grid``, ``filters``, ``kernels``,
-                       ``strides``, ``overlap``
+                       ``strides``, ``overlap`` (smaller than ``grid``)
   holdout.*            the ``ingest.Holdout`` that training validates on
                        and ``eval`` scores: ``sat_id`` (point models only,
                        default 0) and ``t_start``/``t_end``, set together

@@ -163,8 +163,8 @@ def region_mse_table(y_true, y_pred, regions) -> dict[str, tuple[float | None, i
 def _schema_from_meta(meta: dict) -> FeatureSchema:
     try:
         return FeatureSchema.from_meta(meta["schema"])
-    except KeyError as exc:
-        raise DataError(f"checkpoint metadata lacks schema field {exc}") from None
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"checkpoint metadata holds no valid feature schema ({exc!r})") from None
 
 
 def predict_grid(model: Model, drivers: DriverSeries, t: float, spec: GridSpec) -> np.ndarray:

@@ -9,6 +9,8 @@ processes, and satellites sweep MLAT as a triangular wave with the MLT
 sector fixed per ascending/descending leg, which reproduces the
 1-D-trace-on-2-D-domain sparsity of real polar-orbit sampling.
 
+The drivers are one float64 matrix, a row per variable of
+``DRIVER_NAMES``, so ``gen_drivers`` steps every variable at once.
 Observations are held column-wise in an ``ObsTable``: one array per
 field, validated once at construction. Selecting rows gives another
 table; no object stands for a single row.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -146,28 +148,30 @@ def default_driver_processes() -> dict[str, DriverProcess]:
 
 @dataclass
 class DriverSeries:
-    """Named driver columns on a fixed cadence starting at epoch t0."""
+    """The drivers on a fixed cadence starting at epoch t0, as one float64
+    matrix: row ``i`` of ``values`` [len(DRIVER_NAMES), n] is the series
+    of ``DRIVER_NAMES[i]``, and ``column(name)`` is a view of that row."""
 
     t0: float
     cadence: float
-    columns: dict[str, np.ndarray]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.cadence <= 0:
             raise ValueError("cadence must be positive")
-        if not self.columns:
-            raise ValueError("empty driver series")
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) != 1:
-            raise ValueError("driver columns have unequal lengths")
-        self.columns = {k: np.asarray(v, dtype=np.float64) for k, v in self.columns.items()}
-        for name, col in self.columns.items():
-            if not np.isfinite(col).all():
-                raise ValueError(f"non-finite value in driver column {name}")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or len(self.values) != len(DRIVER_NAMES) or not self.values.size:
+            raise ValueError(f"driver values must be [{len(DRIVER_NAMES)}, n >= 1], got {self.values.shape}")
+        bad = ~np.isfinite(self.values).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite value in driver column {DRIVER_NAMES[int(np.argmax(bad))]}")
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[DRIVER_NAMES.index(name)]
 
     @property
     def n(self) -> int:
-        return len(next(iter(self.columns.values())))
+        return self.values.shape[1]
 
     @property
     def times(self) -> np.ndarray:
@@ -378,29 +382,24 @@ def region_field(mlat, mlt, activity, params: WorldParams) -> np.ndarray:
 def gen_drivers(params: WorldParams, duration_s: float) -> DriverSeries:
     """Seeded OU sample paths for every driver variable.
 
-    Each column starts at its mean and follows
-    x' = x + (mean - x) * dt/tau + volatility * sqrt(dt) * xi.
+    Each variable starts at its mean and follows
+    x' = x + (mean - x) * dt/tau + volatility * sqrt(dt) * xi,
+    with its own noise stream; one step advances every variable at once.
     Length is floor(duration / cadence) + 1.
     """
     if duration_s < params.cadence_s:
         raise ValueError("duration shorter than one cadence step")
     n = int(math.floor(duration_s / params.cadence_s)) + 1
     dt = params.cadence_s
-    root = np.random.SeedSequence([params.seed, 0])
-    children = root.spawn(len(DRIVER_NAMES))
-    columns: dict[str, np.ndarray] = {}
-    for name, child in zip(DRIVER_NAMES, children):
-        proc = params.processes[name]
-        rng = np.random.default_rng(child)
-        noise = rng.standard_normal(n - 1)
-        x = np.empty(n)
-        x[0] = proc.mean
-        k = dt / proc.tau_s
-        amp = proc.volatility * math.sqrt(dt)
-        for i in range(1, n):
-            x[i] = x[i - 1] + (proc.mean - x[i - 1]) * k + amp * noise[i - 1]
-        columns[name] = x
-    return DriverSeries(t0=params.t0, cadence=params.cadence_s, columns=columns)
+    mean, tau, volatility = np.array([astuple(params.processes[name]) for name in DRIVER_NAMES]).T
+    k = dt / tau
+    children = np.random.SeedSequence([params.seed, 0]).spawn(len(DRIVER_NAMES))
+    noise = np.array([np.random.default_rng(c).standard_normal(n - 1) for c in children])
+    kicks = (volatility[:, None] * math.sqrt(dt) * noise).T.copy()  # a step's row is contiguous
+    x = np.full((n, len(DRIVER_NAMES)), mean)
+    for i in range(1, n):
+        x[i] = x[i - 1] + (mean - x[i - 1]) * k + kicks[i - 1]
+    return DriverSeries(t0=params.t0, cadence=params.cadence_s, values=x.T.copy())
 
 
 def _orbit_track(times: np.ndarray, sat_index: int, params: WorldParams):
@@ -428,18 +427,13 @@ def sample_traces(
     seeded stream per satellite. Every satellite is drawn at once, as
     ``[n_sats, n_obs]`` arrays; rows are ordered by time, then satellite.
     """
-    if drivers.n < 1:
-        raise ValueError("empty driver series")
     cad = params.obs_cadence_s if obs_cadence_s is None else float(obs_cadence_s)
     if cad <= 0:
         raise ValueError("obs cadence must be positive")
-    duration = drivers.t_end - drivers.t0
-    n_obs = int(math.floor(duration / cad)) + 1
-    if n_obs < 1:
-        raise ValueError("no observation times within driver coverage")
+    n_obs = int(math.floor((drivers.t_end - drivers.t0) / cad)) + 1
     times = drivers.t0 + cad * np.arange(n_obs)
 
-    cf = drivers.columns["NewellCF"][drivers.index_at(times)]
+    cf = drivers.column("NewellCF")[drivers.index_at(times)]
     a = activity_level(cf, params)
 
     sats = np.arange(params.n_sats)

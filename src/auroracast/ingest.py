@@ -16,14 +16,17 @@ converted by numpy from the bytes of its fields, a row chunk at a time;
 Python ``float`` reads only the few fields numpy rejects, so every value
 is the one ``float`` gives. Every number must be finite, and faults are
 found with masks; an error names the first offending ``path:line`` and,
-for a bad number, its column. The drivers become a ``DriverSeries``,
-with single missing rows filled by midpoints; the observations become a
-columnar ``ObsTable``.
+for a bad number, its column. The drivers become a ``DriverSeries``, the
+parsed block as it is, with single missing rows filled by midpoints; the
+observations become a columnar ``ObsTable``.
 
 Feature rows are a spatial block (sin MLT, cos MLT, scaled MLAT) followed
 per driver variable by instantaneous lags at 0/-5/-10/-15 min (nearest
 cadence sample) and trailing means over windows ending at the observation
 time; ``has_history`` is the one rule of which times have that history.
+``history_feature_rows`` takes every lag and window of the schema's
+variables in one pass per row chunk of times: one gather, and one
+``np.add.reduceat`` along the rows of the zero-padded driver matrix.
 Rows are stored unnormalized: training fits a ``Normalization`` on its
 training rows and records it in the checkpoint, and ``models.predict``
 applies the recorded one.
@@ -85,7 +88,8 @@ class CleaningReport:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature layout: spatial block, then 10 history features per variable."""
+    """Ordered feature layout: spatial block, then 10 history features per
+    variable; the variables are some of ``DRIVER_NAMES``."""
 
     variables: tuple[str, ...] = DRIVER_NAMES
     lag_minutes: tuple[float, ...] = DEFAULT_LAG_MINUTES
@@ -96,6 +100,9 @@ class FeatureSchema:
             raise ValueError("duplicate variable names")
         if not self.variables:
             raise ValueError("empty variable set")
+        for var in self.variables:
+            if var not in DRIVER_NAMES:
+                raise ValueError(f"unknown driver variable {var!r}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -478,6 +485,7 @@ def read_drivers_csv(path) -> DriverSeries:
 
     The cadence is the smallest time step in the file; steps of twice the
     cadence are treated as one missing row, anything larger is an error.
+    A fill whose neighbours' sum overflows halves each before adding.
     Columns other than ``t`` and the drivers are not read.
     """
     records = _Records(path)
@@ -506,10 +514,13 @@ def read_drivers_csv(path) -> DriverSeries:
             i = int(np.argmax(bad))
             raise DataError(f"{path}: gap of {dt[i]:g}s exceeds one missing row at t={t[i]:g}")
         at = np.flatnonzero(gap) + 1
-        data = np.insert(data, at, 0.5 * (data[:, at - 1] + data[:, at]), axis=1)
+        with np.errstate(over="ignore"):  # a sum beyond the float64 range halves each side first
+            mid = 0.5 * (data[:, at - 1] + data[:, at])
+        mid = np.where(np.isfinite(mid), mid, 0.5 * data[:, at - 1] + 0.5 * data[:, at])
+        data = np.insert(data, at, mid, axis=1)
     elif np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
         raise DataError(f"{path}: irregular cadence")
-    return DriverSeries(t0=float(t[0]), cadence=cadence, columns=dict(zip(DRIVER_NAMES, data)))
+    return DriverSeries(t0=float(t[0]), cadence=cadence, values=data)
 
 
 _OBS_COLUMNS = ("t", "sat_id", "mlat", "mlt", "eflux")
@@ -648,36 +659,27 @@ def history_feature_rows(drivers: DriverSeries, times: np.ndarray, schema: Featu
     take the nearest cadence sample (``DriverSeries.index_at``); averages
     are the mean over driver samples in the half-open window (t - tau, t].
     Every row depends only on its own time, so the result does not depend
-    on duplicates or order.
+    on duplicates or order. The zero pad lets a window end at the last sample.
     """
     tt = np.asarray(times, dtype=np.float64)
     if not has_history(drivers, tt, schema).all():
         raise ValueError("history_feature_rows: a time lacks the full driver history")
+    n_var, n_lag, n_avg = len(schema.variables), len(schema.lag_minutes), len(schema.avg_minutes)
+    padded = np.pad(drivers.values[[DRIVER_NAMES.index(v) for v in schema.variables]], ((0, 0), (0, 1)))
+    # seconds back from each time: its lags, its windows' lengths, then 0 for the time itself
+    back_s = 60.0 * np.array(schema.lag_minutes + schema.avg_minutes + (0.0,))
     cad, last = drivers.cadence, drivers.n - 1
-    lag_idx = [drivers.index_at(tt - 60.0 * lag_min) for lag_min in schema.lag_minutes]
-    i_now = np.floor((tt - drivers.t0) / cad + 1e-9).astype(np.int64)
-    windows = []  # per trailing mean: reduceat bounds of each window, and its sample count
-    for avg_min in schema.avg_minutes:
-        i_start = np.floor((tt - 60.0 * avg_min - drivers.t0) / cad + 1e-9).astype(np.int64) + 1
-        i_start = np.clip(i_start, 0, last)
-        bounds = np.empty(2 * tt.size, dtype=np.int64)
-        bounds[0::2] = i_start
-        bounds[1::2] = np.clip(i_now, i_start, last) + 1
-        windows.append((bounds, bounds[1::2] - i_start))
-
-    n_feat = len(schema.lag_minutes) + len(schema.avg_minutes)
-    rows = np.empty((tt.size, len(schema.variables) * n_feat))
-    col = 0
-    for var in schema.variables:
-        series = drivers.columns[var]
-        padded = np.concatenate([series, [0.0]])
-        for idx in lag_idx:
-            rows[:, col] = series[idx]
-            col += 1
-        for bounds, count in windows:
-            rows[:, col] = np.add.reduceat(padded, bounds)[0::2] / count
-            col += 1
-    return rows
+    rows = np.empty((tt.size, n_var, n_lag + n_avg))
+    # a time's float64 temporaries: lags, reduceat's 2 sums per window, the means
+    for sl in row_chunks(tt.size, 8 * (n_var + 2) * (n_lag + 3 * n_avg)):
+        t = tt[sl, None]
+        rows[sl, :, :n_lag] = padded[:, drivers.index_at(t - back_s[:n_lag])].transpose(1, 0, 2)
+        last_before = np.floor((t - back_s[n_lag:] - drivers.t0) / cad + 1e-9).astype(np.int64)
+        start = np.clip(last_before[:, :-1] + 1, 0, last)
+        bounds = np.stack([start, np.clip(last_before[:, -1:], start, last) + 1], axis=-1)
+        sums = np.add.reduceat(padded, bounds.ravel(), axis=1)[:, 0::2].reshape(n_var, len(t), n_avg)
+        rows[sl, :, n_lag:] = sums.transpose(1, 0, 2) / (bounds[..., 1] - bounds[..., 0])[:, None, :]
+    return rows.reshape(tt.size, n_var * (n_lag + n_avg))
 
 
 def spatial_block(mlat: np.ndarray, mlt: np.ndarray) -> np.ndarray:
@@ -801,9 +803,6 @@ def build_features(
         schema = FeatureSchema()
     if not len(obs):
         raise DataError("build_features: no observations")
-    for var in schema.variables:
-        if var not in drivers.columns:
-            raise DataError(f"driver series lacks variable {var}")
 
     ok = has_history(drivers, obs.t, schema)
     n_dropped = int((~ok).sum())

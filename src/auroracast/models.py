@@ -87,6 +87,7 @@ class ConvDecoderArch:
     The reshape side is n_mlt / (stride1 * stride2); the final valid
     convolution needs kernel = 2 * overlap + 1 so the padded width comes
     back to exactly n_mlt (and likewise for the zero-padded latitude axis).
+    The periodic pad wraps ``overlap`` columns, so it must be below n_mlt.
     """
 
     input_width: int
@@ -111,6 +112,8 @@ class ConvDecoderArch:
             raise ValueError("kernel must be at least as large as its stride")
         if self.final_kernel != 2 * self.overlap + 1:
             raise ValueError("final kernel must equal 2*overlap + 1 to restore grid size")
+        if self.overlap >= self.n_mlt:
+            raise ValueError(f"overlap {self.overlap} must be smaller than the grid size {self.n_mlt}")
 
     @property
     def side(self) -> int:

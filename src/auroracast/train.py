@@ -308,7 +308,10 @@ def _point_setup(
     norm = Normalization.fit(train_table.rows)
     model.meta["normalization"] = norm.to_meta()
     y_train = train_table.target
-    dist_w = L.dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
+    try:
+        dist_w = L.dist_weights(y_train, spec.dist_bins) if spec.variant == "dist" else None
+    except ValueError as exc:
+        raise DataError(f"loss = dist needs two distinct training targets: {exc}") from None
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         x, y = norm.apply(train_table.rows[idx]), y_train[idx]

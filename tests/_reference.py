@@ -21,12 +21,14 @@ step's targets and loss as they were before the loss read observed-cell
 positions: dense value and mask grids, gathered through the mask.
 ``history_rows_and_mask`` is ``ingest.history_feature_rows`` as it was
 before it refused times without history: a zero row for each such time,
-and the ``has_history`` mask. ``add``, ``scale`` and ``sum_all`` are
+and the ``has_history`` mask; ``history_rows_per_variable`` is it as it
+was before it took every variable and window in one pass. ``add``, ``scale`` and ``sum_all`` are
 autodiff ops that only the tests' graphs use. ``dist_weights_fit_then_bin``
 is ``losses.dist_weights`` as a fitted per-bin table that bins the targets
 again through its edges, and ``sample_traces_per_satellite`` is
 ``geomodel.sample_traces`` drawing one satellite at a time, then sorting
-the rows by time and satellite.
+the rows by time and satellite; ``gen_drivers_per_variable`` is
+``geomodel.gen_drivers`` stepping one variable at a time.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def driver_row_at(drivers, t: float) -> dict[str, float]:
     """Every driver's value at the sample nearest time ``t``: the row that
     ``true_flux`` and ``true_region`` take."""
     i = int(drivers.index_at(t))
-    return {name: float(col[i]) for name, col in drivers.columns.items()}
+    return {name: float(col[i]) for name, col in zip(DRIVER_NAMES, drivers.values)}
 
 
 def true_flux(mlat: float, mlt: float, drivers_at_t, params) -> float:
@@ -140,7 +142,7 @@ def _check_header(path, header):
 def read_drivers_rows(path) -> DriverSeries:
     """``csv.reader`` plus ``float`` per field, one row at a time, then a
     per-row gap fill: single missing rows get the midpoint of their
-    neighbours. The cadence is the smallest time step in the file; a
+    neighbours, halved before it is summed where the sum overflows. The cadence is the smallest time step in the file; a
     larger gap, or a step that is no whole number of cadences, is an error.
     """
     with open(path, newline="") as fh:
@@ -193,7 +195,9 @@ def read_drivers_rows(path) -> DriverSeries:
             elif abs(ratio - 2.0) < 1e-6:
                 filled_t.append(t[i - 1] + cadence)
                 for name in DRIVER_NAMES:
-                    filled[name].append(0.5 * (cols[name][i - 1] + cols[name][i]))
+                    before, after = float(cols[name][i - 1]), float(cols[name][i])
+                    mid = 0.5 * (before + after)
+                    filled[name].append(mid if math.isfinite(mid) else 0.5 * before + 0.5 * after)
             else:
                 raise DataError(
                     f"{path}: gap of {step:g}s exceeds one missing row at t={t[i - 1]:g}"
@@ -208,13 +212,14 @@ def read_drivers_rows(path) -> DriverSeries:
         if np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
             raise DataError(f"{path}: irregular cadence")
 
-    return DriverSeries(t0=float(t[0]), cadence=cadence, columns=cols)
+    return DriverSeries(t0=float(t[0]), cadence=cadence, values=[cols[name] for name in DRIVER_NAMES])
 
 
 def read_observations_rows(path) -> tuple[list[tuple], int]:
     """``csv.reader`` plus ``float`` per field, one row at a time; returns
     (``(t, sat_id, mlat, mlt, eflux, region)`` tuples, count of dropped
-    non-positive eflux). sat_id must be a whole, non-negative number."""
+    non-positive eflux). sat_id must be a whole, non-negative number that
+    fits an int64."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -245,6 +250,8 @@ def read_observations_rows(path) -> tuple[list[tuple], int]:
                 eflux = float(row[idx["eflux"]])
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not abs(sat_value) < 2.0**63:
+                raise DataError(f"{path}:{lineno}: sat_id {sat} is outside the int64 range")
             if sat != sat_value or sat < 0:
                 raise DataError(f"{path}:{lineno}: sat_id must be a non-negative integer, got {sat_value}")
             if not MLAT_MIN <= mlat <= MLAT_MAX:
@@ -307,6 +314,31 @@ def history_rows_and_mask(drivers, times, schema):
     rows = np.zeros((times.size, len(schema.global_names)))
     rows[ok] = history_feature_rows(drivers, times[ok], schema)
     return rows, ok
+
+
+def history_rows_per_variable(drivers, times, schema):
+    """``history_feature_rows`` one variable and one lag or window at a
+    time: each trailing mean is a 1-D ``np.add.reduceat`` over the
+    variable's series with a zero appended."""
+    tt = np.asarray(times, dtype=np.float64)
+    cad, last = drivers.cadence, drivers.n - 1
+    lag_idx = [drivers.index_at(tt - 60.0 * lag_min) for lag_min in schema.lag_minutes]
+    i_now = np.floor((tt - drivers.t0) / cad + 1e-9).astype(np.int64)
+    windows = []
+    for avg_min in schema.avg_minutes:
+        i_start = np.floor((tt - 60.0 * avg_min - drivers.t0) / cad + 1e-9).astype(np.int64) + 1
+        i_start = np.clip(i_start, 0, last)
+        bounds = np.empty(2 * tt.size, dtype=np.int64)
+        bounds[0::2] = i_start
+        bounds[1::2] = np.clip(i_now, i_start, last) + 1
+        windows.append((bounds, bounds[1::2] - i_start))
+    cols = []
+    for var in schema.variables:
+        series = drivers.column(var)
+        padded = np.concatenate([series, [0.0]])
+        cols.extend(series[idx] for idx in lag_idx)
+        cols.extend(np.add.reduceat(padded, bounds)[0::2] / count for bounds, count in windows)
+    return np.column_stack(cols)
 
 
 def history_rows_one_by_one(drivers, times, schema):
@@ -451,7 +483,7 @@ def write_drivers_rows(drivers, path):
     with open(path, "w", newline="") as fh:
         fh.write("t," + ",".join(DRIVER_NAMES) + "\n")
         times = drivers.times
-        cols = [drivers.columns[name] for name in DRIVER_NAMES]
+        cols = drivers.values
         for i in range(drivers.n):
             fh.write(_fmt_time(times[i]) + "," + ",".join(repr(float(c[i])) for c in cols) + "\n")
 
@@ -683,13 +715,31 @@ def dist_weights_fit_then_bin(y_train, n_bins: int = 50) -> np.ndarray:
     return weights[uniform_bin_index(y, float(edges[0]), float(edges[-1]), n_bins)]
 
 
+def gen_drivers_per_variable(params, duration_s: float) -> DriverSeries:
+    """``geomodel.gen_drivers`` one variable at a time: each variable's OU
+    path is stepped in a loop of its own, one element at a time."""
+    n = int(math.floor(duration_s / params.cadence_s)) + 1
+    dt = params.cadence_s
+    children = np.random.SeedSequence([params.seed, 0]).spawn(len(DRIVER_NAMES))
+    values = np.empty((len(DRIVER_NAMES), n))
+    for x, name, child in zip(values, DRIVER_NAMES, children):
+        proc = params.processes[name]
+        noise = np.random.default_rng(child).standard_normal(n - 1)
+        x[0] = proc.mean
+        k = dt / proc.tau_s
+        amp = proc.volatility * math.sqrt(dt)
+        for i in range(1, n):
+            x[i] = x[i - 1] + (proc.mean - x[i - 1]) * k + amp * noise[i - 1]
+    return DriverSeries(t0=params.t0, cadence=params.cadence_s, values=values)
+
+
 def sample_traces_per_satellite(params, drivers, obs_cadence_s=None) -> ObsTable:
     """Each satellite's track, flux, noise and regions drawn on its own,
     concatenated, then ordered by time and satellite with ``np.lexsort``."""
     cad = params.obs_cadence_s if obs_cadence_s is None else float(obs_cadence_s)
     n_obs = int(math.floor((drivers.t_end - drivers.t0) / cad)) + 1
     times = drivers.t0 + cad * np.arange(n_obs)
-    a = activity_level(drivers.columns["NewellCF"][drivers.index_at(times)], params)
+    a = activity_level(drivers.column("NewellCF")[drivers.index_at(times)], params)
     children = np.random.SeedSequence([params.seed, 1]).spawn(params.n_sats)
     cols = {key: [] for key in ("t", "sat_id", "mlat", "mlt", "logf", "region")}
     for s in range(params.n_sats):

@@ -317,6 +317,28 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "eflux,cause",
+        [((1e9, 1e9, 1e9), "degenerate target range (min == max)"),
+         ((1e9, 2e9), "need at least two training targets")],
+        ids=["one_value", "one_row"],
+    )
+    def test_dist_without_a_target_range_leaves_no_out_dir(self, tmp_path, capsys, synth_dir, eflux, cause):
+        """The holdout takes the last row, so the training targets are one
+        value repeated, or a single row."""
+        obs = tmp_path / "obs.csv"
+        obs.write_text("t,sat_id,mlat,mlt,eflux\n" + "".join(
+            f"{30000 + 600 * i},0,60,6,{e!r}\n" for i, e in enumerate(eflux)))
+        cfg = tmp_path / "dist.cfg"
+        cfg.write_text("loss = dist\nfeatures.threshold = 1e12\narch.hidden = 8\ntrain.max_epochs = 1\n")
+        table = tmp_path / "t.aft"
+        drivers = synth_dir / "drivers.csv"
+        assert run("features", "--drivers", drivers, "--obs", obs, "--config", cfg, "--out", table) == 0
+        out = tmp_path / "run"
+        assert run("train", "--features", table, "--config", cfg, "--out-dir", out) == 3
+        assert f"data error: loss = dist needs two distinct training targets: {cause}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_end", ["400000", "500000"], ids=["before", "equal"])
     @pytest.mark.parametrize("source", ["--features", "--sparse"])
     def test_empty_holdout_window_is_config_error(
@@ -755,6 +777,15 @@ class TestConfigValues:
         assert "bad value for arch.hidden: ','" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("overlap", [32, 40])
+    def test_overlap_of_the_grid_width_exits_2(self, tmp_path, capsys, synth_dir, overlap):
+        """The periodic MLT pad wraps ``overlap`` columns of the grid."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"arch = conv\narch.grid = 32\narch.overlap = {overlap}\nloss = sparse_masked\n")
+        assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert f"config error: overlap {overlap} must be smaller than the grid size 32" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, features_file, command):
         out = tmp_path / "out"
@@ -870,6 +901,24 @@ class TestEvalWidths:
         for argv in commands:
             assert run(*argv) == 3
             assert "normalizes 132 features, the model takes 133" in capsys.readouterr().err
+            assert not out.exists() and not (tmp_path / "x.csv").exists()
+
+    def test_unknown_schema_variable_is_data_error(self, tmp_path, capsys, trained, features_file, synth_dir):
+        """A checkpoint whose feature layout names a variable the drivers lack."""
+        model = load_checkpoint(trained)
+        model.meta["schema"]["variables"][4] = "Kp"
+        bad = tmp_path / "kp.aur"
+        save_checkpoint(model, bad)
+        out = tmp_path / "x"
+        commands = (
+            ("eval", "--checkpoint", bad, "--features", features_file, "--out-dir", out),
+            ("map", "--checkpoint", bad, "--drivers", synth_dir / "drivers.csv", "--at", 43200, "--out", out),
+        )
+        for argv in commands:
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert "data error: checkpoint metadata holds no valid feature schema (ValueError(" in err
+            assert "unknown driver variable 'Kp'" in err
             assert not out.exists() and not (tmp_path / "x.csv").exists()
 
     def test_conv_baseline_is_config_error(self, tmp_path, capsys, trained, features_file, synth_dir):

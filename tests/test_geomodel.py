@@ -23,7 +23,14 @@ from auroracast.geomodel import (
     sample_traces,
 )
 
-from _reference import cell_of, driver_row_at, sample_traces_per_satellite, true_flux, true_region
+from _reference import (
+    cell_of,
+    driver_row_at,
+    gen_drivers_per_variable,
+    sample_traces_per_satellite,
+    true_flux,
+    true_region,
+)
 
 
 GRID = GridSpec()
@@ -92,7 +99,7 @@ class TestDrivers:
         a = gen_drivers(p, 7200)
         b = gen_drivers(p, 7200)
         for name in DRIVER_NAMES:
-            assert np.array_equal(a.columns[name], b.columns[name])
+            assert np.array_equal(a.column(name), b.column(name))
 
     def test_zero_volatility_constant(self):
         procs = {
@@ -102,7 +109,7 @@ class TestDrivers:
         p = WorldParams(seed=1, processes=procs)
         d = gen_drivers(p, 3600)
         for name in DRIVER_NAMES:
-            assert np.all(d.columns[name] == procs[name].mean)
+            assert np.all(d.column(name) == procs[name].mean)
 
     def test_length(self):
         d = gen_drivers(WorldParams(seed=0), 3600)
@@ -112,12 +119,33 @@ class TestDrivers:
         with pytest.raises(ValueError):
             gen_drivers(WorldParams(seed=0), 100)
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize(
+        "cadence,duration", [(300.0, 300.0), (300.0, 86400.0), (60.0, 7259.5), (1.5, 1000.0)]
+    )
+    def test_bitwise_equal_to_one_variable_at_a_time(self, seed, cadence, duration):
+        """Stepping every variable at once gives each variable's own path."""
+        p = WorldParams(seed=seed, cadence_s=cadence, t0=-600.0)
+        got, ref = gen_drivers(p, duration), gen_drivers_per_variable(p, duration)
+        assert (got.t0, got.cadence, got.n) == (ref.t0, ref.cadence, ref.n)
+        assert got.values.dtype == ref.values.dtype and got.values.tobytes() == ref.values.tobytes()
+
+    def test_column_is_a_row_view(self):
+        d = gen_drivers(WorldParams(seed=0), 3600)
+        for i, name in enumerate(DRIVER_NAMES):
+            assert d.column(name).base is d.values and np.array_equal(d.column(name), d.values[i])
+
+    @pytest.mark.parametrize("shape", [(12, 4), (13,), (13, 0)])
+    def test_values_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            DriverSeries(t0=0.0, cadence=300.0, values=np.ones(shape))
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_nonfinite_value_rejected(self, value):
-        cols = {name: np.ones(4) for name in DRIVER_NAMES}
-        cols["Bz"][2] = value
+        values = np.ones((len(DRIVER_NAMES), 4))
+        values[DRIVER_NAMES.index("Bz"), 2] = value
         with pytest.raises(ValueError, match="non-finite value in driver column Bz"):
-            DriverSeries(t0=0.0, cadence=300.0, columns=cols)
+            DriverSeries(t0=0.0, cadence=300.0, values=values)
 
 
 class TestFluxField:

@@ -23,6 +23,8 @@ from auroracast.geomodel import (
     sample_traces,
 )
 from auroracast.ingest import (
+    DEFAULT_AVG_MINUTES,
+    DEFAULT_LAG_MINUTES,
     FeatureSchema,
     FeatureTable,
     Holdout,
@@ -49,6 +51,7 @@ from _reference import (
     feature_rows_hstack,
     fit_normalization_whole,
     history_rows_one_by_one,
+    history_rows_per_variable,
     obs_table,
     read_drivers_rows,
     read_observations_rows,
@@ -68,8 +71,7 @@ def _drivers_csv(path, times, value_fn=lambda name, t: 1.0):
 
 
 def _constant_series(n=200, cadence=300.0, value=2.0):
-    cols = {name: np.full(n, value) for name in DRIVER_NAMES}
-    return DriverSeries(t0=0.0, cadence=cadence, columns=cols)
+    return DriverSeries(t0=0.0, cadence=cadence, values=np.full((len(DRIVER_NAMES), n), value))
 
 
 def _obs(t, mlat=60.0, mlt=6.0, eflux=1e10, sat=0, region=None):
@@ -88,7 +90,7 @@ class TestReadDrivers:
         path = _drivers_csv(tmp_path / "d.csv", times, lambda n, t: float(t))
         d = read_drivers_csv(path)
         assert d.n == 5
-        assert d.columns["AE"][2] == pytest.approx((300.0 + 900.0) / 2)
+        assert d.column("AE")[2] == pytest.approx((300.0 + 900.0) / 2)
 
     def test_duplicate_time_is_error(self, tmp_path):
         path = _drivers_csv(tmp_path / "d.csv", [0, 300, 300, 600])
@@ -141,6 +143,8 @@ class TestReadDriversOracle:
         ],
         "reordered_columns": ["t," + ",".join(reversed(DRIVER_NAMES))]
         + [_driver_line(t, 3.0 + t) for t in (0, 600, 900)],
+        "gap_between_huge_values": [DRIVERS_HEADER]
+        + [f"{t}," + ",".join(["1.7e308", "-1.7e308", "1e308", "-5e307"] + ["1"] * 9) for t in (0, 600, 900)],
     }
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -149,10 +153,10 @@ class TestReadDriversOracle:
         path = _write_lines(tmp_path / "d.csv", self.VALID[case], end)
         got, ref = read_drivers_csv(path), read_drivers_rows(path)
         assert (got.t0, got.cadence, got.n) == (ref.t0, ref.cadence, ref.n)
-        assert list(got.columns) == list(ref.columns) == list(DRIVER_NAMES)
+        assert got.values.shape == ref.values.shape == (len(DRIVER_NAMES), ref.n)
         for name in DRIVER_NAMES:
-            assert np.array_equal(got.columns[name], ref.columns[name]), name
-            assert got.columns[name].flags.c_contiguous
+            assert np.array_equal(got.column(name), ref.column(name)), name
+            assert got.column(name).flags.c_contiguous
 
     FAULTS = {
         "gap_too_large": (_drivers_lines(0, 300, 600, 1500, 1800), "gap of 900s"),
@@ -424,9 +428,9 @@ def _edge_world():
     integral and fractional times."""
     rng = np.random.default_rng(40)
     n = _rows_past_one_chunk(1 + len(DRIVER_NAMES))
-    columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n) for name in DRIVER_NAMES}
-    columns["AE"][:6] = [-0.0, 5e-324, 1e16, -1e16, 1e15, 123456789.0]
-    drivers = DriverSeries(t0=0.5, cadence=0.5, columns=columns)
+    values = np.array([rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n) for _ in DRIVER_NAMES])
+    drivers = DriverSeries(t0=0.5, cadence=0.5, values=values)
+    drivers.column("AE")[:6] = [-0.0, 5e-324, 1e16, -1e16, 1e15, 123456789.0]
     m = _rows_past_one_chunk(6)
     t = 0.5 * np.arange(m)
     t[:6] = [-0.0, 1e16, 1e15, 999999999999999.0, -2.5, 5e-324]
@@ -469,7 +473,7 @@ class TestWriteCsv:
         back = read_drivers_csv(out / "drivers.csv")
         assert (back.t0, back.cadence, back.n) == (0.5, 0.5, drivers.n)
         for name in DRIVER_NAMES:
-            assert np.array_equal(back.columns[name].view(np.int64), drivers.columns[name].view(np.int64))
+            assert np.array_equal(back.column(name).view(np.int64), drivers.column(name).view(np.int64))
         table, dropped = read_observations_csv(out / "observations.csv")
         assert dropped == 0
         assert np.array_equal(table.t, obs.t)  # the time rule writes -0.0 as 0
@@ -520,6 +524,17 @@ class TestWriteCsv:
         peak, _ = peak_bytes(write_csv, path, tuple("abcdef"), columns)
         size = path.stat().st_size
         assert peak < size / 4, f"peak {peak / size:.2f}x the file"
+
+
+class TestFeatureSchema:
+    @pytest.mark.parametrize(
+        "variables,message",
+        [(("AE", "Kp"), "unknown driver variable 'Kp'"), (("AE", "AE"), "duplicate variable names"),
+         ((), "empty variable set")],
+    )
+    def test_bad_variables_rejected(self, variables, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureSchema(variables=variables)
 
 
 class TestFeatureTable:
@@ -610,8 +625,7 @@ class TestBuildFeatures:
 
     def test_linear_ramp_trailing_mean(self):
         n = 200
-        cols = {name: np.arange(n) * 300.0 for name in DRIVER_NAMES}
-        d = DriverSeries(t0=0.0, cadence=300.0, columns=cols)
+        d = DriverSeries(t0=0.0, cadence=300.0, values=np.tile(np.arange(n) * 300.0, (len(DRIVER_NAMES), 1)))
         t = 30000.0
         table = build_features(d, obs_table([_obs(t)]))
         idx = list(table.schema.names).index("AE_avg30m")
@@ -663,7 +677,7 @@ class TestBuildFeatures:
         dt = d.times
         for r, t in enumerate(times):
             for var in ("AE", "Bz", "NewellCF"):
-                col = d.columns[var]
+                col = d.column(var)
                 for m in schema.avg_minutes:
                     tau = 60.0 * m
                     sel = (dt > t - tau) & (dt <= t)
@@ -689,6 +703,28 @@ class TestBuildFeatures:
         assert not ok.all() and ok.any()
         assert np.array_equal(ok, ref_ok)
         assert np.array_equal(rows, ref_rows[ok])
+
+    @pytest.mark.parametrize(
+        "variables,lags,avgs",
+        [(DRIVER_NAMES, DEFAULT_LAG_MINUTES, DEFAULT_AVG_MINUTES),
+         (("NewellCF", "AE", "Bz"), (7.5, 0.0), (5.0, 600.0, 2.5)),
+         (("PC",), (0.0,), (360.0,))],
+        ids=["default", "reordered", "one"],
+    )
+    def test_rows_equal_one_variable_at_a_time(self, variables, lags, avgs):
+        """One pass over every variable and window gives the bits of one
+        1-D reduceat per variable and window: times on and off the cadence
+        grid, up to the series' last sample, sorted, shuffled and repeated,
+        over many row chunks."""
+        d = gen_drivers(WorldParams(seed=8), 86400)
+        schema = FeatureSchema(variables, lags, avgs)
+        rng = np.random.default_rng(3)
+        on_grid = d.times[has_history(d, d.times, schema)]
+        off_grid = rng.uniform(on_grid[0], on_grid[-1], 1500)
+        for times in (on_grid, off_grid, rng.permutation(np.concatenate([on_grid, off_grid[:200], on_grid]))):
+            rows = history_feature_rows(d, times, schema)
+            assert rows.shape == (len(times), len(schema.global_names))
+            assert rows.tobytes() == history_rows_per_variable(d, times, schema).tobytes()
 
     def test_time_without_history_is_error(self):
         d = _constant_series()
@@ -933,6 +969,15 @@ class TestCache:
             assert re.search(expected, capsys.readouterr().err)
             assert not (tmp_path / "out").exists()
 
+    def test_unknown_variable_asks_for_rebuild(self, tmp_path):
+        path = tmp_path / "t.aft"
+        write_table_cache(self._table(), path)
+        meta, arrays = container.read(path, "feature cache", "auroracast features")
+        meta["schema"]["variables"][4] = "Kp"
+        container.write(path, "feature cache", meta, {name: (a, a.dtype.str) for name, a in arrays.items()})
+        with pytest.raises(DataError, match="unknown driver variable 'Kp'.*re-run `auroracast features`"):
+            read_table_cache(path)
+
     def test_read_rows_are_a_float32_view(self, tmp_path):
         table = self._table()
         path = tmp_path / "t.aft"
@@ -1052,7 +1097,7 @@ def _bits_equal(a, b) -> bool:
 def _same_drivers(got, ref):
     assert (got.t0, got.cadence, got.n) == (ref.t0, ref.cadence, ref.n)
     for name in DRIVER_NAMES:
-        assert _bits_equal(got.columns[name], ref.columns[name]), name
+        assert _bits_equal(got.column(name), ref.column(name)), name
 
 
 def _same_observations(path):
@@ -1091,7 +1136,7 @@ class TestReaderParity:
         path = _write_lines(tmp_path / "d.csv", lines)
         got = read_drivers_csv(path)
         _same_drivers(got, read_drivers_rows(path))
-        assert got.columns["AE"][1] == 10.0 and got.columns["AU"][3] == 3.0
+        assert got.column("AE")[1] == 10.0 and got.column("AU")[3] == 3.0
         assert got.n == len(lines) - 1
 
     def test_observations_tokens_float_alone_reads(self, tmp_path):
@@ -1132,7 +1177,7 @@ class TestReaderParity:
         path.write_text(path.read_text().replace(",1.0,", ",-0,").replace(",2.0,", ",-0.0,"))
         got = read_drivers_csv(path)
         _same_drivers(got, read_drivers_rows(path))
-        assert np.signbit(got.columns["AE"]).all() and np.signbit(got.columns["AL"]).all()
+        assert np.signbit(got.column("AE")).all() and np.signbit(got.column("AL")).all()
         path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, "-0,-0,65,22,1e9,AUR"])
         assert np.signbit(_same_observations(path).t).all()
 
@@ -1141,7 +1186,7 @@ class TestReaderParity:
         path.write_text(path.read_text().replace(",1.0,", ",1e-400,").replace(",2.0,", ",-1e-400,"))
         got = read_drivers_csv(path)
         _same_drivers(got, read_drivers_rows(path))
-        assert got.columns["AE"].tolist() == [0.0, 0.0] and np.signbit(got.columns["AL"]).all()
+        assert got.column("AE").tolist() == [0.0, 0.0] and np.signbit(got.column("AL")).all()
         path = _write_lines(tmp_path / "o.csv", [OBS_HEADER, GOOD_ROW, "60,1,65,1e-400,1e-400,AUR"])
         assert len(_same_observations(path)) == 1  # eflux 0 is dropped
 
@@ -1226,7 +1271,7 @@ class TestAtomicWrite:
 
     def test_float32_overflow_leaves_the_old_cache(self, tmp_path):
         d, obs = _world(26)
-        d.columns["AE"][200] = 1e39
+        d.column("AE")[200] = 1e39
         path = self._old_file(tmp_path)
         with pytest.raises(DataError, match="AE_lag0m is 1e\\+39"):
             write_table_cache(build_features(d, obs), path)
@@ -1248,8 +1293,8 @@ class TestStreamedFeatures:
 
     def test_unsorted_overflow_names_the_earliest_time(self):
         d, obs = _world(28, days=2)
-        d.columns["By"][300] = 1e39  # earlier, but later in the schema than AE
-        d.columns["AE"][400] = -2e39
+        d.column("By")[300] = 1e39  # earlier, but later in the schema than AE
+        d.column("AE")[400] = -2e39
         obs = obs[np.random.default_rng(1).permutation(len(obs))]
         obs = obs[np.argsort(-obs.t, kind="stable")]  # latest times in the first block
         schema = FeatureSchema()
