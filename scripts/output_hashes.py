@@ -9,7 +9,8 @@ sources in this checkout's ``src/``:
   train     baseline with mse, tail and dist, and multitask, 3 epochs
             each with ``--seed 1``; the conv decoder with ``--sparse`` on
             a 32x32 grid for 2 epochs
-  eval      tail against mse, multitask against dist
+  eval      tail against mse, multitask against dist, and dist with no
+            baseline
   map       the mse model and the conv model at t = 100000
 
 Prints ``sha256  relpath`` for every file under OUT_DIR, in path order.
@@ -71,9 +72,10 @@ def run_chain(out: str):
         "--out-dir", conv_dir, "--seed", "1")
     ckpt["conv"] = os.path.join(conv_dir, "checkpoint.aur")
 
-    for cand, base in (("tail", "mse"), ("multitask", "dist")):
-        cli("eval", "--checkpoint", ckpt[cand], "--features", table,
-            "--baseline-checkpoint", ckpt[base], "--out-dir", os.path.join(out, "eval", cand))
+    for cand, base in (("tail", "mse"), ("multitask", "dist"), ("dist", None)):
+        baseline = ["--baseline-checkpoint", ckpt[base]] if base else []
+        cli("eval", "--checkpoint", ckpt[cand], "--features", table, *baseline,
+            "--out-dir", os.path.join(out, "eval", cand))
     os.makedirs(os.path.join(out, "map"))
     for name in ("mse", "conv"):
         cli("map", "--checkpoint", ckpt[name], "--drivers", drivers, "--at", MAP_AT,

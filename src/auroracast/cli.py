@@ -47,11 +47,16 @@ def _config_hash(pairs: dict[str, str]) -> str:
 def _write_manifest(
     out_dir, command, config_path, config_text, inputs, output_names, seed, time_range
 ):
+    # ``inputs`` maps role to path; a file name taken by an earlier input is keyed as role/name
+    input_hashes = {}
+    for role, path in inputs.items():
+        name = os.path.basename(path)
+        input_hashes[f"{role}/{name}" if name in input_hashes else name] = _sha256_file(path)
     manifest = {
         "command": command,
         "config": os.path.basename(config_path) if config_path else None,
         "config_sha256": _config_hash(config_text),
-        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
+        "inputs": input_hashes,
         "outputs": {name: _sha256_file(os.path.join(out_dir, name)) for name in output_names},
         "seed": seed,
         "data_time_range": list(time_range) if time_range else None,
@@ -92,7 +97,7 @@ def cmd_synth(args) -> int:
         "synth",
         args.config,
         config_text,
-        inputs=[args.config] if args.config else [],
+        inputs={"config": args.config} if args.config else {},
         output_names=["drivers.csv", "observations.csv"],
         seed=args.seed,
         time_range=(drivers.t0, drivers.t_end),
@@ -164,7 +169,7 @@ def cmd_train(args) -> int:
         "train",
         args.config,
         config_text,
-        inputs=inputs + ([args.config] if args.config else []),
+        inputs=inputs | ({"config": args.config} if args.config else {}),
         output_names=["checkpoint.aur", "history.csv"],
         seed=config.seed,
         time_range=time_range,
@@ -181,7 +186,7 @@ def _point_data(args, cfg):
     data = (table[~in_val], table[in_val])
     arch = M.arch_from_config(cfg, input_width=table.schema.width)
     time_range = (float(table.t.min()), float(table.t.max()))
-    return arch, table.schema, holdout, data, [args.features], time_range
+    return arch, table.schema, holdout, data, {"features": args.features}, time_range
 
 
 def _sparse_data(args, cfg):
@@ -207,7 +212,7 @@ def _sparse_data(args, cfg):
     in_val = holdout.mask(t_centers)
     time_range = (float(t_centers.min()), float(t_centers.max()))
     data = (samples[~in_val], samples[in_val])
-    return arch, schema, holdout, data, [drivers_path, obs_path], time_range
+    return arch, schema, holdout, data, {"drivers": drivers_path, "observations": obs_path}, time_range
 
 
 # ── eval ──────────────────────────────────────────────────────────────
@@ -237,57 +242,27 @@ def _holdout_predictions(checkpoint, features, table=None, y_expected=None):
 
 def cmd_eval(args) -> int:
     model, table, val, y_pred, pred_regions = _holdout_predictions(args.checkpoint, args.features)
-    y_true, regions = val.target, val.region
+    inputs = {"checkpoint": args.checkpoint, "features": args.features}
+    base_pred = None
     if args.baseline_checkpoint:
-        *_, base_pred, _ = _holdout_predictions(args.baseline_checkpoint, args.features, table, y_true)
+        *_, base_pred, _ = _holdout_predictions(args.baseline_checkpoint, args.features, table, val.target)
+        inputs["baseline"] = args.baseline_checkpoint
+    tables, scored = E.score(val.target, y_pred, val.region, pred_regions, base_pred)
 
     # Created only now, so a run that fails leaves no out-dir behind.
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-
-    report = E.binned_errors(y_true, y_pred, n_bins=20)
-    E.write_binned_errors_csv(report, os.path.join(args.out_dir, "binned_errors.csv"))
-    outputs.append("binned_errors.csv")
-
-    edges, tc, pc = E.histogram_compare(y_true, y_pred, n_bins=50)
-    E.write_histogram_csv(edges, tc, pc, os.path.join(args.out_dir, "histograms.csv"))
-    outputs.append("histograms.csv")
-
-    summary_lines = [
-        f"checkpoint: {os.path.basename(args.checkpoint)}",
-        f"loss: {model.meta.get('loss', {}).get('loss', 'unknown')}",
-        f"seed: {model.meta.get('seed')}",
-        f"n_validation: {y_true.size}",
-        f"val_mse_log10: {L.mse(y_true, y_pred)!r}",
-    ]
-
-    if regions is not None:
-        table_mse = E.region_mse_table(y_true, y_pred, regions)
-        E.write_region_mse_csv(table_mse, os.path.join(args.out_dir, "region_mse.csv"))
-        outputs.append("region_mse.csv")
-
-    if pred_regions is not None and regions is not None:
-        creport = E.classification_report(regions, pred_regions)
-        E.write_classification_csv(creport, os.path.join(args.out_dir, "classification.csv"))
-        outputs.append("classification.csv")
-        summary_lines.append(f"region_accuracy: {creport.accuracy!r}")
-
-    inputs = [args.checkpoint, args.features]
-    if args.baseline_checkpoint:
-        treport = E.tail_reduction(y_true, base_pred, y_pred)
-        E.write_tail_reduction_csv(treport, os.path.join(args.out_dir, "tail_reduction.csv"))
-        outputs.append("tail_reduction.csv")
-        summary_lines.append(
-            "tail_reduction_pct_90_95_99: "
-            + ",".join(repr(float(100.0 * r)) for r in treport.reduction)
-        )
-        inputs.append(args.baseline_checkpoint)
-
+    for name, write in tables.items():
+        write(os.path.join(args.out_dir, name))
     loss_spec = model.meta.get("loss", {})
-    summary_lines.append(f"loss_sha256: {_config_hash({k: str(v) for k, v in loss_spec.items()})}")
+    summary = [
+        f"checkpoint: {os.path.basename(args.checkpoint)}",
+        f"loss: {loss_spec.get('loss', 'unknown')}",
+        f"seed: {model.meta.get('seed')}",
+        *scored,
+        f"loss_sha256: {_config_hash({k: str(v) for k, v in loss_spec.items()})}",
+    ]
     with open(os.path.join(args.out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
-    outputs.append("summary.txt")
+        fh.write("\n".join(summary) + "\n")
 
     _write_manifest(
         args.out_dir,
@@ -295,7 +270,7 @@ def cmd_eval(args) -> int:
         None,
         {},
         inputs=inputs,
-        output_names=outputs,
+        output_names=[*tables, "summary.txt"],
         seed=model.meta.get("seed"),
         time_range=(float(table.t.min()), float(table.t.max())),
     )

@@ -1,5 +1,6 @@
 """Evaluation protocol: binned errors, tail-percentile reductions,
 histogram comparisons, region metrics, and full-hemisphere map export.
+``score`` computes every report of one set of predictions, writing none.
 
 Errors are reported in log10 target space; binned reports carry a
 secondary linear-space multiplier column (10**MAE) for readers who think
@@ -14,12 +15,14 @@ graymap (P5) with the grid's range mapped linearly onto [0, 255].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DataError
 from .geomodel import DriverSeries, GridSpec, Region
 from .ingest import FeatureSchema, has_history, spatial_block, whole_as_int, write_csv
+from .losses import mse
 from .models import ConvDecoderArch, Model, predict
 from .stats import as_1d_pair, percentile_linear, uniform_bin_index
 
@@ -64,11 +67,8 @@ def binned_errors(y_true, y_pred, n_bins: int = 20) -> BinnedErrorReport:
     count = np.bincount(idx, minlength=n_bins)
     abs_err = np.bincount(idx, weights=np.abs(t - p), minlength=n_bins)
     signed = np.bincount(idx, weights=t - p, minlength=n_bins)
-    nonzero = count > 0
-    mae = np.zeros(n_bins)
-    bias = np.zeros(n_bins)
-    mae[nonzero] = abs_err[nonzero] / count[nonzero]
-    bias[nonzero] = signed[nonzero] / count[nonzero]
+    mae = np.divide(abs_err, count, out=np.zeros(n_bins), where=count > 0)
+    bias = np.divide(signed, count, out=np.zeros(n_bins), where=count > 0)
     return BinnedErrorReport(
         edges=np.linspace(lo, hi, n_bins + 1), mae=mae, bias=bias, count=count
     )
@@ -93,14 +93,8 @@ def tail_reduction(
         cand_mae.append(c)
         reduction.append((b - c) / b if b > 0 else 0.0)
         count.append(int(sel.sum()))
-    return TailReductionReport(
-        percentiles=tuple(percentiles),
-        thresholds=np.array(thresholds),
-        base_mae=np.array(base_mae),
-        cand_mae=np.array(cand_mae),
-        reduction=np.array(reduction),
-        count=np.array(count),
-    )
+    columns = (thresholds, base_mae, cand_mae, reduction, count)
+    return TailReductionReport(tuple(percentiles), *map(np.array, columns))
 
 
 def histogram_compare(y_true, y_pred, n_bins: int = 50):
@@ -156,6 +150,32 @@ def region_mse_table(y_true, y_pred, regions) -> dict[str, tuple[float | None, i
         mse = float(np.mean((t[sel] - p[sel]) ** 2)) if n else None
         out[region.code] = (mse, n)
     return out
+
+
+def score(y_true, y_pred, regions=None, pred_regions=None, base_pred=None):
+    """Every report of predictions ``y_pred`` of ``y_true`` that ``eval``
+    writes; writes nothing. True ``regions`` add the region MSE, with
+    ``pred_regions`` the classification, and a baseline's ``base_pred`` of
+    the same rows the tail reduction. Returns ``(tables, summary)``: each
+    table's file name mapped to its writer, to be called with the path, and
+    the scored ``name: value`` lines of ``summary.txt``."""
+    tables = {
+        "binned_errors.csv": partial(write_binned_errors_csv, binned_errors(y_true, y_pred, n_bins=20)),
+        "histograms.csv": partial(write_histogram_csv, *histogram_compare(y_true, y_pred, n_bins=50)),
+    }
+    summary = [f"n_validation: {np.size(y_true)}", f"val_mse_log10: {mse(y_true, y_pred)!r}"]
+    if regions is not None:
+        tables["region_mse.csv"] = partial(write_region_mse_csv, region_mse_table(y_true, y_pred, regions))
+        if pred_regions is not None:
+            report = classification_report(regions, pred_regions)
+            tables["classification.csv"] = partial(write_classification_csv, report)
+            summary.append(f"region_accuracy: {report.accuracy!r}")
+    if base_pred is not None:
+        report = tail_reduction(y_true, base_pred, y_pred)
+        tables["tail_reduction.csv"] = partial(write_tail_reduction_csv, report)
+        pct = ",".join(repr(float(100.0 * r)) for r in report.reduction)
+        summary.append(f"tail_reduction_pct_90_95_99: {pct}")
+    return tables, summary
 
 
 # ── Map rendering ─────────────────────────────────────────────────────

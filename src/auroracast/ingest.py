@@ -665,7 +665,9 @@ def history_feature_rows(drivers: DriverSeries, times: np.ndarray, schema: Featu
     if not has_history(drivers, tt, schema).all():
         raise ValueError("history_feature_rows: a time lacks the full driver history")
     n_var, n_lag, n_avg = len(schema.variables), len(schema.lag_minutes), len(schema.avg_minutes)
-    padded = np.pad(drivers.values[[DRIVER_NAMES.index(v) for v in schema.variables]], ((0, 0), (0, 1)))
+    padded = np.zeros((n_var, drivers.n + 1))  # one copy of the schema's rows
+    for row, v in zip(padded, schema.variables):
+        row[:-1] = drivers.column(v)
     # seconds back from each time: its lags, its windows' lengths, then 0 for the time itself
     back_s = 60.0 * np.array(schema.lag_minutes + schema.avg_minutes + (0.0,))
     cad, last = drivers.cadence, drivers.n - 1

@@ -1,6 +1,7 @@
 """Command-level behavior: determinism, exit codes, file contracts."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -499,6 +500,73 @@ class TestEvalAndMap:
         assert run("eval", *argv, "--features", features_file, "--out-dir", out) == 3
         assert "lacks a complete holdout (missing key 'holdout')" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_failing_tail_reduction_leaves_no_out_dir(self, tmp_path, capsys, trained, features_file):
+        """A one-row holdout has no target above its percentiles: the tail
+        reduction fails after every other report was computed, and eval
+        exits 3 having written nothing."""
+        model = load_checkpoint(trained)
+        table = I.read_table_cache(features_file)
+        t = float(table.t[I.Holdout.from_meta(model.meta["holdout"]).mask(table.t, table.sat_id)][0])
+        model.meta["holdout"].update(t_start=t, t_end=t + 1.0)
+        save_checkpoint(model, tmp_path / "one_row.aur")
+        out = tmp_path / "x"
+        argv = ("--checkpoint", tmp_path / "one_row.aur", "--features", features_file, "--out-dir", out)
+        assert run("eval", *argv, "--baseline-checkpoint", tmp_path / "one_row.aur") == 3
+        assert "no samples above the 90.0th percentile" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_scores_before_it_writes(self, tmp_path, monkeypatch, trained, features_file):
+        out = tmp_path / "x"
+        score = cli.E.score
+
+        def spy(*args):
+            assert not out.exists()
+            tables, summary = score(*args)
+            calls.append(sorted(tables))
+            return tables, summary
+
+        calls = []
+        monkeypatch.setattr(cli.E, "score", spy)
+        argv = ("--checkpoint", trained, "--features", features_file, "--baseline-checkpoint", trained)
+        assert run("eval", *argv, "--out-dir", out) == 0
+        assert calls == [sorted(set(os.listdir(out)) - {"manifest.json", "summary.txt"})]
+        assert "tail_reduction.csv" in calls[0]
+
+    def test_cli_names_no_report(self):
+        """Which reports exist and which writer writes each is evaluate's
+        business: no function of cli names a report or a table writer."""
+        reports = {"binned_errors", "histogram_compare", "tail_reduction", "region_mse_table",
+                   "classification_report", "write_binned_errors_csv", "write_histogram_csv",
+                   "write_tail_reduction_csv", "write_region_mse_csv", "write_classification_csv"}
+        names = set()
+        for fn in vars(cli).values():
+            if inspect.isfunction(fn) and fn.__module__ == cli.__name__:
+                names.update(fn.__code__.co_names)
+        assert "score" in names
+        assert not names & reports
+
+    def test_eval_manifest_keeps_both_checkpoint_hashes(self, tmp_path, trained, features_file):
+        base = load_checkpoint(trained)
+        base.meta["seed"] = 99
+        (tmp_path / "base").mkdir()
+        base_path = tmp_path / "base" / "checkpoint.aur"
+        save_checkpoint(base, base_path)
+        argv = ("--checkpoint", trained, "--features", features_file)
+        assert run("eval", *argv, "--baseline-checkpoint", base_path, "--out-dir", tmp_path / "ab") == 0
+        assert run("eval", *argv, "--out-dir", tmp_path / "a") == 0
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        inputs = json.loads((tmp_path / "ab" / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            "checkpoint.aur": sha(trained),
+            "baseline/checkpoint.aur": sha(base_path),
+            features_file.name: sha(features_file),
+        }
+        alone = json.loads((tmp_path / "a" / "manifest.json").read_text())["inputs"]
+        assert alone == {"checkpoint.aur": sha(trained), features_file.name: sha(features_file)}
 
     def test_map_deterministic(self, tmp_path, trained, synth_dir):
         a = tmp_path / "ma"

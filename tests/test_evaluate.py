@@ -1,5 +1,7 @@
 """Metric reports, percentile consistency, and map rendering."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from auroracast.evaluate import (
     predict_grid,
     region_mse_table,
     render_map,
+    score,
     tail_reduction,
     write_binned_errors_csv,
     write_classification_csv,
@@ -133,6 +136,60 @@ class TestTailReduction:
         y = np.full(10, 5.0)
         with pytest.raises(DataError):
             tail_reduction(y, y, y, percentiles=(99.0,))
+
+
+class TestScore:
+    """``score`` computes what eval writes; the caller writes its tables."""
+
+    def _rows(self):
+        rng = np.random.default_rng(12)
+        y = rng.normal(10, 1, 300)
+        regions = rng.integers(0, 3, 300)
+        return y, y + rng.normal(0, 0.3, 300), regions, (regions + (y > 11)) % 3, y + rng.normal(0, 0.5, 300)
+
+    @pytest.mark.parametrize("given,tables,lines", [
+        ((), [], []),
+        (("regions",), ["region_mse.csv"], []),
+        (("pred_regions",), [], []),
+        (("regions", "pred_regions"), ["region_mse.csv", "classification.csv"], ["region_accuracy"]),
+        (("regions", "pred_regions", "base_pred"),
+         ["region_mse.csv", "classification.csv", "tail_reduction.csv"],
+         ["region_accuracy", "tail_reduction_pct_90_95_99"]),
+    ])
+    def test_reports_follow_the_inputs(self, tmp_path, monkeypatch, given, tables, lines):
+        y, pred, regions, pred_regions, base = self._rows()
+        extra = {"regions": regions, "pred_regions": pred_regions, "base_pred": base}
+        monkeypatch.chdir(tmp_path)
+        got, summary = score(y, pred, **{k: extra[k] for k in given})
+        assert os.listdir(tmp_path) == []
+        assert list(got) == ["binned_errors.csv", "histograms.csv", *tables]
+        assert [line.split(": ")[0] for line in summary] == ["n_validation", "val_mse_log10", *lines]
+        assert summary[:2] == ["n_validation: 300", f"val_mse_log10: {float(np.mean((y - pred) ** 2))!r}"]
+
+    def test_tables_are_the_reports_written(self, tmp_path):
+        y, pred, regions, pred_regions, base = self._rows()
+        tables, summary = score(y, pred, regions, pred_regions, base)
+        tail = tail_reduction(y, base, pred)
+        direct = {
+            "binned_errors.csv": lambda path: write_binned_errors_csv(binned_errors(y, pred, 20), path),
+            "histograms.csv": lambda path: write_histogram_csv(*histogram_compare(y, pred, 50), path),
+            "region_mse.csv": lambda path: write_region_mse_csv(region_mse_table(y, pred, regions), path),
+            "classification.csv": lambda path: write_classification_csv(
+                classification_report(regions, pred_regions), path),
+            "tail_reduction.csv": lambda path: write_tail_reduction_csv(tail, path),
+        }
+        assert list(tables) == list(direct)
+        for name, write in tables.items():
+            write(tmp_path / "a")
+            direct[name](tmp_path / "b")
+            assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes(), name
+        pct = ",".join(repr(float(100.0 * r)) for r in tail.reduction)
+        assert summary[-1] == f"tail_reduction_pct_90_95_99: {pct}"
+
+    def test_a_report_that_fails_raises(self):
+        y = np.full(10, 5.0)
+        with pytest.raises(DataError, match="no samples above the 90.0th percentile"):
+            score(y, y, base_pred=y)
 
 
 class TestHistogramCompare:

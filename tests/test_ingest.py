@@ -1087,6 +1087,19 @@ class TestMemory:
         assert back.rows.dtype == np.float32
         assert peak < 1.2 * size, f"peak {peak / size:.2f}x the file"
 
+    def test_history_rows_copy_the_drivers_once(self):
+        """Beside its output, a call holds one zero-padded copy of the
+        schema's driver rows and the temporaries of one row chunk."""
+        n = 50_000
+        d = DriverSeries(0.0, 60.0, np.random.default_rng(7).normal(size=(len(DRIVER_NAMES), n)))
+        schema = FeatureSchema()
+        times = np.linspace(0.0, 60.0 * (n - 1), 200)
+        times = times[has_history(d, times, schema)]
+        peak, rows = peak_bytes(history_feature_rows, d, times, schema)
+        padded = len(schema.variables) * (n + 1) * 8
+        extra = peak - rows.nbytes - 2 * _CHUNK_BYTES
+        assert extra < 1.25 * padded, f"peak beside the output {extra / padded:.2f}x the padded rows"
+
 
 def _bits_equal(a, b) -> bool:
     """Equal dtype, shape and bytes, so -0.0 differs from 0.0."""
