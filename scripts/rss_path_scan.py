@@ -3,11 +3,16 @@ directory its sources are imported from.
 
     python scripts/rss_path_scan.py CHECKOUT [CHECKOUT ...] [--lengths A-B]
 
-The conv_sparse benchmark's ``train --sparse`` stage has two peak-RSS modes
-about 16 MB apart for the same code, and which one a run lands in follows
-the byte length of the paths and modules it imports (ROADMAP, direction 5).
-One reading per side cannot tell a change in memory use from a change of
-mode; this scan shows each side's modes next to each other.
+The conv_sparse benchmark's ``train --sparse`` stage once had two peak-RSS
+modes about 16 MB apart for the same code, and which one a run landed in
+followed the byte length of the paths and modules it imported: freed
+training-step heap stayed resident under the whole-grid validation pass.
+Since ``train`` trims the heap before validating, and validation predicts
+at the observed cells only, a scan at lengths 1-8 reads within about
+1.5 MB (57.6-59.2 MB; the dense validation's peak was flat at 114.3-114.6
+MB). One reading per side cannot tell a change in memory use from a change
+of mode, so this scan shows each side's readings next to each other, and
+shows whether a change brings a mode back.
 
 For each checkout, the script first synthesizes the conv_sparse world with
 that checkout's sources. Then, for each length L in A..B (default 1-32), it
@@ -24,7 +29,7 @@ The synth and train steps are built by ``perfbench/run.py`` (``SIZES``,
 ``train_step``) at the reference seed 1, so the stage is the one the
 benchmark runs. It prints one JSON line per checkout:
 
-    {"checkout": "...", "seed": 1, "peak_rss_mb": {"1": 120.6, "2": 136.8, ...}}
+    {"checkout": "...", "seed": 1, "peak_rss_mb": {"1": 59.1, "2": 59.2, ...}}
 
 A stage that exits non-zero stops the scan with exit status 1.
 """

@@ -27,6 +27,15 @@ both dk and dx from the output cells whose gradient is nonzero only, and
 its forward can be asked for a list of output cells only, so under a
 sparse target a training step's final conv costs the observed cells
 times the kernel area, not the grid times the kernel area.
+
+A layer under such a conv can run at a list of sites too, the outputs
+that the cells' windows read: conv2d_transpose(..., sites) returns them
+as a compact [sites, c] array, add_channel_bias, relu and dropout (with
+``sites``) act on it, window_sites lays each cell's window out from it
+(the pads are window taps that wrap or read zero), and place_cells puts
+the conv's values at the cells back into NaN grids. Each value at a site
+sums the same products in the same order as the dense op, so it is the
+same bits. Without sites or cells every op runs on whole grids.
 """
 
 from __future__ import annotations
@@ -107,6 +116,19 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+def _accumulate_at(t: Tensor, positions: np.ndarray, g: np.ndarray):
+    """_accumulate of a gradient that is g at flat ``positions`` of t and
+    zero elsewhere. A first gradient is built in t.grad itself, with the
+    bits _accumulate would give it, so no second t-sized array exists."""
+    if t.grad is None:
+        t.grad = np.zeros(t.shape, dtype=t.data.dtype)
+        t.grad.reshape(-1)[positions] = g + 0
+    else:
+        dense = np.zeros(t.data.size, dtype=t.data.dtype)
+        dense[positions] = g
+        t.grad += dense.reshape(t.shape)
+
+
 def _check_dtypes(*tensors: Tensor):
     dtypes = {t.data.dtype for t in tensors}
     if len(dtypes) > 1:
@@ -116,6 +138,21 @@ def _check_dtypes(*tensors: Tensor):
 def zero_grads(tensors):
     for t in tensors:
         t.grad = None
+
+
+def unravel_cells(cells, shape, what: str, ascending: bool = False):
+    """(sample, row, col) of flat positions ``cells`` in a stacked
+    [n, h, w] ``shape``: a 1-D integer array, each in [0, n*h*w), and
+    strictly ascending if asked. A ValueError names ``what`` otherwise."""
+    cells = np.asarray(cells)
+    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(f"{what} must be a 1-D integer array")
+    size = int(np.prod(shape))
+    if cells.size and (cells.min() < 0 or cells.max() >= size):
+        raise ValueError(f"{what} must lie in [0, {size})")
+    if ascending and np.any(np.diff(cells) <= 0):
+        raise ValueError(f"{what} must ascend")
+    return np.unravel_index(cells, shape)
 
 
 # ── Dense / elementwise ───────────────────────────────────────────────
@@ -165,8 +202,18 @@ def dropout(
     training: bool,
     rng: np.random.Generator | int | None = None,
     tape: Tape | None = None,
+    sites=None,
+    grid=None,
 ) -> Tensor:
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
+    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate).
+
+    With ``sites``, x [len(sites), c] holds the values of an [n, c, h, w]
+    grid at ascending flat positions ``sites`` in ``grid`` = (n, h, w), as
+    ``conv2d_transpose(..., sites)`` returns them. The mask is drawn over
+    the whole [n, c, h, w] grid, one sample at a time, so the generator
+    advances as for the dense grid and each site keeps the draw the dense
+    grid gives it; only the sites are multiplied.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -175,8 +222,22 @@ def dropout(
         raise ValueError("dropout in training mode requires an rng or seed")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
+    if sites is None:
+        draw = rng.random(x.shape)
+    else:
+        n, h, w = grid
+        sample, row, col = unravel_cells(sites, grid, "dropout sites", ascending=True)
+        if x.data.ndim != 2 or x.shape[0] != sample.size:
+            raise ValueError(f"dropout at {sample.size} sites expects x [{sample.size}, c], got {x.shape}")
+        draw = np.empty(x.shape)
+        one = np.empty((x.shape[1], h, w))
+        bounds = np.searchsorted(sample, np.arange(n + 1))
+        for i in range(n):
+            rng.random(out=one)
+            at = slice(bounds[i], bounds[i + 1])
+            draw[at] = one[:, row[at], col[at]].T
     # keep is 0 or 1, so x * mask is bitwise x * keep * (1 / (1 - rate))
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) * (1.0 / (1.0 - rate))
+    mask = (draw >= rate).astype(x.data.dtype) * (1.0 / (1.0 - rate))
     out = Tensor(x.data * mask)
 
     if tape is not None:
@@ -218,15 +279,17 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
 
 
 def add_channel_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """x [n, c, h, w] plus a per-channel bias b [c]."""
+    """x [n, c, h, w], or the [sites, c] values of such grids, plus a
+    per-channel bias b [c]."""
     _check_dtypes(x, b)
-    if x.data.ndim != 4 or b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ValueError("add_channel_bias expects x [n,c,h,w], b [c]")
-    out = Tensor(x.data + b.data[None, :, None, None])
+    if x.data.ndim not in (2, 4) or b.data.ndim != 1 or b.shape[0] != x.shape[1]:
+        raise ValueError("add_channel_bias expects x [n,c,h,w] or [sites,c], b [c]")
+    other_axes = (0, *range(2, x.data.ndim))
+    out = Tensor(x.data + np.expand_dims(b.data, other_axes))
 
     if tape is not None:
         def backward():
-            _accumulate(b, out.grad.sum(axis=(0, 2, 3)))
+            _accumulate(b, out.grad.sum(axis=other_axes))
             _accumulate(x, out.grad)
 
         tape.record(out, backward)
@@ -357,14 +420,9 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None, cells=None) -> Tensor
     if cells is None:
         out = Tensor(_corr2d(x.data, k.data))
     else:
-        cells = np.asarray(cells)
-        if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
-            raise ValueError("conv2d cells must be a 1-D integer array")
-        if cells.size and (cells.min() < 0 or cells.max() >= n * oh * ow):
-            raise ValueError(f"conv2d cells must lie in [0, {n * oh * ow})")
-        sample, row, col = np.unravel_index(cells, (n, oh, ow))
+        sample, row, col = unravel_cells(cells, (n, oh, ow), "conv2d cells")
         position = row * w + col
-        y = np.zeros((cells.size, co), dtype=x.data.dtype)
+        y = np.zeros((sample.size, co), dtype=x.data.dtype)
         for p, q, run in taps:
             y += np.einsum("oc,mc->mo", k.data[:, :, p, q], x_flat[sample, :, position + run.start])
         grid = np.full((n, co, oh, ow), np.nan, dtype=x.data.dtype)
@@ -389,7 +447,7 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None, cells=None) -> Tensor
     return out
 
 
-def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> Tensor:
+def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None, sites=None) -> Tensor:
     """Fractionally-strided convolution with exact stride-multiple output.
 
     x [n, c_in, h, w], k [c_in, c_out, kh, kw], output [n, c_out, h*s, w*s].
@@ -400,6 +458,16 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
     that starts at (a, b) with step (sh, sw). Forward scatter-adds x,
     contracted with that tap's channel matrix, into the slice; backward
     gathers the same slice of the padded output gradient.
+
+    ``sites`` lists strictly ascending flat output positions in
+    [n, h*s, w*s], as conv2d's ``cells`` do. The output is then only those
+    sites' values, compact as [len(sites), c_out]: per tap, in tap order,
+    the sites that tap lands on gather the input cell it reads, and add
+    that tap's channel matrix times it, in the dense forward's matmul
+    orientation. Each site therefore sums the same products in the same
+    order as the dense forward, and its values are the same bits. Backward
+    runs the same taps' adjoint at the sites only; within one tap the input
+    cells are distinct, so its buffered scatter into dx is exact.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -418,6 +486,8 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
     out_h, out_w = h * sh, w * sw
     top = (kh - sh) // 2
     left = (kw - sw) // 2
+    if sites is not None:
+        return _conv2d_transpose_sites(x, k, (sh, sw), tape, sites, top, left)
     taps = [
         (a, b, (..., slice(a, a + (h - 1) * sh + 1, sh), slice(b, b + (w - 1) * sw + 1, sw)))
         for a in range(kh)
@@ -425,7 +495,6 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
     ]
 
     x_flat = x.data.reshape(n, ci, h * w)
-
     full = np.zeros((n, co, full_h, full_w), dtype=x.data.dtype)
     for a, b, region in taps:
         full[region] += np.matmul(k.data[:, :, a, b].T, x_flat).reshape(n, co, h, w)
@@ -443,6 +512,95 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None) -> 
                 dk[:, :, a, b] = np.matmul(x_flat, g.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(x, dx.reshape(x.shape))
             _accumulate(k, dk)
+
+        tape.record(out, backward)
+    return out
+
+
+def _conv2d_transpose_sites(x: Tensor, k: Tensor, stride, tape, sites, top, left) -> Tensor:
+    """conv2d_transpose at ``sites`` only; see there."""
+    (sh, sw), (n, ci, h, w), (_, co, kh, kw) = stride, x.shape, k.shape
+    sample, row, col = unravel_cells(sites, (n, h * sh, w * sw), "conv2d_transpose sites", ascending=True)
+    x_flat = x.data.reshape(n, ci, h * w)
+    # tap (a, b) lands on a site whose full-output row, less a, is a
+    # multiple of the stride, at input row i = that / stride; likewise columns
+    i, off_rows = np.divmod(row + top - np.arange(kh)[:, None], sh)
+    j, off_cols = np.divmod(col + left - np.arange(kw)[:, None], sw)
+    on_rows = (off_rows == 0) & (i >= 0) & (i < h)
+    on_cols = (off_cols == 0) & (j >= 0) & (j < w)
+    taps = []
+    for a in range(kh):
+        for b in range(kw):
+            at = np.flatnonzero(on_rows[a] & on_cols[b])
+            taps.append((a, b, at, sample[at], i[a, at] * w + j[b, at]))
+    y = np.zeros((co, sample.size), dtype=x.data.dtype)
+    for a, b, at, src, cell in taps:
+        # [c_out, c_in] @ [c_in, sites]: the dense forward's orientation
+        y[:, at] += np.matmul(k.data[:, :, a, b].T, x_flat[src, :, cell].T)
+    out = Tensor(np.ascontiguousarray(y.T))
+
+    if tape is not None:
+        def backward():
+            g = out.grad
+            dx = np.zeros_like(x_flat)
+            dk = np.empty_like(k.data)
+            for a, b, at, src, cell in taps:
+                dk[:, :, a, b] = np.matmul(x_flat[src, :, cell].T, g[at])
+                dx[src, :, cell] += np.matmul(g[at], k.data[:, :, a, b].T)
+            _accumulate(x, dx.reshape(x.shape))
+            _accumulate(k, dk)
+
+        tape.record(out, backward)
+    return out
+
+
+def window_sites(x: Tensor, windows: np.ndarray, tape: Tape | None = None) -> Tensor:
+    """The padded windows that a valid correlation reads at some cells,
+    built from a grid's values at sites.
+
+    x [n_sites, c] holds the values (``conv2d_transpose(..., sites)``);
+    ``windows`` [m, kh, kw] holds, for each tap of each of m windows, the
+    site it reads, or -1 where it reads the pad's zero. A periodic pad is
+    a window tap that names a site across the seam. Returns
+    [m, c, kh, kw] with out[i, :, p, q] = x[windows[i, p, q]], or 0.
+    Backward adds every window tap's gradient into the site it read, in
+    float64 (``np.bincount``), then rounds once into x's dtype.
+    """
+    if x.data.ndim != 2 or windows.ndim != 3:
+        raise ValueError("window_sites expects x [sites, c] and windows [m, kh, kw]")
+    if windows.size and (windows.min() < -1 or windows.max() >= x.shape[0]):
+        raise ValueError(f"window sites must lie in [-1, {x.shape[0]})")
+    s, c = x.shape
+    # the appended row is the pad's zero, which index -1 reads
+    padded = np.concatenate([x.data, np.zeros((1, c), dtype=x.data.dtype)])
+    out = Tensor(np.ascontiguousarray(padded[windows].transpose(0, 3, 1, 2)))
+
+    if tape is not None:
+        def backward():
+            # bin s, past the sites, collects the pad's gradient
+            index = windows.reshape(-1) % (s + 1)
+            g = out.grad.transpose(1, 0, 2, 3).reshape(c, -1)
+            _accumulate(x, np.stack([np.bincount(index, g[ch], s + 1)[:s] for ch in range(c)], axis=1))
+
+        tape.record(out, backward)
+    return out
+
+
+def place_cells(x: Tensor, cells, shape, tape: Tape | None = None) -> Tensor:
+    """Grids of ``shape`` that hold x's values, one per cell in C order, at
+    the strictly ascending flat positions ``cells``, and NaN at every other
+    cell, so nothing can mistake it for a prediction. Backward reads the
+    gradient at the cells."""
+    unravel_cells(cells, shape, "place_cells cells", ascending=True)
+    if x.data.size != len(cells):
+        raise ValueError(f"place_cells of {len(cells)} cells got {x.data.size} values")
+    y = np.full(shape, np.nan, dtype=x.data.dtype)
+    y.reshape(-1)[cells] = x.data.reshape(-1)
+    out = Tensor(y)
+
+    if tape is not None:
+        def backward():
+            _accumulate(x, out.grad.reshape(-1)[cells].reshape(x.shape))
 
         tape.record(out, backward)
     return out

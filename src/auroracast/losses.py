@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _accumulate
+from .autodiff import Tape, Tensor, _accumulate, _accumulate_at
 from .errors import ConfigError, bind
 from .stats import as_1d_pair, uniform_bin_index
 
@@ -207,9 +207,7 @@ def sparse_masked_loss_op(
 
     if tape is not None:
         def backward():
-            dp = np.zeros(pred.data.size, dtype=pred.data.dtype)
-            dp[positions] = out.grad * 2.0 * diff / denom
-            _accumulate(pred, dp.reshape(pred.shape))
+            _accumulate_at(pred, positions, out.grad * 2.0 * diff / denom)
 
         tape.record(out, backward)
     return out

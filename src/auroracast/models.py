@@ -15,7 +15,7 @@ model's stored ``Normalization``, enter one dense ReLU trunk (widths
              then x4), dropout, a periodic pad of the MLT axis (plus zero
              pad in latitude), and a final valid convolution that restores
              the exact grid size. Takes no spatial inputs; predicts the
-             whole grid.
+             whole grid, or only listed cells of it (``forward_convdecoder``).
 
 A checkpoint is a ``container`` file of kind ``checkpoint`` (the layout
 is described there): the variant, the architecture fields and the
@@ -280,9 +280,15 @@ def forward_convdecoder(
     """One [n_lat, n_mlt] grid per input row of global features.
 
     Without ``cells`` every grid cell is predicted. ``cells`` lists flat
-    positions in the stacked [n, n_lat, n_mlt] grids (a training batch's
-    observed cells); the final convolution then runs at those cells only,
-    and every other cell of the returned grids is NaN (``autodiff.conv2d``).
+    positions in the stacked [n, n_lat, n_mlt] grids (a batch's observed
+    cells), and every other cell of the returned grids is NaN. The trunk,
+    ``to_grid`` and deconv1 still run dense. From deconv2 on, the decoder
+    runs only at the deconv2 output sites that the final convolution reads
+    at the cells, their ``final_kernel`` square windows (``_receptive_field``):
+    deconv2, its bias, ReLU and dropout on a compact [sites, channels]
+    array, then the periodic and zero pads as each cell's window of those
+    sites, and the final convolution at the cells. The values at the cells
+    are the bits of the dense forward; dropout draws the dense grid's mask.
     """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
@@ -291,15 +297,52 @@ def forward_convdecoder(
     h = ad.conv2d_transpose(h, params["deconv1.k"], arch.strides[0], tape)
     h = ad.add_channel_bias(h, params["deconv1.b"], tape)
     h = ad.relu(h, tape)
-    h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape)
+    grid = (n, arch.n_lat, arch.n_mlt)
+    if cells is None:
+        h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape)
+        h = ad.add_channel_bias(h, params["deconv2.b"], tape)
+        h = ad.relu(h, tape)
+        h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
+        h = ad.pad_periodic_mlt(h, arch.overlap, tape)
+        h = ad.pad_zero_lat(h, arch.overlap, tape)
+        h = ad.conv2d(h, params["final.k"], tape)
+        h = ad.add_channel_bias(h, params["final.b"], tape)
+        return ad.reshape(h, grid, tape)
+    cells, sites, windows = _receptive_field(arch, grid, cells)
+    h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape, sites)
     h = ad.add_channel_bias(h, params["deconv2.b"], tape)
     h = ad.relu(h, tape)
-    h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
-    h = ad.pad_periodic_mlt(h, arch.overlap, tape)
-    h = ad.pad_zero_lat(h, arch.overlap, tape)
-    h = ad.conv2d(h, params["final.k"], tape, cells)
+    h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, sites, grid)
+    h = ad.window_sites(h, windows, tape)
+    h = ad.conv2d(h, params["final.k"], tape, np.arange(cells.size))
     h = ad.add_channel_bias(h, params["final.b"], tape)
-    return ad.reshape(h, (n, arch.n_lat, arch.n_mlt), tape)
+    return ad.place_cells(h, cells, grid, tape)
+
+
+def _receptive_field(arch: ConvDecoderArch, grid, cells):
+    """(cells, sites, windows) for the final convolution at ``cells``.
+
+    ``cells`` comes back sorted and unique. ``sites`` are the ascending
+    flat positions in ``grid`` of the deconv2 outputs that the final
+    convolution reads there: each cell's window of ``final_kernel`` rows
+    and columns around it, the columns (MLT) wrapping around the grid and
+    the rows (latitude) beyond its edges left out. ``windows`` [cells,
+    final_kernel, final_kernel] indexes ``sites`` per window tap, with -1
+    at the zero-padded rows (``autodiff.window_sites``).
+    """
+    ad.unravel_cells(cells, grid, "cells")
+    cells = np.sort(cells)
+    cells = cells[np.diff(cells, prepend=-1) != 0]
+    sample, row, col = np.unravel_index(cells, grid)
+    reach = np.arange(-arch.overlap, arch.overlap + 1)
+    rows = row[:, None, None] + reach[:, None]
+    cols = (col[:, None, None] + reach) % arch.n_mlt
+    flat = (sample[:, None, None] * arch.n_lat + rows) * arch.n_mlt + cols
+    inside = np.broadcast_to((rows >= 0) & (rows < arch.n_lat), flat.shape)
+    sites, at = np.unique(flat[inside], return_inverse=True)
+    windows = np.full(flat.shape, -1)
+    windows[inside] = at
+    return cells, sites, windows
 
 
 def assert_global_only(feature_names):
@@ -324,9 +367,15 @@ def predict_point(model: Model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
 PREDICT_BYTES = 64 << 20
 
 
-def predict_chunks(model: Model, raw_rows: np.ndarray):
+def predict_chunks(model: Model, raw_rows: np.ndarray, positions=None):
     """Yield ``(rows, pred, region)`` for consecutive slices ``rows`` of
-    ``raw_rows``, as ``predict`` describes; conv grids stay float32."""
+    ``raw_rows``, as ``predict`` describes; conv grids stay float32.
+
+    ``positions`` (conv decoder only) lists ascending flat positions in the
+    stacked [n, n_lat, n_mlt] grids of all the rows. Each chunk's grids are
+    then predicted at its own positions only, and are NaN elsewhere
+    (``forward_convdecoder``'s ``cells``).
+    """
     arch, width = model.arch, model.arch.input_width
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)
     if raw_rows.shape[1] != width:
@@ -343,10 +392,15 @@ def predict_chunks(model: Model, raw_rows: np.ndarray):
     for i in range(k):
         rows = slice(i * n // k, (i + 1) * n // k)
         x = norm.apply(raw_rows[rows])
-        if isinstance(arch, ConvDecoderArch):
+        if not isinstance(arch, ConvDecoderArch):
+            yield rows, *predict_point(model, x)
+        elif positions is None:
             yield rows, forward_convdecoder(arch, model.params, x).data, None
         else:
-            yield rows, *predict_point(model, x)
+            n_cells = arch.n_lat * arch.n_mlt
+            first, stop = np.searchsorted(positions, (rows.start * n_cells, rows.stop * n_cells))
+            cells = positions[first:stop] - rows.start * n_cells
+            yield rows, forward_convdecoder(arch, model.params, x, None, False, None, cells).data, None
 
 
 def predict(model: Model, raw_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

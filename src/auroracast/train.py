@@ -11,7 +11,8 @@ training starts at the scale of the data. Each setup fits an
 ``model.meta["normalization"]``. It keeps no normalized copy of those
 inputs: ``step_loss`` normalizes its batch of raw rows as
 ``models.predict_chunks`` normalizes a prediction chunk, and validation
-predicts through ``models.predict``, as ``eval`` and ``map`` do. Per-row
+predicts through ``models.predict`` or, for the conv decoder,
+``models.predict_chunks``, in the chunks ``eval`` and ``map`` use. Per-row
 loss inputs (dist weights, region indices) are fitted or read once per
 training row, and a step passes its batch's entries. The closures look up
 ops and forward passes by module attribute at call time, so wrappers
@@ -25,10 +26,11 @@ cells. glibc's ``malloc_trim`` returns the freed training heap first.
 Conv-decoder targets live in one CSR table, ``SparseSamples``: per sample
 the driver features, and the observed cells of its composite window as
 ascending flat cell indices with their mean log10 flux. Training and
-validation both read the table directly: a batch is a sub-table. A
-training step's decoder runs its final convolution at the batch's
-observed-cell ``positions`` only, and the loss gathers the predicted grids
-there; validation predicts whole grids.
+validation both read the table directly: a batch is a sub-table. Both run
+the decoder at observed-cell ``positions`` only (``models.forward_convdecoder``
+with ``cells``): a training step at its batch's, and the loss gathers the
+predicted grids there; validation at each chunk's, so no whole grid is
+predicted during training. ``eval`` and ``map`` predict whole grids.
 
 ``train_config_from_config`` binds the ``train.*`` and loss keys of a run
 config (``config`` lists them). History is emitted as
@@ -361,14 +363,14 @@ def _conv_setup(
 
     def step_loss(tape: Tape, idx: np.ndarray, dropout_rng) -> Tensor:
         batch = train_samples[idx]
+        positions = batch.positions
         x = norm.apply(batch.features)
-        pred = M.forward_convdecoder(
-            model.arch, model.params, x, tape, True, dropout_rng, cells=batch.positions
-        )
-        return L.sparse_masked_loss_op(tape, pred, batch.positions, batch.values, spec.masked_normalize)
+        pred = M.forward_convdecoder(model.arch, model.params, x, tape, True, dropout_rng, cells=positions)
+        return L.sparse_masked_loss_op(tape, pred, positions, batch.values, spec.masked_normalize)
 
     def validate() -> float:
-        return _sample_mse(M.predict_chunks(model, val_samples.features), val_samples)
+        chunks = M.predict_chunks(model, val_samples.features, val_samples.positions)
+        return _sample_mse(chunks, val_samples)
 
     return len(train_samples), step_loss, validate, float(np.mean(train_samples.values))
 

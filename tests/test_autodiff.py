@@ -549,6 +549,194 @@ class TestConv2dCells:
             ad.conv2d(x, k, cells=cells)
 
 
+def _sites(rng, n, h, w, per_sample):
+    """Ascending flat sites in [n, h, w]: per sample, random ones plus the
+    four corners and the middle of each edge."""
+    edges = [0, w - 1, (h - 1) * w, h * w - 1, w // 2, (h // 2) * w, (h // 2) * w + w - 1, (h - 1) * w + w // 2]
+    return np.concatenate(
+        [i * h * w + np.union1d(rng.choice(h * w, per_sample, replace=False), edges) for i in range(n)]
+    )
+
+
+class TestConvTransposeSites:
+    """conv2d_transpose(sites=...) computes the listed output sites only."""
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, per_sample",
+        [((16, 4, 32, 32), (4, 4, 5, 5), 4, 400), ((3, 2, 5, 7), (2, 3, 4, 5), (2, 3), 30)],
+    )
+    def test_bitwise_equal_to_dense_at_the_sites(self, x_shape, k_shape, stride, per_sample):
+        """float32, at deconv2's training shape and at a non-square stride
+        with c_in != c_out: the dense forward's bits at every site and
+        channel, as a compact [sites, c_out] array."""
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
+        k = Tensor(rng.standard_normal(k_shape).astype(np.float32))
+        dense = ad.conv2d_transpose(x, k, stride).data
+        n, co, oh, ow = dense.shape
+        sites = _sites(rng, n, oh, ow, per_sample)
+        y = ad.conv2d_transpose(x, k, stride, sites=sites).data
+        sample, row, col = np.unravel_index(sites, (n, oh, ow))
+        assert y.shape == (sites.size, co) and y.dtype == np.float32
+        assert y.tobytes() == np.ascontiguousarray(dense[sample, :, row, col]).tobytes()
+
+    @pytest.mark.parametrize("stride", [2, (2, 3)])
+    def test_gradcheck(self, stride):
+        rng = np.random.default_rng(32)
+        x = _t(rng, 2, 2, 3, 4)
+        k = _t(rng, 2, 3, 3, 4)
+        oh, ow = 3 * (2 if stride == 2 else stride[0]), 4 * (2 if stride == 2 else stride[1])
+        sites = _sites(rng, 2, oh, ow, 5)
+        weights = rng.standard_normal((sites.size, 3))
+
+        def build():
+            tape = Tape()
+            y = ad.conv2d_transpose(x, k, stride, tape, sites)
+            return tape, _weighted_sum(tape, y, weights)
+
+        check_gradients(build, [x, k])
+
+    def test_float64_gradients_equal_the_dense_path(self):
+        """dy nonzero at the sites only: dx and dk match the dense backward
+        within 1e-12 of their largest value (the sums run in another order)."""
+        rng = np.random.default_rng(33)
+        x, k = _t(rng, 4, 3, 8, 8), _t(rng, 3, 2, 5, 5)
+        sites = _sites(rng, 4, 32, 32, 60)
+        dy = rng.standard_normal((sites.size, 2))
+        sample, row, col = np.unravel_index(sites, (4, 32, 32))
+        dense_dy = np.zeros((4, 2, 32, 32))
+        dense_dy[sample, :, row, col] = dy
+        tape = Tape()
+        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, 4, tape, sites), dy))
+        sparse_dx, sparse_dk = x.grad, k.grad
+        x.grad = k.grad = None
+        tape = Tape()
+        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, 4, tape), dense_dy))
+        for got, ref in ((sparse_dx, x.grad), (sparse_dk, k.grad)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            np.array([[0, 1]]),
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.array([-1, 3]),
+            np.array([0, 2 * 4 * 6]),
+            np.array([3, 3]),
+            np.array([5, 4]),
+        ],
+        ids=["2-D", "float", "bool", "negative", "past-the-end", "repeated", "descending"],
+    )
+    def test_bad_sites(self, sites):
+        x = Tensor(np.zeros((2, 1, 2, 3)))
+        k = Tensor(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ValueError, match="sites"):
+            ad.conv2d_transpose(x, k, 2, sites=sites)
+
+
+class TestSiteOps:
+    """The ops between conv2d_transpose(sites=...) and conv2d(cells=...)."""
+
+    def test_dropout_at_sites_is_the_dense_mask_at_the_sites(self):
+        """The dense grid's mask at each site, the same bits, and the
+        generator left where the dense draw leaves it."""
+        rng = np.random.default_rng(34)
+        grid = np.float32(rng.standard_normal((5, 3, 9, 8)))
+        sites = _sites(rng, 5, 9, 8, 20)
+        sample, row, col = np.unravel_index(sites, (5, 9, 8))
+        dense_rng, site_rng = np.random.default_rng(9), np.random.default_rng(9)
+        dense = ad.dropout(Tensor(grid), 0.5, True, dense_rng).data
+        at = Tensor(np.ascontiguousarray(grid[sample, :, row, col]))
+        y = ad.dropout(at, 0.5, True, site_rng, sites=sites, grid=(5, 9, 8)).data
+        assert y.tobytes() == np.ascontiguousarray(dense[sample, :, row, col]).tobytes()
+        assert site_rng.random() == dense_rng.random()
+
+    def test_dropout_at_sites_gradcheck(self):
+        rng = np.random.default_rng(35)
+        sites = _sites(rng, 2, 4, 5, 6)
+        x = _t(rng, sites.size, 3)
+
+        def build():
+            tape = Tape()
+            y = ad.dropout(x, 0.4, True, 11, tape, sites=sites, grid=(2, 4, 5))
+            return tape, sum_all(y, tape)
+
+        check_gradients(build, [x])
+
+    def test_dropout_at_sites_checks_its_input(self):
+        x = Tensor(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="sites"):
+            ad.dropout(x, 0.5, True, 0, sites=np.array([2, 1, 0]), grid=(1, 2, 2))
+        with pytest.raises(ValueError, match="expects x"):
+            ad.dropout(x, 0.5, True, 0, sites=np.array([0, 1]), grid=(1, 2, 2))
+
+    def test_channel_bias_on_sites_gradcheck(self):
+        rng = np.random.default_rng(36)
+        x, b = _t(rng, 7, 3), _t(rng, 3)
+        y = ad.add_channel_bias(x, b)
+        assert np.array_equal(y.data, x.data + b.data)
+
+        def build():
+            tape = Tape()
+            return tape, _weighted_sum(tape, ad.add_channel_bias(x, b, tape), np.arange(21.0).reshape(7, 3))
+
+        check_gradients(build, [x, b])
+
+    def test_window_sites_reads_the_sites_or_zero(self):
+        rng = np.random.default_rng(37)
+        x = _t(rng, 4, 2)
+        windows = np.array([[[0, 1], [-1, 3]], [[3, 3], [2, -1]]])
+        y = ad.window_sites(x, windows).data
+        assert y.shape == (2, 2, 2, 2)
+        for i, p, q in np.ndindex(2, 2, 2):
+            s = windows[i, p, q]
+            assert np.array_equal(y[i, :, p, q], x.data[s] if s >= 0 else np.zeros(2))
+
+    def test_window_sites_gradcheck(self):
+        """A site read by several window taps sums their gradients."""
+        rng = np.random.default_rng(38)
+        x = _t(rng, 5, 3)
+        windows = rng.integers(-1, 5, (4, 3, 3))
+        weights = rng.standard_normal((4, 3, 3, 3))
+
+        def build():
+            tape = Tape()
+            return tape, _weighted_sum(tape, ad.window_sites(x, windows, tape), weights)
+
+        check_gradients(build, [x])
+
+    @pytest.mark.parametrize("windows", [np.array([[[0, 5]]]), np.array([[[-2, 0]]]), np.array([0, 1])])
+    def test_window_sites_checks_its_windows(self, windows):
+        with pytest.raises(ValueError, match="window"):
+            ad.window_sites(Tensor(np.zeros((5, 2))), windows)
+
+    def test_place_cells(self):
+        rng = np.random.default_rng(39)
+        x = _t(rng, 3, 1, 1, 1)
+        cells = np.array([1, 4, 11])
+        y = ad.place_cells(x, cells, (2, 2, 3)).data
+        assert y.shape == (2, 2, 3)
+        assert np.array_equal(y.reshape(-1)[cells], x.data.reshape(-1))
+        assert np.isnan(np.delete(y.reshape(-1), cells)).all()
+
+        def build():
+            tape = Tape()
+            y = ad.place_cells(x, cells, (2, 2, 3), tape)
+            return tape, sparse_masked_loss_op(tape, y, cells, np.array([0.5, -1.0, 2.0]))
+
+        check_gradients(build, [x])
+
+    @pytest.mark.parametrize(
+        "cells, values",
+        [(np.array([1, 1]), 2), (np.array([0, 12]), 2), (np.array([0, 1]), 3)],
+        ids=["repeated", "past-the-end", "count"],
+    )
+    def test_place_cells_checks_its_cells(self, cells, values):
+        with pytest.raises(ValueError, match="cells"):
+            ad.place_cells(Tensor(np.zeros((values, 1, 1, 1))), cells, (2, 2, 3))
+
+
 def test_conv2d_memory_stays_near_input_size():
     """One conv2d forward plus backward at the decoder's final-layer training
     shape allocates a few input-sized arrays, not a kernel-area-sized window

@@ -507,6 +507,23 @@ class TestSparseMasked:
         assert np.array_equal(grad, clean_grad)
         assert np.all(grad[~mask] == 0.0) and not np.signbit(grad[~mask]).any()
 
+    def test_gradient_bits_of_a_first_and_a_second_gradient(self):
+        """A first gradient is built in place with the bits of zeros plus
+        the cells' terms, + 0 (so -0 becomes +0); a second is added."""
+        data = np.array([[-0.0, 1.5], [2.0, -0.0]], dtype=np.float32)
+        positions, values = np.array([0, 1, 3]), np.array([0.0, 1.0, 0.0])
+        dp = np.zeros(4, dtype=np.float32)
+        dp[positions] = np.float32(1.0) * 2.0 * (data.reshape(-1)[positions] - values.astype(np.float32)) / 3
+        for first in (None, np.full((2, 2), 0.25, dtype=np.float32)):
+            pred = Tensor(data.copy())
+            tape = Tape()
+            loss = sparse_masked_loss_op(tape, pred, positions, values)
+            pred.grad = None if first is None else first.copy()
+            tape.backward(loss)
+            expected = (dp + 0 if first is None else first + dp.reshape(2, 2)).reshape(2, 2)
+            assert pred.grad.dtype == np.float32 and pred.grad.tobytes() == expected.tobytes()
+        assert np.signbit(dp).any() and not np.signbit(dp + 0).any()
+
     def test_gradcheck(self):
         rng = np.random.default_rng(16)
         values = rng.standard_normal((2, 4, 4))

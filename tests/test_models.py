@@ -243,6 +243,114 @@ BAD_TRUNKS = {
 VARIANTS = ["baseline", "multitask", "conv"]
 
 
+class TestConvDecoderCells:
+    """forward_convdecoder(..., cells): deconv2 onward runs at the cells'
+    receptive field only."""
+
+    @staticmethod
+    def _cells(rng, n, grid, per_sample):
+        """Ascending flat cells, per_sample random ones per sample plus
+        cells on the MLT seam (columns 0-2, 125-127 of 128), on the
+        latitude edges (rows 0-2, 125-127) and two cells of sample 1 two
+        columns apart, whose 7x7 windows overlap."""
+        last = grid - 1
+        edges = [(0, 0), (1, 64), (2, last), (last, 0), (last - 1, 1), (last - 2, 2),
+                 (40, last - 2), (41, last - 1), (42, last), (64, 0), (65, 1), (66, 2)]
+        cells = []
+        for i in range(n):
+            picked = set(rng.choice(grid * grid, per_sample, replace=False).tolist())
+            picked |= {r * grid + c for r, c in edges[i % 3 :: 3]}
+            if i == 1:
+                picked |= {70 * grid + 70, 70 * grid + 72}
+            cells.append(i * grid * grid + np.array(sorted(picked)))
+        return np.concatenate(cells)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_bitwise_equal_to_dense_at_the_cells(self, training):
+        """float32, 16 samples on 128x128 with about 15 cells each: the
+        dense forward's bits at every cell, NaN elsewhere, and the dropout
+        generator left where the dense forward leaves it."""
+        arch = M.ConvDecoderArch(input_width=12)
+        params = M.init_params(arch, seed=4)
+        rng = np.random.default_rng(50)
+        for p in params.values():  # nonzero biases, so the bias ops show
+            p.data += np.float32(0.05) * rng.standard_normal(p.shape).astype(np.float32)
+        x = rng.standard_normal((16, 12)).astype(np.float32)
+        cells = self._cells(rng, 16, 128, 11)
+        dense_rng, cell_rng = np.random.default_rng(51), np.random.default_rng(51)
+        dense = M.forward_convdecoder(arch, params, x, None, training, dense_rng).data
+        y = M.forward_convdecoder(arch, params, x, None, training, cell_rng, cells).data
+        assert y.shape == dense.shape == (16, 128, 128) and y.dtype == np.float32
+        at = np.zeros(y.size, dtype=bool)
+        at[cells] = True
+        assert y.reshape(-1)[at].tobytes() == dense.reshape(-1)[at].tobytes()
+        assert np.isnan(y.reshape(-1)[~at]).all()
+        assert cell_rng.random() == dense_rng.random()
+
+    def test_unsorted_repeated_cells_predict_as_sorted(self):
+        arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV)
+        params = M.init_params(arch, seed=5)
+        x = np.random.default_rng(52).standard_normal((2, 6))
+        cells = np.array([1500, 3, 3, 700])
+        y = M.forward_convdecoder(arch, params, x, cells=cells).data
+        ref = M.forward_convdecoder(arch, params, x, cells=np.unique(cells)).data
+        assert np.array_equal(y, ref, equal_nan=True)
+
+    @staticmethod
+    def _small(seed):
+        arch = M.ConvDecoderArch(input_width=5, trunk=(6,), n_lat=16, n_mlt=16,
+                                 filters=(2, 2), kernels=(3, 5), strides=(2, 2),
+                                 final_kernel=7, overlap=3)
+        params = M.init_params(arch, seed=seed, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        for p in params.values():
+            p.data += 0.1 * rng.standard_normal(p.shape)
+        x = rng.standard_normal((2, 5))
+        # seam and latitude-edge cells, two overlapping windows in sample 0
+        cells = np.array([0, 2, 17, 8 * 16 + 15, 15 * 16 + 1, 256 + 13 * 16 + 14, 256 + 255])
+        return arch, params, x, cells, rng.standard_normal(cells.size)
+
+    def test_gradcheck_every_parameter(self):
+        """float64 central differences through the restricted decoder, with
+        dropout on, into sparse_masked_loss_op, for every parameter."""
+        arch, params, x, cells, target = self._small(53)
+
+        def forward(tape):
+            pred = M.forward_convdecoder(arch, params, x, tape, True, 7, cells)
+            return sparse_masked_loss_op(tape, pred, cells, target)
+
+        tape = Tape()
+        tape.backward(forward(tape))
+        worst, checked = probe_gradcheck(lambda: forward(None).data, params, list(params))
+        assert checked > 300
+        for p in params.values():
+            p.grad = None
+
+    def test_float64_gradients_equal_the_dense_path(self):
+        arch, params, x, cells, target = self._small(54)
+        grads = []
+        for use_cells in (None, cells):
+            tape = Tape()
+            pred = M.forward_convdecoder(arch, params, x, tape, True, 8, use_cells)
+            tape.backward(sparse_masked_loss_op(tape, pred, cells, target))
+            grads.append({name: p.grad for name, p in params.items()})
+            ad.zero_grads(params.values())
+        for name, ref in grads[0].items():
+            got = grads[1][name]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize(
+        "cells",
+        [np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([-1, 3]), np.array([0, 2 * 32 * 32])],
+        ids=["2-D", "float", "negative", "past-the-end"],
+    )
+    def test_bad_cells(self, cells):
+        arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV)
+        params = M.init_params(arch, seed=0)
+        with pytest.raises(ValueError, match="cells"):
+            M.forward_convdecoder(arch, params, np.zeros((2, 6)), cells=cells)
+
+
 class TestTrunk:
     """The dense trunk every architecture starts with: one set of rules,
     one parameter layout, one forward prologue."""

@@ -533,10 +533,45 @@ class TestTrainConv:
             f"epoch {epoch_peak}, step {step_peak}, validate {val_peak}, slack {slack}"
         )
 
-    def test_dense_correlation_runs_in_validation_only(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def grid128(self):
+        """A conv setup on the 128x128 grid: 1.2 days, 2 satellites."""
+        train_s, val_s, schema = self._samples(seed=48, grid=128)
+        arch = M.ConvDecoderArch(input_width=len(schema.global_names))
+        model = M.build_model(arch, seed=0)
+        _, step_loss, validate, _ = T._conv_setup(model, train_s, val_s, LossSpec("sparse_masked"))
+        return arch, step_loss, validate, len(val_s)
+
+    def test_step_peaks_below_one_dense_stack(self, grid128):
+        """One training step, forward and backward, at batch 16 on 128x128
+        peaks below one dense [16, 4, 128, 128] float32 stack (4.2 MB):
+        deconv2 onward runs at the observed cells' receptive field. Run on
+        whole grids, the step peaked at 42 MB."""
+        arch, step_loss, _, _ = grid128
+
+        def step():
+            tape = Tape()
+            tape.backward(step_loss(tape, np.arange(16), np.random.default_rng(0)))
+
+        step()
+        peak, _ = peak_bytes(step)
+        stack = 16 * arch.filters[1] * arch.n_lat * arch.n_mlt * 4
+        assert peak < stack, f"peak {peak / stack:.2f}x one dense stack"
+
+    def test_validation_peaks_below_half_a_dense_stack(self, grid128):
+        """One validation pass on 128x128 peaks below half a dense
+        [n_val, 4, 128, 128] float32 stack: it predicts at the observed
+        cells only, into NaN grids a quarter of that size. Run on whole
+        grids, it peaked at 2.1 stacks."""
+        arch, _, validate, n_val = grid128
+        peak, _ = peak_bytes(validate)
+        stack = n_val * arch.filters[1] * arch.n_lat * arch.n_mlt * 4
+        assert peak < stack / 2, f"peak {peak / stack:.2f}x one dense stack"
+
+    def test_training_runs_no_dense_correlation(self, monkeypatch):
         """A training step runs the final conv at its batch's observed cells
-        only; the dense correlation runs once per epoch, in validation,
-        after that epoch's last step."""
+        only, and so does validation at the validation samples' cells: the
+        dense correlation never runs in train_model."""
         from auroracast import autodiff as ad
 
         events = []
@@ -559,7 +594,7 @@ class TestTrainConv:
         assert len(history.epochs) == 2
         steps = -(-len(train_s) // 16)
         assert steps > 1
-        assert events == (["step"] * steps + ["corr2d"]) * 2
+        assert events == ["step"] * steps * 2
 
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
