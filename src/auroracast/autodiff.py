@@ -22,20 +22,17 @@ The convolutions (conv2d, conv2d_transpose) loop over kernel taps: each
 tap contracts the channels of one shifted or strided slice with that
 tap's [c_out, c_in] matrix and accumulates into the output, forward and
 backward. Memory stays at a few output-sized arrays, with no im2col
-window copy that grows with the kernel area. conv2d's backward gathers
-both dk and dx from the output cells whose gradient is nonzero only, and
-its forward can be asked for a list of output cells only, so under a
-sparse target a training step's final conv costs the observed cells
-times the kernel area, not the grid times the kernel area.
+window copy that grows with the kernel area.
 
-A layer under such a conv can run at a list of sites too, the outputs
-that the cells' windows read: conv2d_transpose(..., sites) returns them
+A layer under the final conv can run at a list of sites, the outputs
+that some cells' windows read: conv2d_transpose(..., sites) returns them
 as a compact [sites, c] array, add_channel_bias, relu and dropout (with
 ``sites``) act on it, window_sites lays each cell's window out from it
-(the pads are window taps that wrap or read zero), and place_cells puts
-the conv's values at the cells back into NaN grids. Each value at a site
-sums the same products in the same order as the dense op, so it is the
-same bits. Without sites or cells every op runs on whole grids.
+(the pads are window taps that wrap or read zero), conv2d correlates the
+[cells, c, kh, kw] windows to one output each, and place_cells puts
+those values back into NaN grids. Each value at a site sums the same
+products in the same order as the dense op, so it is the same bits.
+Without sites every op runs on whole grids.
 """
 
 from __future__ import annotations
@@ -342,68 +339,24 @@ def pad_zero_lat(x: Tensor, pad: int, tape: Tape | None = None) -> Tensor:
 
 # ── Convolutions ──────────────────────────────────────────────────────
 
-def _row_taps(w: int, kh: int, kw: int, span: int):
-    """(p, q, run) per kernel tap: the slice of a row-major flattened
-    [.., h*w] input that tap (p, q) reads for a valid correlation."""
-    return [(p, q, slice(p * w + q, p * w + q + span)) for p in range(kh) for q in range(kw)]
-
-
-def _corr2d(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of a [n, c_in, h, w] with k [c_out, c_in, kh, kw].
-
-    The spatial axes are flattened row-major, so tap (p, q) reads the
-    contiguous run of `span` elements starting at p*w + q (`_row_taps`) and
-    contracts its channels with k[:, :, p, q]. Each output row is
-    computed at the full input width w; the last kw-1 columns of a row mix in
-    the start of the next input row and are cropped at the end. Samples run
-    one at a time, so a sample's rows and its output stay in cache across
-    all the taps. The contraction is an einsum rather than a BLAS product:
-    it sums every output element in the same order wherever the element
-    lies, so the correlation commutes exactly with circular shifts of a
-    periodically padded input.
-    """
-    n, ci, h, w = a.shape
-    co, _, kh, kw = k.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    span = (oh - 1) * w + ow
-    flat = a.reshape(n, ci, h * w)
-    taps = _row_taps(w, kh, kw, span)
-    y = np.zeros((n, co, oh * w), dtype=a.dtype)
-    tap = np.empty((co, span), dtype=a.dtype)
-    for i in range(n):
-        for p, q, run in taps:
-            np.einsum("oc,cl->ol", k[:, :, p, q], flat[i, :, run], out=tap)
-            y[i, :, :span] += tap
-    return np.ascontiguousarray(y.reshape(n, co, oh, w)[:, :, :, :ow])
-
-
-def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None, cells=None) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None) -> Tensor:
     """Valid cross-correlation; x [n, c_in, h, w], k [c_out, c_in, kh, kw].
 
-    Without ``cells`` the forward is `_corr2d`. ``cells`` lists flat output
-    positions in [n, oh, ow] (a 1-D integer array, each in [0, n*oh*ow));
-    the forward then evaluates only those cells, for every output channel,
-    and fills every other output cell with NaN, so nothing can mistake it
-    for a prediction. Each listed cell sums the same einsum products in
-    the same tap order as `_corr2d`, so its value is bit-equal to the dense
-    forward's.
+    The spatial axes are flattened row-major, so tap (p, q) reads the
+    contiguous run of `span` elements starting at p*w + q and contracts its
+    channels with k[:, :, p, q], for every sample at once. Each output row
+    is computed at the full input width w; the last kw-1 columns of a row
+    mix in the start of the next input row and are cropped at the end. The
+    contraction is an einsum rather than a BLAS product: it sums every
+    output element in the same order wherever the element lies, so the
+    correlation commutes exactly with circular shifts of a periodically
+    padded input.
 
-    Backward runs the adjoint of the same tap loop at the (sample, cell)
-    positions where some channel of dy is nonzero, whether or not
-    ``cells`` was given. Per tap in tap order, it gathers that tap's
-    slice of x at those cells:
-    - dk[:, :, p, q] is g.T @ x gathered, g being dy at the cells.
-    - dx: g is scattered through k[:, :, p, q] into dx at the cell +
-      the tap's offset. Within one tap those targets are distinct, so a
-      buffered += is exact, and each dx element sums the same einsum
-      products in the same order as a scatter over every cell; the
-      skipped terms are zeros, which never change a sum.
-    The cost is the nonzero cells times the kernel area: under
-    `sparse_masked_loss_op` that is the observed cells only.
-    One edge differs from a dense backward: a zero dy cell no longer
-    spreads 0 * inf = NaN from a non-finite kernel into dx, or from a
-    non-finite input into dk. Training stops on a non-finite loss before
-    any backward runs, so no CLI path reaches it.
+    Backward is the adjoint of the same tap loop, on dy padded to full row
+    width. Per tap, dk[:, :, p, q] is G @ X, with G the transposed
+    [rows, c_out] gradient and X the tap's [rows, c_in] slice, both
+    C-contiguous, rows running over sample x output position; dx adds the
+    einsum of dy with k[:, :, p, q] at the tap's run.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -415,31 +368,28 @@ def conv2d(x: Tensor, k: Tensor, tape: Tape | None = None, cells=None) -> Tensor
     if kh > h or kw > w:
         raise ValueError(f"kernel {kh}x{kw} larger than input {h}x{w}")
     oh, ow = h - kh + 1, w - kw + 1
+    span = (oh - 1) * w + ow
     x_flat = x.data.reshape(n, ci, h * w)
-    taps = _row_taps(w, kh, kw, (oh - 1) * w + ow)
-    if cells is None:
-        out = Tensor(_corr2d(x.data, k.data))
-    else:
-        sample, row, col = unravel_cells(cells, (n, oh, ow), "conv2d cells")
-        position = row * w + col
-        y = np.zeros((sample.size, co), dtype=x.data.dtype)
-        for p, q, run in taps:
-            y += np.einsum("oc,mc->mo", k.data[:, :, p, q], x_flat[sample, :, position + run.start])
-        grid = np.full((n, co, oh, ow), np.nan, dtype=x.data.dtype)
-        grid[sample, :, row, col] = y
-        out = Tensor(grid)
+    taps = [(p, q, slice(p * w + q, p * w + q + span)) for p in range(kh) for q in range(kw)]
+    y = np.zeros((n, co, oh * w), dtype=x.data.dtype)
+    tap = np.empty((n, co, span), dtype=x.data.dtype)
+    for p, q, run in taps:
+        np.einsum("oc,ncl->nol", k.data[:, :, p, q], x_flat[:, :, run], out=tap)
+        y[:, :, :span] += tap
+    out = Tensor(np.ascontiguousarray(y.reshape(n, co, oh, w)[:, :, :, :ow]))
 
     if tape is not None:
         def backward():
-            sample, row, col = np.nonzero(np.any(out.grad != 0, axis=1))
-            g = out.grad[sample, :, row, col]
-            position = row * w + col
+            dy = np.zeros((n, co, oh, w), dtype=x.data.dtype)
+            dy[:, :, :, :ow] = out.grad
+            dy = dy.reshape(n, co, oh * w)[:, :, :span]
+            g = np.ascontiguousarray(dy.transpose(0, 2, 1)).reshape(-1, co).T
             dk = np.empty_like(k.data)
             dx = np.zeros_like(x_flat)
             for p, q, run in taps:
-                at = position + run.start
-                dk[:, :, p, q] = g.T @ x_flat[sample, :, at]
-                dx[sample, :, at] += np.einsum("mo,oc->mc", g, k.data[:, :, p, q])
+                rows = np.ascontiguousarray(x_flat[:, :, run].transpose(0, 2, 1)).reshape(-1, ci)
+                dk[:, :, p, q] = g @ rows
+                dx[:, :, run] += np.einsum("oc,nol->ncl", k.data[:, :, p, q], dy)
             _accumulate(k, dk)
             _accumulate(x, dx.reshape(x.shape))
 
@@ -460,7 +410,7 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None, sit
     gathers the same slice of the padded output gradient.
 
     ``sites`` lists strictly ascending flat output positions in
-    [n, h*s, w*s], as conv2d's ``cells`` do. The output is then only those
+    [n, h*s, w*s] (``unravel_cells``). The output is then only those
     sites' values, compact as [len(sites), c_out]: per tap, in tap order,
     the sites that tap lands on gather the input cell it reads, and add
     that tap's channel matrix times it, in the dense forward's matmul

@@ -314,7 +314,7 @@ def forward_convdecoder(
     h = ad.relu(h, tape)
     h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, sites, grid)
     h = ad.window_sites(h, windows, tape)
-    h = ad.conv2d(h, params["final.k"], tape, np.arange(cells.size))
+    h = ad.conv2d(h, params["final.k"], tape)
     h = ad.add_channel_bias(h, params["final.b"], tape)
     return ad.place_cells(h, cells, grid, tape)
 

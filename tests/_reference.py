@@ -12,8 +12,8 @@ CSV writers the package had before ``ingest.write_csv``, one f-string per
 line. The scalar oracles of the world (``true_flux``,
 ``true_region``, ``cell_of``, with ``driver_row_at`` for their driver
 input) and the one-window compositor ``composite_window`` take plain
-floats. ``conv2d_backward_dense`` is ``autodiff.conv2d``'s backward as it
-was before ``dx`` skipped the cells with a zero output gradient.
+floats. ``conv2d_backward_dense`` is ``autodiff.conv2d``'s backward one
+sample at a time, scattering every output cell.
 ``backward_keeping_records`` with ``accumulate_zero_filled`` is
 ``Tape.backward`` as it was before it consumed the tape record by record.
 ``dense_batch`` and ``sparse_masked_loss_dense`` are the conv training

@@ -264,15 +264,19 @@ class TestConv2d:
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
 
     def test_gradcheck(self):
+        """A 3x3 output, and the training shape's single output per
+        window (oh = ow = 1). The cases run in one body so the test keeps
+        its id."""
         rng = np.random.default_rng(9)
-        x = _t(rng, 2, 2, 5, 5)
-        k = _t(rng, 3, 2, 3, 3)
+        for x_shape, k_shape in [((2, 2, 5, 5), (3, 2, 3, 3)), ((3, 2, 3, 3), (1, 2, 3, 3))]:
+            x = _t(rng, *x_shape)
+            k = _t(rng, *k_shape)
 
-        def build():
-            tape = Tape()
-            return tape, sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
+            def build():
+                tape = Tape()
+                return tape, sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
 
-        check_gradients(build, [x, k])
+            check_gradients(build, [x, k])
 
     def test_gradcheck_non_square_kernel(self):
         rng = np.random.default_rng(20)
@@ -284,6 +288,29 @@ class TestConv2d:
             return tape, sum_all(ad.relu(ad.conv2d(x, k, tape), tape), tape)
 
         check_gradients(build, [x, k])
+
+    def test_window_stack_bits(self):
+        """float32 at the training shape, 160 [4, 7, 7] windows to one
+        output each. The forward is the per-tap channel einsum summed in tap
+        order, and each dk tap is the C-contiguous [rows, c_out] gradient,
+        transposed, times the C-contiguous [rows, c_in] tap slice: the
+        layout the conv chain's bits depend on. An einsum dk rounds
+        differently."""
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((160, 4, 7, 7)).astype(np.float32)
+        k = rng.standard_normal((1, 4, 7, 7)).astype(np.float32)
+        dy = rng.standard_normal((160, 1, 1, 1)).astype(np.float32)
+        xt, kt = Tensor(x), Tensor(k)
+        tape = Tape()
+        y = ad.conv2d(xt, kt, tape)
+        tape.backward(_weighted_sum(tape, y, dy))
+        ref = np.zeros((160, 1), dtype=np.float32)
+        for p, q in np.ndindex(7, 7):
+            ref += np.einsum("oc,mc->mo", k[:, :, p, q], x[:, :, p, q])
+        assert y.data.tobytes() == ref.reshape(160, 1, 1, 1).tobytes()
+        g = np.ascontiguousarray(dy[:, :, 0, 0]).T
+        for p, q in np.ndindex(7, 7):
+            assert kt.grad[:, :, p, q].tobytes() == (g @ np.ascontiguousarray(x[:, :, p, q])).tobytes()
 
 
 class TestConvTranspose:
@@ -411,16 +438,21 @@ class TestConvOracle:
         np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
 
     def test_conv2d_final_layer(self):
-        x, k, y, dy = self._run(ad.conv2d, (2, 4, 134, 134), (1, 4, 7, 7), 23)
-        ref_y, ref_dx, ref_dk = _naive_conv2d(x.data, k.data, dy)
-        np.testing.assert_allclose(y.data, ref_y, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
+        """The padded grid of the dense forward, and the [cells, 4, 7, 7]
+        window stack that training convolves. The cases run in one body so
+        the test keeps its id."""
+        for x_shape in [(2, 4, 134, 134), (2, 4, 7, 7)]:
+            x, k, y, dy = self._run(ad.conv2d, x_shape, (1, 4, 7, 7), 23)
+            ref_y, ref_dx, ref_dk = _naive_conv2d(x.data, k.data, dy)
+            np.testing.assert_allclose(y.data, ref_y, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(k.grad, ref_dk, rtol=1e-10, atol=1e-10)
 
 
 class TestConv2dSparseGradient:
-    """The backward gathers dk and scatters dx at the output cells whose
-    gradient is nonzero only."""
+    """An output gradient that is zero at most cells, as the masked loss
+    gives: the backward scatters every cell, zero or not, and matches the
+    naive loops and the per-sample dense scatter."""
 
     def test_sparse_output_gradient_against_naive_loops(self):
         rng = np.random.default_rng(25)
@@ -486,67 +518,6 @@ class TestConv2dSparseGradient:
             return tape, sparse_masked_loss_op(tape, pred, np.flatnonzero(mask), target[mask])
 
         check_gradients(build, [x, k])
-
-
-class TestConv2dCells:
-    """conv2d(cells=...) evaluates the listed output cells only."""
-
-    @pytest.mark.parametrize(
-        "x_shape, k_shape, per_sample",
-        [((16, 4, 134, 134), (1, 4, 7, 7), 15), ((3, 3, 20, 23), (2, 3, 5, 4), 60)],
-    )
-    def test_bitwise_equal_to_dense_at_the_cells(self, x_shape, k_shape, per_sample):
-        """float32, at the final layer's training shape with about 15
-        observed cells per sample, and with two output channels: the dense
-        forward's bits at every listed cell and channel, NaN elsewhere."""
-        rng = np.random.default_rng(28)
-        x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
-        k = Tensor(rng.standard_normal(k_shape).astype(np.float32))
-        dense = ad.conv2d(x, k).data
-        n, co, oh, ow = dense.shape
-        cells = np.concatenate(
-            [i * oh * ow + np.sort(rng.choice(oh * ow, per_sample, replace=False)) for i in range(n)]
-        )
-        y = ad.conv2d(x, k, cells=cells).data
-        assert y.shape == dense.shape and y.dtype == np.float32
-        at = np.zeros((n, oh, ow), dtype=bool)
-        at.flat[cells] = True
-        at = np.broadcast_to(at[:, None], y.shape)
-        assert y[at].tobytes() == dense[at].tobytes()
-        assert np.all(np.isnan(y[~at]))
-
-    def test_gradcheck_through_bias_and_sparse_masked_loss(self):
-        rng = np.random.default_rng(29)
-        x = _t(rng, 2, 2, 6, 7)
-        k = _t(rng, 1, 2, 3, 3)
-        b = _t(rng, 1)
-        cells = np.array([0, 7, 11, 19, 28])  # [2, 4, 5]: 4 in sample 0, 1 in sample 1
-        target = rng.standard_normal(cells.size)
-
-        def build():
-            tape = Tape()
-            y = ad.conv2d(x, k, tape, cells=cells)
-            pred = ad.add_channel_bias(y, b, tape)
-            return tape, sparse_masked_loss_op(tape, pred, cells, target)
-
-        check_gradients(build, [x, k, b])
-
-    @pytest.mark.parametrize(
-        "cells",
-        [
-            np.array([[0, 1]]),
-            np.array([0.0, 1.0]),
-            np.array([True, False]),
-            np.array([-1, 3]),
-            np.array([0, 2 * 4 * 5]),
-        ],
-        ids=["2-D", "float", "bool", "negative", "past-the-end"],
-    )
-    def test_bad_cells(self, cells):
-        x = Tensor(np.zeros((2, 1, 6, 7)))
-        k = Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ValueError, match="cells"):
-            ad.conv2d(x, k, cells=cells)
 
 
 def _sites(rng, n, h, w, per_sample):
@@ -636,7 +607,8 @@ class TestConvTransposeSites:
 
 
 class TestSiteOps:
-    """The ops between conv2d_transpose(sites=...) and conv2d(cells=...)."""
+    """The ops between conv2d_transpose(sites=...) and the final conv2d on
+    the cells' windows."""
 
     def test_dropout_at_sites_is_the_dense_mask_at_the_sites(self):
         """The dense grid's mask at each site, the same bits, and the

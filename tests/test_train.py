@@ -569,24 +569,21 @@ class TestTrainConv:
         assert peak < stack / 2, f"peak {peak / stack:.2f}x one dense stack"
 
     def test_training_runs_no_dense_correlation(self, monkeypatch):
-        """A training step runs the final conv at its batch's observed cells
-        only, and so does validation at the validation samples' cells: the
-        dense correlation never runs in train_model."""
+        """A training step runs the final conv on its batch's observed
+        cells' windows only, and so does validation on the validation
+        samples' cells: every conv2d input in train_model is a
+        [cells, 4, 7, 7] window stack, never the padded [n, 4, 38, 38]
+        grid the dense correlation reads."""
         from auroracast import autodiff as ad
 
-        events = []
-        corr2d, adam = ad._corr2d, T.adam_step
+        shapes = []
+        conv2d = ad.conv2d
 
-        def counted_corr2d(*args):
-            events.append("corr2d")
-            return corr2d(*args)
+        def recorded_conv2d(x, *args):
+            shapes.append(x.shape)
+            return conv2d(x, *args)
 
-        def counted_adam(*args):
-            events.append("step")
-            return adam(*args)
-
-        monkeypatch.setattr(ad, "_corr2d", counted_corr2d)
-        monkeypatch.setattr(T, "adam_step", counted_adam)
+        monkeypatch.setattr(ad, "conv2d", recorded_conv2d)
         train_s, val_s, schema = self._samples(seed=47)
         arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
         config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=2, batch_size=16, seed=1)
@@ -594,7 +591,9 @@ class TestTrainConv:
         assert len(history.epochs) == 2
         steps = -(-len(train_s) // 16)
         assert steps > 1
-        assert events == ["step"] * steps * 2
+        assert len(shapes) == steps * 2 + 2
+        window = (arch.filters[1], arch.final_kernel, arch.final_kernel)
+        assert all(len(shape) == 4 and shape[1:] == window for shape in shapes)
 
     def test_wrong_loss_rejected(self):
         train_s, val_s, schema = self._samples(seed=42)
