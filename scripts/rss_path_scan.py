@@ -9,7 +9,7 @@ followed the byte length of the paths and modules it imported: freed
 training-step heap stayed resident under the whole-grid validation pass.
 Since ``train`` trims the heap before validating, and validation predicts
 at the observed cells only, a scan at lengths 1-8 reads within about
-1.5 MB (57.6-59.2 MB; the dense validation's peak was flat at 114.3-114.6
+0.7 MB (56.3-57.0 MB; the dense validation's peak was flat at 114.3-114.6
 MB). One reading per side cannot tell a change in memory use from a change
 of mode, so this scan shows each side's readings next to each other, and
 shows whether a change brings a mode back.
@@ -29,7 +29,7 @@ The synth and train steps are built by ``perfbench/run.py`` (``SIZES``,
 ``train_step``) at the reference seed 1, so the stage is the one the
 benchmark runs. It prints one JSON line per checkout:
 
-    {"checkout": "...", "seed": 1, "peak_rss_mb": {"1": 59.1, "2": 59.2, ...}}
+    {"checkout": "...", "seed": 1, "peak_rss_mb": {"1": 56.9, "2": 57.0, ...}}
 
 A stage that exits non-zero stops the scan with exit status 1.
 """

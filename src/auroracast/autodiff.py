@@ -30,9 +30,9 @@ as a compact [sites, c] array, add_channel_bias, relu and dropout (with
 ``sites``) act on it, window_sites lays each cell's window out from it
 (the pads are window taps that wrap or read zero), conv2d correlates the
 [cells, c, kh, kw] windows to one output each, and place_cells puts
-those values back into NaN grids. Each value at a site sums the same
-products in the same order as the dense op, so it is the same bits.
-Without sites every op runs on whole grids.
+those values into NaN grids where a loss reads grids. Each value at a
+site sums the same products in the same order as the dense op, so it is
+the same bits. Without sites every op runs on whole grids.
 """
 
 from __future__ import annotations

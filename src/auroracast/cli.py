@@ -203,8 +203,7 @@ def _sparse_data(args, cfg):
     M.assert_global_only(schema.global_names)
 
     arch = M.arch_from_config(cfg, input_width=len(schema.global_names))
-    spec = G.GridSpec(n_lat=arch.n_lat, n_mlt=arch.n_mlt)
-    samples, _ = T.build_sparse_samples(drivers, obs, schema, spec)
+    samples, _ = T.build_sparse_samples(drivers, obs, schema, arch.spec)
     if not len(samples):
         raise DataError("no sparse samples could be composited")
     t_centers = samples.t_center
@@ -282,10 +281,7 @@ def cmd_eval(args) -> int:
 def cmd_map(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     drivers = I.read_drivers_csv(args.drivers)
-    if isinstance(model.arch, M.ConvDecoderArch):
-        spec = G.GridSpec(n_lat=model.arch.n_lat, n_mlt=model.arch.n_mlt)
-    else:
-        spec = G.GridSpec()
+    spec = model.arch.spec if isinstance(model.arch, M.ConvDecoderArch) else G.GridSpec()
     E.render_map(model, drivers, args.at, spec, args.out)
     return 0
 

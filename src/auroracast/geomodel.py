@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import bind
+from .errors import ConfigError, bind
 
 
 class Region(enum.Enum):
@@ -275,16 +275,9 @@ class WorldParams:
     processes: Mapping[str, DriverProcess] = field(default_factory=default_driver_processes)
 
     def __post_init__(self):
+        # config.KEYS bounds the other fields; --seed does not pass through it
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 1 <= self.n_sats <= 3:
-            raise ValueError("n_sats must be in [1, 3]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.cadence_s <= 0 or self.obs_cadence_s <= 0:
-            raise ValueError("cadences must be positive")
-        if self.activity_scale <= 0:
-            raise ValueError("activity_scale must be positive")
 
 
 # ── Grid registration ─────────────────────────────────────────────────
@@ -389,7 +382,7 @@ def gen_drivers(params: WorldParams, duration_s: float) -> DriverSeries:
     """
     if duration_s < params.cadence_s:
         raise ValueError("duration shorter than one cadence step")
-    n = int(math.floor(duration_s / params.cadence_s)) + 1
+    n = _series_length(duration_s, params.cadence_s, "driver")
     dt = params.cadence_s
     mean, tau, volatility = np.array([astuple(params.processes[name]) for name in DRIVER_NAMES]).T
     k = dt / tau
@@ -400,6 +393,15 @@ def gen_drivers(params: WorldParams, duration_s: float) -> DriverSeries:
     for i in range(1, n):
         x[i] = x[i - 1] + (mean - x[i - 1]) * k + kicks[i - 1]
     return DriverSeries(t0=params.t0, cadence=params.cadence_s, values=x.T.copy())
+
+
+def _series_length(span_s: float, cadence_s: float, what: str) -> int:
+    """floor(span / cadence) + 1 samples; a MemoryError (exit 5) when no
+    float64 array could hold that many."""
+    steps = span_s / cadence_s
+    if not steps < np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{steps:.3g} {what} samples do not fit in any array")
+    return int(math.floor(steps)) + 1
 
 
 def _orbit_track(times: np.ndarray, sat_index: int, params: WorldParams):
@@ -426,11 +428,13 @@ def sample_traces(
     observation cadence; log-flux noise is Gaussian per sample with a
     seeded stream per satellite. Every satellite is drawn at once, as
     ``[n_sats, n_obs]`` arrays; rows are ordered by time, then satellite.
+    A world whose log10 flux ``x`` gives no positive finite float64
+    ``10**x`` is a ConfigError.
     """
     cad = params.obs_cadence_s if obs_cadence_s is None else float(obs_cadence_s)
     if cad <= 0:
         raise ValueError("obs cadence must be positive")
-    n_obs = int(math.floor((drivers.t_end - drivers.t0) / cad)) + 1
+    n_obs = _series_length(drivers.t_end - drivers.t0, cad, "observation")
     times = drivers.t0 + cad * np.arange(n_obs)
 
     cf = drivers.column("NewellCF")[drivers.index_at(times)]
@@ -442,8 +446,17 @@ def sample_traces(
     noise = np.array([np.random.default_rng(c).standard_normal(n_obs) for c in children])
     logf = flux_field(mlat, mlt, a, params) + params.noise_sigma * noise
     # Python's scalar power, not np.power: the vectorised kernel rounds the
-    # last bit differently on some inputs, and eflux is written to CSV.
-    eflux = np.array([10.0 ** x for x in logf.T.ravel().tolist()])
+    # last bit differently on some inputs, and eflux is written to CSV. It
+    # raises past float64's largest value and gives 0.0 below its smallest.
+    try:
+        eflux = np.array([10.0 ** x for x in logf.T.ravel().tolist()])
+    except OverflowError:
+        eflux = None
+    if eflux is None or not np.all(eflux > 0):
+        raise ConfigError(
+            f"world.* values give log10 eflux in [{logf.min():g}, {logf.max():g}], "
+            "where 10**x is not a positive finite float64"
+        )
     return ObsTable(
         t=np.repeat(times, params.n_sats),
         sat_id=np.tile(sats, n_obs),

@@ -15,7 +15,8 @@ model's stored ``Normalization``, enter one dense ReLU trunk (widths
              then x4), dropout, a periodic pad of the MLT axis (plus zero
              pad in latitude), and a final valid convolution that restores
              the exact grid size. Takes no spatial inputs; predicts the
-             whole grid, or only listed cells of it (``forward_convdecoder``).
+             whole grid, or the values at listed cells of it only
+             (``forward_convdecoder``).
 
 A checkpoint is a ``container`` file of kind ``checkpoint`` (the layout
 is described there): the variant, the architecture fields and the
@@ -32,6 +33,7 @@ from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DataError, bind
+from .geomodel import GridSpec
 from .ingest import SPATIAL_NAMES, Normalization
 
 
@@ -105,6 +107,7 @@ class ConvDecoderArch:
         _check_trunk(self)
         if self.n_lat != self.n_mlt:
             raise ValueError("decoder currently requires a square grid")
+        self.spec  # GridSpec's rules hold for the grid: at least 4x4
         s = self.strides[0] * self.strides[1]
         if self.n_mlt % s != 0:
             raise ValueError(f"grid size {self.n_mlt} not divisible by stride product {s}")
@@ -118,6 +121,10 @@ class ConvDecoderArch:
     @property
     def side(self) -> int:
         return self.n_mlt // (self.strides[0] * self.strides[1])
+
+    @property
+    def spec(self) -> GridSpec:
+        return GridSpec(n_lat=self.n_lat, n_mlt=self.n_mlt)
 
 
 Arch = BaselineArch | MultiTaskArch | ConvDecoderArch
@@ -277,18 +284,19 @@ def forward_convdecoder(
     dropout_rng=None,
     cells=None,
 ) -> Tensor:
-    """One [n_lat, n_mlt] grid per input row of global features.
+    """One [n_lat, n_mlt] grid per input row of global features, or, with
+    ``cells``, only the grids' values there.
 
-    Without ``cells`` every grid cell is predicted. ``cells`` lists flat
-    positions in the stacked [n, n_lat, n_mlt] grids (a batch's observed
-    cells), and every other cell of the returned grids is NaN. The trunk,
-    ``to_grid`` and deconv1 still run dense. From deconv2 on, the decoder
-    runs only at the deconv2 output sites that the final convolution reads
-    at the cells, their ``final_kernel`` square windows (``_receptive_field``):
-    deconv2, its bias, ReLU and dropout on a compact [sites, channels]
-    array, then the periodic and zero pads as each cell's window of those
-    sites, and the final convolution at the cells. The values at the cells
-    are the bits of the dense forward; dropout draws the dense grid's mask.
+    ``cells`` lists flat positions in the stacked [n, n_lat, n_mlt] grids
+    (a batch's observed cells); the result is [cells], the values at the
+    unique cells in ascending order. The trunk, ``to_grid`` and deconv1
+    still run dense. From deconv2 on, the decoder runs only at the deconv2
+    output sites that the final convolution reads at the cells, their
+    ``final_kernel`` square windows (``_receptive_field``): deconv2, its
+    bias, ReLU and dropout on a compact [sites, channels] array, then the
+    periodic and zero pads as each cell's window of those sites, and the
+    final convolution at the cells. The values are the bits of the dense
+    forward at the cells; dropout draws the dense grid's mask.
     """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
@@ -316,7 +324,7 @@ def forward_convdecoder(
     h = ad.window_sites(h, windows, tape)
     h = ad.conv2d(h, params["final.k"], tape)
     h = ad.add_channel_bias(h, params["final.b"], tape)
-    return ad.place_cells(h, cells, grid, tape)
+    return ad.reshape(h, (cells.size,), tape)
 
 
 def _receptive_field(arch: ConvDecoderArch, grid, cells):
@@ -371,10 +379,11 @@ def predict_chunks(model: Model, raw_rows: np.ndarray, positions=None):
     """Yield ``(rows, pred, region)`` for consecutive slices ``rows`` of
     ``raw_rows``, as ``predict`` describes; conv grids stay float32.
 
-    ``positions`` (conv decoder only) lists ascending flat positions in the
-    stacked [n, n_lat, n_mlt] grids of all the rows. Each chunk's grids are
-    then predicted at its own positions only, and are NaN elsewhere
-    (``forward_convdecoder``'s ``cells``).
+    ``positions`` (conv decoder only) lists strictly ascending flat
+    positions in the stacked [n, n_lat, n_mlt] grids of all the rows.
+    Each chunk's ``pred`` is then the float32 values at its own positions
+    only, in their order (``forward_convdecoder``'s ``cells``), so the
+    chunks' values concatenate to one value per position.
     """
     arch, width = model.arch, model.arch.input_width
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)

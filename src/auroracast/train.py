@@ -28,9 +28,12 @@ the driver features, and the observed cells of its composite window as
 ascending flat cell indices with their mean log10 flux. Training and
 validation both read the table directly: a batch is a sub-table. Both run
 the decoder at observed-cell ``positions`` only (``models.forward_convdecoder``
-with ``cells``): a training step at its batch's, and the loss gathers the
-predicted grids there; validation at each chunk's, so no whole grid is
-predicted during training. ``eval`` and ``map`` predict whole grids.
+with ``cells``), which returns their values. A training step puts its
+batch's values into NaN grids for ``losses.sparse_masked_loss_op``
+(``autodiff.place_cells``), as ``perfbench/tracer.py`` counts a step's
+samples as the loss input's first axis. Validation scores each chunk's
+values with ``losses.mse``, with no [n, n_lat, n_mlt] array. ``eval`` and
+``map`` predict whole grids.
 
 ``train_config_from_config`` binds the ``train.*`` and loss keys of a run
 config (``config`` lists them). History is emitted as
@@ -45,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import losses as L
 from . import models as M
 from .autodiff import Tape, Tensor, zero_grads
@@ -70,14 +74,7 @@ class TrainConfig:
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # config.KEYS bounds the other fields; --seed does not pass through it
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -333,24 +330,6 @@ def _point_setup(
     return train_table.n, step_loss, validate, float(np.mean(y_train))
 
 
-def _sample_mse(chunks, samples: SparseSamples) -> float:
-    """Masked MSE of the grids in ``(rows, pred [b, n_lat, n_mlt], _)``
-    chunks that cover the samples in order (``models.predict_chunks``).
-
-    The observed cells are gathered at ``samples.positions`` into one
-    float64 array and scored by ``losses.mse``: this equals
-    ``losses.sparse_masked_loss_op`` on float64 grids bit for bit, however
-    the samples are chunked.
-    """
-    positions = samples.positions
-    n_cells = samples.spec.n_lat * samples.spec.n_mlt
-    observed = np.empty(samples.cells.size)
-    for rows, pred, _ in chunks:
-        cells = slice(samples.offsets[rows.start], samples.offsets[rows.stop])
-        observed[cells] = pred.reshape(-1)[positions[cells] - rows.start * n_cells]
-    return L.mse(samples.values, observed)
-
-
 def _conv_setup(
     model: M.Model, train_samples: SparseSamples, val_samples: SparseSamples, spec: LossSpec
 ):
@@ -366,11 +345,12 @@ def _conv_setup(
         positions = batch.positions
         x = norm.apply(batch.features)
         pred = M.forward_convdecoder(model.arch, model.params, x, tape, True, dropout_rng, cells=positions)
-        return L.sparse_masked_loss_op(tape, pred, positions, batch.values, spec.masked_normalize)
+        grids = ad.place_cells(pred, positions, (len(batch), model.arch.n_lat, model.arch.n_mlt), tape)
+        return L.sparse_masked_loss_op(tape, grids, positions, batch.values, spec.masked_normalize)
 
     def validate() -> float:
         chunks = M.predict_chunks(model, val_samples.features, val_samples.positions)
-        return _sample_mse(chunks, val_samples)
+        return L.mse(val_samples.values, np.concatenate([pred for _, pred, _ in chunks]))
 
     return len(train_samples), step_loss, validate, float(np.mean(train_samples.values))
 

@@ -13,6 +13,7 @@ import pytest
 
 from auroracast import cli
 from auroracast import ingest as I
+from auroracast import models as M
 from auroracast import train as T
 from auroracast.cli import main
 from auroracast.errors import ConfigError
@@ -853,6 +854,53 @@ class TestConfigValues:
         assert run("train", "--sparse", synth_dir, "--config", cfg, "--out-dir", tmp_path / "out") == 2
         assert f"config error: overlap {overlap} must be smaller than the grid size 32" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+    @pytest.mark.parametrize(
+        "command, lines, code",
+        [
+            ("synth", ["world.cadence_s = 1e-300"], 5),
+            ("synth", ["world.obs_cadence_s = 1e-300"], 5),
+            ("synth", ["world.peak_log_flux_base = 400"], 2),
+            ("synth", ["world.noise_sigma = 1e300"], 2),
+            ("synth", ["world.subauroral_background = -400"], 2),
+            ("train", ["arch = conv", "arch.grid = 2", "arch.strides = 1,1", "arch.kernels = 1,1",
+                       "arch.overlap = 0", "loss = sparse_masked"], 2),
+        ],
+        ids=["cadence", "obs_cadence", "peak_flux", "noise", "background", "conv_grid_2"],
+    )
+    def test_in_range_values_that_cannot_run_exit_with_one_line(
+        self, tmp_path, capsys, synth_dir, command, lines, code
+    ):
+        """Values each key accepts, whose series would not fit in any array
+        (exit 5), whose flux leaves float64 (exit 2), or whose conv grid is
+        below GridSpec's 4x4 (exit 2): one line, no traceback, no out-dir."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ("synth", "--out-dir", out, "--days", 1)
+        else:
+            argv = ("train", "--sparse", synth_dir, "--out-dir", out)
+        assert run(*argv, "--config", cfg) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 2 else "resource error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+    def test_map_of_a_conv_grid_below_4x4_exits_3(self, tmp_path, capsys, synth_dir):
+        """A checkpoint that declares a 2x2 decoder grid is a data error at load."""
+        arch = M.ConvDecoderArch(input_width=4, trunk=(3,), n_lat=4, n_mlt=4, kernels=(1, 1),
+                                 strides=(1, 1), final_kernel=1, overlap=0)
+        object.__setattr__(arch, "n_lat", 2)
+        object.__setattr__(arch, "n_mlt", 2)
+        model = M.Model(arch, M.init_params(arch))
+        save_checkpoint(model, tmp_path / "grid2.aur")
+        out = tmp_path / "map"
+        argv = ("--checkpoint", tmp_path / "grid2.aur", "--drivers", synth_dir / "drivers.csv")
+        assert run("map", *argv, "--at", 43200, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "grid must be at least 4x4" in err
+        assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == ["grid2.aur"]
 
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, features_file, command):

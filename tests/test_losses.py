@@ -601,10 +601,6 @@ class TestLossSpec:
         ):
             assert LossSpec.from_config(parse_values(spec.to_config())) == spec
 
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            LossSpec("huber")
-
     def test_bad_term_string(self):
         with pytest.raises(ConfigError):
             LossSpec.from_config(parse_values({"loss": "tail", "tail.terms": "abc"}))

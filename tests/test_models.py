@@ -267,25 +267,24 @@ class TestConvDecoderCells:
 
     @pytest.mark.parametrize("training", [False, True])
     def test_bitwise_equal_to_dense_at_the_cells(self, training):
-        """float32, 16 samples on 128x128 with about 15 cells each: the
-        dense forward's bits at every cell, NaN elsewhere, and the dropout
-        generator left where the dense forward leaves it."""
+        """float32 and float64, 16 samples on 128x128 with about 15 cells
+        each: one value per cell, in the cells' order, with the dense
+        forward's bits there, and the dropout generator left where the
+        dense forward leaves it."""
         arch = M.ConvDecoderArch(input_width=12)
-        params = M.init_params(arch, seed=4)
-        rng = np.random.default_rng(50)
-        for p in params.values():  # nonzero biases, so the bias ops show
-            p.data += np.float32(0.05) * rng.standard_normal(p.shape).astype(np.float32)
-        x = rng.standard_normal((16, 12)).astype(np.float32)
-        cells = self._cells(rng, 16, 128, 11)
-        dense_rng, cell_rng = np.random.default_rng(51), np.random.default_rng(51)
-        dense = M.forward_convdecoder(arch, params, x, None, training, dense_rng).data
-        y = M.forward_convdecoder(arch, params, x, None, training, cell_rng, cells).data
-        assert y.shape == dense.shape == (16, 128, 128) and y.dtype == np.float32
-        at = np.zeros(y.size, dtype=bool)
-        at[cells] = True
-        assert y.reshape(-1)[at].tobytes() == dense.reshape(-1)[at].tobytes()
-        assert np.isnan(y.reshape(-1)[~at]).all()
-        assert cell_rng.random() == dense_rng.random()
+        for dtype in (np.float32, np.float64):
+            params = M.init_params(arch, seed=4, dtype=dtype)
+            rng = np.random.default_rng(50)
+            for p in params.values():  # nonzero biases, so the bias ops show
+                p.data += dtype(0.05) * rng.standard_normal(p.shape).astype(dtype)
+            x = rng.standard_normal((16, 12)).astype(dtype)
+            cells = self._cells(rng, 16, 128, 11)
+            dense_rng, cell_rng = np.random.default_rng(51), np.random.default_rng(51)
+            dense = M.forward_convdecoder(arch, params, x, None, training, dense_rng).data
+            y = M.forward_convdecoder(arch, params, x, None, training, cell_rng, cells).data
+            assert dense.shape == (16, 128, 128) and y.shape == cells.shape and y.dtype == dtype
+            assert y.tobytes() == dense.reshape(-1)[cells].tobytes()
+            assert cell_rng.random() == dense_rng.random()
 
     def test_unsorted_repeated_cells_predict_as_sorted(self):
         arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV)
@@ -312,12 +311,14 @@ class TestConvDecoderCells:
 
     def test_gradcheck_every_parameter(self):
         """float64 central differences through the restricted decoder, with
-        dropout on, into sparse_masked_loss_op, for every parameter."""
+        dropout on, and place_cells into sparse_masked_loss_op, as a
+        training step runs them, for every parameter."""
         arch, params, x, cells, target = self._small(53)
 
         def forward(tape):
             pred = M.forward_convdecoder(arch, params, x, tape, True, 7, cells)
-            return sparse_masked_loss_op(tape, pred, cells, target)
+            grids = ad.place_cells(pred, cells, (2, 16, 16), tape)
+            return sparse_masked_loss_op(tape, grids, cells, target)
 
         tape = Tape()
         tape.backward(forward(tape))
@@ -332,6 +333,8 @@ class TestConvDecoderCells:
         for use_cells in (None, cells):
             tape = Tape()
             pred = M.forward_convdecoder(arch, params, x, tape, True, 8, use_cells)
+            if use_cells is not None:
+                pred = ad.place_cells(pred, cells, (2, 16, 16), tape)
             tape.backward(sparse_masked_loss_op(tape, pred, cells, target))
             grads.append({name: p.grad for name, p in params.items()})
             ad.zero_grads(params.values())
@@ -573,6 +576,21 @@ class TestPredict:
         part, _ = self._predict(monkeypatch, model, raw, 37 * 4 * (4 * 38 * 38))
         assert region is None and whole.shape == (150, 32, 32)
         assert np.array_equal(part, whole)
+
+    def test_conv_chunks_at_positions_are_the_grids_gathered(self, monkeypatch):
+        """With ``positions``, each of several chunks predicts its own
+        positions only: the chunks' values, concatenated, are ``predict``'s
+        grids gathered at the positions, bit for bit."""
+        arch = M.ConvDecoderArch(input_width=30, trunk=(16, 8), n_lat=32, n_mlt=32)
+        model, raw = self._model(arch, 150)
+        rng = np.random.default_rng(2)
+        positions = np.unique(np.arange(150)[:, None] * 32 * 32 + rng.integers(0, 32 * 32, (150, 3)))
+        grids, _ = self._predict(monkeypatch, model, raw, 37 * 4 * (4 * 38 * 38))
+        chunks = list(M.predict_chunks(model, raw, positions))
+        assert len(chunks) == 5
+        values = np.concatenate([pred for _, pred, _ in chunks])
+        assert values.dtype == np.float32
+        assert values.tobytes() == grids.reshape(-1)[positions].astype(np.float32).tobytes()
 
     def test_multitask_chunks_agree_within_float32(self, monkeypatch):
         """The multitask heads are not bit-stable across chunk sizes (flux

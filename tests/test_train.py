@@ -207,9 +207,9 @@ class TestSparseSamples:
         pred = np.random.default_rng(4).normal(9.0, 1.0, (len(samples), 128, 128))
         pred = pred.astype(np.float32)
         values, mask = dense_batch(samples, np.arange(len(samples)))
-        whole = [(slice(0, len(samples)), pred, None)]
+        observed = pred.reshape(-1)[samples.positions]
         dense = sparse_masked_loss_dense(None, Tensor(pred, dtype=np.float64), values, mask)
-        assert T._sample_mse(whole, samples) == float(dense.data)
+        assert L.mse(samples.values, observed) == float(dense.data)
 
     def test_positions_are_the_dense_mask_cells(self, world):
         d, obs, schema = world
@@ -486,7 +486,7 @@ class TestTrainConv:
         _, _, validate, _ = T._conv_setup(model, train_s, val_s, spec)
         norm = Normalization.from_meta(model.meta["normalization"], arch.input_width)
         single = M.forward_convdecoder(arch, model.params, norm.apply(val_s.features)).data
-        expected = T._sample_mse([(slice(0, len(val_s)), single, None)], val_s)
+        expected = L.mse(val_s.values, single.reshape(-1)[val_s.positions])
 
         forward, batches = M.forward_convdecoder, []
 
@@ -560,9 +560,8 @@ class TestTrainConv:
 
     def test_validation_peaks_below_half_a_dense_stack(self, grid128):
         """One validation pass on 128x128 peaks below half a dense
-        [n_val, 4, 128, 128] float32 stack: it predicts at the observed
-        cells only, into NaN grids a quarter of that size. Run on whole
-        grids, it peaked at 2.1 stacks."""
+        [n_val, 4, 128, 128] float32 stack: it predicts the values at the
+        observed cells only. Run on whole grids, it peaked at 2.1 stacks."""
         arch, _, validate, n_val = grid128
         peak, _ = peak_bytes(validate)
         stack = n_val * arch.filters[1] * arch.n_lat * arch.n_mlt * 4
