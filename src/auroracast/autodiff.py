@@ -13,6 +13,10 @@ closure still reads it, and nothing of the step outlives its backward
 except what the caller holds (parameters, the loss). The operation set is
 deliberately small: exactly what the bundled architectures need.
 
+A backward closure hands _accumulate only arrays it made itself, never a
+view (reshape, add_channel_bias and pad_zero_lat copy theirs): a first
+gradient becomes the tensor's .grad as it is, so no two share a buffer.
+
 Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
 float dtype; outputs keep it. Calling an op without a tape is inference:
@@ -89,7 +93,7 @@ class Tape:
         Records are popped last first. A popped record's closure and its
         captured arrays are freed after it runs, and so is its output, with
         its .grad, unless the caller still holds it: every tensor the
-        caller keeps (parameters, leaves, the loss) keeps its .grad.
+        caller keeps (parameters, leaves, the loss) keeps its own .grad.
         """
         if self._spent:
             raise RuntimeError("tape already consumed; re-run the forward pass")
@@ -106,24 +110,11 @@ class Tape:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """t.grad += g, where a first g becomes t.grad itself, cast only if its dtype differs."""
     if t.grad is None:
-        # g + 0 is 0 + g bit for bit (-0 becomes +0), cast into t's dtype
-        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad += g
-
-
-def _accumulate_at(t: Tensor, positions: np.ndarray, g: np.ndarray):
-    """_accumulate of a gradient that is g at flat ``positions`` of t and
-    zero elsewhere. A first gradient is built in t.grad itself, with the
-    bits _accumulate would give it, so no second t-sized array exists."""
-    if t.grad is None:
-        t.grad = np.zeros(t.shape, dtype=t.data.dtype)
-        t.grad.reshape(-1)[positions] = g + 0
-    else:
-        dense = np.zeros(t.data.size, dtype=t.data.dtype)
-        dense[positions] = g
-        t.grad += dense.reshape(t.shape)
 
 
 def _check_dtypes(*tensors: Tensor):
@@ -269,7 +260,7 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            _accumulate(x, out.grad.reshape(x.shape))
+            _accumulate(x, out.grad.reshape(x.shape).copy())
 
         tape.record(out, backward)
     return out
@@ -287,7 +278,7 @@ def add_channel_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def backward():
             _accumulate(b, out.grad.sum(axis=other_axes))
-            _accumulate(x, out.grad)
+            _accumulate(x, out.grad.copy())
 
         tape.record(out, backward)
     return out
@@ -331,7 +322,7 @@ def pad_zero_lat(x: Tensor, pad: int, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            _accumulate(x, out.grad[:, :, pad:-pad, :])
+            _accumulate(x, out.grad[:, :, pad:-pad, :].copy())
 
         tape.record(out, backward)
     return out

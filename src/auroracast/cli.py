@@ -77,6 +77,12 @@ def cmd_synth(args) -> int:
             f"--days must be finite and span one {params.cadence_s:g} s cadence step, got {args.days:g}"
         )
     drivers = G.gen_drivers(params, duration)
+    try:  # far from 0, t0 + k * cadence rounds to float64's spacing there
+        if I.time_axis(drivers.times)[1].size:
+            raise ValueError("steps of two cadences")
+    except ValueError as exc:
+        raise ConfigError(f"world.t0 = {params.t0:g} with world.cadence_s = {params.cadence_s:g} gives "
+                          f"driver times that features cannot read back as written ({exc})") from None
     obs = G.sample_traces(params, drivers)
 
     os.makedirs(args.out_dir, exist_ok=True)

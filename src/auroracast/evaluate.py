@@ -34,10 +34,6 @@ class BinnedErrorReport:
     bias: np.ndarray
     count: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.count)
-
 
 @dataclass(frozen=True)
 class TailReductionReport:

@@ -499,28 +499,36 @@ def read_drivers_csv(path) -> DriverSeries:
     del records  # the file's bytes, before the series is built
 
     t, data = values[0], values[1:]
-    if t.size < 2:
-        raise DataError(f"{path}: need at least two rows")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise DataError(f"{path}: non-monotonic time")
-    cadence = float(dt.min())
-    ratio = dt / cadence
-    if np.any(dt > cadence * 1.5):
-        # Fill single-row gaps with midpoints; larger gaps are errors.
-        gap = np.abs(ratio - 2.0) < 1e-6
-        bad = ~gap & ~(np.abs(ratio - 1.0) < 1e-6)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(f"{path}: gap of {dt[i]:g}s exceeds one missing row at t={t[i]:g}")
-        at = np.flatnonzero(gap) + 1
+    try:
+        cadence, at = time_axis(t)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if at.size:
         with np.errstate(over="ignore"):  # a sum beyond the float64 range halves each side first
             mid = 0.5 * (data[:, at - 1] + data[:, at])
         mid = np.where(np.isfinite(mid), mid, 0.5 * data[:, at - 1] + 0.5 * data[:, at])
         data = np.insert(data, at, mid, axis=1)
-    elif np.any(np.abs(ratio - np.rint(ratio)) > 1e-6):
-        raise DataError(f"{path}: irregular cadence")
     return DriverSeries(t0=float(t[0]), cadence=cadence, values=data)
+
+
+def time_axis(t: np.ndarray) -> tuple[float, np.ndarray]:
+    """The cadence of driver times ``t``, their smallest step, and the
+    indices before which one row is missing (a step of two cadences); a
+    ValueError names any other fault, as ``read_drivers_csv`` reports it."""
+    if t.size < 2:
+        raise ValueError("need at least two rows")
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise ValueError("non-monotonic time")
+    cadence = float(dt.min())
+    ratio = dt / cadence
+    gap = np.abs(ratio - 2.0) < 1e-6
+    bad = np.flatnonzero(~gap & ~(np.abs(ratio - 1.0) < 1e-6))
+    if bad.size and not np.any(dt > cadence * 1.5):
+        raise ValueError("irregular cadence")
+    if bad.size:
+        raise ValueError(f"gap of {dt[bad[0]]:g}s exceeds one missing row at t={t[bad[0]]:g}")
+    return cadence, np.flatnonzero(gap) + 1
 
 
 _OBS_COLUMNS = ("t", "sat_id", "mlat", "mlt", "eflux")

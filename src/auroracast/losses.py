@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _accumulate, _accumulate_at
+from .autodiff import Tape, Tensor, _accumulate
 from .errors import ConfigError, bind
 from .stats import as_1d_pair, uniform_bin_index
 
@@ -207,7 +207,9 @@ def sparse_masked_loss_op(
 
     if tape is not None:
         def backward():
-            _accumulate_at(pred, positions, out.grad * 2.0 * diff / denom)
+            dpred = np.zeros(pred.shape, dtype=pred.data.dtype)
+            dpred.reshape(-1)[positions] = out.grad * 2.0 * diff / denom
+            _accumulate(pred, dpred)
 
         tape.record(out, backward)
     return out

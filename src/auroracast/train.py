@@ -210,10 +210,9 @@ def adam_step(
 
 # ── Sparse compositing ────────────────────────────────────────────────
 
-def _composite(
-    obs: ObsTable, t_centers: np.ndarray, spec: GridSpec, half_width_s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite the closed window around every center in one pass.
+def _composite(obs: ObsTable, t_centers: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite the closed window of ``COMPOSITE_HALF_WIDTH_S`` around
+    every center in one pass.
 
     Returns (cells, values, n_cells_per_window) in CSR order. Each
     (window, cell) key collects its observations in time order, and
@@ -223,8 +222,8 @@ def _composite(
     t = obs.t[order]
     rows, cols = cells_of(obs.mlat[order], obs.mlt[order], spec)
     logf = np.log10(obs.eflux[order])
-    lo = np.searchsorted(t, t_centers - half_width_s, side="left")
-    hi = np.searchsorted(t, t_centers + half_width_s, side="right")
+    lo = np.searchsorted(t, t_centers - COMPOSITE_HALF_WIDTH_S, side="left")
+    hi = np.searchsorted(t, t_centers + COMPOSITE_HALF_WIDTH_S, side="right")
     window_of, pos = _runs(lo, np.maximum(hi - lo, 0))
     n_cells = spec.n_lat * spec.n_mlt
     keys, inverse = np.unique(
@@ -236,17 +235,13 @@ def _composite(
 
 
 def build_sparse_samples(
-    drivers: DriverSeries,
-    obs: ObsTable,
-    schema: FeatureSchema,
-    spec: GridSpec,
-    half_width_s: float = COMPOSITE_HALF_WIDTH_S,
+    drivers: DriverSeries, obs: ObsTable, schema: FeatureSchema, spec: GridSpec
 ) -> tuple[SparseSamples, int]:
     """One sample per driver time step that ``has_history`` accepts and
     whose window is non-empty; returns (samples, n_skipped_empty). Features
     are computed for those samples' centers only."""
     t_centers = drivers.times[has_history(drivers, drivers.times, schema)]
-    cells, values, per_window = _composite(obs, t_centers, spec, half_width_s)
+    cells, values, per_window = _composite(obs, t_centers, spec)
     keep = per_window > 0
     samples = SparseSamples(
         spec=spec,

@@ -524,7 +524,7 @@ def write_grid_rows(grid, path):
 def write_binned_errors_rows(report, path):
     with open(path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,count,mae_log10,bias_log10,mae_linear_factor\n")
-        for i in range(report.n_bins):
+        for i in range(len(report.count)):
             factor = 10.0 ** float(report.mae[i])
             fh.write(
                 f"{_r(report.edges[i])},{_r(report.edges[i + 1])},{int(report.count[i])},"
@@ -674,8 +674,8 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+            _accumulate(a, out.grad.copy())
+            _accumulate(b, out.grad.copy())
 
         tape.record(out, backward)
     return out

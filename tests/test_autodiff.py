@@ -97,48 +97,38 @@ class TestRelu:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
             tape = Tape()
             tape.backward(_weighted_sum(tape, ad.relu(x, tape), g))
-            expect = np.zeros_like(g) + g * (x.data > 0)  # .grad starts at +0
+            expect = g * (x.data > 0)
         assert x.grad.dtype == dtype
         assert x.grad.tobytes() == expect.tobytes()
 
 
 class TestAccumulate:
-    """The first gradient into a tensor is ``g + 0`` cast to the tensor's
-    dtype: bit for bit the ``0 + g`` of adding ``g`` to a zero-filled array."""
-
-    @staticmethod
-    def _first(data, g):
-        t = Tensor(data)
-        with np.errstate(invalid="ignore", over="ignore"):
-            ad._accumulate(t, g)
-            expect = np.zeros_like(data)
-            expect += g
-        return t.grad, expect
+    """A first gradient into a tensor becomes its .grad as it is, or cast to
+    the tensor's dtype where it has another; a second adds into it."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_edge_values(self, dtype):
         g = np.array(EDGES, dtype=dtype)
-        grad, expect = self._first(np.ones(g.size, dtype=dtype), g)
-        assert not np.signbit(grad[1]) and np.isnan(grad[4])  # -0 becomes +0
-        assert grad.dtype == dtype and grad.tobytes() == expect.tobytes()
-        assert g.tobytes() == np.array(EDGES, dtype=dtype).tobytes()
+        t = Tensor(np.ones(g.size, dtype=dtype))
+        ad._accumulate(t, g)
+        assert t.grad is g and np.signbit(g[1]) and np.isnan(g[4])  # -0 stays -0
+        assert t.grad.tobytes() == np.array(EDGES, dtype=dtype).tobytes()
 
     def test_float64_gradient_into_float32_tensor(self):
         g = np.array(EDGES + [1 + 2.0**-30, 3.4e39], dtype=np.float64)  # rounds, overflows
-        grad, expect = self._first(np.ones(g.size, dtype=np.float32), g)
-        assert grad.dtype == np.float32 and grad.tobytes() == expect.tobytes()
+        t = Tensor(np.ones(g.size, dtype=np.float32))
+        with np.errstate(over="ignore"):
+            ad._accumulate(t, g)
+            expect = g.astype(np.float32)
+        assert t.grad.dtype == np.float32 and t.grad.tobytes() == expect.tobytes()
 
-    def test_broadcast_gradient(self):
-        g = np.array(EDGES, dtype=np.float32)
-        grad, expect = self._first(np.ones((3, g.size), dtype=np.float32), g)
-        assert grad.shape == (3, g.size) and grad.tobytes() == expect.tobytes()
-
-    def test_first_gradient_is_a_copy(self):
-        g = np.arange(4.0)
+    def test_first_gradient_is_adopted_and_a_second_adds_into_it(self):
+        first, second = np.arange(4.0), np.array([0.5, -1.0, 2.0, -0.0])
         t = Tensor(np.zeros(4))
-        ad._accumulate(t, g)
-        ad._accumulate(t, g)
-        assert np.array_equal(t.grad, 2 * np.arange(4.0)) and np.array_equal(g, np.arange(4.0))
+        ad._accumulate(t, first)
+        ad._accumulate(t, second)
+        assert t.grad is first and t.grad.tobytes() == (np.arange(4.0) + second).tobytes()
+        assert second.tobytes() == np.array([0.5, -1.0, 2.0, -0.0]).tobytes()
 
 
 class TestDropout:
@@ -194,7 +184,7 @@ class TestDropout:
             y = ad.dropout(x, rate, training=True, rng=5, tape=tape)
             tape.backward(_weighted_sum(tape, y, upstream))
             expect_y = x.data * keep * scale
-            expect_grad = np.zeros_like(upstream) + upstream * keep * scale  # .grad starts at +0
+            expect_grad = upstream * keep * scale
         assert 0 < keep.sum() < keep.size and np.isnan(expect_y).any()
         assert y.data.dtype == x.grad.dtype == dtype
         assert y.data.tobytes() == expect_y.tobytes()
@@ -892,6 +882,69 @@ class TestTapeSemantics:
         w = Tensor(np.zeros((2, 2), dtype=np.float64))
         with pytest.raises(ValueError, match="dtype"):
             ad.dense(x, w, Tensor(np.zeros(2, dtype=np.float64)))
+
+
+_DROPOUT_SITES = _sites(np.random.default_rng(49), 2, 4, 5, 6)
+_DECONV_SITES = _sites(np.random.default_rng(50), 2, 8, 8, 10)
+
+# Every op that records on a tape: its inputs' shapes, and the op on
+# float32 inputs of those shapes.
+_OPS = {
+    "dense": ([(5, 4), (4, 3), (3,)], lambda tape, x, w, b: ad.dense(x, w, b, tape)),
+    "relu": ([(4, 5)], lambda tape, x: ad.relu(x, tape)),
+    "dropout": ([(6, 5)], lambda tape, x: ad.dropout(x, 0.5, True, 1, tape)),
+    "dropout_sites": (
+        [(_DROPOUT_SITES.size, 3)],
+        lambda tape, x: ad.dropout(x, 0.5, True, 1, tape, _DROPOUT_SITES, (2, 4, 5)),
+    ),
+    "softmax": ([(4, 3)], lambda tape, x: ad.softmax(x, tape)),
+    "reshape": ([(3, 4)], lambda tape, x: ad.reshape(x, (2, 6), tape)),
+    "add_channel_bias_2d": ([(7, 3), (3,)], lambda tape, x, b: ad.add_channel_bias(x, b, tape)),
+    "add_channel_bias_4d": ([(2, 3, 4, 5), (3,)], lambda tape, x, b: ad.add_channel_bias(x, b, tape)),
+    "pad_periodic_mlt": ([(2, 3, 4, 5)], lambda tape, x: ad.pad_periodic_mlt(x, 2, tape)),
+    "pad_zero_lat": ([(2, 3, 4, 5)], lambda tape, x: ad.pad_zero_lat(x, 1, tape)),
+    "conv2d": ([(2, 3, 6, 6), (2, 3, 3, 3)], lambda tape, x, k: ad.conv2d(x, k, tape)),
+    "conv2d_transpose": ([(2, 3, 4, 4), (3, 2, 4, 4)], lambda tape, x, k: ad.conv2d_transpose(x, k, 2, tape)),
+    "conv2d_transpose_sites": (
+        [(2, 3, 4, 4), (3, 2, 4, 4)],
+        lambda tape, x, k: ad.conv2d_transpose(x, k, 2, tape, _DECONV_SITES),
+    ),
+    "window_sites": (
+        [(4, 2)],
+        lambda tape, x: ad.window_sites(x, np.array([[[0, 1], [-1, 3]], [[3, 3], [2, -1]]]), tape),
+    ),
+    "place_cells": ([(5,)], lambda tape, x: ad.place_cells(x, np.array([0, 3, 7, 12, 23]), (2, 3, 4), tape)),
+    "mse_loss": ([(6, 1)], lambda tape, p: L.mse_op(tape, p, np.linspace(-1, 1, 6))),
+    "tail_loss": ([(6, 1)], lambda tape, p: L.tail_loss_op(tape, p, np.linspace(11.5, 13.5, 6))),
+    "dist_loss": ([(6, 1)], lambda tape, p: L.dist_loss_op(tape, p, np.linspace(-1, 1, 6), np.linspace(0.5, 2, 6))),
+    "multitask_loss": (
+        [(5, 3), (5, 3)],
+        lambda tape, flux, logits: L.multitask_loss_op(tape, flux, logits, np.zeros(5), np.array([0, 1, 2, 1, 0])),
+    ),
+    "sparse_masked_loss": (
+        [(2, 3, 4)],
+        lambda tape, p: sparse_masked_loss_op(tape, p, np.array([1, 4, 9]), np.array([0.5, -1.0, 2.0])),
+    ),
+}
+
+
+class TestGradientOwnership:
+    """Every backward closure hands _accumulate an array it made itself, so
+    after backward no two tensors share a gradient buffer."""
+
+    @pytest.mark.parametrize("op", sorted(_OPS))
+    def test_no_two_tensors_share_a_gradient(self, op):
+        shapes, fn = _OPS[op]
+        rng = np.random.default_rng(51)
+        inputs = [Tensor(rng.standard_normal(shape).astype(np.float32)) for shape in shapes]
+        tape = Tape()
+        out = fn(tape, *inputs)
+        loss = out if out.data.size == 1 else _weighted_sum(tape, out, rng.standard_normal(out.shape))
+        tape.backward(loss)
+        grads = [t.grad for t in (out, *inputs)]
+        assert all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :])
 
 
 class TestTapeRelease:

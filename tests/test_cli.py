@@ -863,22 +863,27 @@ class TestConfigValues:
             ("synth", ["world.peak_log_flux_base = 400"], 2),
             ("synth", ["world.noise_sigma = 1e300"], 2),
             ("synth", ["world.subauroral_background = -400"], 2),
+            ("synth", ["world.t0 = 1e18"], 2),
+            ("synth", ["world.t0 = 1e12", "world.cadence_s = 0.1"], 2),
             ("train", ["arch = conv", "arch.grid = 2", "arch.strides = 1,1", "arch.kernels = 1,1",
                        "arch.overlap = 0", "loss = sparse_masked"], 2),
         ],
-        ids=["cadence", "obs_cadence", "peak_flux", "noise", "background", "conv_grid_2"],
+        ids=["cadence", "obs_cadence", "peak_flux", "noise", "background", "t0", "t0_cadence", "conv_grid_2"],
     )
     def test_in_range_values_that_cannot_run_exit_with_one_line(
         self, tmp_path, capsys, synth_dir, command, lines, code
     ):
         """Values each key accepts, whose series would not fit in any array
-        (exit 5), whose flux leaves float64 (exit 2), or whose conv grid is
-        below GridSpec's 4x4 (exit 2): one line, no traceback, no out-dir."""
+        (exit 5), whose flux leaves float64 (exit 2), whose driver times
+        round unevenly so that features could not read them (exit 2), or
+        whose conv grid is below GridSpec's 4x4 (exit 2): one line, no
+        traceback, no out-dir."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         if command == "synth":
-            argv = ("synth", "--out-dir", out, "--days", 1)
+            days = 0.01 if "world.cadence_s = 0.1" in lines else 1
+            argv = ("synth", "--out-dir", out, "--days", days)
         else:
             argv = ("train", "--sparse", synth_dir, "--out-dir", out)
         assert run(*argv, "--config", cfg) == code
