@@ -29,14 +29,16 @@ backward. Memory stays at a few output-sized arrays, with no im2col
 window copy that grows with the kernel area.
 
 A layer under the final conv can run at a list of sites, the outputs
-that some cells' windows read: conv2d_transpose(..., sites) returns them
-as a compact [sites, c] array, add_channel_bias, relu and dropout (with
-``sites``) act on it, window_sites lays each cell's window out from it
-(the pads are window taps that wrap or read zero), conv2d correlates the
+that some cells' windows read. Sites and cells are strictly ascending
+flat positions (unravel_cells), so an unsorted or repeated list is a
+ValueError. conv2d_transpose(..., sites) returns them as a compact
+[sites, c] array, add_channel_bias, relu and dropout (with ``sites``)
+act on it, window_sites lays each cell's window out from it (the pads
+are window taps that wrap or read zero), conv2d correlates the
 [cells, c, kh, kw] windows to one output each, and place_cells puts
 those values into NaN grids where a loss reads grids. Each value at a
-site sums the same products in the same order as the dense op, so it is
-the same bits. Without sites every op runs on whole grids.
+site sums the same products in the same order as the dense op, so it
+is the same bits. Without sites every op runs on whole grids.
 """
 
 from __future__ import annotations
@@ -128,17 +130,17 @@ def zero_grads(tensors):
         t.grad = None
 
 
-def unravel_cells(cells, shape, what: str, ascending: bool = False):
+def unravel_cells(cells, shape, what: str):
     """(sample, row, col) of flat positions ``cells`` in a stacked
-    [n, h, w] ``shape``: a 1-D integer array, each in [0, n*h*w), and
-    strictly ascending if asked. A ValueError names ``what`` otherwise."""
+    [n, h, w] ``shape``: a 1-D integer array, each in [0, n*h*w), strictly
+    ascending. A ValueError names ``what`` otherwise."""
     cells = np.asarray(cells)
     if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
         raise ValueError(f"{what} must be a 1-D integer array")
     size = int(np.prod(shape))
     if cells.size and (cells.min() < 0 or cells.max() >= size):
         raise ValueError(f"{what} must lie in [0, {size})")
-    if ascending and np.any(np.diff(cells) <= 0):
+    if np.any(np.diff(cells) <= 0):
         raise ValueError(f"{what} must ascend")
     return np.unravel_index(cells, shape)
 
@@ -214,7 +216,7 @@ def dropout(
         draw = rng.random(x.shape)
     else:
         n, h, w = grid
-        sample, row, col = unravel_cells(sites, grid, "dropout sites", ascending=True)
+        sample, row, col = unravel_cells(sites, grid, "dropout sites")
         if x.data.ndim != 2 or x.shape[0] != sample.size:
             raise ValueError(f"dropout at {sample.size} sites expects x [{sample.size}, c], got {x.shape}")
         draw = np.empty(x.shape)
@@ -461,7 +463,7 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None, sit
 def _conv2d_transpose_sites(x: Tensor, k: Tensor, stride, tape, sites, top, left) -> Tensor:
     """conv2d_transpose at ``sites`` only; see there."""
     (sh, sw), (n, ci, h, w), (_, co, kh, kw) = stride, x.shape, k.shape
-    sample, row, col = unravel_cells(sites, (n, h * sh, w * sw), "conv2d_transpose sites", ascending=True)
+    sample, row, col = unravel_cells(sites, (n, h * sh, w * sw), "conv2d_transpose sites")
     x_flat = x.data.reshape(n, ci, h * w)
     # tap (a, b) lands on a site whose full-output row, less a, is a
     # multiple of the stride, at input row i = that / stride; likewise columns
@@ -532,7 +534,7 @@ def place_cells(x: Tensor, cells, shape, tape: Tape | None = None) -> Tensor:
     the strictly ascending flat positions ``cells``, and NaN at every other
     cell, so nothing can mistake it for a prediction. Backward reads the
     gradient at the cells."""
-    unravel_cells(cells, shape, "place_cells cells", ascending=True)
+    unravel_cells(cells, shape, "place_cells cells")
     if x.data.size != len(cells):
         raise ValueError(f"place_cells of {len(cells)} cells got {x.data.size} values")
     y = np.full(shape, np.nan, dtype=x.data.dtype)

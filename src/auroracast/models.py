@@ -16,7 +16,10 @@ model's stored ``Normalization``, enter one dense ReLU trunk (widths
              pad in latitude), and a final valid convolution that restores
              the exact grid size. Takes no spatial inputs; predicts the
              whole grid, or the values at listed cells of it only
-             (``forward_convdecoder``).
+             (``forward_convdecoder``; strictly ascending cells).
+
+``predict`` is the one inference call (validation, ``eval``, ``map``): raw
+rows in bounded chunks to whole grids, or to one value per position.
 
 A checkpoint is a ``container`` file of kind ``checkpoint`` (the layout
 is described there): the variant, the architecture fields and the
@@ -287,9 +290,10 @@ def forward_convdecoder(
     """One [n_lat, n_mlt] grid per input row of global features, or, with
     ``cells``, only the grids' values there.
 
-    ``cells`` lists flat positions in the stacked [n, n_lat, n_mlt] grids
-    (a batch's observed cells); the result is [cells], the values at the
-    unique cells in ascending order. The trunk, ``to_grid`` and deconv1
+    ``cells`` lists strictly ascending flat positions in the stacked [n,
+    n_lat, n_mlt] grids (a batch's observed cells); unsorted, repeated or
+    out-of-range cells are a ValueError. The result is [cells], one value
+    per cell, in the cells' order. The trunk, ``to_grid`` and deconv1
     still run dense. From deconv2 on, the decoder runs only at the deconv2
     output sites that the final convolution reads at the cells, their
     ``final_kernel`` square windows (``_receptive_field``): deconv2, its
@@ -316,7 +320,7 @@ def forward_convdecoder(
         h = ad.conv2d(h, params["final.k"], tape)
         h = ad.add_channel_bias(h, params["final.b"], tape)
         return ad.reshape(h, grid, tape)
-    cells, sites, windows = _receptive_field(arch, grid, cells)
+    sites, windows = _receptive_field(arch, grid, cells)
     h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape, sites)
     h = ad.add_channel_bias(h, params["deconv2.b"], tape)
     h = ad.relu(h, tape)
@@ -324,24 +328,22 @@ def forward_convdecoder(
     h = ad.window_sites(h, windows, tape)
     h = ad.conv2d(h, params["final.k"], tape)
     h = ad.add_channel_bias(h, params["final.b"], tape)
-    return ad.reshape(h, (cells.size,), tape)
+    return ad.reshape(h, (len(cells),), tape)
 
 
 def _receptive_field(arch: ConvDecoderArch, grid, cells):
-    """(cells, sites, windows) for the final convolution at ``cells``.
+    """(sites, windows) for the final convolution at ``cells``, strictly
+    ascending flat positions in ``grid`` (``autodiff.unravel_cells``).
 
-    ``cells`` comes back sorted and unique. ``sites`` are the ascending
-    flat positions in ``grid`` of the deconv2 outputs that the final
-    convolution reads there: each cell's window of ``final_kernel`` rows
-    and columns around it, the columns (MLT) wrapping around the grid and
-    the rows (latitude) beyond its edges left out. ``windows`` [cells,
-    final_kernel, final_kernel] indexes ``sites`` per window tap, with -1
-    at the zero-padded rows (``autodiff.window_sites``).
+    ``sites`` are the ascending flat positions in ``grid`` of the deconv2
+    outputs that the final convolution reads there: each cell's window of
+    ``final_kernel`` rows and columns around it, the columns (MLT)
+    wrapping around the grid and the rows (latitude) beyond its edges
+    left out. ``windows`` [cells, final_kernel, final_kernel] indexes
+    ``sites`` per window tap, in the cells' order, with -1 at the
+    zero-padded rows (``autodiff.window_sites``).
     """
-    ad.unravel_cells(cells, grid, "cells")
-    cells = np.sort(cells)
-    cells = cells[np.diff(cells, prepend=-1) != 0]
-    sample, row, col = np.unravel_index(cells, grid)
+    sample, row, col = ad.unravel_cells(cells, grid, "cells")
     reach = np.arange(-arch.overlap, arch.overlap + 1)
     rows = row[:, None, None] + reach[:, None]
     cols = (col[:, None, None] + reach) % arch.n_mlt
@@ -350,7 +352,7 @@ def _receptive_field(arch: ConvDecoderArch, grid, cells):
     sites, at = np.unique(flat[inside], return_inverse=True)
     windows = np.full(flat.shape, -1)
     windows[inside] = at
-    return cells, sites, windows
+    return sites, windows
 
 
 def assert_global_only(feature_names):
@@ -375,62 +377,58 @@ def predict_point(model: Model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
 PREDICT_BYTES = 64 << 20
 
 
-def predict_chunks(model: Model, raw_rows: np.ndarray, positions=None):
-    """Yield ``(rows, pred, region)`` for consecutive slices ``rows`` of
-    ``raw_rows``, as ``predict`` describes; conv grids stay float32.
+def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(pred, region) for unnormalized feature rows: float64 log10 flux,
+    [n] for a point model and [n, n_lat, n_mlt] for the conv decoder, and
+    the multitask model's predicted region [n] (None for the others).
+    With ``positions``, strictly ascending flat positions in the conv
+    decoder's stacked [n, n_lat, n_mlt] grids, ``pred`` is [positions]:
+    one value each, in their order, and no grid is built. Unsorted,
+    repeated or out-of-range positions, or any for a point model, are a
+    ValueError; statistics or rows of another width a DataError.
 
-    ``positions`` (conv decoder only) lists strictly ascending flat
-    positions in the stacked [n, n_lat, n_mlt] grids of all the rows.
-    Each chunk's ``pred`` is then the float32 values at its own positions
-    only, in their order (``forward_convdecoder``'s ``cells``), so the
-    chunks' values concatenate to one value per position.
+    The rows are z-scored with the model's stored ``Normalization`` and run
+    through ``predict_point`` or ``forward_convdecoder`` (at the chunk's
+    own positions) in the fewest near-equal chunks of at most
+    ``PREDICT_BYTES`` over the float32 bytes of one row's widest
+    activation: 16,384 rows for the default point trunk's 1,024-wide
+    layer, 233 for the 128x128 conv decoder's 4x134x134 padded grid. At
+    such budgets a chunk is never one row of several, which numpy's
+    matrix-vector path would round differently.
     """
-    arch, width = model.arch, model.arch.input_width
+    arch, width, n = model.arch, model.arch.input_width, len(raw_rows)
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)
     if raw_rows.shape[1] != width:
         raise DataError(f"checkpoint normalizes {width} features, each input row has {raw_rows.shape[1]}")
+    conv = isinstance(arch, ConvDecoderArch)
     widest = max((width, *arch.trunk))
-    if isinstance(arch, ConvDecoderArch):
+    if conv:
         mid = arch.side * arch.strides[0]
         padded = (arch.n_lat + 2 * arch.overlap) * (arch.n_mlt + 2 * arch.overlap)
         widest = max(widest, arch.filters[0] * mid * mid, arch.filters[1] * padded)
-    # The fewest chunks within the budget, of near-equal size: a one-row
-    # chunk would take numpy's matrix-vector path, which rounds differently.
-    n = len(raw_rows)
+        n_cells = arch.n_lat * arch.n_mlt
+    if positions is None:
+        pred = np.empty((n, arch.n_lat, arch.n_mlt) if conv else n)
+    elif not conv:
+        raise ValueError(f"a {model.variant} model predicts no positions")
+    else:
+        ad.unravel_cells(positions, (n, arch.n_lat, arch.n_mlt), "positions")
+        pred = np.empty(len(positions))
+    region = np.empty(n, dtype=np.int64) if isinstance(arch, MultiTaskArch) else None
     k = -(-n // max(1, PREDICT_BYTES // (4 * widest)))
     for i in range(k):
         rows = slice(i * n // k, (i + 1) * n // k)
         x = norm.apply(raw_rows[rows])
-        if not isinstance(arch, ConvDecoderArch):
-            yield rows, *predict_point(model, x)
+        if not conv:
+            pred[rows], chunk_region = predict_point(model, x)
+            if region is not None:
+                region[rows] = chunk_region
         elif positions is None:
-            yield rows, forward_convdecoder(arch, model.params, x).data, None
+            pred[rows] = forward_convdecoder(arch, model.params, x).data
         else:
-            n_cells = arch.n_lat * arch.n_mlt
-            first, stop = np.searchsorted(positions, (rows.start * n_cells, rows.stop * n_cells))
-            cells = positions[first:stop] - rows.start * n_cells
-            yield rows, forward_convdecoder(arch, model.params, x, None, False, None, cells).data, None
-
-
-def predict(model: Model, raw_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(pred, region) for unnormalized feature rows: float64 log10 flux,
-    [n] for a point model and [n, n_lat, n_mlt] for the conv decoder, and
-    the multitask model's predicted region [n] (None for the others).
-
-    The rows are z-scored with the model's stored ``Normalization`` and run
-    through ``predict_point`` or ``forward_convdecoder`` in chunks of at
-    most ``PREDICT_BYTES`` divided by the float32 bytes of one row's widest
-    activation rows: 16,384 for the default point trunk's 1,024-wide layer,
-    233 for the 128x128 conv decoder's 4x134x134 padded grid. Statistics
-    or rows of another width are a DataError.
-    """
-    arch, n = model.arch, len(raw_rows)
-    pred = np.empty((n, arch.n_lat, arch.n_mlt) if isinstance(arch, ConvDecoderArch) else n)
-    region = np.empty(n, dtype=np.int64) if isinstance(arch, MultiTaskArch) else None
-    for rows, chunk_pred, chunk_region in predict_chunks(model, raw_rows):
-        pred[rows] = chunk_pred
-        if region is not None:
-            region[rows] = chunk_region
+            at = slice(*np.searchsorted(positions, (rows.start * n_cells, rows.stop * n_cells)))
+            cells = positions[at] - rows.start * n_cells
+            pred[at] = forward_convdecoder(arch, model.params, x, None, False, None, cells).data
     return pred, region
 
 

@@ -10,13 +10,12 @@ training starts at the scale of the data. Each setup fits an
 ``ingest.Normalization`` on its training inputs only and stores it as
 ``model.meta["normalization"]``. It keeps no normalized copy of those
 inputs: ``step_loss`` normalizes its batch of raw rows as
-``models.predict_chunks`` normalizes a prediction chunk, and validation
-predicts through ``models.predict`` or, for the conv decoder,
-``models.predict_chunks``, in the chunks ``eval`` and ``map`` use. Per-row
-loss inputs (dist weights, region indices) are fitted or read once per
-training row, and a step passes its batch's entries. The closures look up
-ops and forward passes by module attribute at call time, so wrappers
-installed after import see every call.
+``models.predict`` normalizes a prediction chunk, and validation
+predicts through ``models.predict``, in the chunks ``eval`` and ``map``
+use. Per-row loss inputs (dist weights, region indices) are fitted or
+read once per training row, and a step passes its batch's entries. The
+closures look up ops and forward passes by module attribute at call
+time, so wrappers installed after import see every call.
 
 Validation is ``losses.mse`` whatever the training loss, so runs with
 different losses stay comparable: of the flux for point models (for
@@ -31,9 +30,9 @@ the decoder at observed-cell ``positions`` only (``models.forward_convdecoder``
 with ``cells``), which returns their values. A training step puts its
 batch's values into NaN grids for ``losses.sparse_masked_loss_op``
 (``autodiff.place_cells``), as ``perfbench/tracer.py`` counts a step's
-samples as the loss input's first axis. Validation scores each chunk's
-values with ``losses.mse``, with no [n, n_lat, n_mlt] array. ``eval`` and
-``map`` predict whole grids.
+samples as the loss input's first axis. Validation scores the values
+``models.predict`` returns at ``positions`` with ``losses.mse``, with no
+[n, n_lat, n_mlt] array. ``eval`` and ``map`` predict whole grids.
 
 ``train_config_from_config`` binds the ``train.*`` and loss keys of a run
 config (``config`` lists them). History is emitted as
@@ -344,8 +343,7 @@ def _conv_setup(
         return L.sparse_masked_loss_op(tape, grids, positions, batch.values, spec.masked_normalize)
 
     def validate() -> float:
-        chunks = M.predict_chunks(model, val_samples.features, val_samples.positions)
-        return L.mse(val_samples.values, np.concatenate([pred for _, pred, _ in chunks]))
+        return L.mse(val_samples.values, M.predict(model, val_samples.features, val_samples.positions)[0])
 
     return len(train_samples), step_loss, validate, float(np.mean(train_samples.values))
 

@@ -286,15 +286,6 @@ class TestConvDecoderCells:
             assert y.tobytes() == dense.reshape(-1)[cells].tobytes()
             assert cell_rng.random() == dense_rng.random()
 
-    def test_unsorted_repeated_cells_predict_as_sorted(self):
-        arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV)
-        params = M.init_params(arch, seed=5)
-        x = np.random.default_rng(52).standard_normal((2, 6))
-        cells = np.array([1500, 3, 3, 700])
-        y = M.forward_convdecoder(arch, params, x, cells=cells).data
-        ref = M.forward_convdecoder(arch, params, x, cells=np.unique(cells)).data
-        assert np.array_equal(y, ref, equal_nan=True)
-
     @staticmethod
     def _small(seed):
         arch = M.ConvDecoderArch(input_width=5, trunk=(6,), n_lat=16, n_mlt=16,
@@ -344,10 +335,13 @@ class TestConvDecoderCells:
 
     @pytest.mark.parametrize(
         "cells",
-        [np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([-1, 3]), np.array([0, 2 * 32 * 32])],
-        ids=["2-D", "float", "negative", "past-the-end"],
+        [np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([-1, 3]), np.array([0, 2 * 32 * 32]),
+         np.array([3, 1]), np.array([1, 1])],
+        ids=["2-D", "float", "negative", "past-the-end", "unsorted", "repeated"],
     )
     def test_bad_cells(self, cells):
+        """Cells outside the grids, or not strictly ascending, are an error,
+        never values returned in another order or fewer of them."""
         arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV)
         params = M.init_params(arch, seed=0)
         with pytest.raises(ValueError, match="cells"):
@@ -551,11 +545,16 @@ class TestPredict:
         dense layer of the point trunk, the 4x134x134 pad of the conv
         decoder), in the fewest chunks of near-equal size."""
         model, raw = self._model(arch, n_rows)
-        monkeypatch.setattr(M, "forward_convdecoder", lambda arch, params, x: Tensor(x[:, :1]))
-        monkeypatch.setattr(M, "predict_point", lambda model, x: (x[:, 0], None))
-        seen = [(rows, len(pred)) for rows, pred, _ in M.predict_chunks(model, raw)]
-        assert [n for _, n in seen] == chunks
-        assert [rows.start for rows, _ in seen] == [0, *np.cumsum(chunks)[:-1]]
+        seen = []
+        monkeypatch.setattr(
+            M, "forward_convdecoder", lambda arch, params, x: seen.append(len(x)) or Tensor(x[:, :1, None])
+        )
+        monkeypatch.setattr(M, "predict_point", lambda model, x: seen.append(len(x)) or (x[:, 0], None))
+        pred, _ = M.predict(model, raw)
+        assert seen == chunks
+        # the chunks are consecutive slices that cover every row once
+        first = Normalization.from_meta(model.meta["normalization"], arch.input_width).apply(raw)[:, 0]
+        assert np.array_equal(pred.reshape(n_rows, -1)[:, 0], first)
 
     @pytest.mark.parametrize("chunk", [1000, 4096, 16384, 19999])
     def test_baseline_chunks_are_bit_identical(self, monkeypatch, chunk):
@@ -579,18 +578,33 @@ class TestPredict:
 
     def test_conv_chunks_at_positions_are_the_grids_gathered(self, monkeypatch):
         """With ``positions``, each of several chunks predicts its own
-        positions only: the chunks' values, concatenated, are ``predict``'s
-        grids gathered at the positions, bit for bit."""
+        positions only: ``predict``'s values are its grids gathered at the
+        positions, bit for bit, float32 values widened to float64."""
         arch = M.ConvDecoderArch(input_width=30, trunk=(16, 8), n_lat=32, n_mlt=32)
         model, raw = self._model(arch, 150)
         rng = np.random.default_rng(2)
         positions = np.unique(np.arange(150)[:, None] * 32 * 32 + rng.integers(0, 32 * 32, (150, 3)))
         grids, _ = self._predict(monkeypatch, model, raw, 37 * 4 * (4 * 38 * 38))
-        chunks = list(M.predict_chunks(model, raw, positions))
-        assert len(chunks) == 5
-        values = np.concatenate([pred for _, pred, _ in chunks])
-        assert values.dtype == np.float32
-        assert values.tobytes() == grids.reshape(-1)[positions].astype(np.float32).tobytes()
+        forward, chunks = M.forward_convdecoder, []
+        monkeypatch.setattr(M, "forward_convdecoder", lambda *a: chunks.append(len(a[2])) or forward(*a))
+        values, region = M.predict(model, raw, positions)
+        assert len(chunks) == 5 and region is None
+        assert values.dtype == np.float64 and values.shape == positions.shape
+        assert values.tobytes() == grids.reshape(-1)[positions].astype(np.float32).astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "variant,positions",
+        [("conv", np.array([3, 1])), ("conv", np.array([1, 1])), ("conv", np.array([0, 2 * 32 * 32])),
+         ("baseline", np.array([0]))],
+        ids=["unsorted", "repeated", "past-the-end", "baseline"],
+    )
+    def test_bad_positions(self, variant, positions):
+        """Positions outside the grids or not strictly ascending, or any
+        for a point model, are an error, never values in another order."""
+        arch = M.ConvDecoderArch(input_width=6, **SMALL_CONV) if variant == "conv" else M.BaselineArch(6, (8,))
+        model, raw = self._model(arch, 2)
+        with pytest.raises(ValueError, match="positions"):
+            M.predict(model, raw, positions)
 
     def test_multitask_chunks_agree_within_float32(self, monkeypatch):
         """The multitask heads are not bit-stable across chunk sizes (flux

@@ -250,6 +250,19 @@ class TestSparseSamples:
         assert peak / len(samples) < 16 * 1024
 
 
+def _conv_samples(seed=40, grid=32):
+    """Train and validation ``SparseSamples`` and their schema: 1.2 days,
+    2 satellites, a grid x grid composite."""
+    p = WorldParams(seed=seed, n_sats=2)
+    d = gen_drivers(p, int(1.2 * 86400))
+    obs = sample_traces(p, d, 60.0)
+    schema = FeatureSchema()
+    spec = GridSpec(n_lat=grid, n_mlt=grid)
+    samples, _ = build_sparse_samples(d, obs, schema, spec)
+    cut = int(0.75 * len(samples))
+    return samples[:cut], samples[cut:], schema
+
+
 def _point_tables(seed=30, days=2.0, obs_cadence=240.0, n_sats=1):
     p = WorldParams(seed=seed, n_sats=n_sats)
     d = gen_drivers(p, days * 86400)
@@ -286,20 +299,28 @@ class TestTrainPoint:
         _, held, _ = traced_bytes(T._point_setup, model, train, val, LossSpec(loss))
         assert held < train.rows.size  # a quarter of one float32 copy
 
-    @pytest.mark.parametrize("loss", ["mse", "dist", "multitask"])
+    @pytest.mark.parametrize("loss", ["mse", "dist", "multitask", "sparse_masked"])
     def test_heap_trimmed_before_each_validation(self, loss, monkeypatch):
         """Every epoch hands the freed training heap back (``malloc_trim(0)``)
-        after its last step and before its validation pass."""
-        train, val = _point_tables()
-        arch_cls = M.MultiTaskArch if loss == "multitask" else M.BaselineArch
-        model = M.build_model(arch_cls(train.schema.width, (8,)), seed=0)
+        after its last step and before its validation pass, which is one
+        ``models.predict`` call for every architecture."""
+        if loss == "sparse_masked":
+            train, val, schema = _conv_samples()
+            arch = M.ConvDecoderArch(len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
+            n_train, batch = len(train), 16
+        else:
+            train, val = _point_tables()
+            arch_cls = M.MultiTaskArch if loss == "multitask" else M.BaselineArch
+            arch = arch_cls(train.schema.width, (8,))
+            n_train, batch = train.n, 512
+        model = M.build_model(arch, seed=0)
         events, adam, predict = [], T.adam_step, M.predict
         monkeypatch.setattr(T, "adam_step", lambda *a: events.append("step") or adam(*a))
         monkeypatch.setattr(T, "_malloc_trim", lambda pad: events.append(("trim", pad)) or 0)
         monkeypatch.setattr(M, "predict", lambda *a: events.append("validate") or predict(*a))
-        config = TrainConfig(max_epochs=3, patience=3, batch_size=512, seed=1, loss=LossSpec(loss))
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=batch, seed=1, loss=LossSpec(loss))
         _, history = train_model(model, (train, val), config)
-        steps = -(-train.n // 512)
+        steps = -(-n_train // batch)
         assert len(history.epochs) == 3
         assert events == (["step"] * steps + [("trim", 0), "validate"]) * 3
 
@@ -414,18 +435,8 @@ class TestTrainPoint:
 
 
 class TestTrainConv:
-    def _samples(self, seed=40, grid=32):
-        p = WorldParams(seed=seed, n_sats=2)
-        d = gen_drivers(p, int(1.2 * 86400))
-        obs = sample_traces(p, d, 60.0)
-        schema = FeatureSchema()
-        spec = GridSpec(n_lat=grid, n_mlt=grid)
-        samples, _ = build_sparse_samples(d, obs, schema, spec)
-        cut = int(0.75 * len(samples))
-        return samples[:cut], samples[cut:], schema
-
     def test_setup_holds_no_copy_of_the_inputs(self):
-        train_s, val_s, schema = self._samples()
+        train_s, val_s, schema = _conv_samples()
         arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
         model = M.build_model(arch, seed=0)
         spec = LossSpec("sparse_masked")
@@ -433,7 +444,7 @@ class TestTrainConv:
         assert held < train_s.features.size  # a quarter of one float32 copy
 
     def test_conv_training_reduces_masked_mse(self):
-        train_s, val_s, schema = self._samples()
+        train_s, val_s, schema = _conv_samples()
         arch = M.ConvDecoderArch(
             input_width=len(schema.global_names), trunk=(24, 16), n_lat=32, n_mlt=32
         )
@@ -453,7 +464,7 @@ class TestTrainConv:
         assert history.best_val < init_val
 
     def test_normalization_fit_on_train_is_stored(self):
-        train_s, val_s, schema = self._samples(seed=43)
+        train_s, val_s, schema = _conv_samples(seed=43)
         arch = M.ConvDecoderArch(
             input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32
         )
@@ -475,7 +486,7 @@ class TestTrainConv:
         times larger raises the peak by less than one chunk of grids."""
         from auroracast.ingest import Normalization
 
-        train_s, val_s, schema = self._samples(seed=45, grid=64)
+        train_s, val_s, schema = _conv_samples(seed=45, grid=64)
         arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=64, n_mlt=64)
         model = M.build_model(arch, seed=0)
         chunk = len(val_s) // 4
@@ -512,7 +523,7 @@ class TestTrainConv:
         two moments, the best-epoch copy and the update's temporaries. A
         tape that kept its records held the last step's activations and
         gradients through validation, on top of validate()'s peak."""
-        train_s, val_s, schema = self._samples(seed=46)
+        train_s, val_s, schema = _conv_samples(seed=46)
         arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
         spec = LossSpec("sparse_masked")
         config = TrainConfig(loss=spec, max_epochs=1, batch_size=16, seed=7)
@@ -536,7 +547,7 @@ class TestTrainConv:
     @pytest.fixture(scope="class")
     def grid128(self):
         """A conv setup on the 128x128 grid: 1.2 days, 2 satellites."""
-        train_s, val_s, schema = self._samples(seed=48, grid=128)
+        train_s, val_s, schema = _conv_samples(seed=48, grid=128)
         arch = M.ConvDecoderArch(input_width=len(schema.global_names))
         model = M.build_model(arch, seed=0)
         _, step_loss, validate, _ = T._conv_setup(model, train_s, val_s, LossSpec("sparse_masked"))
@@ -583,7 +594,7 @@ class TestTrainConv:
             return conv2d(x, *args)
 
         monkeypatch.setattr(ad, "conv2d", recorded_conv2d)
-        train_s, val_s, schema = self._samples(seed=47)
+        train_s, val_s, schema = _conv_samples(seed=47)
         arch = M.ConvDecoderArch(input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32)
         config = TrainConfig(loss=LossSpec("sparse_masked"), max_epochs=2, batch_size=16, seed=1)
         _, history = train_model(M.build_model(arch, seed=0), (train_s, val_s), config)
@@ -595,7 +606,7 @@ class TestTrainConv:
         assert all(len(shape) == 4 and shape[1:] == window for shape in shapes)
 
     def test_wrong_loss_rejected(self):
-        train_s, val_s, schema = self._samples(seed=42)
+        train_s, val_s, schema = _conv_samples(seed=42)
         arch = M.ConvDecoderArch(
             input_width=len(schema.global_names), trunk=(8,), n_lat=32, n_mlt=32
         )
@@ -616,7 +627,7 @@ class TestTrainConv:
             monkeypatch.setattr(module, name, counted)
 
         train, val = _point_tables(seed=35)
-        train_s, val_s, schema = self._samples(seed=44)
+        train_s, val_s, schema = _conv_samples(seed=44)
         for module, name in (
             (T, "adam_step"),
             (L, "mse_op"),
