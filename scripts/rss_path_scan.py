@@ -1,7 +1,8 @@
-"""Peak RSS of the conv decoder's training stage against the length of the
-directory its sources are imported from.
+"""Peak RSS of the stage that sets a benchmark workload's peak, against the
+length of the directory its sources are imported from.
 
     python scripts/rss_path_scan.py CHECKOUT [CHECKOUT ...] [--lengths A-B]
+        [--workload conv_sparse|point_train]
 
 The conv_sparse benchmark's ``train --sparse`` stage once had two peak-RSS
 modes about 16 MB apart for the same code, and which one a run landed in
@@ -9,27 +10,37 @@ followed the byte length of the paths and modules it imported: freed
 training-step heap stayed resident under the whole-grid validation pass.
 Since ``train`` trims the heap before validating, and validation predicts
 at the observed cells only, a scan at lengths 1-8 reads within about
-0.7 MB (56.3-57.0 MB; the dense validation's peak was flat at 114.3-114.6
-MB). One reading per side cannot tell a change in memory use from a change
-of mode, so this scan shows each side's readings next to each other, and
-shows whether a change brings a mode back.
+0.4 MB (48.9-49.3 MB, against 56.2-56.9 MB before ``conv2d_transpose``
+planned its site taps per axis). point_train's peak stage, the first
+``map``, read 207.1-207.3 MB at every length of the same scan, although
+that workload's ``peak_rss_mb`` once moved 10 MB with no change on its
+path. One reading per side cannot tell a change in memory use from a
+change of mode, so this scan shows each side's readings next to each
+other, and shows whether a change brings a mode back.
 
-For each checkout, the script first synthesizes the conv_sparse world with
-that checkout's sources. Then, for each length L in A..B (default 1-32), it
-copies the checkout's ``src/`` into a temporary directory whose name is L
-``x`` characters and runs the conv_sparse ``train --sparse`` stage from the
-copy, with ``PYTHONPATH`` at the copy and one BLAS thread, and records the
-child's ``ru_maxrss`` from ``os.wait4``. The copy is byte-compiled first,
-as a benchmark checkout is by the stages that run before training. Every
-copy lives under one parent directory, so only L changes between the runs
-of a scan.
+For each checkout, the script first runs the workload's set-up steps
+(synthesis, and for point_train the feature cache) and then the steps of
+one repetition that come before the scanned stage (point_train's two
+``train`` runs and ``eval``), once, with that checkout's sources. Then,
+for each length L in A..B (default 1-32), it copies the checkout's
+``src/`` into a temporary directory whose name is L ``x`` characters and
+runs the scanned stage from the copy (conv_sparse: ``train --sparse``;
+point_train: the first ``map``), with ``PYTHONPATH`` at the copy and one
+BLAS thread, and records the child's ``ru_maxrss`` from ``os.wait4``. The
+copy is byte-compiled first, as a benchmark checkout is by the stages
+that run before the scanned one. Where ``PYTHONDONTWRITEBYTECODE`` is
+set, the benchmark's own stages write no bytecode and compile every
+module they import, and read above the scan: conv_sparse's ``train``
+stage by about 0.4 MB, point_train's ``map`` by about 1 MB. Every copy
+lives under one parent directory, so only L changes between the runs of
+a scan.
 
-The synth and train steps are built by ``perfbench/run.py`` (``SIZES``,
-``setup_steps`` and ``rep_steps``, which call ``synth_step`` and
-``train_step``) at the reference seed 1, so the stage is the one the
+The steps are built by ``perfbench/run.py`` (``SIZES``, ``setup_steps``
+and ``rep_steps``) at the reference seed 1, so the stage is the one the
 benchmark runs. It prints one JSON line per checkout:
 
-    {"checkout": "...", "seed": 1, "peak_rss_mb": {"1": 56.9, "2": 57.0, ...}}
+    {"checkout": "...", "workload": "conv_sparse", "stage": "train",
+     "seed": 1, "peak_rss_mb": {"1": 49.0, "2": 49.0, ...}}
 
 A stage that exits non-zero stops the scan with exit status 1.
 """
@@ -50,7 +61,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run as bench  # noqa: E402
 
-WORKLOAD = "conv_sparse"
+# The stage whose first run a scan repeats: the one that sets each
+# workload's peak RSS.
+STAGES = {"conv_sparse": "train", "point_train": "map"}
 SEED = 1
 
 
@@ -80,32 +93,44 @@ def _cli(step: bench.Step) -> list[str]:
     return [sys.executable, "-m", "auroracast.cli", *step.args]
 
 
-def scan(checkout: str, lengths: range, base: str) -> dict[str, float]:
-    """Peak RSS of the train stage per directory-name length, for one checkout."""
+def _remove(paths: list[str]):
+    for path in paths:
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.exists(path):
+            os.remove(path)
+
+
+def scan(checkout: str, workload: str, lengths: range, base: str) -> dict[str, float]:
+    """Peak RSS of the workload's scanned stage per directory-name length,
+    for one checkout."""
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isfile(os.path.join(src, "auroracast", "cli.py")):
         raise StageFailed(f"no auroracast sources under {src}")
-    size = bench.SIZES[WORKLOAD]
+    size = bench.SIZES[workload]
     work = tempfile.mkdtemp(prefix="work", dir=base)
     try:
-        steps, world = bench.setup_steps(WORKLOAD, work, size, SEED)
-        for step in steps:
+        steps, world = bench.setup_steps(workload, work, size, SEED)
+        rep = os.path.join(work, "rep")
+        os.makedirs(rep)
+        reps = bench.rep_steps(workload, work, world, rep, size, SEED)
+        stage = STAGES[workload]
+        at = next((i for i, step in enumerate(reps) if step.stage == stage), None)
+        if at is None:
+            raise StageFailed(f"perfbench's {workload} steps have no {stage} stage")
+        # the steps before the scanned one run once, from the checkout
+        for step in steps + reps[:at]:
             _run(_cli(step), src, work)
         peaks = {}
         for n in lengths:
             copy = os.path.join(base, "x" * n)
-            rep = os.path.join(work, f"rep{n}")
-            os.makedirs(rep)
             shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
             try:
                 compileall.compile_dir(copy, quiet=1)
-                train = bench.rep_steps(WORKLOAD, work, world, rep, size, SEED)[0]
-                if train.stage != "train":
-                    raise StageFailed(f"perfbench's first {WORKLOAD} step is {train.stage}, not train")
-                peaks[str(n)] = round(_run(_cli(train), copy, work), 1)
+                peaks[str(n)] = round(_run(_cli(reps[at]), copy, work), 1)
             finally:
                 shutil.rmtree(copy)
-                shutil.rmtree(rep)
+                _remove(reps[at].outputs)
         return peaks
     finally:
         shutil.rmtree(work)
@@ -126,15 +151,19 @@ def main(argv=None) -> int:
     parser.add_argument("checkouts", nargs="+", help="repository checkouts whose src/ to scan")
     parser.add_argument("--lengths", type=_lengths, default=_lengths("1-32"),
                         help="directory-name lengths A-B to copy src/ to (default 1-32)")
+    parser.add_argument("--workload", choices=sorted(STAGES), default="conv_sparse",
+                        help="benchmark workload whose peak stage to scan (default conv_sparse)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="rss_scan") as base:
         for checkout in args.checkouts:
             try:
-                peaks = scan(checkout, args.lengths, base)
+                peaks = scan(checkout, args.workload, args.lengths, base)
             except StageFailed as exc:
                 print(f"rss_path_scan: {checkout}: {exc}", file=sys.stderr)
                 return 1
-            print(json.dumps({"checkout": checkout, "seed": SEED, "peak_rss_mb": peaks}), flush=True)
+            line = {"checkout": checkout, "workload": args.workload, "stage": STAGES[args.workload],
+                    "seed": SEED, "peak_rss_mb": peaks}
+            print(json.dumps(line), flush=True)
     return 0
 
 

@@ -407,10 +407,15 @@ def conv2d_transpose(x: Tensor, k: Tensor, stride, tape: Tape | None = None, sit
     sites' values, compact as [len(sites), c_out]: per tap, in tap order,
     the sites that tap lands on gather the input cell it reads, and add
     that tap's channel matrix times it, in the dense forward's matmul
-    orientation. Each site therefore sums the same products in the same
-    order as the dense forward, and its values are the same bits. Backward
-    runs the same taps' adjoint at the sites only; within one tap the input
-    cells are distinct, so its buffered scatter into dx is exact.
+    orientation. The taps are planned per axis: one bool mask per kernel
+    row and one per kernel column, each as long as the site list. A tap's
+    sites are its row mask's sites that its column mask keeps, and its
+    input cells are computed there only, so no [taps, sites] table is
+    built: an inference call at deconv2's shape allocates about 105 bytes
+    per site. Each site sums the same products in the same order as the
+    dense forward, and its values are the same bits. Backward runs the
+    same taps' adjoint at the sites only; within one tap the input cells
+    are distinct, so its buffered scatter into dx is exact.
     """
     _check_dtypes(x, k)
     if x.data.ndim != 4 or k.data.ndim != 4:
@@ -465,17 +470,17 @@ def _conv2d_transpose_sites(x: Tensor, k: Tensor, stride, tape, sites, top, left
     (sh, sw), (n, ci, h, w), (_, co, kh, kw) = stride, x.shape, k.shape
     sample, row, col = unravel_cells(sites, (n, h * sh, w * sw), "conv2d_transpose sites")
     x_flat = x.data.reshape(n, ci, h * w)
-    # tap (a, b) lands on a site whose full-output row, less a, is a
-    # multiple of the stride, at input row i = that / stride; likewise columns
-    i, off_rows = np.divmod(row + top - np.arange(kh)[:, None], sh)
-    j, off_cols = np.divmod(col + left - np.arange(kw)[:, None], sw)
-    on_rows = (off_rows == 0) & (i >= 0) & (i < h)
-    on_cols = (off_cols == 0) & (j >= 0) & (j < w)
+    # tap a lands where d, the full-output row less a, is a multiple of the
+    # stride inside the input, and reads input row d // stride; likewise b
+    on_rows = [(d % sh == 0) & (d >= 0) & (d < h * sh) for d in (row + top - a for a in range(kh))]
+    on_cols = [(d % sw == 0) & (d >= 0) & (d < w * sw) for d in (col + left - b for b in range(kw))]
     taps = []
     for a in range(kh):
+        rows_a = np.flatnonzero(on_rows[a])
         for b in range(kw):
-            at = np.flatnonzero(on_rows[a] & on_cols[b])
-            taps.append((a, b, at, sample[at], i[a, at] * w + j[b, at]))
+            at = rows_a[on_cols[b][rows_a]]
+            cell = (row[at] + top - a) // sh * w + (col[at] + left - b) // sw
+            taps.append((a, b, at, sample[at], cell))
     y = np.zeros((co, sample.size), dtype=x.data.dtype)
     for a, b, at, src, cell in taps:
         # [c_out, c_in] @ [c_in, sites]: the dense forward's orientation

@@ -524,12 +524,17 @@ class TestConvTransposeSites:
 
     @pytest.mark.parametrize(
         "x_shape, k_shape, stride, per_sample",
-        [((16, 4, 32, 32), (4, 4, 5, 5), 4, 400), ((3, 2, 5, 7), (2, 3, 4, 5), (2, 3), 30)],
+        [
+            ((16, 4, 32, 32), (4, 4, 5, 5), 4, 400),
+            ((3, 2, 5, 7), (2, 3, 4, 5), (2, 3), 30),
+            ((16, 1, 16, 16), (1, 4, 9, 9), 2, 100),
+        ],
     )
     def test_bitwise_equal_to_dense_at_the_sites(self, x_shape, k_shape, stride, per_sample):
-        """float32, at deconv2's training shape and at a non-square stride
-        with c_in != c_out: the dense forward's bits at every site and
-        channel, as a compact [sites, c_out] array."""
+        """float32, at deconv2's training shape, at a non-square stride with
+        c_in != c_out, and at deconv1's geometry (a lead of 3 rows and
+        columns, up to 25 taps per site): the dense forward's bits at every
+        site and channel, as a compact [sites, c_out] array."""
         rng = np.random.default_rng(31)
         x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
         k = Tensor(rng.standard_normal(k_shape).astype(np.float32))
@@ -557,24 +562,45 @@ class TestConvTransposeSites:
 
         check_gradients(build, [x, k])
 
-    def test_float64_gradients_equal_the_dense_path(self):
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride",
+        [((4, 3, 8, 8), (3, 2, 5, 5), 4), ((4, 1, 16, 16), (1, 4, 9, 9), 2)],
+        ids=["stride-4", "deconv1"],
+    )
+    def test_float64_gradients_equal_the_dense_path(self, x_shape, k_shape, stride):
         """dy nonzero at the sites only: dx and dk match the dense backward
         within 1e-12 of their largest value (the sums run in another order)."""
         rng = np.random.default_rng(33)
-        x, k = _t(rng, 4, 3, 8, 8), _t(rng, 3, 2, 5, 5)
-        sites = _sites(rng, 4, 32, 32, 60)
-        dy = rng.standard_normal((sites.size, 2))
-        sample, row, col = np.unravel_index(sites, (4, 32, 32))
-        dense_dy = np.zeros((4, 2, 32, 32))
+        x, k = _t(rng, *x_shape), _t(rng, *k_shape)
+        grid = (x_shape[0], x_shape[2] * stride, x_shape[3] * stride)
+        co = k_shape[1]
+        sites = _sites(rng, *grid, 60)
+        dy = rng.standard_normal((sites.size, co))
+        sample, row, col = np.unravel_index(sites, grid)
+        dense_dy = np.zeros((grid[0], co, *grid[1:]))
         dense_dy[sample, :, row, col] = dy
         tape = Tape()
-        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, 4, tape, sites), dy))
+        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, stride, tape, sites), dy))
         sparse_dx, sparse_dk = x.grad, k.grad
         x.grad = k.grad = None
         tape = Tape()
-        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, 4, tape), dense_dy))
+        tape.backward(_weighted_sum(tape, ad.conv2d_transpose(x, k, stride, tape), dense_dy))
         for got, ref in ((sparse_dx, x.grad), (sparse_dk, k.grad)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_site_plan_memory(self):
+        """One inference call at deconv2's validation shape (about 95,000
+        sites) allocates under 128 bytes per site: the tap plan keeps one
+        bool mask per kernel row and column, not [taps, sites] int64 tables
+        of input cells and offsets."""
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.standard_normal((126, 4, 32, 32)).astype(np.float32))
+        k = Tensor(rng.standard_normal((4, 4, 5, 5)).astype(np.float32))
+        sites = _sites(rng, 126, 128, 128, 747)
+        assert 94_000 < sites.size < 96_000
+        peak, y = peak_bytes(ad.conv2d_transpose, x, k, 4, None, sites)
+        assert y.shape == (sites.size, 4)
+        assert peak < 128 * sites.size, f"peak {peak / sites.size:.0f} bytes per site"
 
     @pytest.mark.parametrize(
         "sites",
