@@ -11,29 +11,33 @@ training-step heap stayed resident under the whole-grid validation pass.
 Since ``train`` trims the heap before validating, and validation predicts
 at the observed cells only, a scan at lengths 1-8 reads within about
 0.4 MB (48.9-49.3 MB, against 56.2-56.9 MB before ``conv2d_transpose``
-planned its site taps per axis). point_train's peak stage, the first
-``map``, read 207.1-207.3 MB at every length of the same scan, although
-that workload's ``peak_rss_mb`` once moved 10 MB with no change on its
-path. One reading per side cannot tell a change in memory use from a
-change of mode, so this scan shows each side's readings next to each
-other, and shows whether a change brings a mode back.
+planned its site taps per axis). point_train's ``train`` stages set its
+peak since each ReLU overwrites the dense output it follows (about
+165 MB each, against 162 MB for ``map`` and 90 MB for ``eval``); a scan
+of its first ``train`` reads 167.6-167.7 MB at lengths 1-8, against
+194.3-194.9 MB while ReLU allocated its output, although that workload's
+``peak_rss_mb`` once moved 10 MB with no change on its path. One reading per side cannot tell
+a change in memory use from a change of mode, so this scan shows each
+side's readings next to each other, and shows whether a change brings a
+mode back.
 
 For each checkout, the script first runs the workload's set-up steps
 (synthesis, and for point_train the feature cache) and then the steps of
-one repetition that come before the scanned stage (point_train's two
-``train`` runs and ``eval``), once, with that checkout's sources. Then,
-for each length L in A..B (default 1-32), it copies the checkout's
-``src/`` into a temporary directory whose name is L ``x`` characters and
-runs the scanned stage from the copy (conv_sparse: ``train --sparse``;
-point_train: the first ``map``), with ``PYTHONPATH`` at the copy and one
-BLAS thread, and records the child's ``ru_maxrss`` from ``os.wait4``. The
+one repetition that come before the scanned stage, if any, once, with
+that checkout's sources. Then, for each length L in A..B (default 1-32),
+it copies the checkout's ``src/`` into a temporary directory whose name
+is L ``x`` characters and runs the scanned stage from the copy
+(conv_sparse: ``train --sparse``; point_train: the first ``train``, its
+``loss = mse`` run), with ``PYTHONPATH`` at the copy and one BLAS
+thread, and records the child's ``ru_maxrss`` from ``os.wait4``. The
 copy is byte-compiled first, as a benchmark checkout is by the stages
 that run before the scanned one. Where ``PYTHONDONTWRITEBYTECODE`` is
 set, the benchmark's own stages write no bytecode and compile every
-module they import, and read above the scan: conv_sparse's ``train``
-stage by about 0.4 MB, point_train's ``map`` by about 1 MB. Every copy
-lives under one parent directory, so only L changes between the runs of
-a scan.
+module they import, and read apart from the scan: conv_sparse's
+``train`` stage about 0.4 MB above it, point_train's first ``train``
+about 4.4 MB below it (163.2 against 167.6 MB when the same stage ran
+from the checkout's uncompiled ``src/``). Every copy lives under one
+parent directory, so only L changes between the runs of a scan.
 
 The steps are built by ``perfbench/run.py`` (``SIZES``, ``setup_steps``
 and ``rep_steps``) at the reference seed 1, so the stage is the one the
@@ -63,7 +67,7 @@ import run as bench  # noqa: E402
 
 # The stage whose first run a scan repeats: the one that sets each
 # workload's peak RSS.
-STAGES = {"conv_sparse": "train", "point_train": "map"}
+STAGES = {"conv_sparse": "train", "point_train": "train"}
 SEED = 1
 
 

@@ -16,6 +16,9 @@ deliberately small: exactly what the bundled architectures need.
 A backward closure hands _accumulate only arrays it made itself, never a
 view (reshape, add_channel_bias and pad_zero_lat copy theirs): a first
 gradient becomes the tensor's .grad as it is, so no two share a buffer.
+relu(..., inplace=True) writes its output over its input: callers pass it
+only for an output they just made and nothing else reads, so a dense ReLU
+layer holds one activation, and relu's backward gates on that buffer.
 
 Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
@@ -170,13 +173,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
+def relu(x: Tensor, tape: Tape | None = None, inplace: bool = False) -> Tensor:
     """max(0, x); subgradient at 0 is 0.
 
     The backward gates on the output, out > 0, which equals x > 0 for every
     input, NaN included, so no separate boolean gate stays on the tape.
+    With ``inplace`` the output overwrites x's buffer: pass it only for an
+    output the caller just made and nothing else reads (no closure reads a
+    dense or add_channel_bias output); the backward gates on that buffer.
     """
-    out = Tensor(np.maximum(x.data, 0))
+    out = Tensor(np.maximum(x.data, 0, out=x.data if inplace else None))
 
     if tape is not None:
         def backward():

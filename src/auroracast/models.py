@@ -228,7 +228,8 @@ def warm_start_output(model: Model, base_level: float):
 def _trunk(arch: Arch, params: dict[str, Tensor], x, tape, training, dropout_rng) -> Tensor:
     """The shared entry of every forward pass: ``x`` [n, input_width] in
     the parameters' dtype, through the dense ReLU layers of ``arch.trunk``,
-    with dropout after the first."""
+    with dropout after the first. Each ReLU overwrites the dense output it
+    follows, so a layer holds one activation, on the tape or off it."""
     dtype = next(iter(params.values())).data.dtype
     if isinstance(x, Tensor):
         h = x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
@@ -238,7 +239,7 @@ def _trunk(arch: Arch, params: dict[str, Tensor], x, tape, training, dropout_rng
         raise ValueError(f"expected input [n, {arch.input_width}], got {h.shape}")
     for i in range(len(arch.trunk)):
         h = ad.dense(h, params[f"dense{i}.w"], params[f"dense{i}.b"], tape)
-        h = ad.relu(h, tape)
+        h = ad.relu(h, tape, inplace=True)
         if i == 0 and arch.dropout_rate > 0:
             h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
     return h
@@ -300,7 +301,8 @@ def forward_convdecoder(
     bias, ReLU and dropout on a compact [sites, channels] array, then the
     periodic and zero pads as each cell's window of those sites, and the
     final convolution at the cells. The values are the bits of the dense
-    forward at the cells; dropout draws the dense grid's mask.
+    forward at the cells; dropout draws the dense grid's mask. Each ReLU
+    overwrites the fresh bias output it follows.
     """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
@@ -308,12 +310,12 @@ def forward_convdecoder(
     h = ad.reshape(h, (n, 1, arch.side, arch.side), tape)
     h = ad.conv2d_transpose(h, params["deconv1.k"], arch.strides[0], tape)
     h = ad.add_channel_bias(h, params["deconv1.b"], tape)
-    h = ad.relu(h, tape)
+    h = ad.relu(h, tape, inplace=True)
     grid = (n, arch.n_lat, arch.n_mlt)
     if cells is None:
         h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape)
         h = ad.add_channel_bias(h, params["deconv2.b"], tape)
-        h = ad.relu(h, tape)
+        h = ad.relu(h, tape, inplace=True)
         h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
         h = ad.pad_periodic_mlt(h, arch.overlap, tape)
         h = ad.pad_zero_lat(h, arch.overlap, tape)
@@ -323,7 +325,7 @@ def forward_convdecoder(
     sites, windows = _receptive_field(arch, grid, cells)
     h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape, sites)
     h = ad.add_channel_bias(h, params["deconv2.b"], tape)
-    h = ad.relu(h, tape)
+    h = ad.relu(h, tape, inplace=True)
     h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, sites, grid)
     h = ad.window_sites(h, windows, tape)
     h = ad.conv2d(h, params["final.k"], tape)
@@ -392,9 +394,11 @@ def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndar
     own positions) in the fewest near-equal chunks of at most
     ``PREDICT_BYTES`` over the float32 bytes of one row's widest
     activation: 16,384 rows for the default point trunk's 1,024-wide
-    layer, 233 for the 128x128 conv decoder's 4x134x134 padded grid. At
-    such budgets a chunk is never one row of several, which numpy's
-    matrix-vector path would round differently.
+    layer, 233 for the 128x128 conv decoder's 4x134x134 padded grid. Each
+    ReLU overwrites the layer output it follows, so a point chunk peaks at
+    about one widest activation plus that layer's input. At such budgets a
+    chunk is never one row of several, which numpy's matrix-vector path
+    would round differently.
     """
     arch, width, n = model.arch, model.arch.input_width, len(raw_rows)
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)

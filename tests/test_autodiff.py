@@ -101,6 +101,49 @@ class TestRelu:
         assert x.grad.dtype == dtype
         assert x.grad.tobytes() == expect.tobytes()
 
+    def test_default_leaves_its_input_unchanged(self):
+        x = Tensor(np.array(EDGES))
+        before = x.data.copy()
+        y = ad.relu(x, Tape())
+        assert not np.shares_memory(y.data, x.data)
+        assert x.data.tobytes() == before.tobytes()
+
+    @staticmethod
+    def _dense_relu(inplace, dtype):
+        """relu on a fresh dense output; (output, dense output, x, w, b)
+        after a backward of a weighted sum."""
+        rng = np.random.default_rng(52)
+        x, w, b = (Tensor(t.data.astype(dtype)) for t in (_t(rng, 9, 4), _t(rng, 4, 6), _t(rng, 6)))
+        tape = Tape()
+        y = ad.dense(x, w, b, tape)
+        h = ad.relu(y, tape, inplace=inplace)
+        tape.backward(_weighted_sum(tape, h, rng.standard_normal(h.shape)))
+        return h, y, x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_on_a_dense_output_is_the_default_bits(self, dtype):
+        """The in-place form writes over dense's output, which no closure
+        reads, and gives the default's output and gradient bits."""
+        h, y, *leaves = self._dense_relu(True, dtype)
+        ref, ref_y, *ref_leaves = self._dense_relu(False, dtype)
+        assert np.shares_memory(h.data, y.data)
+        assert not np.shares_memory(ref.data, ref_y.data)
+        assert h.data.dtype == dtype and h.data.tobytes() == ref.data.tobytes()
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == ref_leaf.grad.tobytes()
+
+    def test_inplace_gradcheck_on_a_dense_output(self):
+        """Finite differences through dense and an in-place ReLU: each
+        forward makes a fresh dense output, so no perturbation is clamped."""
+        rng = np.random.default_rng(53)
+        x, w, b = _t(rng, 5, 4), _t(rng, 4, 3), _t(rng, 3)
+
+        def build():
+            tape = Tape()
+            return tape, sum_all(ad.relu(ad.dense(x, w, b, tape), tape, inplace=True), tape)
+
+        check_gradients(build, [x, w, b])
+
 
 class TestAccumulate:
     """A first gradient into a tensor becomes its .grad as it is, or cast to
@@ -918,6 +961,10 @@ _DECONV_SITES = _sites(np.random.default_rng(50), 2, 8, 8, 10)
 _OPS = {
     "dense": ([(5, 4), (4, 3), (3,)], lambda tape, x, w, b: ad.dense(x, w, b, tape)),
     "relu": ([(4, 5)], lambda tape, x: ad.relu(x, tape)),
+    "relu_inplace": (
+        [(5, 4), (4, 3), (3,)],
+        lambda tape, x, w, b: ad.relu(ad.dense(x, w, b, tape), tape, inplace=True),
+    ),
     "dropout": ([(6, 5)], lambda tape, x: ad.dropout(x, 0.5, True, 1, tape)),
     "dropout_sites": (
         [(_DROPOUT_SITES.size, 3)],
@@ -1070,3 +1117,27 @@ class TestTapeRelease:
         widest = x.data.nbytes
         assert x.grad.shape == x.shape
         assert peak < (2 * depth + 4) * widest, f"peak {peak / widest:.2f} [n, d] arrays"
+
+    def test_inplace_relu_chain_holds_one_activation_per_layer(self):
+        """With each ReLU overwriting the dense output it follows, the same
+        six layers hold six [n, d] activations when backward starts, and the
+        peak stays within five more [n, d] arrays."""
+        rng = np.random.default_rng(48)
+        n, d, depth = 4096, 64, 6
+        x = Tensor(rng.standard_normal((n, d)).astype(np.float32))
+        layers = [
+            (Tensor(rng.standard_normal((d, d)).astype(np.float32) / 8), Tensor(np.zeros(d, np.float32)))
+            for _ in range(depth)
+        ]
+
+        def forward_backward():
+            tape = Tape()
+            h = x
+            for w, b in layers:
+                h = ad.relu(ad.dense(h, w, b, tape), tape, inplace=True)
+            tape.backward(sum_all(h, tape))
+
+        peak, _ = peak_bytes(forward_backward)
+        widest = x.data.nbytes
+        assert x.grad.shape == x.shape
+        assert peak < (depth + 5) * widest, f"peak {peak / widest:.2f} [n, d] arrays"

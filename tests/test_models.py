@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import probe_gradcheck
+from _memory import peak_bytes
 from auroracast import autodiff as ad
 from auroracast import container
 from auroracast import models as M
@@ -555,6 +556,16 @@ class TestPredict:
         # the chunks are consecutive slices that cover every row once
         first = Normalization.from_meta(model.meta["normalization"], arch.input_width).apply(raw)[:, 0]
         assert np.array_equal(pred.reshape(n_rows, -1)[:, 0], first)
+
+    def test_point_chunk_peaks_near_its_widest_activation(self):
+        """A 128x128 map's 16,384 rows through the default baseline trunk
+        run as one chunk. Each ReLU overwrites the dense output it follows,
+        so the call peaks below 1.5 times the 64 MiB 1,024-wide activation."""
+        model, raw = self._model(M.BaselineArch(133), 16384)
+        peak, (pred, _) = peak_bytes(M.predict, model, raw)
+        widest = 16384 * 1024 * 4
+        assert pred.shape == (16384,) and np.isfinite(pred).all()
+        assert peak < 1.5 * widest, f"peak {peak / widest:.2f} widest activations"
 
     @pytest.mark.parametrize("chunk", [1000, 4096, 16384, 19999])
     def test_baseline_chunks_are_bit_identical(self, monkeypatch, chunk):
