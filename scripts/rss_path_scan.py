@@ -10,16 +10,14 @@ followed the byte length of the paths and modules it imported: freed
 training-step heap stayed resident under the whole-grid validation pass.
 Since ``train`` trims the heap before validating, and validation predicts
 at the observed cells only, a scan at lengths 1-8 reads within about
-0.4 MB (48.9-49.3 MB, against 56.2-56.9 MB before ``conv2d_transpose``
-planned its site taps per axis). point_train's ``train`` stages set its
-peak since each ReLU overwrites the dense output it follows (about
-165 MB each, against 162 MB for ``map`` and 90 MB for ``eval``); a scan
-of its first ``train`` reads 167.6-167.7 MB at lengths 1-8, against
-194.3-194.9 MB while ReLU allocated its output, although that workload's
-``peak_rss_mb`` once moved 10 MB with no change on its path. One reading per side cannot tell
-a change in memory use from a change of mode, so this scan shows each
-side's readings next to each other, and shows whether a change brings a
-mode back.
+0.2 MB (49.3-49.5 MB). point_train's ``train`` stages set its peak
+(about 144 MB each, against 72 MB for ``eval`` and 62 MB for ``map``),
+and a scan of its first ``train`` shows modes: 144.1-144.2 MB at lengths
+1-7 and 139.9-140.0 at 8. Before ReLU and dropout kept one gradient per
+layer it read 163.1-163.4 MB at lengths 1-3 and 8, and 168.1-168.2 at
+4-7. One reading per side cannot tell a change in memory use from a
+change of mode, so this scan shows each side's readings next to each
+other, and shows whether a change brings a mode back.
 
 For each checkout, the script first runs the workload's set-up steps
 (synthesis, and for point_train the feature cache) and then the steps of
@@ -29,15 +27,17 @@ it copies the checkout's ``src/`` into a temporary directory whose name
 is L ``x`` characters and runs the scanned stage from the copy
 (conv_sparse: ``train --sparse``; point_train: the first ``train``, its
 ``loss = mse`` run), with ``PYTHONPATH`` at the copy and one BLAS
-thread, and records the child's ``ru_maxrss`` from ``os.wait4``. The
-copy is byte-compiled first, as a benchmark checkout is by the stages
-that run before the scanned one. Where ``PYTHONDONTWRITEBYTECODE`` is
-set, the benchmark's own stages write no bytecode and compile every
-module they import, and read apart from the scan: conv_sparse's
-``train`` stage about 0.4 MB above it, point_train's first ``train``
-about 4.4 MB below it (163.2 against 167.6 MB when the same stage ran
-from the checkout's uncompiled ``src/``). Every copy lives under one
-parent directory, so only L changes between the runs of a scan.
+thread, and records the child's ``ru_maxrss`` from ``os.wait4``. Every
+stage runs with ``PYTHONDONTWRITEBYTECODE=1``, so it compiles each module
+it imports from source, as the benchmark's stages do where that variable
+is set (``perfbench/run.py`` passes its environment on). At lengths 1-3
+the scan then reads within 0.2 MB of the benchmark's median for the
+stage over 10 seeds: 144.1-144.2 against 144.3 MB for point_train's
+first ``train`` (163.1-163.2 against 163.3 MB before the one-gradient
+change), and 49.4-49.5 against 49.4 MB for conv_sparse's ``train``. A
+byte-compiled copy read 4.4 MB above the benchmark on point_train.
+Every copy lives under one parent directory, so only L changes between
+the runs of a scan.
 
 The steps are built by ``perfbench/run.py`` (``SIZES``, ``setup_steps``
 and ``rep_steps``) at the reference seed 1, so the stage is the one the
@@ -52,7 +52,6 @@ A stage that exits non-zero stops the scan with exit status 1.
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
 import os
 import shutil
@@ -76,9 +75,9 @@ class StageFailed(Exception):
 
 
 def _run(argv: list[str], src: str, cwd: str) -> float:
-    """Run ``argv`` with ``src`` as its only ``PYTHONPATH`` entry; returns
-    the child's peak RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=src)
+    """Run ``argv`` with ``src`` as its only ``PYTHONPATH`` entry, writing
+    no bytecode; returns the child's peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(bench.BLAS_THREADS)
     proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
@@ -130,7 +129,6 @@ def scan(checkout: str, workload: str, lengths: range, base: str) -> dict[str, f
             copy = os.path.join(base, "x" * n)
             shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
             try:
-                compileall.compile_dir(copy, quiet=1)
                 peaks[str(n)] = round(_run(_cli(reps[at]), copy, work), 1)
             finally:
                 shutil.rmtree(copy)

@@ -16,9 +16,12 @@ deliberately small: exactly what the bundled architectures need.
 A backward closure hands _accumulate only arrays it made itself, never a
 view (reshape, add_channel_bias and pad_zero_lat copy theirs): a first
 gradient becomes the tensor's .grad as it is, so no two share a buffer.
-relu(..., inplace=True) writes its output over its input: callers pass it
-only for an output they just made and nothing else reads, so a dense ReLU
-layer holds one activation, and relu's backward gates on that buffer.
+relu and dropout with ``inplace=True`` write their output over their
+input and return the input tensor itself, recording their closure on it:
+callers pass it only for an output they just made and nothing else reads.
+The closure gates or scales that tensor's .grad where it lies, which its
+producer's closure, replayed after, then reads. So a dense ReLU layer
+holds one activation and one gradient, and no two tensors share either.
 
 Training runs in float32; tests build float64 graphs so central finite
 differences resolve gradients to ~1e-10. Inputs to an op must share one
@@ -99,6 +102,8 @@ class Tape:
         captured arrays are freed after it runs, and so is its output, with
         its .grad, unless the caller still holds it: every tensor the
         caller keeps (parameters, leaves, the loss) keeps its own .grad.
+        The output of an in-place op is its input tensor, so a kept one
+        ends holding its input's gradient, not its own.
         """
         if self._spent:
             raise RuntimeError("tape already consumed; re-run the forward pass")
@@ -120,6 +125,21 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad += g
+
+
+def _record_scaling(tape: Tape, x: Tensor, out: Tensor, factor: Callable[[], np.ndarray]):
+    """Record the backward of an elementwise op whose gradient is
+    out.grad * factor(). An in-place op (out is x) records on x itself and
+    scales x.grad where it lies: x owns that buffer (_accumulate), and the
+    records of x's producer, before this one on the tape, read it after."""
+    if out is x:
+        def backward():
+            np.multiply(x.grad, factor(), out=x.grad)
+    else:
+        def backward():
+            _accumulate(x, out.grad * factor())
+
+    tape.record(out, backward)
 
 
 def _check_dtypes(*tensors: Tensor):
@@ -178,17 +198,22 @@ def relu(x: Tensor, tape: Tape | None = None, inplace: bool = False) -> Tensor:
 
     The backward gates on the output, out > 0, which equals x > 0 for every
     input, NaN included, so no separate boolean gate stays on the tape.
-    With ``inplace`` the output overwrites x's buffer: pass it only for an
-    output the caller just made and nothing else reads (no closure reads a
-    dense or add_channel_bias output); the backward gates on that buffer.
+    With ``inplace`` the output overwrites x's buffer and is x itself:
+    pass it only for an output the caller just made and nothing else reads
+    (no closure reads a dense or add_channel_bias output). Its backward
+    then gates x.grad where it lies, on x's buffer as backward finds it: an
+    in-place dropout after it leaves relu * mask there, which is > 0
+    exactly where relu is > 0 and the mask keeps, and where the mask drops,
+    the gradient is already g * 0, whose bits a 0 or a 1 gate both keep.
     """
-    out = Tensor(np.maximum(x.data, 0, out=x.data if inplace else None))
+    if inplace:
+        np.maximum(x.data, 0, out=x.data)
+        out = x
+    else:
+        out = Tensor(np.maximum(x.data, 0))
 
     if tape is not None:
-        def backward():
-            _accumulate(x, out.grad * (out.data > 0))
-
-        tape.record(out, backward)
+        _record_scaling(tape, x, out, lambda: out.data > 0)
     return out
 
 
@@ -200,6 +225,7 @@ def dropout(
     tape: Tape | None = None,
     sites=None,
     grid=None,
+    inplace: bool = False,
 ) -> Tensor:
     """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate).
 
@@ -209,6 +235,9 @@ def dropout(
     the whole [n, c, h, w] grid, one sample at a time, so the generator
     advances as for the dense grid and each site keeps the draw the dense
     grid gives it; only the sites are multiplied.
+
+    With ``inplace`` the output overwrites x's buffer and is x itself, as
+    for ``relu``; its backward scales x.grad by the mask where it lies.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -234,13 +263,14 @@ def dropout(
             draw[at] = one[:, row[at], col[at]].T
     # keep is 0 or 1, so x * mask is bitwise x * keep * (1 / (1 - rate))
     mask = (draw >= rate).astype(x.data.dtype) * (1.0 / (1.0 - rate))
-    out = Tensor(x.data * mask)
+    if inplace:
+        np.multiply(x.data, mask, out=x.data)
+        out = x
+    else:
+        out = Tensor(x.data * mask)
 
     if tape is not None:
-        def backward():
-            _accumulate(x, out.grad * mask)
-
-        tape.record(out, backward)
+        _record_scaling(tape, x, out, lambda: mask)
     return out
 
 

@@ -228,8 +228,9 @@ def warm_start_output(model: Model, base_level: float):
 def _trunk(arch: Arch, params: dict[str, Tensor], x, tape, training, dropout_rng) -> Tensor:
     """The shared entry of every forward pass: ``x`` [n, input_width] in
     the parameters' dtype, through the dense ReLU layers of ``arch.trunk``,
-    with dropout after the first. Each ReLU overwrites the dense output it
-    follows, so a layer holds one activation, on the tape or off it."""
+    with dropout after the first. Each ReLU, and the dropout, overwrites
+    the fresh dense output it follows and returns that tensor, so a layer
+    holds one activation, on the tape or off it, and one gradient."""
     dtype = next(iter(params.values())).data.dtype
     if isinstance(x, Tensor):
         h = x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
@@ -241,7 +242,7 @@ def _trunk(arch: Arch, params: dict[str, Tensor], x, tape, training, dropout_rng
         h = ad.dense(h, params[f"dense{i}.w"], params[f"dense{i}.b"], tape)
         h = ad.relu(h, tape, inplace=True)
         if i == 0 and arch.dropout_rate > 0:
-            h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
+            h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, inplace=True)
     return h
 
 
@@ -302,7 +303,7 @@ def forward_convdecoder(
     periodic and zero pads as each cell's window of those sites, and the
     final convolution at the cells. The values are the bits of the dense
     forward at the cells; dropout draws the dense grid's mask. Each ReLU
-    overwrites the fresh bias output it follows.
+    overwrites the fresh bias output it follows, and dropout the ReLU's.
     """
     h = _trunk(arch, params, x, tape, training, dropout_rng)
     n = h.shape[0]
@@ -316,7 +317,7 @@ def forward_convdecoder(
         h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape)
         h = ad.add_channel_bias(h, params["deconv2.b"], tape)
         h = ad.relu(h, tape, inplace=True)
-        h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape)
+        h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, inplace=True)
         h = ad.pad_periodic_mlt(h, arch.overlap, tape)
         h = ad.pad_zero_lat(h, arch.overlap, tape)
         h = ad.conv2d(h, params["final.k"], tape)
@@ -326,7 +327,7 @@ def forward_convdecoder(
     h = ad.conv2d_transpose(h, params["deconv2.k"], arch.strides[1], tape, sites)
     h = ad.add_channel_bias(h, params["deconv2.b"], tape)
     h = ad.relu(h, tape, inplace=True)
-    h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, sites, grid)
+    h = ad.dropout(h, arch.dropout_rate, training, dropout_rng, tape, sites, grid, inplace=True)
     h = ad.window_sites(h, windows, tape)
     h = ad.conv2d(h, params["final.k"], tape)
     h = ad.add_channel_bias(h, params["final.b"], tape)
@@ -375,8 +376,31 @@ def predict_point(model: Model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return selected.astype(np.float64), np.argmax(logits.data, axis=1)
 
 
-# Bytes that the widest activation of one prediction chunk may take.
-PREDICT_BYTES = 64 << 20
+# Bytes that the widest activation of one prediction chunk may take: 1,024
+# rows of the point trunk's 1,024-wide layer, 14 rows of the conv decoder's
+# 4x134x134 padded grid, 256 rows of its 4x32x32 deconv1 output at positions.
+PREDICT_BYTES = 4 << 20
+
+# Point chunks start at multiples of this many rows. numpy's float32 matrix
+# products round some rows by where they fall in a chunk: near-equal 877-
+# and 878-row chunks of 3,511 rows moved 6 predictions of an untrained
+# BaselineArch(133) by up to 1.2e-7, and starts on multiples of 16 rows
+# gave the one-pass bits in all 32 (rows, budget) cases tried. The conv
+# decoder's near-equal chunks give the one-pass bits as they are.
+POINT_ROW_STEP = 16
+
+
+def _chunk_bounds(n: int, cap: int, step: int) -> list[int]:
+    """Bounds of the fewest near-equal chunks of ``n`` rows, each of at most
+    ``cap`` rows and starting at a multiple of ``step`` rows (of one row
+    where ``cap`` is under two steps). No chunk is one row of several,
+    which numpy's matrix-vector path would round differently: where
+    ``cap`` is under 4 rows, a chunk may take up to 3 rows."""
+    if cap < 2 * step:
+        step = 1
+    blocks = -(-n // step)
+    k = min(-(-blocks // (cap // step)), max(1, n // 2))
+    return [min(n, i * blocks // k * step) for i in range(k + 1)] if k else [0]
 
 
 def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -391,14 +415,15 @@ def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndar
 
     The rows are z-scored with the model's stored ``Normalization`` and run
     through ``predict_point`` or ``forward_convdecoder`` (at the chunk's
-    own positions) in the fewest near-equal chunks of at most
-    ``PREDICT_BYTES`` over the float32 bytes of one row's widest
-    activation: 16,384 rows for the default point trunk's 1,024-wide
-    layer, 233 for the 128x128 conv decoder's 4x134x134 padded grid. Each
-    ReLU overwrites the layer output it follows, so a point chunk peaks at
-    about one widest activation plus that layer's input. At such budgets a
-    chunk is never one row of several, which numpy's matrix-vector path
-    would round differently.
+    own positions) in the fewest near-equal chunks (``_chunk_bounds``) of
+    at most ``PREDICT_BYTES`` over the float32 bytes of one row's widest
+    activation, of the arrays that path builds: 1,024 rows for the default
+    point trunk's 1,024-wide layer, 14 for the 128x128 conv decoder's
+    4x134x134 padded grid, and 256 at positions, where the widest is
+    deconv1's dense 4x32x32 output. Point chunks start at multiples of
+    ``POINT_ROW_STEP`` rows. Each ReLU overwrites the layer output it
+    follows, so a point chunk peaks at about one widest activation plus
+    that layer's input.
     """
     arch, width, n = model.arch, model.arch.input_width, len(raw_rows)
     norm = Normalization.from_meta(model.meta.get("normalization", {}), width)
@@ -408,8 +433,10 @@ def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndar
     widest = max((width, *arch.trunk))
     if conv:
         mid = arch.side * arch.strides[0]
-        padded = (arch.n_lat + 2 * arch.overlap) * (arch.n_mlt + 2 * arch.overlap)
-        widest = max(widest, arch.filters[0] * mid * mid, arch.filters[1] * padded)
+        widest = max(widest, arch.filters[0] * mid * mid)
+        if positions is None:  # the sites path builds no padded grid
+            padded = (arch.n_lat + 2 * arch.overlap) * (arch.n_mlt + 2 * arch.overlap)
+            widest = max(widest, arch.filters[1] * padded)
         n_cells = arch.n_lat * arch.n_mlt
     if positions is None:
         pred = np.empty((n, arch.n_lat, arch.n_mlt) if conv else n)
@@ -419,9 +446,9 @@ def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndar
         ad.unravel_cells(positions, (n, arch.n_lat, arch.n_mlt), "positions")
         pred = np.empty(len(positions))
     region = np.empty(n, dtype=np.int64) if isinstance(arch, MultiTaskArch) else None
-    k = -(-n // max(1, PREDICT_BYTES // (4 * widest)))
-    for i in range(k):
-        rows = slice(i * n // k, (i + 1) * n // k)
+    bounds = _chunk_bounds(n, max(1, PREDICT_BYTES // (4 * widest)), 1 if conv else POINT_ROW_STEP)
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
         x = norm.apply(raw_rows[rows])
         if not conv:
             pred[rows], chunk_region = predict_point(model, x)
@@ -430,8 +457,8 @@ def predict(model: Model, raw_rows: np.ndarray, positions=None) -> tuple[np.ndar
         elif positions is None:
             pred[rows] = forward_convdecoder(arch, model.params, x).data
         else:
-            at = slice(*np.searchsorted(positions, (rows.start * n_cells, rows.stop * n_cells)))
-            cells = positions[at] - rows.start * n_cells
+            at = slice(*np.searchsorted(positions, (start * n_cells, stop * n_cells)))
+            cells = positions[at] - start * n_cells
             pred[at] = forward_convdecoder(arch, model.params, x, None, False, None, cells).data
     return pred, region
 

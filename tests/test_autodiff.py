@@ -65,6 +65,18 @@ class TestDense:
         assert ad.dense(x, w, b).data.tobytes() == (x.data @ w.data + b.data).tobytes()
 
 
+def _after_dense(op, dtype):
+    """op(tape, y) on a fresh dense output y; (output, y, x, w, b) after a
+    backward of a weighted sum."""
+    rng = np.random.default_rng(52)
+    x, w, b = (Tensor(t.data.astype(dtype)) for t in (_t(rng, 9, 4), _t(rng, 4, 6), _t(rng, 6)))
+    tape = Tape()
+    y = ad.dense(x, w, b, tape)
+    h = op(tape, y)
+    tape.backward(_weighted_sum(tape, h, rng.standard_normal(h.shape)))
+    return h, y, x, w, b
+
+
 class TestRelu:
     def test_nonnegative_identity(self):
         x = Tensor(np.abs(np.random.default_rng(1).standard_normal((4, 4))))
@@ -110,15 +122,7 @@ class TestRelu:
 
     @staticmethod
     def _dense_relu(inplace, dtype):
-        """relu on a fresh dense output; (output, dense output, x, w, b)
-        after a backward of a weighted sum."""
-        rng = np.random.default_rng(52)
-        x, w, b = (Tensor(t.data.astype(dtype)) for t in (_t(rng, 9, 4), _t(rng, 4, 6), _t(rng, 6)))
-        tape = Tape()
-        y = ad.dense(x, w, b, tape)
-        h = ad.relu(y, tape, inplace=inplace)
-        tape.backward(_weighted_sum(tape, h, rng.standard_normal(h.shape)))
-        return h, y, x, w, b
+        return _after_dense(lambda tape, y: ad.relu(y, tape, inplace=inplace), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inplace_on_a_dense_output_is_the_default_bits(self, dtype):
@@ -232,6 +236,61 @@ class TestDropout:
         assert y.data.dtype == x.grad.dtype == dtype
         assert y.data.tobytes() == expect_y.tobytes()
         assert x.grad.tobytes() == expect_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_on_a_dense_output_is_the_default_bits(self, dtype):
+        """The in-place form writes over dense's output and returns that
+        tensor, and gives the default's output and gradient bits."""
+        h, y, *leaves = _after_dense(lambda tape, y: ad.dropout(y, 0.5, True, 3, tape, inplace=True), dtype)
+        ref, ref_y, *ref_leaves = _after_dense(lambda tape, y: ad.dropout(y, 0.5, True, 3, tape), dtype)
+        assert h is y and not np.shares_memory(ref.data, ref_y.data)
+        assert h.data.dtype == dtype and h.data.tobytes() == ref.data.tobytes()
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == ref_leaf.grad.tobytes()
+
+    def test_inplace_gradcheck_on_a_dense_output(self):
+        """Finite differences through dense and an in-place dropout: each
+        forward makes a fresh dense output and draws the same mask."""
+        rng = np.random.default_rng(55)
+        x, w, b = _t(rng, 5, 4), _t(rng, 4, 3), _t(rng, 3)
+
+        def build():
+            tape = Tape()
+            y = ad.dropout(ad.dense(x, w, b, tape), 0.4, True, 11, tape, inplace=True)
+            return tape, sum_all(y, tape)
+
+        check_gradients(build, [x, w, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_relu_then_dropout_is_the_default_bits(self, dtype):
+        """Dense, ReLU and dropout, both in place, against the out-of-place
+        chain, with signed zeros and infinities in the dense output and the
+        upstream gradient. After the dropout, ReLU gates on relu * mask > 0:
+        where the mask drops, the gradient is already g * 0, and (g * 0) * 0
+        is the bits of (g * 0) * 1, signed zeros and NaN included."""
+        edges = np.array([0.0, -0.0, np.inf, -np.inf], dtype=dtype)
+
+        def chain(inplace):
+            rng = np.random.default_rng(56)
+            x = rng.standard_normal((16, 4)).astype(dtype)
+            x[0] = 0.0  # this row's dense output is b
+            b = np.concatenate([edges, rng.standard_normal(4).astype(dtype)])
+            x, w, b = Tensor(x), Tensor(rng.standard_normal((4, 8)).astype(dtype)), Tensor(b)
+            g = rng.standard_normal((16, 8)).astype(dtype)
+            g[:, :4] = edges  # every column of edges meets every upstream edge
+            tape = Tape()
+            h = ad.relu(ad.dense(x, w, b, tape), tape, inplace=inplace)
+            h = ad.dropout(h, 0.5, True, 4, tape, inplace=inplace)
+            tape.backward(_weighted_sum(tape, h, g))
+            return h, x, w, b
+
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+            h, *leaves = chain(True)
+            ref, *ref_leaves = chain(False)
+        assert np.isnan(leaves[2].grad).any() and (h.data == 0).any()
+        assert h.data.tobytes() == ref.data.tobytes()
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == ref_leaf.grad.tobytes()
 
 
 class TestSoftmax:
@@ -966,6 +1025,10 @@ _OPS = {
         lambda tape, x, w, b: ad.relu(ad.dense(x, w, b, tape), tape, inplace=True),
     ),
     "dropout": ([(6, 5)], lambda tape, x: ad.dropout(x, 0.5, True, 1, tape)),
+    "dropout_inplace": (
+        [(5, 4), (4, 3), (3,)],
+        lambda tape, x, w, b: ad.dropout(ad.dense(x, w, b, tape), 0.5, True, 1, tape, inplace=True),
+    ),
     "dropout_sites": (
         [(_DROPOUT_SITES.size, 3)],
         lambda tape, x: ad.dropout(x, 0.5, True, 1, tape, _DROPOUT_SITES, (2, 4, 5)),

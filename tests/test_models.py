@@ -542,30 +542,96 @@ class TestPredict:
         ids=["baseline", "baseline_plus_one", "conv", "conv_three"],
     )
     def test_chunk_rule(self, monkeypatch, arch, n_rows, chunks):
-        """At most 64 MiB over the widest float32 activation (the 1,024-wide
-        dense layer of the point trunk, the 4x134x134 pad of the conv
-        decoder), in the fewest chunks of near-equal size."""
+        """At a budget of 64 MiB over the widest float32 activation (the
+        1,024-wide dense layer of the point trunk, the 4x134x134 pad of the
+        conv decoder), in the fewest chunks of near-equal size."""
+        monkeypatch.setattr(M, "PREDICT_BYTES", 64 << 20)
         model, raw = self._model(arch, n_rows)
+        assert self._chunks(monkeypatch, model, raw) == chunks
+
+    @staticmethod
+    def _chunks(monkeypatch, model, raw, positions=None):
+        """The rows of each chunk that ``predict`` runs, with stand-ins for
+        the forward passes that return each row's first normalized feature
+        (zeros at positions); checks that the chunks cover every row once,
+        and without positions that they are consecutive slices."""
         seen = []
-        monkeypatch.setattr(
-            M, "forward_convdecoder", lambda arch, params, x: seen.append(len(x)) or Tensor(x[:, :1, None])
-        )
+
+        def conv(arch, params, x, *at):
+            seen.append(len(x))
+            return Tensor(np.zeros(len(at[-1])) if at else x[:, :1, None])
+
+        monkeypatch.setattr(M, "forward_convdecoder", conv)
         monkeypatch.setattr(M, "predict_point", lambda model, x: seen.append(len(x)) or (x[:, 0], None))
-        pred, _ = M.predict(model, raw)
-        assert seen == chunks
-        # the chunks are consecutive slices that cover every row once
-        first = Normalization.from_meta(model.meta["normalization"], arch.input_width).apply(raw)[:, 0]
-        assert np.array_equal(pred.reshape(n_rows, -1)[:, 0], first)
+        pred, _ = M.predict(model, raw, positions)
+        if positions is None:
+            first = Normalization.from_meta(model.meta["normalization"], model.arch.input_width).apply(raw)[:, 0]
+            assert np.array_equal(pred.reshape(len(raw), -1)[:, 0], first)
+        assert sum(seen) == len(raw)
+        return seen
+
+    @pytest.mark.parametrize(
+        "arch,n_rows,at_positions,chunks",
+        [
+            (M.BaselineArch(133), 16384, False, [1024] * 16),
+            (M.BaselineArch(133), 3511, False, [880, 880, 880, 871]),
+            (M.ConvDecoderArch(130), 14, False, [14]),
+            (M.ConvDecoderArch(130), 20, False, [10, 10]),
+            (M.ConvDecoderArch(130), 256, True, [256]),
+            (M.ConvDecoderArch(130), 257, True, [128, 129]),
+        ],
+        ids=["baseline_map", "baseline_16_row_starts", "conv", "conv_two", "conv_positions", "conv_positions_two"],
+    )
+    def test_shipped_chunk_rule(self, monkeypatch, arch, n_rows, at_positions, chunks):
+        """At the shipped 4 MiB: 1,024 rows of the point trunk's 1,024-wide
+        layer, in chunks that start at multiples of 16 rows; 14 rows of the
+        conv decoder's 4x134x134 pad; 256 rows at positions, where its
+        widest array is deconv1's dense 4x32x32 output."""
+        model, raw = self._model(arch, n_rows)
+        positions = np.arange(n_rows) * arch.n_lat * arch.n_mlt if at_positions else None
+        assert self._chunks(monkeypatch, model, raw, positions) == chunks
+
+    @pytest.mark.parametrize(
+        "budget_rows,n_rows,chunks",
+        [(16, 17, [8, 9]), (32, 33, [16, 17]), (1, 5, [2, 3]), (1, 1, [1])],
+        ids=["under_two_steps", "two_steps", "one_row_budget", "one_row"],
+    )
+    def test_no_chunk_is_one_row_of_several(self, monkeypatch, budget_rows, n_rows, chunks):
+        """A point chunk starts at a multiple of 16 rows only where the
+        budget holds two such steps; else the chunks are near-equal. A
+        chunk of one row is never one of several: at a budget of one row,
+        chunks take two or three."""
+        model, raw = self._model(M.BaselineArch(6, hidden=(8,)), n_rows)
+        monkeypatch.setattr(M, "PREDICT_BYTES", budget_rows * 4 * 8)
+        assert self._chunks(monkeypatch, model, raw) == chunks
 
     def test_point_chunk_peaks_near_its_widest_activation(self):
         """A 128x128 map's 16,384 rows through the default baseline trunk
-        run as one chunk. Each ReLU overwrites the dense output it follows,
-        so the call peaks below 1.5 times the 64 MiB 1,024-wide activation."""
+        run in 16 chunks of 1,024 rows. Each ReLU overwrites the dense
+        output it follows, so the call peaks below 1.5 times the 64 MiB
+        1,024-wide activation of all 16,384 rows."""
         model, raw = self._model(M.BaselineArch(133), 16384)
         peak, (pred, _) = peak_bytes(M.predict, model, raw)
         widest = 16384 * 1024 * 4
         assert pred.shape == (16384,) and np.isfinite(pred).all()
         assert peak < 1.5 * widest, f"peak {peak / widest:.2f} widest activations"
+
+    def test_point_map_peaks_below_16_mb(self):
+        """Predicting a 128x128 map's 16,384 rows through the default
+        baseline trunk, at the shipped budget of 4 MiB per chunk's widest
+        activation, peaks below 16 MB. As one chunk it peaked at 88.5 MB."""
+        model, raw = self._model(M.BaselineArch(133), 16384)
+        peak, _ = peak_bytes(M.predict, model, raw)
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_shipped_chunks_are_one_pass_bits(self, monkeypatch):
+        """3,511 rows at the shipped budget run in four chunks whose starts
+        are multiples of 16 rows, and predict the bits of one pass. Near-
+        equal 877- and 878-row chunks moved some predictions by an ulp."""
+        model, raw = self._model(M.BaselineArch(133), 3511)
+        part = M.predict(model, raw)[0]
+        whole, _ = self._predict(monkeypatch, model, raw, 1 << 40)
+        assert part.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("chunk", [1000, 4096, 16384, 19999])
     def test_baseline_chunks_are_bit_identical(self, monkeypatch, chunk):
@@ -596,6 +662,8 @@ class TestPredict:
         rng = np.random.default_rng(2)
         positions = np.unique(np.arange(150)[:, None] * 32 * 32 + rng.integers(0, 32 * 32, (150, 3)))
         grids, _ = self._predict(monkeypatch, model, raw, 37 * 4 * (4 * 38 * 38))
+        # at positions, the widest array is deconv1's dense [4, 8, 8] output
+        monkeypatch.setattr(M, "PREDICT_BYTES", 37 * 4 * (4 * 8 * 8))
         forward, chunks = M.forward_convdecoder, []
         monkeypatch.setattr(M, "forward_convdecoder", lambda *a: chunks.append(len(a[2])) or forward(*a))
         values, region = M.predict(model, raw, positions)

@@ -324,6 +324,28 @@ class TestTrainPoint:
         assert len(history.epochs) == 3
         assert events == (["step"] * steps + [("trim", 0), "validate"]) * 3
 
+    def test_default_step_peaks_below_four_widest_activations(self):
+        """One training step of the default baseline trunk at batch 4096,
+        forward and backward, peaks below 3.8 [4096, 1024] float32
+        activations: ReLU and dropout overwrite the dense output they
+        follow and gate or scale its gradient in place, so the widest layer
+        holds one activation and one gradient (4.4 when ReLU's backward
+        made a second gradient beside the one it read)."""
+        arch = M.BaselineArch(133)
+        model = M.build_model(arch, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((4096, 133)).astype(np.float32), rng.standard_normal(4096)
+
+        def step():
+            tape = Tape()
+            pred = M.forward_baseline(arch, model.params, x, tape, True, np.random.default_rng(1))
+            tape.backward(L.mse_op(tape, pred, y))
+
+        step()
+        peak, _ = peak_bytes(step)
+        widest = 4096 * 1024 * 4
+        assert peak < 3.8 * widest, f"peak {peak / widest:.2f} widest activations"
+
     def test_warm_started_baseline_near_constant_predictor(self):
         # default arch and Adam settings, 3 epochs: best val MSE over the
         # constant predictor's is 0.99-1.08 for seeds 1-5, and 7-17 with
@@ -491,8 +513,9 @@ class TestTrainConv:
         model = M.build_model(arch, seed=0)
         chunk = len(val_s) // 4
         val_s = val_s[: 4 * chunk]  # whole chunks, so both sets run chunks of one size
-        padded = arch.filters[1] * (arch.n_lat + 2 * arch.overlap) ** 2
-        monkeypatch.setattr(M, "PREDICT_BYTES", chunk * 4 * padded)
+        # validation predicts at positions, whose widest array is deconv1's dense output
+        deconv1 = arch.filters[0] * (arch.side * arch.strides[0]) ** 2
+        monkeypatch.setattr(M, "PREDICT_BYTES", chunk * 4 * deconv1)
         spec = LossSpec("sparse_masked")
         _, _, validate, _ = T._conv_setup(model, train_s, val_s, spec)
         norm = Normalization.from_meta(model.meta["normalization"], arch.input_width)
